@@ -15,8 +15,6 @@ import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 
 from .ideals import (
     Axis,
@@ -217,9 +215,6 @@ def cmd_bench(args) -> int:
         if m not in ("naive", "decomposed", "assembled"):
             raise ParseError(f"unknown method {m!r}", 0)
     rows: list[dict] = []
-    if args.parallel:
-        print("note: --parallel runs cells concurrently; timings may interfere")
-
     jobs = []
     for label, ideal in ideals:
         dec = stable_decomposition(ideal)
@@ -248,34 +243,22 @@ def cmd_bench(args) -> int:
                 )
             )
 
-    if args.parallel:
-        with ProcessPoolExecutor() as pool:
-            futures = [
-                (label, method, n, pool.submit(_bench_cell, ideal.gens, method, n))
-                for label, ideal, n, method in jobs
-            ]
-            for label, method, n, fut in futures:
-                try:
-                    record(label, method, n, fut.result(timeout=args.timeout))
-                except FutureTimeout:
-                    record(label, method, n, None)
-    else:
-        ctx = multiprocessing.get_context("fork")
-        for label, ideal, n, method in jobs:
-            queue = ctx.SimpleQueue()
+    ctx = multiprocessing.get_context("fork")
+    for label, ideal, n, method in jobs:
+        queue = ctx.SimpleQueue()
 
-            def worker(q=queue, gens=ideal.gens, m=method, nn=n):
-                q.put(_bench_cell(gens, m, nn))
+        def worker(q=queue, gens=ideal.gens, m=method, nn=n):
+            q.put(_bench_cell(gens, m, nn))
 
-            proc = ctx.Process(target=worker)
-            proc.start()
-            proc.join(args.timeout)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-                record(label, method, n, None)
-            else:
-                record(label, method, n, queue.get() if not queue.empty() else None)
+        proc = ctx.Process(target=worker)
+        proc.start()
+        proc.join(args.timeout)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join()
+            record(label, method, n, None)
+        else:
+            record(label, method, n, queue.get() if not queue.empty() else None)
 
     header = ["ideal", "method", "n", "preprocess_ms", "compute_ms", "mu"]
     widths = [
@@ -382,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="assembled", help="comma list of naive,decomposed,assembled")
     p.add_argument("--timeout", type=float, default=300.0, help="seconds per cell (default 300)")
     p.add_argument("--csv", default=None, help="write the CSV here instead of stdout")
-    p.add_argument("--parallel", action="store_true", help="run cells concurrently")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("plot", help="SVG staircase diagram")

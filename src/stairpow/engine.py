@@ -18,7 +18,6 @@ from .ideals import (
     Monomial,
     MonomialIdeal,
     PrincipalIdealError,
-    _check_exponents,
     ideal_sum,
     mon_pow,
     naive_power,
@@ -28,7 +27,8 @@ from .geometry import (
     persistence_profile,
     stabilization_radius,
 )
-from .segments import GluedComponents, glued_components, staircase_times
+from .links import link_blocks
+from .segments import GluedComponents, glued_blocks, glued_components, staircase_times
 
 
 def _shift_chosen(chosen: Sequence[Monomial] | None, shift: Monomial):
@@ -157,32 +157,14 @@ def stable_decomposition(
 
 
 def _emit(dec: StableDecomposition, ell: int) -> tuple[list[Monomial], int]:
-    """Emit the oriented generators of I^(s+ell); returns (gens, additions)."""
-    blocks: list[tuple[MonomialIdeal, int]] = [(dec.components[0], 1)]
-    for i in range(dec.k):
-        blocks.append((dec.middles[i], ell))
-        blocks.append((dec.components[i + 1], 1))
-    total_x = sum(part.dist(Axis.X) * reps for part, reps in blocks)
-    total_y = sum(part.dist(Axis.Y) * reps for part, reps in blocks)
-    _check_exponents(total_x, total_y)
-
-    gens: list[Monomial] = []
-    additions = 0
-    x = 0
-    y = total_y
-    first = True
-    for part, reps in blocks:
-        dx = part.dist(Axis.X)
-        dy = part.dist(Axis.Y)
-        body = part.gens
-        for _ in range(reps):
-            y -= dy
-            for a, b in body if first else body[1:]:
-                gens.append((a + x, b + y))
-                additions += 1
-            x += dx
-            first = False
-    return gens, additions
+    """Emit G(I^(s+ell)) in original coordinates; returns (gens, additions)."""
+    blocks = glued_blocks(dec.components, dec.middles, ell)
+    if dec.axis is Axis.X:
+        # The transpose of a y-link is the y-link of the transposed parts in
+        # reverse order, so only the 2k+1 small parts are re-oriented.
+        blocks = [(part.transpose(), reps) for part, reps in reversed(blocks)]
+    gens = link_blocks(blocks, mon_pow(dec.gcd_shift, dec.s + ell))
+    return gens, len(gens)
 
 
 def assemble_power_counted(dec: StableDecomposition, n: int) -> tuple[MonomialIdeal, int]:
@@ -191,8 +173,7 @@ def assemble_power_counted(dec: StableDecomposition, n: int) -> tuple[MonomialId
     if n < dec.s:
         raise ValueError(f"assembly needs n >= s = {dec.s}, got {n}")
     gens, additions = _emit(dec, n - dec.s)
-    oriented = MonomialIdeal(tuple(gens))
-    return dec.unoriented(oriented, n), additions
+    return MonomialIdeal(tuple(gens)), additions
 
 
 def assemble_power(dec: StableDecomposition, n: int) -> MonomialIdeal:
@@ -283,7 +264,8 @@ def shift_generators(dec: StableDecomposition, gens_n: MonomialIdeal, n: int) ->
             products.add((f[0] + g[0], f[1] + g[1]))
     result = MonomialIdeal(tuple(sorted(products)))
     expected = oriented.mu + dec.slope
-    assert result.mu == expected, "band shift produced a wrong generator count"
+    if result.mu != expected:
+        raise AssertionError("band shift produced a wrong generator count")
     return dec.unoriented(result, n + 1)
 
 

@@ -5,12 +5,14 @@ minimal generator, the link point: for the y-orientation the left ideal is
 shifted up by the y-span of the right one, the right ideal is shifted right
 by the x-span of the left one.  Generator counts therefore add minus one,
 and a linked ideal can be split back into its parts by colon ideals at the
-link points.
+link points.  The x-link of a sequence is the y-link of the reversed
+sequence, so every linked staircase is emitted by :func:`link_blocks`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .ideals import (
@@ -22,14 +24,39 @@ from .ideals import (
 )
 
 
+def link_blocks(
+    blocks: Sequence[tuple[MonomialIdeal, int]], origin: Monomial = (0, 0)
+) -> list[Monomial]:
+    """Generators of the y-link of anchored parts, each linked ``reps`` times.
+
+    ``blocks`` are ``(part, reps)`` pairs in link order; the result is in
+    canonical order and multiplied by the monomial ``origin``.  The full
+    span is range-checked before anything is emitted, and each emitted
+    generator costs exactly one exponent-pair addition.
+    """
+    spans = [(part.dist(Axis.X), part.dist(Axis.Y)) for part, _ in blocks]
+    total_x = origin[0] + sum(dx * reps for (dx, _), (_, reps) in zip(spans, blocks))
+    total_y = origin[1] + sum(dy * reps for (_, dy), (_, reps) in zip(spans, blocks))
+    _check_exponents(total_x, total_y)
+
+    gens: list[Monomial] = []
+    x, y = origin[0], total_y
+    for (part, reps), (dx, dy) in zip(blocks, spans):
+        tail = part.gens[1:]
+        for _ in range(reps):
+            y -= dy
+            # Every part after the first drops its top generator, which
+            # coincides with the previous part's bottom one (the link point).
+            gens.extend((a + x, b + y) for a, b in (tail if gens else part.gens))
+            x += dx
+    return gens
+
+
 def link_point(left: MonomialIdeal, right: MonomialIdeal, axis: Axis = Axis.Y) -> Monomial:
     """The single generator shared by the two shifted staircases of a link."""
     if axis is Axis.X:
-        p = link_point(left.transpose(), right.transpose(), Axis.Y)
-        return (p[1], p[0])
-    lred, _ = left.anchor()
-    rred, _ = right.anchor()
-    return (lred.dist(Axis.X), rred.dist(Axis.Y))
+        left, right = right, left
+    return (left.dist(Axis.X), right.dist(Axis.Y))
 
 
 def link(left: MonomialIdeal, right: MonomialIdeal, axis: Axis = Axis.Y) -> MonomialIdeal:
@@ -60,43 +87,22 @@ class LinkChain:
         return (top,) + self.link_points + (bottom,)
 
 
-def _link_many_y(parts: Sequence[MonomialIdeal]) -> LinkChain:
-    anchored = [p.anchor()[0] for p in parts]
-    dx = [p.dist(Axis.X) for p in anchored]
-    dy = [p.dist(Axis.Y) for p in anchored]
-    total_x = sum(dx)
-    total_y = sum(dy)
-    _check_exponents(total_x, total_y)
-
-    gens: list[Monomial] = []
-    points: list[Monomial] = []
-    x_shift = 0
-    y_shift = total_y
-    for j, part in enumerate(anchored):
-        y_shift -= dy[j]
-        # Each part contributes its full staircase except the top generator,
-        # which coincides with the previous part's bottom one (the link point).
-        start = 0 if j == 0 else 1
-        gens.extend((a + x_shift, b + y_shift) for a, b in part.gens[start:])
-        x_shift += dx[j]
-        if j + 1 < len(anchored):
-            points.append((x_shift, y_shift))
-    ideal = MonomialIdeal(tuple(gens))
-    return LinkChain(parts=tuple(anchored), axis=Axis.Y, ideal=ideal, link_points=tuple(points))
-
-
 def link_many(parts: Sequence[MonomialIdeal], axis: Axis = Axis.Y) -> LinkChain:
     """Left-fold link of a sequence of ideals, keeping all link points."""
     if not parts:
         raise ValueError("cannot link an empty sequence of ideals")
-    if axis is Axis.Y:
-        return _link_many_y(parts)
-    chain = _link_many_y([p.transpose() for p in parts])
+    anchored = tuple(p.anchor()[0] for p in parts)
+    order = anchored if axis is Axis.Y else anchored[::-1]
+    ideal = MonomialIdeal(tuple(link_blocks([(p, 1) for p in order])))
+    # Link point j sits at the x-span of parts 0..j and the y-span of the rest.
+    xs = accumulate(p.dist(Axis.X) for p in order)
+    ys = list(accumulate(p.dist(Axis.Y) for p in reversed(order)))[::-1]
+    points = tuple(zip(xs, ys[1:]))
     return LinkChain(
-        parts=tuple(p.transpose() for p in chain.parts),
-        axis=Axis.X,
-        ideal=chain.ideal.transpose(),
-        link_points=tuple((b, a) for a, b in chain.link_points),
+        parts=anchored,
+        axis=axis,
+        ideal=ideal,
+        link_points=points if axis is Axis.Y else points[::-1],
     )
 
 
@@ -111,14 +117,13 @@ def unlink(
     """
     if ideal.gcd() != (0, 0):
         raise ValueError("unlink expects an anchored ideal")
+    points = [tuple(p) for p in link_points]
     gen_set = set(ideal.gens)
-    for p in link_points:
-        if tuple(p) not in gen_set:
+    for p in points:
+        if p not in gen_set:
             raise ValueError(f"link point {p} is not a generator of the ideal")
     if axis is Axis.X:
-        parts = unlink(ideal.transpose(), [(b, a) for a, b in link_points], Axis.Y)
-        return [p.transpose() for p in parts]
-    sentinels = (
-        [(0, ideal.dist(Axis.Y))] + [tuple(p) for p in link_points] + [(ideal.dist(Axis.X), 0)]
-    )
-    return [ideal.colon(mon_gcd(a, b)) for a, b in zip(sentinels, sentinels[1:])]
+        points.reverse()
+    sentinels = [(0, ideal.dist(Axis.Y))] + points + [(ideal.dist(Axis.X), 0)]
+    parts = [ideal.colon(mon_gcd(a, b)) for a, b in zip(sentinels, sentinels[1:])]
+    return parts if axis is Axis.Y else parts[::-1]

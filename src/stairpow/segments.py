@@ -19,22 +19,27 @@ from .ideals import (
     Axis,
     Monomial,
     MonomialIdeal,
+    _check_exponents,
     _minimalize_array,
     mon_gcd,
     pair_power,
 )
 from .geometry import pair_dist
-from .links import LinkChain, link_many
+# ``link_many`` is unused here but stays importable as ``segments.link_many``:
+# the benchmark's span tracer patches that name.
+from .links import link_blocks, link_many
 
 
 def staircase_times(pair_g: Monomial, pair_h: Monomial, n: int, j_ideal: MonomialIdeal) -> MonomialIdeal:
     """``(g, h)^n * J`` by explicit products of the staircase with G(J)."""
     stair = pair_power(pair_g, pair_h, n)
+    # The largest product exponents, checked in Python ints before the int64 add.
+    _check_exponents(
+        stair.gens[-1][0] + j_ideal.gens[-1][0], stair.gens[0][1] + j_ideal.gens[0][1]
+    )
     a = np.asarray(stair.gens, dtype=np.int64)
     b = np.asarray(j_ideal.gens, dtype=np.int64)
     sums = (a[:, None, :] + b[None, :, :]).reshape(-1, 2)
-    if sums.max() >= 1 << 63:  # pragma: no cover - guarded upstream
-        raise OverflowError("exponent overflow in staircase product")
     return MonomialIdeal(_minimalize_array(sums))
 
 
@@ -80,7 +85,8 @@ def r_segments(u: int, v: int, j_ideal: MonomialIdeal, r: int) -> SegmentTriple:
     base = staircase_times((0, v), (u, 0), r + 1, j_ideal)
     beta = min(b for _, b in base.gens if b >= r * v)
     (alpha,) = [a for a, b in base.gens if b == beta]
-    assert alpha >= u, "pivot generator left of the first staircase step"
+    if alpha < u:
+        raise AssertionError("pivot generator left of the first staircase step")
     triple = SegmentTriple(
         A=base.colon((0, beta)),
         H=base.colon((alpha - u, beta)),
@@ -91,8 +97,10 @@ def r_segments(u: int, v: int, j_ideal: MonomialIdeal, r: int) -> SegmentTriple:
         alpha=alpha,
         beta=beta,
     )
-    assert triple.beta < (r + 1) * v and triple.alpha <= (r + 1) * u
-    assert triple.H.dist(Axis.X) == u and triple.H.dist(Axis.Y) == v
+    if not (triple.beta < (r + 1) * v and triple.alpha <= (r + 1) * u):
+        raise AssertionError("pivot generator outside the (r+1)-th staircase step")
+    if not (triple.H.dist(Axis.X) == u and triple.H.dist(Axis.Y) == v):
+        raise AssertionError("middle block does not span one staircase step")
     return triple
 
 
@@ -100,7 +108,7 @@ def one_segment_power(triple: SegmentTriple, ell: int) -> MonomialIdeal:
     """``(x^u, y^v)^(r+1+ell) J`` assembled as A . H^ell . B."""
     if ell < 0:
         raise ValueError("ell must be non-negative")
-    return link_many([triple.A] + [triple.H] * ell + [triple.B], Axis.Y).ideal
+    return MonomialIdeal(tuple(link_blocks([(triple.A, 1), (triple.H, ell), (triple.B, 1)])))
 
 
 @dataclass(frozen=True)
@@ -159,7 +167,8 @@ def glued_components(
     for i in range(k):
         threshold = r * vs[i] + (r + 1) * gs[i + 1][1]
         candidates = [g for g in base.gens if g[1] >= threshold]
-        assert candidates, "no generator above the link-point threshold"
+        if not candidates:
+            raise AssertionError("no generator above the link-point threshold")
         points.append(min(candidates, key=lambda g: g[1]))
 
     cuts = [(0, base.dist(Axis.Y))] + points + [(base.dist(Axis.X), 0)]
@@ -178,27 +187,23 @@ def glued_components(
         link_points=tuple(points),
     )
     for i in range(k):
-        assert middles[i].dist(Axis.X) == us[i] and middles[i].dist(Axis.Y) == vs[i]
+        if not (middles[i].dist(Axis.X) == us[i] and middles[i].dist(Axis.Y) == vs[i]):
+            raise AssertionError(f"middle block {i + 1} does not span its staircase step")
     return glued
 
 
-def glued_chain(glued: GluedComponents, ell: int) -> list[MonomialIdeal]:
-    parts = [glued.components[0]]
-    for i in range(glued.k):
-        parts.extend([glued.middles[i]] * ell)
-        parts.append(glued.components[i + 1])
-    return parts
+def glued_blocks(
+    components: Sequence[MonomialIdeal], middles: Sequence[MonomialIdeal], ell: int
+) -> list[tuple[MonomialIdeal, int]]:
+    """The link blocks ``C_0 . H_1^ell . C_1 ... H_k^ell . C_k``."""
+    blocks = [(components[0], 1)]
+    for middle, component in zip(middles, components[1:]):
+        blocks += [(middle, ell), (component, 1)]
+    return blocks
 
 
-def glued_power(glued: GluedComponents, ell: int, axis: Axis = Axis.Y) -> MonomialIdeal:
-    """``sum_i (g_i, g_{i+1})^(r+1+ell) J`` assembled by linking.
-
-    The component extraction is y-oriented; ``axis=X`` interprets the
-    stored data as transposed and returns the transposed assembly.
-    """
+def glued_power(glued: GluedComponents, ell: int) -> MonomialIdeal:
+    """``sum_i (g_i, g_{i+1})^(r+1+ell) J`` assembled by linking."""
     if ell < 0:
         raise ValueError("ell must be non-negative")
-    chain: LinkChain = link_many(glued_chain(glued, ell), Axis.Y)
-    if axis is Axis.X:
-        return chain.ideal.transpose()
-    return chain.ideal
+    return MonomialIdeal(tuple(link_blocks(glued_blocks(glued.components, glued.middles, ell))))

@@ -1,6 +1,13 @@
 import pytest
 
-from stairpow.ideals import Axis, MonomialIdeal, PrincipalIdealError, mon_pow, naive_power
+from stairpow.ideals import (
+    Axis,
+    ExponentOverflowError,
+    MonomialIdeal,
+    PrincipalIdealError,
+    mon_pow,
+    naive_power,
+)
 from stairpow.engine import (
     assemble_power,
     assemble_power_counted,
@@ -87,14 +94,25 @@ def test_assemble_equals_oracle_small():
 
 
 def test_assemble_big_against_decomposed():
-    dec = stable_decomposition(BIG)
-    anchored, _ = BIG.anchor()
-    for n in (241, 251):
-        assert (
-            assemble_power(dec, n).gens
-            == decomposed_power(anchored, dec.profile, n).gens
-        )
-    assert assemble_power(dec, 251).mu == 1688 + 70
+    # The transpose is assembled along the x-axis, the shifted copy has a
+    # nonzero gcd; both are emitted directly in original coordinates.
+    axes = []
+    for ideal in (BIG, BIG.transpose(), BIG.shift((3, 2))):
+        dec = stable_decomposition(ideal)
+        axes.append(dec.axis)
+        anchored, shift = ideal.anchor()
+        for n in (dec.s, dec.s + 10):
+            expected = decomposed_power(anchored, dec.profile, n).shift(mon_pow(shift, n))
+            assert assemble_power(dec, n).gens == expected.gens
+    assert axes == [Axis.Y, Axis.X, Axis.Y]
+    assert assemble_power(stable_decomposition(BIG), 251).mu == 1688 + 70
+
+
+def test_assemble_overflow_checked():
+    dec = stable_decomposition(BIG.shift((2**55, 0)))
+    assemble_power(dec, 255)
+    with pytest.raises(ExponentOverflowError):
+        assemble_power(dec, 256)
 
 
 def test_power_dispatcher_boundaries():

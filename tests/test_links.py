@@ -68,9 +68,10 @@ def test_unlink_round_trip():
             random_ideal(RandomIdealSpec(5, 9, seed=seed * 10 + j)).anchor()[0]
             for j in range(3)
         ]
-        chain = link_many(parts)
-        back = unlink(chain.ideal, chain.link_points)
-        assert [p.gens for p in back] == [p.gens for p in parts]
+        for axis in (Axis.Y, Axis.X):
+            chain = link_many(parts, axis)
+            back = unlink(chain.ideal, chain.link_points, axis)
+            assert [p.gens for p in back] == [p.gens for p in parts]
 
 
 def test_unlink_small_example():
@@ -96,3 +97,10 @@ def test_unlink_edge_cases():
 def test_boundary_points_sentinels():
     chain = link_many([FIG_I, FIG_J])
     assert chain.boundary_points == ((0, 5), (4, 2), (6, 0))
+
+
+def test_link_many_x_axis_pinned():
+    chain = link_many([FIG_I, FIG_J], Axis.X)
+    assert chain.ideal.gens == ((0, 5), (2, 3), (3, 1), (6, 0))
+    assert chain.link_points == ((2, 3),)
+    assert chain.boundary_points == ((6, 0), (2, 3), (0, 5))

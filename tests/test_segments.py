@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from stairpow.ideals import UNIT, Axis, MonomialIdeal, ideal_sum, naive_power
+from stairpow.ideals import (
+    UNIT,
+    Axis,
+    ExponentOverflowError,
+    MonomialIdeal,
+    ideal_sum,
+    naive_power,
+)
 from stairpow.geometry import persistence_profile
 from stairpow.oracle import RandomIdealSpec, random_ideal
 from stairpow.segments import (
@@ -24,6 +31,13 @@ def oracle_power(u, v, J, n):
 def test_staircase_times_equals_product():
     for n in (0, 1, 3, 6):
         assert staircase_times((0, 4), (3, 0), n, FIG3_J).gens == oracle_power(3, 4, FIG3_J, n).gens
+
+
+def test_staircase_times_overflow_checked():
+    # 2^62 + 2^62 wraps to -2^63 in an int64 add; it must raise first.
+    pair = MonomialIdeal(((0, 1), (2**62, 0)))
+    with pytest.raises(ExponentOverflowError):
+        staircase_times((0, 1), (2**62, 0), 1, pair)
 
 
 def test_figure3_middle_block_size():
