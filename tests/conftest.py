@@ -1,0 +1,22 @@
+"""Shared pytest set-up.
+
+Hypothesis runs derandomized and without its example database, so every
+run draws the same examples.  Its remaining on-disk cache (constants read
+from the source files) goes to a temporary directory removed at the end of
+the run, so a test run writes no ``.hypothesis/`` into the working tree.
+"""
+
+import shutil
+import tempfile
+
+from hypothesis import configuration, settings
+
+settings.register_profile("stairpow", derandomize=True, database=None, max_examples=150)
+settings.load_profile("stairpow")
+
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="hypothesis-")
+configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(_HYPOTHESIS_HOME, ignore_errors=True)

@@ -1,5 +1,6 @@
 import pytest
 
+from stairpow import engine
 from stairpow.ideals import (
     Axis,
     ExponentOverflowError,
@@ -124,6 +125,15 @@ def test_power_dispatcher_boundaries():
     assert power(SMALL, 1).gens == SMALL.gens
     with pytest.raises(ValueError):
         power(SMALL, 0)
+
+
+def test_power_computes_profile_once(monkeypatch):
+    expected = assemble_power(stable_decomposition(BIG), 300).gens
+    calls = []
+    real = engine.persistence_profile
+    monkeypatch.setattr(engine, "persistence_profile", lambda *a: calls.append(a) or real(*a))
+    assert power(BIG, 300).gens == expected
+    assert len(calls) == 1
 
 
 def test_power_principal():

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+import brute
 from stairpow.ideals import (
     EXP_LIMIT,
     UNIT,
@@ -55,14 +57,13 @@ def test_minimalize_matches_bruteforce():
 
 
 def test_numpy_and_small_minimalization_agree():
+    # The bucket-min kernel on a dense and on a sparse y-span, against the
+    # brute lexsort reference.
     rng = random.Random(5)
-    pts = [(rng.randint(0, 300), rng.randint(0, 300)) for _ in range(5000)]
-    from stairpow.ideals import _minimalize_array, _minimalize_small
-    import numpy as np
-
-    assert _minimalize_small(list(pts)) == _minimalize_array(
-        np.asarray(pts, dtype=np.int64)
-    )
+    dense = [(rng.randint(0, 300), rng.randint(0, 300)) for _ in range(5000)]
+    sparse = [(rng.randint(0, 300), rng.randint(0, 2**50)) for _ in range(5000)]
+    for pts in (dense, sparse):
+        assert minimalize(pts).gens == brute.lexsort_minimal(pts)
 
 
 def test_canonical_order_enforced():
@@ -99,12 +100,11 @@ def test_multiply_commutative_associative():
 
 
 def test_multiply_numpy_path_agrees():
-    # Force both branches of __mul__ on the same data.
     A = MonomialIdeal(tuple((i, 60 - i) for i in range(61)))
     B = MonomialIdeal(tuple((2 * i, 80 - 2 * i) for i in range(41)))
-    assert len(A.gens) * len(B.gens) > 2048
-    small = minimalize((ga + ha, gb + hb) for ga, gb in A.gens for ha, hb in B.gens)
-    assert (A * B).gens == small.gens
+    assert (A * B).gens == brute.product(A, B)
+    sparse = MonomialIdeal(((0, 2**50), (3, 2**40), (7, 0)))
+    assert (A * sparse).gens == brute.product(A, sparse)
 
 
 def test_naive_power_identity_and_small_example():
@@ -178,6 +178,59 @@ def test_overflow_checked():
         huge * huge
     with pytest.raises(ExponentOverflowError):
         huge.shift((0, 1))
+
+
+def test_minimalize_rejects_exponents_past_int64():
+    with pytest.raises(ExponentOverflowError):
+        minimalize([(1, 2), (EXP_LIMIT, 0)])
+    with pytest.raises(ExponentOverflowError):
+        minimalize([(0, 2**64)])
+    assert minimalize([(EXP_LIMIT - 1, 0)]).gens == ((EXP_LIMIT - 1, 0),)
+
+
+def test_minimalize_rejects_negative_exponents():
+    with pytest.raises(ExponentOverflowError):
+        minimalize([(1, 2), (3, -1)])
+    with pytest.raises(ExponentOverflowError):
+        minimalize([(-EXP_LIMIT - 1, 0)])
+
+
+points = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=60)
+
+
+@st.composite
+def ideals(draw, max_exp=40):
+    mu = draw(st.integers(1, 10))
+    coords = st.lists(st.integers(0, max_exp), min_size=mu, max_size=mu, unique=True)
+    xs, ys = sorted(draw(coords)), sorted(draw(coords), reverse=True)
+    return MonomialIdeal(tuple(zip(xs, ys)))
+
+
+@given(points)
+def test_minimalize_is_the_antichain(pts):
+    assert minimalize(pts).gens == brute.antichain(pts)
+
+
+@given(points, st.integers(0, 2**40))
+def test_minimalize_sparse_span_is_the_antichain(pts, lift):
+    # One lifted point stretches the y-span past the bucket kernel's range.
+    pts = pts + [(0, lift)]
+    assert minimalize(pts).gens == brute.antichain(pts)
+
+
+@given(ideals(), st.tuples(st.integers(0, 50), st.integers(0, 50)))
+@example(MonomialIdeal(((0, 4), (2, 1), (5, 0))), (2, 1))  # a generator: unit
+@example(MonomialIdeal(((0, 4), (2, 1), (5, 0))), (3, 2))  # inside the ideal
+@example(MonomialIdeal(((0, 4), (2, 1), (5, 0))), (9, 0))  # past the x end
+@example(MonomialIdeal(((0, 4), (2, 1), (5, 0))), (0, 9))  # past the y end
+@example(MonomialIdeal(((3, 4), (6, 1))), (1, 0))  # left of every generator
+@example(MonomialIdeal(((3, 4), (6, 1))), (0, 0))
+def test_colon_matches_clamped_differences(ideal, m):
+    u, v = m
+    expected = minimalize((max(a - u, 0), max(b - v, 0)) for a, b in ideal.gens)
+    got = ideal.colon(m)
+    assert got.gens == expected.gens
+    assert got.is_unit == ideal.contains(m)
 
 
 def test_pair_power_staircase():

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+import brute
+from stairpow import segments
 from stairpow.ideals import (
     UNIT,
     Axis,
@@ -38,6 +41,62 @@ def test_staircase_times_overflow_checked():
     pair = MonomialIdeal(((0, 1), (2**62, 0)))
     with pytest.raises(ExponentOverflowError):
         staircase_times((0, 1), (2**62, 0), 1, pair)
+
+
+def _count_candidate_products(monkeypatch):
+    calls = []
+    real = segments.pair_power
+    monkeypatch.setattr(segments, "pair_power", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_staircase_times_near_int64_takes_product_path(monkeypatch):
+    # The window values reach (n + 1 + dist_y) * u, past int64 for u near
+    # 2^62, although every generator of the product is in range.
+    calls = _count_candidate_products(monkeypatch)
+    J = MonomialIdeal(tuple((i, 4 - i) for i in range(5)))
+    g, h = (0, 1), (2**62 - 8, 0)
+    assert staircase_times(g, h, 1, J).gens == brute.staircase_times(g, h, 1, J)
+    assert staircase_times(h, g, 1, J).gens == brute.staircase_times(g, h, 1, J)
+    assert len(calls) == 2
+
+
+def test_staircase_times_sparse_span_takes_product_path(monkeypatch):
+    calls = _count_candidate_products(monkeypatch)
+    g, h = (0, 2**40), (3, 0)
+    assert staircase_times(g, h, 4, FIG3_J).gens == brute.staircase_times(g, h, 4, FIG3_J)
+    assert calls
+    calls.clear()
+    assert staircase_times((0, 4), (3, 0), 20, FIG3_J).gens == oracle_power(3, 4, FIG3_J, 20).gens
+    assert not calls
+
+
+@st.composite
+def pair_and_ideal(draw):
+    """A staircase pair in either order, and a possibly unanchored J."""
+    mu = draw(st.integers(1, 12))
+    coords = st.lists(st.integers(0, 2 * mu), min_size=mu, max_size=mu, unique=True)
+    xs, ys = sorted(draw(coords)), sorted(draw(coords), reverse=True)
+    u, v = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.integers(0, 3)) == 0:
+        u += 2**57  # window values past int64 for long windows
+    if draw(st.integers(0, 3)) == 0:
+        v <<= 36  # a y-span far beyond the candidate count
+    gx, hy = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    g, h = (gx, hy + v), (gx + u, hy)
+    if draw(st.booleans()):
+        g, h = h, g
+    return g, h, MonomialIdeal(tuple(zip(xs, ys)))
+
+
+@given(pair_and_ideal(), st.integers(0, 25))
+@example(((0, 1), (1, 0), MonomialIdeal(((0, 2), (1, 1), (3, 0)))), 0)
+@example(((0, 1), (2, 0), FIG3_J), 2)  # window narrower than J: n < dist_y / v
+@example(((1, 0), (0, 2), FIG3_J.shift((2, 3))), 6)  # unanchored, pair reversed
+@example(((0, 2**40), (3, 0), FIG3_J), 5)  # sparse y-span
+def test_staircase_times_matches_candidate_product(case, n):
+    g, h, J = case
+    assert staircase_times(g, h, n, J).gens == brute.staircase_times(g, h, n, J)
 
 
 def test_figure3_middle_block_size():
