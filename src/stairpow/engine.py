@@ -42,8 +42,8 @@ def decomposed_power(
 ) -> MonomialIdeal:
     """``I^n`` via one naive ``I^D`` and staircase-pair expansions.
 
-    Valid for ``n >= D_P``; each pair-power summand comes from
-    :func:`staircase_times`, whose work follows the summand's y-range.
+    Valid for ``n >= D_P``; the pair powers are generated directly as
+    staircases, so the work per summand is linear in the candidate count.
     ``base`` may supply a precomputed ``I^D``.
     """
     d = profile.D_P
@@ -104,22 +104,29 @@ def stable_decomposition(
     ideal: MonomialIdeal,
     chosen: Sequence[Monomial] | None = None,
     D: int | None = None,
-    *,
-    profile: PersistenceProfile | None = None,
 ) -> StableDecomposition:
     """Compute the stable components of ``ideal``.
 
     ``chosen`` optionally picks the boundary generator set P (between the
     persistent and the weakly persistent generators, in the original
     coordinates); ``D`` may be raised above the default bound D_P.
-    ``profile`` may supply the already computed persistence profile of the
-    anchored ideal for that choice of P.
     """
     if ideal.is_principal:
         raise PrincipalIdealError("stable decomposition needs a non-principal ideal")
     anchored, shift = ideal.anchor()
-    if profile is None:
-        profile = persistence_profile(anchored, _shift_chosen(chosen, shift))
+    profile = persistence_profile(anchored, _shift_chosen(chosen, shift))
+    return _decompose(ideal, anchored, shift, profile, D)
+
+
+def _decompose(
+    ideal: MonomialIdeal,
+    anchored: MonomialIdeal,
+    shift: Monomial,
+    profile: PersistenceProfile,
+    D: int | None,
+) -> StableDecomposition:
+    """The stable components of ``ideal = shift * anchored`` for the
+    persistence profile of ``anchored``."""
     if D is None:
         D = profile.D_P
     elif D < profile.D_P:
@@ -201,7 +208,7 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     profile = persistence_profile(anchored)
     if n < profile.D_P:
         return naive_power(ideal, n)
-    dec = stable_decomposition(ideal, profile=profile)
+    dec = _decompose(ideal, anchored, shift, profile, None)
     if n < dec.s:
         inner = decomposed_power(anchored, dec.profile, n)
         return inner.shift(mon_pow(shift, n))

@@ -31,9 +31,6 @@ EXP_LIMIT = 1 << 63
 #: sparse exponents).  Measured: bucketing wins up to a ratio of about 30.
 _BUCKET_SPAN_FACTOR = 16
 
-#: Marks an empty level in a dense staircase array.
-_NO_POINT = np.iinfo(np.int64).max
-
 
 class ExponentOverflowError(OverflowError):
     """An exponent left the permitted 64-bit range."""
@@ -70,37 +67,27 @@ def mon_divides(m: Monomial, n: Monomial) -> bool:
     return m[0] <= n[0] and m[1] <= n[1]
 
 
-def _staircase_gens(x_by_y: np.ndarray, levels: int | np.ndarray) -> tuple[Monomial, ...]:
-    """The minimal generators of the points ``(x_by_y[i], levels + i)``, or
-    ``(x_by_y[i], levels[i])`` for an array of ascending levels.
+def _minimalize_array(x: np.ndarray, y: np.ndarray) -> tuple[Monomial, ...]:
+    """The minimal generators of the in-range int64 points ``(x[i], y[i])``.
 
-    ``x_by_y`` holds the least x at each level, or ``_NO_POINT`` at an empty
-    one (never the first).  One sweep keeps each level whose x undercuts
-    every level below it.
+    Buckets the least x per y level, in O(N + y-span), then one ascending-y
+    sweep keeps each level whose x undercuts every level below it.  A y-span
+    beyond ``_BUCKET_SPAN_FACTOR * N`` is compressed to the occurring levels.
     """
-    below = np.minimum.accumulate(x_by_y)[:-1]
-    keep = np.flatnonzero(np.concatenate(([True], x_by_y[1:] < below)))[::-1]
-    ys = levels[keep] if isinstance(levels, np.ndarray) else keep + levels
-    return tuple(zip(x_by_y[keep].tolist(), ys.tolist()))
-
-
-def _minimalize_array(arr: np.ndarray) -> tuple[Monomial, ...]:
-    """The minimal generators of the in-range int64 points ``arr`` (N x 2).
-
-    Buckets the least x per y level, in O(N + y-span); a y-span beyond
-    ``_BUCKET_SPAN_FACTOR * N`` is compressed to the occurring levels first.
-    """
-    x, y = arr[:, 0], arr[:, 1]
     y0 = int(y.min())
     span = int(y.max()) - y0 + 1
-    if span <= _BUCKET_SPAN_FACTOR * len(arr):
-        levels, y = y0, y - y0
+    dense = span <= _BUCKET_SPAN_FACTOR * len(x)
+    if dense:
+        y = y - y0
     else:
         levels, y = np.unique(y, return_inverse=True)
         span = len(levels)
-    x_by_y = np.full(span, _NO_POINT, dtype=np.int64)
+    x_by_y = np.full(span, np.iinfo(np.int64).max, dtype=np.int64)  # int64 max: no point
     np.minimum.at(x_by_y, y, x)
-    return _staircase_gens(x_by_y, levels)
+    below = np.minimum.accumulate(x_by_y)[:-1]
+    keep = np.flatnonzero(np.concatenate(([True], x_by_y[1:] < below)))[::-1]
+    ys = keep + y0 if dense else levels[keep]
+    return tuple(zip(x_by_y[keep].tolist(), ys.tolist()))
 
 
 def minimalize(candidates: Iterable[Monomial]) -> "MonomialIdeal":
@@ -120,7 +107,7 @@ def minimalize(candidates: Iterable[Monomial]) -> "MonomialIdeal":
         raise ValueError("monomials must be exponent pairs")
     if (arr < 0).any():
         raise ExponentOverflowError("negative exponent in minimalize")
-    return MonomialIdeal(_minimalize_array(arr))
+    return MonomialIdeal(_minimalize_array(arr[:, 0], arr[:, 1]))
 
 
 @dataclass(frozen=True)
@@ -179,9 +166,13 @@ class MonomialIdeal:
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         # The largest product exponents, checked before the int64 add.
         _check_exponents(self.gens[-1][0] + other.gens[-1][0], self.gens[0][1] + other.gens[0][1])
-        a = np.asarray(self.gens, dtype=np.int64)
-        b = np.asarray(other.gens, dtype=np.int64)
-        return MonomialIdeal(_minimalize_array((a[:, None, :] + b[None, :, :]).reshape(-1, 2)))
+        # The x and y columns of every candidate product in one buffer, the
+        # longer factor innermost so that numpy's inner loop runs along it.
+        a, b = sorted((np.asarray(g, dtype=np.int64) for g in (self.gens, other.gens)), key=len)
+        xy = np.empty((2, len(a), len(b)), dtype=np.int64)
+        for i in (0, 1):
+            np.add.outer(a[:, i], b[:, i], out=xy[i])
+        return MonomialIdeal(_minimalize_array(*xy.reshape(2, -1)))
 
     def shift(self, m: Monomial) -> "MonomialIdeal":
         """Multiply by the monomial ``m``."""

@@ -13,20 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .ideals import (
-    _NO_POINT,
-    EXP_LIMIT,
-    Axis,
-    Monomial,
-    MonomialIdeal,
-    _check_exponents,
-    _staircase_gens,
-    mon_divides,
-    mon_gcd,
-    pair_power,
-)
+from .ideals import Axis, Monomial, MonomialIdeal, mon_gcd, pair_power
 from .geometry import pair_dist
 # ``link_many`` is unused here but stays importable as ``segments.link_many``:
 # the benchmark's span tracer patches that name.
@@ -34,49 +21,8 @@ from .links import link_blocks, link_many
 
 
 def staircase_times(pair_g: Monomial, pair_h: Monomial, n: int, j_ideal: MonomialIdeal) -> MonomialIdeal:
-    """``(g, h)^n * J`` in time proportional to its y-range.
-
-    With g the pair member of smaller x, ``u = h_x - g_x``, ``v = g_y - h_y``
-    and ``F(y)`` the least x of G(J) at height at most y (J anchored), the
-    staircase of the product at height ``n*h_y + c + q*v`` (``0 <= c < v``)
-    is ``n*h_x - q*u + min(F(c + t*v) + t*u for t in [q - n, q])``: a sliding
-    window minimum, taken from block prefix and suffix minima (van Herk 1992;
-    Gil and Werman 1993).  A y-range larger than the ``(n+1) * mu(J)``
-    candidate products falls back to minimalizing those.
-    """
-    if mon_divides(pair_g, pair_h) or mon_divides(pair_h, pair_g):
-        raise ValueError(f"{pair_g} and {pair_h} are comparable; staircase power undefined")
-    g, h = sorted((pair_g, pair_h))
-    gens = j_ideal.gens
-    # The largest product exponents, checked in Python ints before any int64 add.
-    _check_exponents(n * h[0] + gens[-1][0], n * g[1] + gens[0][1])
-    u, v = h[0] - g[0], g[1] - h[1]
-    x0, y0 = gens[0][0], gens[-1][1]
-    rows = n + 1 - (y0 - gens[0][1]) // v  # F is 0 from row ceil(dist_y / v) on
-    # The window kernel sweeps about 2 * rows * v levels, the fallback the
-    # (n+1) * mu(J) candidates: measured, they break even at about equal
-    # sizes.  The window values reach rows * u + dist_x, which must fit int64.
-    if rows * v > (n + 1) * len(gens) or rows * u + gens[-1][0] - x0 >= EXP_LIMIT:
-        return pair_power(g, h, n) * j_ideal
-    j = np.asarray(gens, dtype=np.int64) - (x0, y0)
-    # Pad n rows in front and cut blocks of n + 1 rows: the window [q - n, q]
-    # is a block suffix from row q plus a block prefix up to row q + n.
-    blocks = -(-(n + rows) // (n + 1))
-    padded = np.full((blocks * (n + 1), v), _NO_POINT, dtype=np.int64)
-    table = padded[n : n + rows]  # row t, column c: G_c(t)
-    levels = table.reshape(-1)  # level y = t*v + c: F(y)
-    levels[j[:, 1]] = j[:, 0]
-    np.minimum.accumulate(levels, out=levels)
-    steps = (np.arange(rows, dtype=np.int64) * u)[:, None]
-    table += steps
-    padded = padded.reshape(blocks, n + 1, v)
-    suffix = np.empty_like(padded)
-    np.minimum.accumulate(padded[:, ::-1], axis=1, out=suffix[:, ::-1])
-    np.minimum.accumulate(padded, axis=1, out=padded)
-    window = np.minimum(suffix.reshape(-1, v)[:rows], padded.reshape(-1, v)[n : n + rows])
-    window -= steps
-    window += n * h[0] + x0
-    return MonomialIdeal(_staircase_gens(window.reshape(-1), n * h[1] + y0))
+    """``(g, h)^n * J`` by explicit products of the staircase with G(J)."""
+    return pair_power(pair_g, pair_h, n) * j_ideal
 
 
 def _require_anchored(j_ideal: MonomialIdeal) -> None:
