@@ -31,7 +31,7 @@ from .engine import (
     power,
     stable_decomposition,
 )
-from .geometry import stabilization_radius
+from .geometry import persistence_profile, stabilization_radius
 from .oracle import check_corpus
 from .svg import write_svg
 from .textio import ParseError, format_term, parse_ideal, serialize
@@ -164,11 +164,11 @@ def _bench_cell(gens: tuple, method: str, n: int) -> tuple[float, float, int]:
     if method == "decomposed":
         start = time.perf_counter()
         anchored, _ = ideal.anchor()
-        dec = stable_decomposition(ideal)
-        base = naive_power(anchored, dec.D)
+        profile = persistence_profile(anchored)
+        base = naive_power(anchored, profile.D_P)
         pre_ms = (time.perf_counter() - start) * 1000.0
         start = time.perf_counter()
-        result = decomposed_power(anchored, dec.profile, n, base=base)
+        result = decomposed_power(anchored, profile, n, base=base)
         return pre_ms, (time.perf_counter() - start) * 1000.0, result.mu
     if method == "assembled":
         start = time.perf_counter()

@@ -118,6 +118,14 @@ def stable_decomposition(
     return _decompose(ideal, anchored, shift, profile, D)
 
 
+def _axis_and_radius(anchored: MonomialIdeal, profile: PersistenceProfile, D: int) -> tuple[Axis, int]:
+    """The working axis and its repeat count r: the smaller of the two
+    stabilization radii at D, y on a tie."""
+    r_x = stabilization_radius(anchored, profile, D, Axis.X)
+    r_y = stabilization_radius(anchored, profile, D, Axis.Y)
+    return (Axis.Y, r_y) if r_y <= r_x else (Axis.X, r_x)
+
+
 def _decompose(
     ideal: MonomialIdeal,
     anchored: MonomialIdeal,
@@ -132,10 +140,7 @@ def _decompose(
     elif D < profile.D_P:
         raise ValueError(f"D={D} below the guaranteed bound D_P={profile.D_P}")
 
-    r_x = stabilization_radius(anchored, profile, D, Axis.X)
-    r_y = stabilization_radius(anchored, profile, D, Axis.Y)
-    axis = Axis.Y if r_y <= r_x else Axis.X
-    r = min(r_x, r_y)
+    axis, r = _axis_and_radius(anchored, profile, D)
     s = D + r + 1
 
     if axis is Axis.Y:
@@ -198,7 +203,8 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
 
     Principal ideals short-circuit to the single-generator power.  Below
     D_P the naive oracle runs; between D_P and s the staircase expansion;
-    from s on the stable-component assembly.
+    from s on the stable-component assembly, the only route that builds a
+    decomposition.
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
@@ -206,13 +212,12 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
         return MonomialIdeal((mon_pow(ideal.gens[0], n),))
     anchored, shift = ideal.anchor()
     profile = persistence_profile(anchored)
-    if n < profile.D_P:
+    d = profile.D_P
+    if n < d:
         return naive_power(ideal, n)
-    dec = _decompose(ideal, anchored, shift, profile, None)
-    if n < dec.s:
-        inner = decomposed_power(anchored, dec.profile, n)
-        return inner.shift(mon_pow(shift, n))
-    return assemble_power(dec, n)
+    if n < d + _axis_and_radius(anchored, profile, d)[1] + 1:
+        return decomposed_power(anchored, profile, n).shift(mon_pow(shift, n))
+    return assemble_power(_decompose(ideal, anchored, shift, profile, None), n)
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,8 @@ UNIT = MonomialIdeal(((0, 0),))
 def ideal_sum(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
     if not ideals:
         raise ValueError("empty sum of ideals")
+    if len(ideals) == 1:
+        return ideals[0]
     return minimalize(g for ideal in ideals for g in ideal.gens)
 
 

@@ -2,10 +2,10 @@
 
 For a fixed anchored ideal J and a staircase pair, the minimal generators
 of ``(x^u, y^v)^(r+1+l) J`` repeat a fixed middle block l times between an
-unchanging top and bottom block.  This module extracts those blocks (the
-r-segments A, H, B), the glued components C_i / H_i of a sum of such
-powers over consecutive boundary generators, and reassembles arbitrary
-higher powers from them by linking.
+unchanging top and bottom block.  This module extracts the glued
+components C_i / H_i of a sum of such powers over consecutive boundary
+generators (the r-segments A, H, B are the one-pair case), and reassembles
+arbitrary higher powers from them by linking.
 """
 
 from __future__ import annotations
@@ -13,25 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ideals import Axis, Monomial, MonomialIdeal, mon_gcd, pair_power
+from .ideals import Axis, Monomial, MonomialIdeal, ideal_sum, pair_power
 from .geometry import pair_dist
 # ``link_many`` is unused here but stays importable as ``segments.link_many``:
 # the benchmark's span tracer patches that name.
-from .links import link_blocks, link_many
+from .links import link_blocks, link_many, unlink
 
 
 def staircase_times(pair_g: Monomial, pair_h: Monomial, n: int, j_ideal: MonomialIdeal) -> MonomialIdeal:
     """``(g, h)^n * J`` by explicit products of the staircase with G(J)."""
     return pair_power(pair_g, pair_h, n) * j_ideal
-
-
-def _require_anchored(j_ideal: MonomialIdeal) -> None:
-    if j_ideal.gcd() != (0, 0):
-        raise ValueError("J must be anchored")
-
-
-def _min_r(v: int, j_ideal: MonomialIdeal) -> int:
-    return -(-j_ideal.dist(Axis.Y) // v)
 
 
 @dataclass(frozen=True)
@@ -56,34 +47,18 @@ class SegmentTriple:
 def r_segments(u: int, v: int, j_ideal: MonomialIdeal, r: int) -> SegmentTriple:
     """Extract the repeating blocks of ``(x^u, y^v)^(r+1) J``.
 
-    ``r`` must be at least ``ceil(dist_y(J) / v)`` so that the middle block
-    has settled.
+    They are the glued components of the single pair ``y^v, x^u``, with the
+    link point as pivot.  ``r`` must be at least ``ceil(dist_y(J) / v)`` so
+    that the middle block has settled.
     """
     if u < 1 or v < 1:
         raise ValueError("u and v must be positive")
-    _require_anchored(j_ideal)
-    if r < _min_r(v, j_ideal):
-        raise ValueError(f"r={r} below the stabilization bound {_min_r(v, j_ideal)}")
-    base = staircase_times((0, v), (u, 0), r + 1, j_ideal)
-    beta = min(b for _, b in base.gens if b >= r * v)
-    (alpha,) = [a for a, b in base.gens if b == beta]
-    if alpha < u:
-        raise AssertionError("pivot generator left of the first staircase step")
-    triple = SegmentTriple(
-        A=base.colon((0, beta)),
-        H=base.colon((alpha - u, beta)),
-        B=base.colon((alpha, 0)),
-        u=u,
-        v=v,
-        r=r,
-        alpha=alpha,
-        beta=beta,
-    )
-    if not (triple.beta < (r + 1) * v and triple.alpha <= (r + 1) * u):
+    glued = glued_components(((0, v), (u, 0)), j_ideal, r)
+    ((alpha, beta),) = glued.link_points
+    if not (u <= alpha <= (r + 1) * u and beta < (r + 1) * v):
         raise AssertionError("pivot generator outside the (r+1)-th staircase step")
-    if not (triple.H.dist(Axis.X) == u and triple.H.dist(Axis.Y) == v):
-        raise AssertionError("middle block does not span one staircase step")
-    return triple
+    (a, b), (h,) = glued.components, glued.middles
+    return SegmentTriple(A=a, H=h, B=b, u=u, v=v, r=r, alpha=alpha, beta=beta)
 
 
 def one_segment_power(triple: SegmentTriple, ell: int) -> MonomialIdeal:
@@ -130,20 +105,15 @@ def glued_components(
             raise ValueError("boundary generators must descend in y and ascend in x")
     if gs[0][0] != 0 or gs[-1][1] != 0:
         raise ValueError("boundary generators must span an anchored ideal")
-    _require_anchored(j_ideal)
+    if j_ideal.gcd() != (0, 0):
+        raise ValueError("J must be anchored")
     vs = [pair_dist(g, h, Axis.Y) for g, h in zip(gs, gs[1:])]
     us = [pair_dist(g, h, Axis.X) for g, h in zip(gs, gs[1:])]
-    needed = max(_min_r(v, j_ideal) for v in vs)
+    needed = max(-(-j_ideal.dist(Axis.Y) // v) for v in vs)
     if r < needed:
         raise ValueError(f"r={r} below the stabilization bound {needed}")
 
-    summands = [
-        staircase_times(g, h, r + 1, j_ideal) for g, h in zip(gs, gs[1:])
-    ]
-    base = summands[0]
-    for s in summands[1:]:
-        base = base + s
-
+    base = ideal_sum([staircase_times(g, h, r + 1, j_ideal) for g, h in zip(gs, gs[1:])])
     k = len(gs) - 1
     points: list[Monomial] = []
     for i in range(k):
@@ -153,10 +123,7 @@ def glued_components(
             raise AssertionError("no generator above the link-point threshold")
         points.append(min(candidates, key=lambda g: g[1]))
 
-    cuts = [(0, base.dist(Axis.Y))] + points + [(base.dist(Axis.X), 0)]
-    components = tuple(
-        base.colon(mon_gcd(a, b)) for a, b in zip(cuts, cuts[1:])
-    )
+    components = tuple(unlink(base, points))
     middles = tuple(
         base.colon((points[i][0] - us[i], points[i][1])) for i in range(k)
     )

@@ -39,3 +39,21 @@ def product(a: MonomialIdeal, b: MonomialIdeal) -> tuple[Monomial, ...]:
 def staircase_times(g: Monomial, h: Monomial, n: int, j_ideal: MonomialIdeal) -> tuple[Monomial, ...]:
     """G((g, h)^n * J) from the ``(n + 1) * mu(J)`` candidate products."""
     return product(pair_power(g, h, n), j_ideal)
+
+
+def colon(gens, m: Monomial) -> tuple[Monomial, ...]:
+    """G(I : m) from the clamped quotient of every generator."""
+    u, v = m
+    return lexsort_minimal((max(a - u, 0), max(b - v, 0)) for a, b in gens)
+
+
+def r_segments(u: int, v: int, j_ideal: MonomialIdeal, r: int):
+    """``(alpha, beta, A, H, B)`` of ``(x^u, y^v)^(r+1) J`` read straight off
+    the candidate product S: the pivot is the generator of least y-degree
+    ``beta >= r*v``, and ``A = S:(0,beta)``, ``H = S:(alpha-u,beta)``,
+    ``B = S:(alpha,0)``."""
+    base = staircase_times((0, v), (u, 0), r + 1, j_ideal)
+    beta = min(b for _, b in base if b >= r * v)
+    (alpha,) = [a for a, b in base if b == beta]
+    parts = (colon(base, m) for m in ((0, beta), (alpha - u, beta), (alpha, 0)))
+    return (alpha, beta, *parts)

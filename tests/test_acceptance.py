@@ -128,17 +128,17 @@ def test_criterion_6_bound_conformance():
 def test_criterion_7_scaling():
     dec = stable_decomposition(BIG)
 
-    def best_of(n, repeats=3):
-        best = float("inf")
-        for _ in range(repeats):
+    # The two sizes alternate, so a slow or fast spell of a shared host
+    # reaches both of them rather than one.
+    best = {10**4: float("inf"), 10**5: float("inf")}
+    for _ in range(5):
+        for ell in best:
             t0 = time.perf_counter()
-            assemble_power(dec, n)
-            best = min(best, time.perf_counter() - t0)
-        return best
+            assemble_power(dec, dec.s + ell)
+            best[ell] = min(best[ell], time.perf_counter() - t0)
 
-    t4 = best_of(dec.s + 10**4)
+    t4, t5 = best[10**4], best[10**5]
     assert t4 < 60.0
-    t5 = best_of(dec.s + 10**5)
     ratio = t5 / t4
     assert ratio <= 15.0
     print(f"ACCEPTANCE 7 PASS — scaling: s+1e4 in {t4:.3f} s, s+1e5/s+1e4 ratio {ratio:.1f} <= 15")

@@ -3,7 +3,9 @@ import io
 
 import pytest
 
+from stairpow import cli
 from stairpow.cli import main
+from stairpow.ideals import MonomialIdeal, naive_power
 
 
 def run(capsys, *argv):
@@ -116,6 +118,17 @@ def test_bench_csv(tmp_path, capsys):
     for r in rows:
         by_n.setdefault(r["n"], set()).add(r["mu"])
     assert all(len(v) == 1 for v in by_n.values())
+
+
+def test_bench_decomposed_cell_builds_no_decomposition(monkeypatch):
+    # The decomposed route needs only the profile and I^D_P.
+    def refuse(*args, **kwargs):
+        raise AssertionError("stable_decomposition called")
+
+    monkeypatch.setattr(cli, "stable_decomposition", refuse)
+    big = MonomialIdeal.of((0, 10), (1, 9), (2, 5), (4, 4), (5, 3), (6, 2), (12, 1), (15, 0))
+    _, _, mu = cli._bench_cell(big.gens, "decomposed", 60)
+    assert mu == naive_power(big, 60).mu
 
 
 def test_bench_timeout_dash(tmp_path, capsys):

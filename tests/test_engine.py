@@ -136,6 +136,19 @@ def test_power_computes_profile_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("ideal", [SMALL, BIG])
+def test_power_decomposes_only_from_s(monkeypatch, ideal):
+    dec = stable_decomposition(ideal)
+    calls = []
+    real = engine._decompose
+    monkeypatch.setattr(engine, "_decompose", lambda *a: calls.append(a) or real(*a))
+    for n in (dec.D, dec.s - 1):
+        assert power(ideal, n).gens == decomposed_power(ideal, dec.profile, n).gens
+        assert calls == []
+    assert power(ideal, dec.s).gens == assemble_power(dec, dec.s).gens
+    assert len(calls) == 1
+
+
 def test_power_principal():
     assert power(MonomialIdeal(((2, 3),)), 4).gens == ((8, 12),)
 

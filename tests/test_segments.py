@@ -85,6 +85,32 @@ def test_staircase_times_matches_candidate_product(case, n):
     assert staircase_times(g, h, n, J).gens == brute.staircase_times(g, h, n, J)
 
 
+@st.composite
+def segment_case(draw):
+    """An anchored J (the unit ideal included), a step (u, v) and an r from
+    the stabilization bound up."""
+    mu = draw(st.integers(1, 8))
+    coords = st.lists(st.integers(1, 3 * mu), min_size=mu - 1, max_size=mu - 1, unique=True)
+    xs, ys = [0] + sorted(draw(coords)), sorted(draw(coords), reverse=True) + [0]
+    J = MonomialIdeal(tuple(zip(xs, ys)))
+    u, v = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return u, v, J, -(-J.dist(Axis.Y) // v) + draw(st.integers(0, 3))
+
+
+@given(segment_case())
+@example((1, 1, UNIT, 0))
+@example((1, 5, FIG3_J, 2))
+@example((4, 1, FIG3_J, 12))
+def test_segments_match_direct_extraction(case):
+    u, v, J, r = case
+    alpha, beta, A, H, B = brute.r_segments(u, v, J, r)
+    tr = r_segments(u, v, J, r)
+    assert (tr.alpha, tr.beta, tr.A.gens, tr.H.gens, tr.B.gens) == (alpha, beta, A, H, B)
+    gl = glued_components(((0, v), (u, 0)), J, r)
+    assert gl.link_points == ((alpha, beta),)
+    assert tuple(c.gens for c in gl.components + gl.middles) == (A, B, H)
+
+
 def test_figure3_middle_block_size():
     tr = r_segments(3, 4, FIG3_J, 3)
     assert tr.H.mu - 1 == 2  # |M| = 2, the two encircled generators
