@@ -45,14 +45,12 @@ EXIT_MATH = 2
 EXIT_OVERFLOW = 3
 
 
-def _print_ideal(ideal: MonomialIdeal, fmt: str, out=None) -> None:
-    if out is None:
-        out = sys.stdout
+def _print_ideal(ideal: MonomialIdeal, fmt: str) -> None:
     if fmt == "terms":
         for g in ideal.gens:
-            out.write(format_term(g) + "\n")
+            print(format_term(g))
     else:
-        out.write(serialize(ideal) + "\n")
+        print(serialize(ideal))
 
 
 def _decompose(ideal: MonomialIdeal, args):

@@ -13,11 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .ideals import (
     Axis,
     Monomial,
     MonomialIdeal,
     PrincipalIdealError,
+    _check_exponents,
     ideal_sum,
     mon_pow,
     naive_power,
@@ -143,15 +146,12 @@ def _decompose(
     axis, r = _axis_and_radius(anchored, profile, D)
     s = D + r + 1
 
-    if axis is Axis.Y:
-        oriented = anchored
-        gs = profile.chosen
-    else:
-        oriented = anchored.transpose()
-        gs = tuple((b, a) for a, b in reversed(profile.chosen))
+    oriented, chosen = anchored, MonomialIdeal(profile.chosen)
+    if axis is Axis.X:
+        oriented, chosen = anchored.transpose(), chosen.transpose()
 
     j_base = naive_power(oriented, D)
-    glued: GluedComponents = glued_components(gs, j_base, r)
+    glued: GluedComponents = glued_components(chosen.gens, j_base, r)
     boundary = (
         ((0, glued.base.dist(Axis.Y)),)
         + glued.link_points
@@ -165,7 +165,7 @@ def _decompose(
         D=D,
         r=r,
         s=s,
-        gs=gs,
+        gs=glued.gs,
         components=glued.components,
         middles=glued.middles,
         boundary_points=boundary,
@@ -173,15 +173,15 @@ def _decompose(
     )
 
 
-def _emit(dec: StableDecomposition, ell: int) -> tuple[list[Monomial], int]:
-    """Emit G(I^(s+ell)) in original coordinates; returns (gens, additions)."""
+def _emit(dec: StableDecomposition, ell: int) -> tuple[MonomialIdeal, int]:
+    """Emit G(I^(s+ell)) in original coordinates; returns (ideal, additions)."""
     blocks = glued_blocks(dec.components, dec.middles, ell)
     if dec.axis is Axis.X:
         # The transpose of a y-link is the y-link of the transposed parts in
         # reverse order, so only the 2k+1 small parts are re-oriented.
         blocks = [(part.transpose(), reps) for part, reps in reversed(blocks)]
-    gens = link_blocks(blocks, mon_pow(dec.gcd_shift, dec.s + ell))
-    return gens, len(gens)
+    ideal = link_blocks(blocks, mon_pow(dec.gcd_shift, dec.s + ell))
+    return ideal, ideal.mu
 
 
 def assemble_power_counted(dec: StableDecomposition, n: int) -> tuple[MonomialIdeal, int]:
@@ -189,8 +189,7 @@ def assemble_power_counted(dec: StableDecomposition, n: int) -> tuple[MonomialId
     additions spent emitting generators."""
     if n < dec.s:
         raise ValueError(f"assembly needs n >= s = {dec.s}, got {n}")
-    gens, additions = _emit(dec, n - dec.s)
-    return MonomialIdeal(tuple(gens)), additions
+    return _emit(dec, n - dec.s)
 
 
 def assemble_power(dec: StableDecomposition, n: int) -> MonomialIdeal:
@@ -209,7 +208,7 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
     if ideal.is_principal:
-        return MonomialIdeal((mon_pow(ideal.gens[0], n),))
+        return MonomialIdeal((mon_pow(ideal.gcd(), n),))
     anchored, shift = ideal.anchor()
     profile = persistence_profile(anchored)
     d = profile.D_P
@@ -240,16 +239,6 @@ def mu_polynomial(ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None
     return MuPolynomial(s=dec.s, intercept=dec.base_power.mu, slope=dec.slope)
 
 
-def _bands(dec: StableDecomposition, ell: int) -> list[tuple[int, int]]:
-    """Per middle block i: (bottom y-degree of its last copy, its y-span)."""
-    out = []
-    for i in range(dec.k):
-        h = dec.boundary_points[i + 1]
-        v = dec.middles[i].dist(Axis.Y)
-        out.append((h[1] + ell * dec.gs[i + 1][1], v))
-    return out
-
-
 def shift_generators(dec: StableDecomposition, gens_n: MonomialIdeal, n: int) -> MonomialIdeal:
     """``G(I^(n+1))`` from ``G(I^n)`` by multiplying each generator with one
     or two boundary generators selected by its y-degree band.
@@ -259,29 +248,22 @@ def shift_generators(dec: StableDecomposition, gens_n: MonomialIdeal, n: int) ->
     if n < dec.s:
         raise ValueError(f"generator shifting needs n >= s = {dec.s}")
     oriented = dec.oriented(gens_n, n)
-    bands = _bands(dec, n - dec.s)
-    gs = dec.gs
-    products: set[Monomial] = set()
-    for f in oriented.gens:
-        b = f[1]
-        factors: list[Monomial] = []
-        for i, (bottom, v) in enumerate(bands):
-            if bottom <= b <= bottom + v:
-                factors.extend((gs[i], gs[i + 1]))
-        if not factors:
-            if b < bands[-1][0]:
-                factors = [gs[-1]]
-            else:
-                # strictly inside the i-th component band: one factor
-                i = next(
-                    idx for idx, (bottom, v) in enumerate(bands) if b > bottom + v
-                )
-                factors = [gs[i]]
-        for g in factors:
-            products.add((f[0] + g[0], f[1] + g[1]))
-    result = MonomialIdeal(tuple(sorted(products)))
-    expected = oriented.mu + dec.slope
-    if result.mu != expected:
+    x, y = oriented.xy
+    _check_exponents(int(x[-1]) + dec.gs[-1][0], int(y[0]) + dec.gs[0][1])
+    # Middle block i spans y from its last copy's bottom to that plus its y-span.
+    ell = n - dec.s
+    bottom = np.array([h[1] + ell * g[1] for h, g in zip(dec.boundary_points[1:-1], dec.gs[1:])])
+    top = bottom + [h.dist(Axis.Y) for h in dec.middles]
+    # Inside band i a generator takes g_i and g_(i+1); outside every band it
+    # takes g_i of the first band below it (the bands descend), else g_k.
+    inside = (bottom <= y[:, None]) & (y[:, None] <= top)
+    rows, band = np.nonzero(inside)
+    alone = np.flatnonzero(~inside.any(axis=1))
+    gen = np.concatenate((rows, rows, alone))
+    factor = np.concatenate((band, band + 1, np.count_nonzero(y[alone, None] <= top, axis=1)))
+    gs = np.array(dec.gs).T
+    result = MonomialIdeal(np.unique(oriented.xy[:, gen] + gs[:, factor], axis=1))
+    if result.mu != oriented.mu + dec.slope:
         raise AssertionError("band shift produced a wrong generator count")
     return dec.unoriented(result, n + 1)
 
@@ -303,8 +285,7 @@ def back_shift_factor(
         raise ValueError(f"{gen} is not a minimal generator of I^{n}")
     prev_gens = set(dec.oriented(assemble_power(dec, n - 1), n - 1).gens)
 
-    shifted = (gen[0] - n * dec.gcd_shift[0], gen[1] - n * dec.gcd_shift[1])
-    f = (shifted[1], shifted[0]) if dec.axis is Axis.X else shifted
+    f = dec.oriented(MonomialIdeal((gen,)), n).gcd()
     gs = dec.gs
     for i in range(1, dec.k + 1):
         if not (n * gs[i][1] <= f[1] <= n * gs[i - 1][1]):
@@ -314,8 +295,5 @@ def back_shift_factor(
         factor = gs[i - 1] if f[1] >= threshold else gs[i]
         reduced = (f[0] - factor[0], f[1] - factor[1])
         if reduced[0] >= 0 and reduced[1] >= 0 and reduced in prev_gens:
-            if dec.axis is Axis.X:
-                factor = (factor[1], factor[0])
-            full = (factor[0] + dec.gcd_shift[0], factor[1] + dec.gcd_shift[1])
-            return i, full
+            return i, dec.unoriented(MonomialIdeal((factor,)), 1).gcd()
     raise AssertionError(f"no boundary factor found for {gen} at n={n}")

@@ -5,25 +5,26 @@ monomial ideal is represented by its unique minimal generating set, kept in
 canonical order: strictly increasing x-exponent, strictly decreasing
 y-exponent.  In two variables the minimal generators always form such a
 divisibility antichain, so the canonical order doubles as a validity check.
+The generators are stored as one read-only ``(2, mu)`` int64 array of x and
+y columns; the tuple of exponent pairs is a view derived on demand.
 
-Exponents are restricted to the unsigned 64-bit range.  Any operation that
-would leave it raises :class:`ExponentOverflowError` instead of producing an
-out-of-range value.
+Exponents are restricted to the non-negative int64 range ``[0, 2**63)``.
+Any operation that would leave it raises :class:`ExponentOverflowError`
+instead of producing an out-of-range value.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 Monomial = tuple[int, int]
 
-#: Exclusive upper bound for exponents (unsigned 64-bit).
+#: Exclusive upper bound for exponents (the non-negative int64 range).
 EXP_LIMIT = 1 << 63
 
 #: Minimalization buckets points by y while the y-span is at most this many
@@ -43,9 +44,6 @@ class PrincipalIdealError(ValueError):
 class Axis(Enum):
     X = "x"
     Y = "y"
-
-    def other(self) -> "Axis":
-        return Axis.Y if self is Axis.X else Axis.X
 
 
 def _check_exponents(a: int, b: int) -> None:
@@ -67,8 +65,19 @@ def mon_divides(m: Monomial, n: Monomial) -> bool:
     return m[0] <= n[0] and m[1] <= n[1]
 
 
-def _minimalize_array(x: np.ndarray, y: np.ndarray) -> tuple[Monomial, ...]:
-    """The minimal generators of the in-range int64 points ``(x[i], y[i])``.
+def _columns(points: Iterable[Monomial]) -> np.ndarray:
+    """The ``(2, N)`` int64 columns of exponent pairs."""
+    try:
+        arr = np.array(list(points), dtype=np.int64)
+    except OverflowError:
+        raise ExponentOverflowError("exponent out of the int64 range") from None
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("monomials must be a non-empty sequence of exponent pairs")
+    return arr.T
+
+
+def _minimalize_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The minimal generators of the int64 points ``(x[i], y[i])``, as columns.
 
     Buckets the least x per y level, in O(N + y-span), then one ascending-y
     sweep keeps each level whose x undercuts every level below it.  A y-span
@@ -86,8 +95,7 @@ def _minimalize_array(x: np.ndarray, y: np.ndarray) -> tuple[Monomial, ...]:
     np.minimum.at(x_by_y, y, x)
     below = np.minimum.accumulate(x_by_y)[:-1]
     keep = np.flatnonzero(np.concatenate(([True], x_by_y[1:] < below)))[::-1]
-    ys = keep + y0 if dense else levels[keep]
-    return tuple(zip(x_by_y[keep].tolist(), ys.tolist()))
+    return np.stack((x_by_y[keep], keep + y0 if dense else levels[keep]))
 
 
 def minimalize(candidates: Iterable[Monomial]) -> "MonomialIdeal":
@@ -96,118 +104,129 @@ def minimalize(candidates: Iterable[Monomial]) -> "MonomialIdeal":
     Keeps exactly the divisibility antichain: a candidate survives iff no
     other candidate divides it.
     """
-    points = list(candidates)
-    if not points:
-        raise ValueError("cannot minimalize an empty set of monomials")
-    try:
-        arr = np.array(points, dtype=np.int64)
-    except OverflowError:
-        raise ExponentOverflowError("exponent out of range in minimalize") from None
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("monomials must be exponent pairs")
-    if (arr < 0).any():
-        raise ExponentOverflowError("negative exponent in minimalize")
-    return MonomialIdeal(_minimalize_array(arr[:, 0], arr[:, 1]))
+    return MonomialIdeal(_minimalize_array(*_columns(candidates)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonomialIdeal:
     """A bivariate monomial ideal in canonical minimal-generator form.
 
-    Do not construct directly from unsorted data; use :func:`minimalize` or
-    :meth:`MonomialIdeal.of`.
+    ``xy`` is the read-only ``(2, mu)`` int64 array of x (ascending) and y
+    (descending) exponents.  It may be given as a sequence of exponent pairs
+    in canonical order instead; an array is adopted as is and made
+    read-only, so ideals may share it.  Do not construct directly from
+    unsorted data; use :func:`minimalize` or :meth:`MonomialIdeal.of`.
     """
 
-    gens: tuple[Monomial, ...]
+    xy: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.gens:
-            raise ValueError("a monomial ideal needs at least one generator")
-        prev = None
-        for g in self.gens:
-            if prev is not None and not (g[0] > prev[0] and g[1] < prev[1]):
-                raise ValueError(f"generators not in canonical antichain order: {self.gens}")
-            prev = g
+        xy = self.xy
+        if not isinstance(xy, np.ndarray):
+            xy = _columns(xy)
+            object.__setattr__(self, "xy", xy)
+        if xy.dtype != np.int64 or xy.ndim != 2 or len(xy) != 2 or not xy.shape[1]:
+            raise ValueError("a monomial ideal needs a (2, mu) int64 array, mu >= 1")
+        # count_nonzero: the Python-level wrapper of ndarray.all costs more here.
+        steps = np.count_nonzero(xy[0, 1:] > xy[0, :-1]) + np.count_nonzero(xy[1, :-1] > xy[1, 1:])
+        if steps != 2 * xy.shape[1] - 2:
+            raise ValueError(f"generators not in canonical antichain order: {xy.T.tolist()}")
+        if xy[0, 0] < 0 or xy[1, -1] < 0:
+            raise ExponentOverflowError(f"negative exponent in {xy.T.tolist()}")
+        xy.flags.writeable = False
 
     @classmethod
     def of(cls, *gens: Monomial) -> "MonomialIdeal":
         return minimalize(gens)
 
+    @cached_property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The generators as a tuple of ``(a, b)`` pairs of Python ints."""
+        return tuple(zip(*self.xy.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MonomialIdeal):
+            return NotImplemented
+        return np.array_equal(self.xy, other.xy)
+
+    def __hash__(self) -> int:
+        return hash(self.xy.tobytes())
+
     # -- basic queries ----------------------------------------------------
 
     @property
     def mu(self) -> int:
-        return len(self.gens)
+        return self.xy.shape[1]
 
     @property
     def is_principal(self) -> bool:
-        return len(self.gens) == 1
+        return self.mu == 1
 
     @property
     def is_unit(self) -> bool:
-        return self.gens == ((0, 0),)
+        return self.mu == 1 and not self.xy.any()
 
     def contains(self, m: Monomial) -> bool:
-        return any(mon_divides(g, m) for g in self.gens)
+        return bool(((self.xy[0] <= m[0]) & (self.xy[1] <= m[1])).any())
 
     def gcd(self) -> Monomial:
-        return (self.gens[0][0], self.gens[-1][1])
+        return (int(self.xy[0, 0]), int(self.xy[1, -1]))
 
     def dist(self, axis: Axis) -> int:
         if axis is Axis.X:
-            return self.gens[-1][0] - self.gens[0][0]
-        return self.gens[0][1] - self.gens[-1][1]
+            return int(self.xy[0, -1] - self.xy[0, 0])
+        return int(self.xy[1, 0] - self.xy[1, -1])
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return minimalize(self.gens + other.gens)
+        return ideal_sum((self, other))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         # The largest product exponents, checked before the int64 add.
-        _check_exponents(self.gens[-1][0] + other.gens[-1][0], self.gens[0][1] + other.gens[0][1])
+        _check_exponents(
+            int(self.xy[0, -1]) + int(other.xy[0, -1]), int(self.xy[1, 0]) + int(other.xy[1, 0])
+        )
         # The x and y columns of every candidate product in one buffer, the
         # longer factor innermost so that numpy's inner loop runs along it.
-        a, b = sorted((np.asarray(g, dtype=np.int64) for g in (self.gens, other.gens)), key=len)
-        xy = np.empty((2, len(a), len(b)), dtype=np.int64)
+        a, b = sorted((self.xy, other.xy), key=lambda c: c.shape[1])
+        xy = np.empty((2, a.shape[1], b.shape[1]), dtype=np.int64)
         for i in (0, 1):
-            np.add.outer(a[:, i], b[:, i], out=xy[i])
+            np.add.outer(a[i], b[i], out=xy[i])
         return MonomialIdeal(_minimalize_array(*xy.reshape(2, -1)))
 
     def shift(self, m: Monomial) -> "MonomialIdeal":
         """Multiply by the monomial ``m``."""
-        last = self.gens[-1]
-        first = self.gens[0]
-        _check_exponents(last[0] + m[0], first[1] + m[1])
-        return MonomialIdeal(tuple((a + m[0], b + m[1]) for a, b in self.gens))
+        if m[0] == 0 and m[1] == 0:
+            return self
+        _check_exponents(int(self.xy[0, -1]) + m[0], int(self.xy[1, 0]) + m[1])
+        return MonomialIdeal(self.xy + ((m[0],), (m[1],)))
 
     def colon(self, m: Monomial) -> "MonomialIdeal":
         """The colon ideal ``I : m`` for a monomial ``m = (u, v)``.
 
         Generators with ``a <= u`` collapse onto the last of them, those with
-        ``b <= v`` onto the first of them; two bisects find both runs.
+        ``b <= v`` onto the first of them; two searches find both runs, and
+        clamping the differences at zero maps the two ends.
         """
-        u, v = m
-        gens = self.gens
-        _check_exponents(max(gens[-1][0] - u, 0), max(gens[0][1] - v, 0))
-        i = bisect_right(gens, u, key=itemgetter(0))  # gens[:i] have a <= u
-        j = bisect_left(gens, -v, key=lambda g: -g[1])  # gens[j:] have b <= v
+        x, y = self.xy
+        # Past the largest exponent the quotient no longer depends on m.
+        u, v = min(m[0], int(x[-1])), min(m[1], int(y[0]))
+        _check_exponents(int(x[-1]) - u, int(y[0]) - v)
+        i = int(x.searchsorted(u, "right"))  # x[:i] <= u
+        j = len(x) - int(y[::-1].searchsorted(v, "right"))  # y[j:] <= v
         if i > j:
-            return UNIT  # gens[j:i] divide m
-        left = [(0, gens[i - 1][1] - v)] if i else []
-        right = [(gens[j][0] - u, 0)] if j < len(gens) else []
-        return MonomialIdeal(tuple(left + [(a - u, b - v) for a, b in gens[i:j]] + right))
+            return UNIT  # generators j .. i-1 divide m
+        return MonomialIdeal(np.maximum(self.xy[:, max(i - 1, 0) : j + 1] - ((u,), (v,)), 0))
 
     def anchor(self) -> tuple["MonomialIdeal", Monomial]:
         """Split off the gcd: returns ``(I : gcd(I), gcd(I))``."""
         g = self.gcd()
-        if g == (0, 0):
-            return self, g
-        return MonomialIdeal(tuple((a - g[0], b - g[1]) for a, b in self.gens)), g
+        return self.shift((-g[0], -g[1])), g
 
     def transpose(self) -> "MonomialIdeal":
         """Swap the roles of x and y."""
-        return MonomialIdeal(tuple((b, a) for a, b in reversed(self.gens)))
+        return MonomialIdeal(self.xy[::-1, ::-1])
 
     def __str__(self) -> str:
         return "[" + ", ".join(f"({a}, {b})" for a, b in self.gens) + "]"
@@ -221,7 +240,7 @@ def ideal_sum(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
         raise ValueError("empty sum of ideals")
     if len(ideals) == 1:
         return ideals[0]
-    return minimalize(g for ideal in ideals for g in ideal.gens)
+    return MonomialIdeal(_minimalize_array(*np.concatenate([ideal.xy for ideal in ideals], axis=1)))
 
 
 def naive_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
@@ -254,5 +273,5 @@ def pair_power(g: Monomial, h: Monomial, n: int) -> MonomialIdeal:
         g, h = h, g
     # g now has the smaller x-exponent (larger y); walk from h^n up to g^n.
     _check_exponents(h[0] * n, g[1] * n)
-    gens = [(g[0] * j + h[0] * (n - j), g[1] * j + h[1] * (n - j)) for j in range(n, -1, -1)]
-    return MonomialIdeal(tuple(gens))
+    j = np.arange(n, -1, -1)
+    return MonomialIdeal(np.outer(g, j) + np.outer(h, j[::-1]))

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
+import numpy as np
+
 from .ideals import (
     Axis,
     Monomial,
@@ -26,30 +28,39 @@ from .ideals import (
 
 def link_blocks(
     blocks: Sequence[tuple[MonomialIdeal, int]], origin: Monomial = (0, 0)
-) -> list[Monomial]:
-    """Generators of the y-link of anchored parts, each linked ``reps`` times.
+) -> MonomialIdeal:
+    """The y-link of anchored parts, each linked ``reps`` times.
 
-    ``blocks`` are ``(part, reps)`` pairs in link order; the result is in
-    canonical order and multiplied by the monomial ``origin``.  The full
-    span is range-checked before anything is emitted, and each emitted
-    generator costs exactly one exponent-pair addition.
+    ``blocks`` are ``(part, reps)`` pairs in link order; the result is
+    multiplied by the monomial ``origin``.  The full span is range-checked
+    before anything is emitted, and each emitted generator costs exactly
+    one exponent-pair addition.
     """
     spans = [(part.dist(Axis.X), part.dist(Axis.Y)) for part, _ in blocks]
     total_x = origin[0] + sum(dx * reps for (dx, _), (_, reps) in zip(spans, blocks))
     total_y = origin[1] + sum(dy * reps for (_, dy), (_, reps) in zip(spans, blocks))
     _check_exponents(total_x, total_y)
 
-    gens: list[Monomial] = []
-    x, y = origin[0], total_y
-    for (part, reps), (dx, dy) in zip(blocks, spans):
-        tail = part.gens[1:]
-        for _ in range(reps):
-            y -= dy
-            # Every part after the first drops its top generator, which
-            # coincides with the previous part's bottom one (the link point).
-            gens.extend((a + x, b + y) for a, b in (tail if gens else part.gens))
-            x += dx
-    return gens
+    # Each copy of a part drops its top generator, which coincides with the
+    # previous copy's bottom one (the link point); the parts are anchored, so
+    # the top generator of the very first copy is (origin_x, total_y).
+    sizes = [reps * (part.mu - 1) for part, reps in blocks]
+    xy = np.empty((2, 1 + sum(sizes)), dtype=np.int64)
+    xy[:, 0] = origin[0], total_y
+    x, y, start = origin[0], total_y, 1
+    for (part, reps), (dx, dy), size in zip(blocks, spans, sizes):
+        copy = np.arange(reps)
+        corners = np.stack((x + dx * copy, y - dy * (copy + 1)))  # bottom-left of each copy
+        # out[:, c, j] is generator j + 1 of copy c.  Adding one column of the
+        # shorter axis at a time keeps numpy's inner loop on the longer one.
+        a, b = corners, part.xy[:, 1:]
+        out = xy[:, start : start + size].reshape(2, reps, part.mu - 1)
+        if reps < part.mu - 1:
+            a, b, out = b, a, out.transpose(0, 2, 1)
+        for j in range(b.shape[1]):
+            np.add(a, b[:, j, None], out=out[:, :, j])
+        x, y, start = x + dx * reps, y - dy * reps, start + size
+    return MonomialIdeal(xy)
 
 
 def link_point(left: MonomialIdeal, right: MonomialIdeal, axis: Axis = Axis.Y) -> Monomial:
@@ -80,10 +91,8 @@ class LinkChain:
 
     @property
     def boundary_points(self) -> tuple[Monomial, ...]:
-        top = (0, self.ideal.dist(Axis.Y))
-        bottom = (self.ideal.dist(Axis.X), 0)
-        if self.axis is Axis.X:
-            top, bottom = (self.ideal.dist(Axis.X), 0), (0, self.ideal.dist(Axis.Y))
+        ends = ((0, self.ideal.dist(Axis.Y)), (self.ideal.dist(Axis.X), 0))
+        top, bottom = ends if self.axis is Axis.Y else ends[::-1]
         return (top,) + self.link_points + (bottom,)
 
 
@@ -93,7 +102,7 @@ def link_many(parts: Sequence[MonomialIdeal], axis: Axis = Axis.Y) -> LinkChain:
         raise ValueError("cannot link an empty sequence of ideals")
     anchored = tuple(p.anchor()[0] for p in parts)
     order = anchored if axis is Axis.Y else anchored[::-1]
-    ideal = MonomialIdeal(tuple(link_blocks([(p, 1) for p in order])))
+    ideal = link_blocks([(p, 1) for p in order])
     # Link point j sits at the x-span of parts 0..j and the y-span of the rest.
     xs = accumulate(p.dist(Axis.X) for p in order)
     ys = list(accumulate(p.dist(Axis.Y) for p in reversed(order)))[::-1]
@@ -118,9 +127,8 @@ def unlink(
     if ideal.gcd() != (0, 0):
         raise ValueError("unlink expects an anchored ideal")
     points = [tuple(p) for p in link_points]
-    gen_set = set(ideal.gens)
     for p in points:
-        if p not in gen_set:
+        if not ((ideal.xy[0] == p[0]) & (ideal.xy[1] == p[1])).any():
             raise ValueError(f"link point {p} is not a generator of the ideal")
     if axis is Axis.X:
         points.reverse()

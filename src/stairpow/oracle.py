@@ -176,7 +176,7 @@ def differential_check(
                     n=n,
                     method=name,
                     reference=ref_name,
-                    equal=value.gens == ref.gens,
+                    equal=value == ref,
                     method_ms=timings[name],
                     reference_ms=timings[ref_name],
                 )

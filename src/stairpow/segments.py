@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .ideals import Axis, Monomial, MonomialIdeal, ideal_sum, pair_power
-from .geometry import pair_dist
 # ``link_many`` is unused here but stays importable as ``segments.link_many``:
 # the benchmark's span tracer patches that name.
 from .links import link_blocks, link_many, unlink
@@ -65,7 +66,7 @@ def one_segment_power(triple: SegmentTriple, ell: int) -> MonomialIdeal:
     """``(x^u, y^v)^(r+1+ell) J`` assembled as A . H^ell . B."""
     if ell < 0:
         raise ValueError("ell must be non-negative")
-    return MonomialIdeal(tuple(link_blocks([(triple.A, 1), (triple.H, ell), (triple.B, 1)])))
+    return link_blocks([(triple.A, 1), (triple.H, ell), (triple.B, 1)])
 
 
 @dataclass(frozen=True)
@@ -97,18 +98,13 @@ def glued_components(
     descending y-order.  The components are read off the summed power S
     directly; the per-summand r-segments are never formed.
     """
-    gs = tuple(tuple(g) for g in gs)
-    if len(gs) < 2:
-        raise ValueError("need at least two boundary generators")
-    for g, h in zip(gs, gs[1:]):
-        if not (g[0] < h[0] and g[1] > h[1]):
-            raise ValueError("boundary generators must descend in y and ascend in x")
-    if gs[0][0] != 0 or gs[-1][1] != 0:
-        raise ValueError("boundary generators must span an anchored ideal")
+    boundary = MonomialIdeal(gs)  # raises unless they descend in y and ascend in x
+    if boundary.mu < 2 or boundary.gcd() != (0, 0):
+        raise ValueError("need at least two boundary generators spanning an anchored ideal")
+    gs = boundary.gens
     if j_ideal.gcd() != (0, 0):
         raise ValueError("J must be anchored")
-    vs = [pair_dist(g, h, Axis.Y) for g, h in zip(gs, gs[1:])]
-    us = [pair_dist(g, h, Axis.X) for g, h in zip(gs, gs[1:])]
+    us, vs = abs(boundary.xy[:, 1:] - boundary.xy[:, :-1]).tolist()
     needed = max(-(-j_ideal.dist(Axis.Y) // v) for v in vs)
     if r < needed:
         raise ValueError(f"r={r} below the stabilization bound {needed}")
@@ -116,18 +112,23 @@ def glued_components(
     base = ideal_sum([staircase_times(g, h, r + 1, j_ideal) for g, h in zip(gs, gs[1:])])
     k = len(gs) - 1
     points: list[Monomial] = []
+    x, y = base.xy
     for i in range(k):
-        threshold = r * vs[i] + (r + 1) * gs[i + 1][1]
-        candidates = [g for g in base.gens if g[1] >= threshold]
-        if not candidates:
+        # y descends, so the lowest generator at or above the threshold is
+        # the last of those counted.
+        above = int(np.count_nonzero(y >= r * vs[i] + (r + 1) * gs[i + 1][1]))
+        if not above:
             raise AssertionError("no generator above the link-point threshold")
-        points.append(min(candidates, key=lambda g: g[1]))
+        points.append((int(x[above - 1]), int(y[above - 1])))
 
     components = tuple(unlink(base, points))
     middles = tuple(
         base.colon((points[i][0] - us[i], points[i][1])) for i in range(k)
     )
-    glued = GluedComponents(
+    for i in range(k):
+        if not (middles[i].dist(Axis.X) == us[i] and middles[i].dist(Axis.Y) == vs[i]):
+            raise AssertionError(f"middle block {i + 1} does not span its staircase step")
+    return GluedComponents(
         gs=gs,
         r=r,
         base=base,
@@ -135,10 +136,6 @@ def glued_components(
         middles=middles,
         link_points=tuple(points),
     )
-    for i in range(k):
-        if not (middles[i].dist(Axis.X) == us[i] and middles[i].dist(Axis.Y) == vs[i]):
-            raise AssertionError(f"middle block {i + 1} does not span its staircase step")
-    return glued
 
 
 def glued_blocks(
@@ -155,4 +152,4 @@ def glued_power(glued: GluedComponents, ell: int) -> MonomialIdeal:
     """``sum_i (g_i, g_{i+1})^(r+1+ell) J`` assembled by linking."""
     if ell < 0:
         raise ValueError("ell must be non-negative")
-    return MonomialIdeal(tuple(link_blocks(glued_blocks(glued.components, glued.middles, ell))))
+    return link_blocks(glued_blocks(glued.components, glued.middles, ell))

@@ -1,13 +1,14 @@
 """Brute-force references for the dense kernels of ``stairpow.ideals`` and
 ``stairpow.segments``.
 
-They form every candidate product and sort it, with no shortcut that the
-library's kernels share, so the property tests compare against them.
+They form every candidate product and sort it, or emit one generator at a
+time, with no shortcut that the library's kernels share, so the property
+tests compare against them.
 """
 
 import numpy as np
 
-from stairpow.ideals import Monomial, MonomialIdeal, mon_divides, pair_power
+from stairpow.ideals import Axis, Monomial, MonomialIdeal, mon_divides, pair_power
 
 
 def lexsort_minimal(points) -> tuple[Monomial, ...]:
@@ -57,3 +58,45 @@ def r_segments(u: int, v: int, j_ideal: MonomialIdeal, r: int):
     (alpha,) = [a for a, b in base if b == beta]
     parts = (colon(base, m) for m in ((0, beta), (alpha - u, beta), (alpha, 0)))
     return (alpha, beta, *parts)
+
+
+def link_blocks(blocks, origin: Monomial = (0, 0)) -> tuple[Monomial, ...]:
+    """G of the y-link of anchored ``(part, reps)`` blocks times ``origin``,
+    one copy and one generator at a time: every copy after the first drops
+    its top generator, which is the previous copy's bottom one."""
+    gens: list[Monomial] = []
+    x = origin[0]
+    y = origin[1] + sum(part.dist(Axis.Y) * reps for part, reps in blocks)
+    for part, reps in blocks:
+        for _ in range(reps):
+            y -= part.dist(Axis.Y)
+            gens.extend((a + x, b + y) for a, b in (part.gens[1:] if gens else part.gens))
+            x += part.dist(Axis.X)
+    return tuple(gens)
+
+
+def shift_generators(dec, gens_n: MonomialIdeal, n: int) -> tuple[Monomial, ...]:
+    """G(I^(n+1)) from G(I^n) one generator at a time: inside the y-band of
+    middle block i it takes g_i and g_(i+1), below every band g_k, and
+    otherwise g_i of the first band below it."""
+    ell = n - dec.s
+    bands = [
+        (dec.boundary_points[i + 1][1] + ell * dec.gs[i + 1][1], dec.middles[i].dist(Axis.Y))
+        for i in range(dec.k)
+    ]
+    gs = dec.gs
+    products = set()
+    for f in dec.oriented(gens_n, n).gens:
+        b = f[1]
+        factors = []
+        for i, (bottom, v) in enumerate(bands):
+            if bottom <= b <= bottom + v:
+                factors.extend((gs[i], gs[i + 1]))
+        if not factors:
+            if b < bands[-1][0]:
+                factors = [gs[-1]]
+            else:
+                i = next(idx for idx, (bottom, v) in enumerate(bands) if b > bottom + v)
+                factors = [gs[i]]
+        products.update((f[0] + g[0], f[1] + g[1]) for g in factors)
+    return dec.unoriented(MonomialIdeal(tuple(sorted(products))), n + 1).gens

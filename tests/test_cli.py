@@ -1,5 +1,6 @@
 import csv
 import io
+import time
 
 import pytest
 
@@ -131,7 +132,9 @@ def test_bench_decomposed_cell_builds_no_decomposition(monkeypatch):
     assert mu == naive_power(big, 60).mu
 
 
-def test_bench_timeout_dash(tmp_path, capsys):
+def test_bench_timeout_dash(tmp_path, capsys, monkeypatch):
+    # A cell that outlives --timeout; the forked worker inherits the patch.
+    monkeypatch.setattr(cli, "_bench_cell", lambda *args: time.sleep(5))
     ideals = tmp_path / "ideals.txt"
     ideals.write_text("[(0,9),(2,6),(5,3),(9,0)]\n")
     code, out, _ = run(

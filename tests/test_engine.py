@@ -1,5 +1,6 @@
 import pytest
 
+import brute
 from stairpow import engine
 from stairpow.ideals import (
     Axis,
@@ -212,6 +213,19 @@ def test_shift_generators_iterated():
         for n in range(dec.s, dec.s + 5):
             cur = shift_generators(dec, cur, n)
             assert cur.gens == assemble_power(dec, n + 1).gens
+
+
+def test_shift_generators_matches_per_generator_loop():
+    # Both orientations and a nonzero gcd, against the band rule applied to
+    # one generator at a time.
+    for seed in range(40):
+        I = random_ideal(RandomIdealSpec(7, 16, seed=seed))
+        for J in (I, I.transpose(), I.shift((2, 3))):
+            dec = stable_decomposition(J)
+            for n in (dec.s, dec.s + 2):
+                gens_n = assemble_power(dec, n)
+                got = shift_generators(dec, gens_n, n).gens
+                assert got == brute.shift_generators(dec, gens_n, n)
 
 
 def test_shift_generators_band_cases():

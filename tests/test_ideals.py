@@ -180,6 +180,18 @@ def test_overflow_checked():
         huge.shift((0, 1))
 
 
+def test_constructor_rejects_out_of_range_exponents():
+    for pairs in (
+        ((-1, 2), (0, 0)),
+        ((0, 2**70), (1, 0)),
+        ((0, EXP_LIMIT), (1, 0)),
+        ((0, 3), (2, 1), (5, -4)),
+    ):
+        with pytest.raises(ExponentOverflowError):
+            MonomialIdeal(pairs)
+    assert MonomialIdeal(((0, EXP_LIMIT - 1), (EXP_LIMIT - 1, 0))).mu == 2
+
+
 def test_minimalize_rejects_exponents_past_int64():
     with pytest.raises(ExponentOverflowError):
         minimalize([(1, 2), (EXP_LIMIT, 0)])

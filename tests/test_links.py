@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
+import brute
+from stairpow.engine import assemble_power, stable_decomposition
 from stairpow.ideals import UNIT, Axis, MonomialIdeal, naive_power
-from stairpow.links import link, link_many, link_point, unlink
+from stairpow.links import link, link_blocks, link_many, link_point, unlink
 from stairpow.oracle import RandomIdealSpec, random_ideal
 
 FIG_I = MonomialIdeal(((0, 3), (1, 1), (4, 0)))
@@ -104,3 +107,44 @@ def test_link_many_x_axis_pinned():
     assert chain.ideal.gens == ((0, 5), (2, 3), (3, 1), (6, 0))
     assert chain.link_points == ((2, 3),)
     assert chain.boundary_points == ((6, 0), (2, 3), (0, 5))
+
+
+@st.composite
+def anchored_parts(draw):
+    mu = draw(st.integers(1, 6))  # 1: the single-generator part (0, 0)
+    coords = st.lists(st.integers(0, 30), min_size=mu, max_size=mu, unique=True)
+    xs, ys = sorted(draw(coords)), sorted(draw(coords), reverse=True)
+    return MonomialIdeal(tuple(zip(xs, ys))).anchor()[0]
+
+
+blocks = st.lists(st.tuples(anchored_parts(), st.integers(0, 5)), min_size=1, max_size=5)
+origins = st.tuples(st.integers(0, 50), st.integers(0, 50))
+
+
+@given(blocks, origins)
+@example([(FIG_I, 0), (FIG_J, 3), (UNIT, 2), (FIG_I, 1)], (7, 4))  # zero-rep first block
+@example([(UNIT, 4), (FIG_J, 1)], (0, 0))
+def test_link_blocks_matches_per_generator_loop(blocks, origin):
+    assume(any(reps for _, reps in blocks))
+    assert link_blocks(blocks, origin).gens == brute.link_blocks(blocks, origin)
+
+
+def test_link_blocks_without_copies_is_the_origin():
+    assert link_blocks([(FIG_I, 0), (FIG_J, 0)], (2, 3)).gens == ((2, 3),)
+
+
+def test_no_numpy_scalars_escape():
+    chain = link_many([FIG_I, FIG_J.shift((1, 2)), FIG_I])
+    dec = stable_decomposition(MonomialIdeal(((0, 3), (2, 1), (5, 0))).shift((1, 1)))
+    emitted = assemble_power(dec, dec.s + 3)
+    values = []
+    for ideal in (chain.ideal, emitted, *dec.components, *dec.middles, emitted.transpose()):
+        values += [c for g in ideal.gens for c in g]
+        values += [*ideal.gcd(), ideal.dist(Axis.X), ideal.dist(Axis.Y), ideal.mu]
+    for points in (chain.link_points, chain.boundary_points, dec.boundary_points, dec.gs):
+        values += [c for p in points for c in p]
+    assert {type(v) for v in values} == {int}
+    with pytest.raises(ValueError):
+        emitted.xy[0, 0] = 1
+    with pytest.raises(ValueError):
+        chain.ideal.transpose().xy[1, -1] = 1

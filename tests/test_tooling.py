@@ -2,12 +2,19 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import stairpow
 
 SRC = Path(stairpow.__file__).parent
-SPANS = Path(__file__).resolve().parents[1] / "stairbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "stairbench" / "spans.py"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -33,3 +40,18 @@ def test_traced_names_exist():
         if not hasattr(owner, attr)
     ]
     assert not missing, f"traced names missing from stairpow: {missing}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demos_run(demo, tmp_path):
+    # In a scratch directory: the plot demo writes its SVGs where it runs.
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
