@@ -20,14 +20,9 @@ from .ideals import (
     pair_power,
 )
 from .geometry import (
-    ClosureWitness,
-    OutsideWitness,
     PersistenceProfile,
-    Region,
-    in_closure_pair,
     persistence_profile,
     persistent_generators,
-    power_relation_witness,
     stabilization_radius,
     weakly_persistent_generators,
 )
@@ -68,7 +63,6 @@ __all__ = [
     "EXP_LIMIT",
     "UNIT",
     "Axis",
-    "ClosureWitness",
     "DifferentialReport",
     "ExponentOverflowError",
     "GluedComponents",
@@ -76,12 +70,10 @@ __all__ = [
     "Monomial",
     "MonomialIdeal",
     "MuPolynomial",
-    "OutsideWitness",
     "ParseError",
     "PersistenceProfile",
     "PrincipalIdealError",
     "RandomIdealSpec",
-    "Region",
     "SegmentTriple",
     "StableDecomposition",
     "assemble_power",
@@ -94,7 +86,6 @@ __all__ = [
     "glued_components",
     "glued_power",
     "ideal_sum",
-    "in_closure_pair",
     "link",
     "link_many",
     "link_point",
@@ -107,7 +98,6 @@ __all__ = [
     "persistence_profile",
     "persistent_generators",
     "power",
-    "power_relation_witness",
     "r_segments",
     "random_ideal",
     "render_svg",

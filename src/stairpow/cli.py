@@ -31,7 +31,7 @@ from .engine import (
     power,
     stable_decomposition,
 )
-from .geometry import persistence_profile, stabilization_radius
+from .geometry import persistence_profile, stabilization_radius, weakly_persistent_generators
 from .oracle import check_corpus
 from .svg import write_svg
 from .textio import ParseError, format_term, parse_ideal, serialize
@@ -53,17 +53,13 @@ def _print_ideal(ideal: MonomialIdeal, fmt: str) -> None:
         print(serialize(ideal))
 
 
-def _decompose(ideal: MonomialIdeal, args):
-    chosen = None
-    if getattr(args, "weakly", False):
-        from .geometry import weakly_persistent_generators
+def _chosen(ideal: MonomialIdeal, args):
+    """P*(I) under ``--use-weakly-persistent``, else the default P(I)."""
+    return weakly_persistent_generators(ideal) if args.weakly else None
 
-        anchored, shift = ideal.anchor()
-        chosen = tuple(
-            (a + shift[0], b + shift[1])
-            for a, b in weakly_persistent_generators(anchored)
-        )
-    return stable_decomposition(ideal, chosen=chosen, D=getattr(args, "big_d", None))
+
+def _decompose(ideal: MonomialIdeal, args):
+    return stable_decomposition(ideal, chosen=_chosen(ideal, args), D=args.big_d)
 
 
 def cmd_analyze(args) -> int:
@@ -107,10 +103,13 @@ def cmd_power(args) -> int:
         if ideal.is_principal:
             raise PrincipalIdealError("decomposed method needs a non-principal ideal")
         anchored, shift = ideal.anchor()
-        dec = _decompose(ideal, args)
-        if n < dec.D:
-            raise ValueError(f"decomposed method needs n >= D = {dec.D}")
-        result = decomposed_power(anchored, dec.profile, n).shift(mon_pow(shift, n))
+        profile = persistence_profile(anchored, _chosen(anchored, args))
+        d = profile.D_P if args.big_d is None else args.big_d
+        if d < profile.D_P:
+            raise ValueError(f"D={d} below the guaranteed bound D_P={profile.D_P}")
+        if n < d:
+            raise ValueError(f"decomposed method needs n >= D = {d}")
+        result = decomposed_power(anchored, profile, n).shift(mon_pow(shift, n))
     elif args.method == "fast":
         if ideal.is_principal:
             raise PrincipalIdealError("fast method needs a non-principal ideal")

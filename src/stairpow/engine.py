@@ -71,7 +71,6 @@ class StableDecomposition:
     applies.  ``boundary_points`` are h_0..h_{k+1} of the oriented I^s.
     """
 
-    base: MonomialIdeal
     gcd_shift: Monomial
     axis: Axis
     profile: PersistenceProfile
@@ -118,7 +117,7 @@ def stable_decomposition(
         raise PrincipalIdealError("stable decomposition needs a non-principal ideal")
     anchored, shift = ideal.anchor()
     profile = persistence_profile(anchored, _shift_chosen(chosen, shift))
-    return _decompose(ideal, anchored, shift, profile, D)
+    return _decompose(anchored, shift, profile, D)
 
 
 def _axis_and_radius(anchored: MonomialIdeal, profile: PersistenceProfile, D: int) -> tuple[Axis, int]:
@@ -130,14 +129,10 @@ def _axis_and_radius(anchored: MonomialIdeal, profile: PersistenceProfile, D: in
 
 
 def _decompose(
-    ideal: MonomialIdeal,
-    anchored: MonomialIdeal,
-    shift: Monomial,
-    profile: PersistenceProfile,
-    D: int | None,
+    anchored: MonomialIdeal, shift: Monomial, profile: PersistenceProfile, D: int | None
 ) -> StableDecomposition:
-    """The stable components of ``ideal = shift * anchored`` for the
-    persistence profile of ``anchored``."""
+    """The stable components of ``shift * anchored`` for the persistence
+    profile of ``anchored``."""
     if D is None:
         D = profile.D_P
     elif D < profile.D_P:
@@ -158,7 +153,6 @@ def _decompose(
         + ((glued.base.dist(Axis.X), 0),)
     )
     return StableDecomposition(
-        base=ideal,
         gcd_shift=shift,
         axis=axis,
         profile=profile,
@@ -216,7 +210,7 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
         return naive_power(ideal, n)
     if n < d + _axis_and_radius(anchored, profile, d)[1] + 1:
         return decomposed_power(anchored, profile, n).shift(mon_pow(shift, n))
-    return assemble_power(_decompose(ideal, anchored, shift, profile, None), n)
+    return assemble_power(_decompose(anchored, shift, profile, None), n)
 
 
 @dataclass(frozen=True)
@@ -261,8 +255,12 @@ def shift_generators(dec: StableDecomposition, gens_n: MonomialIdeal, n: int) ->
     alone = np.flatnonzero(~inside.any(axis=1))
     gen = np.concatenate((rows, rows, alone))
     factor = np.concatenate((band, band + 1, np.count_nonzero(y[alone, None] <= top, axis=1)))
-    gs = np.array(dec.gs).T
-    result = MonomialIdeal(np.unique(oriented.xy[:, gen] + gs[:, factor], axis=1))
+    products = oriented.xy[:, gen] + np.array(dec.gs).T[:, factor]
+    # Sorted by x, equal products are neighbours; the constructor rejects any
+    # other pair that shares an x.
+    products = products[:, products[0].argsort()]
+    fresh = np.concatenate(([True], (products[:, 1:] != products[:, :-1]).any(axis=0)))
+    result = MonomialIdeal(products[:, fresh])
     if result.mu != oriented.mu + dec.slope:
         raise AssertionError("band shift produced a wrong generator count")
     return dec.unoriented(result, n + 1)

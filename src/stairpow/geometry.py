@@ -10,16 +10,8 @@ bound the power from which the generator pattern of ``I^n`` stabilizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
-from .ideals import (
-    Axis,
-    Monomial,
-    MonomialIdeal,
-    PrincipalIdealError,
-    mon_divides,
-    mon_pow,
-)
+from .ideals import Axis, Monomial, MonomialIdeal, PrincipalIdealError
 
 
 def pair_dist(g: Monomial, h: Monomial, axis: Axis) -> int:
@@ -27,113 +19,25 @@ def pair_dist(g: Monomial, h: Monomial, axis: Axis) -> int:
     return abs(g[i] - h[i])
 
 
-def lies_between(f: Monomial, g: Monomial, h: Monomial) -> bool:
-    """True iff f exceeds the smaller x-degree and smaller y-degree of {g, h}."""
-    return min(g[0], h[0]) < f[0] and min(g[1], h[1]) < f[1]
-
-
-def _require_incomparable(g: Monomial, h: Monomial) -> None:
-    if mon_divides(g, h) or mon_divides(h, g):
-        raise ValueError(f"{g} and {h} are comparable; the pair grading is undefined")
-
-
-def weighted_deg(g: Monomial, h: Monomial, f: Monomial) -> int:
-    """Degree of f in the grading where x weighs dist_y{g,h} and y weighs dist_x{g,h}."""
-    _require_incomparable(g, h)
-    return f[0] * pair_dist(g, h, Axis.Y) + f[1] * pair_dist(g, h, Axis.X)
-
-
-def wdd(g: Monomial, h: Monomial) -> int:
-    """The common weighted degree of g and h; f is above the line through g
-    and h exactly when weighted_deg(g, h, f) exceeds this."""
-    _require_incomparable(g, h)
-    return weighted_deg(g, h, g)
-
-
-class Region(Enum):
-    OUTSIDE = -1
-    BOUNDARY = 0
-    INSIDE = 1
-
-
-def in_closure_pair(f: Monomial, g: Monomial, h: Monomial) -> Region:
-    """Locate f relative to the integral closure of the pair ideal (g, h).
-
-    Requires ``lies_between(f, g, h)``.  INSIDE/BOUNDARY together mean
-    membership in the closure; BOUNDARY means f sits exactly on the segment
-    from g to h.
-    """
-    if not lies_between(f, g, h):
-        raise ValueError(f"{f} does not lie between {g} and {h}")
-    w = weighted_deg(g, h, f)
-    line = wdd(g, h)
-    if w > line:
-        return Region.INSIDE
-    if w == line:
-        return Region.BOUNDARY
-    return Region.OUTSIDE
-
-
-@dataclass(frozen=True)
-class ClosureWitness:
-    """f is in the closure of (g, h): g^alpha h^(n-alpha) divides f^n."""
-
-    n: int
-    alpha: int
-
-
-@dataclass(frozen=True)
-class OutsideWitness:
-    """f is outside the closure of (g, h): f^n divides g^alpha h^(n-alpha)."""
-
-    n: int
-    alpha: int
-
-
-def power_relation_witness(
-    f: Monomial, g: Monomial, h: Monomial, axis: Axis
-) -> ClosureWitness | OutsideWitness:
-    """Produce and verify the divisibility certificate tying f^n to g and h.
-
-    With ``n = dist_axis(g, h)`` and ``alpha = dist_axis(f, h)``, either
-    ``g^alpha h^(n-alpha) | f^n`` (closure member) or the divisibility runs
-    the other way.  The certificate is checked by direct exponent
-    arithmetic before being returned.
-    """
-    region = in_closure_pair(f, g, h)
-    lo_x, hi_x = sorted((g[0], h[0]))
-    lo_y, hi_y = sorted((g[1], h[1]))
-    if not (lo_x < f[0] < hi_x and lo_y < f[1] < hi_y):
-        raise ValueError(
-            f"{f} must lie strictly inside the rectangle spanned by {g} and {h}"
-        )
-    n = pair_dist(g, h, axis)
-    alpha = pair_dist(f, h, axis)
-    fn = mon_pow(f, n)
-    gh = (g[0] * alpha + h[0] * (n - alpha), g[1] * alpha + h[1] * (n - alpha))
-    if region is not Region.OUTSIDE:
-        if not mon_divides(gh, fn):
-            raise AssertionError(f"closure witness failed: {gh} does not divide {fn}")
-        return ClosureWitness(n=n, alpha=alpha)
-    if not mon_divides(fn, gh):
-        raise AssertionError(f"outside witness failed: {fn} does not divide {gh}")
-    return OutsideWitness(n=n, alpha=alpha)
-
-
-def _lower_hull_vertices(points: list[Monomial]) -> list[Monomial]:
-    # Points arrive sorted by ascending x / descending y.  Keep the strict
-    # vertices of the lower convex hull; collinear interior points drop out.
+def _lower_hull(ideal: MonomialIdeal, collinear: bool) -> tuple[Monomial, ...]:
+    """The generators on the compact boundary of the Newton polyhedron, in
+    descending y-order: its corners, and with ``collinear`` also the
+    generators inside its edges."""
+    if ideal.is_principal:
+        raise PrincipalIdealError("persistent generators need a non-principal ideal")
     hull: list[Monomial] = []
-    for p in points:
+    # The generators ascend in x, so this is Andrew's monotone chain: pop the
+    # last point while it lies above the segment from its predecessor to p,
+    # or on it unless ``collinear``.
+    for p in ideal.gens:
         while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-            if cross <= 0:
-                hull.pop()
-            else:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            cross = (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox)
+            if cross > 0 or (cross == 0 and collinear):
                 break
+            hull.pop()
         hull.append(p)
-    return hull
+    return tuple(hull)
 
 
 def persistent_generators(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
@@ -142,26 +46,12 @@ def persistent_generators(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
     Always contains the generators of maximal x- and maximal y-degree.
     Shift-invariant, so the ideal need not be anchored.
     """
-    if ideal.is_principal:
-        raise PrincipalIdealError("persistent generators need a non-principal ideal")
-    return tuple(_lower_hull_vertices(list(ideal.gens)))
+    return _lower_hull(ideal, collinear=False)
 
 
 def weakly_persistent_generators(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
     """Corners plus generators sitting exactly on a boundary edge."""
-    corners = persistent_generators(ideal)
-    index = {g: i for i, g in enumerate(corners)}
-    out: list[Monomial] = []
-    edge = 0  # current edge runs from corners[edge] to corners[edge + 1]
-    for f in ideal.gens:
-        if f in index:
-            out.append(f)
-            edge = index[f]
-            continue
-        g, h = corners[edge], corners[edge + 1]
-        if weighted_deg(g, h, f) == wdd(g, h):
-            out.append(f)
-    return tuple(out)
+    return _lower_hull(ideal, collinear=True)
 
 
 @dataclass(frozen=True)
@@ -178,10 +68,6 @@ class PersistenceProfile:
     delta_P: int
     d_P: int
     D_P: int
-
-    @property
-    def k(self) -> int:
-        return len(self.chosen) - 1
 
 
 def persistence_profile(

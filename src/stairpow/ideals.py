@@ -135,6 +135,10 @@ class MonomialIdeal:
             raise ExponentOverflowError(f"negative exponent in {xy.T.tolist()}")
         xy.flags.writeable = False
 
+    def __reduce__(self):
+        # Through the constructor, so unpickled and copied ideals are read-only.
+        return (MonomialIdeal, (self.xy,))
+
     @classmethod
     def of(cls, *gens: Monomial) -> "MonomialIdeal":
         return minimalize(gens)

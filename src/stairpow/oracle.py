@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .ideals import Monomial, MonomialIdeal, PrincipalIdealError, mon_pow, naive_power
+from .ideals import MonomialIdeal, PrincipalIdealError, mon_pow, naive_power
 from .engine import (
     StableDecomposition,
     assemble_power,

@@ -38,9 +38,6 @@ class SegmentTriple:
     A: MonomialIdeal
     H: MonomialIdeal
     B: MonomialIdeal
-    u: int
-    v: int
-    r: int
     alpha: int
     beta: int
 
@@ -59,7 +56,7 @@ def r_segments(u: int, v: int, j_ideal: MonomialIdeal, r: int) -> SegmentTriple:
     if not (u <= alpha <= (r + 1) * u and beta < (r + 1) * v):
         raise AssertionError("pivot generator outside the (r+1)-th staircase step")
     (a, b), (h,) = glued.components, glued.middles
-    return SegmentTriple(A=a, H=h, B=b, u=u, v=v, r=r, alpha=alpha, beta=beta)
+    return SegmentTriple(A=a, H=h, B=b, alpha=alpha, beta=beta)
 
 
 def one_segment_power(triple: SegmentTriple, ell: int) -> MonomialIdeal:
@@ -78,15 +75,10 @@ class GluedComponents:
     """
 
     gs: tuple[Monomial, ...]
-    r: int
     base: MonomialIdeal
     components: tuple[MonomialIdeal, ...]
     middles: tuple[MonomialIdeal, ...]
     link_points: tuple[Monomial, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.gs) - 1
 
 
 def glued_components(
@@ -130,7 +122,6 @@ def glued_components(
             raise AssertionError(f"middle block {i + 1} does not span its staircase step")
     return GluedComponents(
         gs=gs,
-        r=r,
         base=base,
         components=components,
         middles=middles,

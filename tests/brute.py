@@ -1,9 +1,9 @@
 """Brute-force references for the dense kernels of ``stairpow.ideals`` and
-``stairpow.segments``.
+``stairpow.segments``, and for the boundary generators of ``stairpow.geometry``.
 
-They form every candidate product and sort it, or emit one generator at a
-time, with no shortcut that the library's kernels share, so the property
-tests compare against them.
+They form every candidate product and sort it, emit one generator at a
+time, or test every pair of generators, with no shortcut that the
+library's kernels share, so the property tests compare against them.
 """
 
 import numpy as np
@@ -100,3 +100,31 @@ def shift_generators(dec, gens_n: MonomialIdeal, n: int) -> tuple[Monomial, ...]
                 factors = [gs[i]]
         products.update((f[0] + g[0], f[1] + g[1]) for g in factors)
     return dec.unoriented(MonomialIdeal(tuple(sorted(products))), n + 1).gens
+
+
+def lies_between(f: Monomial, g: Monomial, h: Monomial) -> bool:
+    """True iff f exceeds the smaller x-degree and smaller y-degree of {g, h}."""
+    return min(g[0], h[0]) < f[0] and min(g[1], h[1]) < f[1]
+
+
+def closure_side(f: Monomial, g: Monomial, h: Monomial) -> int:
+    """Where f, between g and h, sits against the integral closure of the
+    pair ideal (g, h): 1 strictly inside, 0 on the segment from g to h, -1
+    outside.  It compares weighted degrees in the grading where x weighs
+    dist_y{g, h} and y weighs dist_x{g, h}, which is constant on the segment."""
+    side = (f[0] - g[0]) * abs(g[1] - h[1]) + (f[1] - g[1]) * abs(g[0] - h[0])
+    return (side > 0) - (side < 0)
+
+
+def _closure_sides(f: Monomial, gens) -> list[int]:
+    return [closure_side(f, g, h) for g in gens for h in gens if g != h and lies_between(f, g, h)]
+
+
+def persistent(gens) -> tuple[Monomial, ...]:
+    """The generators outside the closure of every pair of generators."""
+    return tuple(f for f in gens if all(side < 0 for side in _closure_sides(f, gens)))
+
+
+def weakly_persistent(gens) -> tuple[Monomial, ...]:
+    """The generators strictly inside the closure of no pair of generators."""
+    return tuple(f for f in gens if all(side <= 0 for side in _closure_sides(f, gens)))

@@ -52,6 +52,39 @@ def test_power_fast_vs_naive(capsys):
     assert fast.count("(") == 7
 
 
+def _analyze_lines(out):
+    return dict((line[:19].strip(), line[19:]) for line in out.splitlines())
+
+
+@pytest.mark.parametrize("text", ["[(0,4),(1,3),(2,2),(4,0)]", "[(2,7),(3,6),(4,5),(6,3)]"])
+def test_analyze_weakly_persistent(capsys, text):
+    # The edge from y^4 to x^4 carries x*y^3 and x^2*y^2; the second ideal is
+    # the first times x^2*y^3.
+    code, out, _ = run(capsys, "analyze", text, "--use-weakly-persistent")
+    assert code == 0
+    lines = _analyze_lines(out)
+    assert lines["chosen P"] == lines["weakly persistent"] == "[(0, 4), (1, 3), (2, 2), (4, 0)]"
+    assert lines["persistent P(I)"] == "[(0, 4), (4, 0)]"
+
+
+def test_power_decomposed_builds_no_decomposition(capsys, monkeypatch):
+    # The decomposed route needs only the profile: D and the chosen P.
+    def refuse(*args, **kwargs):
+        raise AssertionError("stable_decomposition called")
+
+    monkeypatch.setattr(cli, "stable_decomposition", refuse)
+    big = MonomialIdeal.of((0, 10), (1, 9), (2, 5), (4, 4), (5, 3), (6, 2), (12, 1), (15, 0))
+    text = str(big.shift((2, 3)))
+    expected = str(naive_power(big.shift((2, 3)), 50)) + "\n"
+    for flags in ([], ["--use-weakly-persistent"], ["--big-d", "45"]):
+        code, out, err = run(capsys, "power", text, "50", "--method", "decomposed", *flags)
+        assert (code, out) == (0, expected), err
+    code, _, err = run(capsys, "power", text, "50", "--method", "decomposed", "--big-d", "39")
+    assert code == 2 and "D_P=40" in err
+    code, _, err = run(capsys, "power", text, "44", "--method", "decomposed", "--big-d", "45")
+    assert code == 2 and "n >= D = 45" in err
+
+
 def test_power_n1_echo(capsys):
     code, out, _ = run(capsys, "power", "x^3 + y^2", "1")
     assert code == 0

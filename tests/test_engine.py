@@ -20,7 +20,11 @@ from stairpow.engine import (
     shift_generators,
     stable_decomposition,
 )
-from stairpow.geometry import persistence_profile
+from stairpow.geometry import (
+    persistence_profile,
+    persistent_generators,
+    weakly_persistent_generators,
+)
 from stairpow.oracle import RandomIdealSpec, random_ideal
 
 SMALL = MonomialIdeal(((0, 2), (2, 1), (3, 0)))
@@ -196,6 +200,34 @@ def test_shift_invariance_of_decomposition():
         assert a.middles == b.middles
         assert (a.D, a.r, a.s) == (b.D, b.r, b.s)
         assert mu_polynomial(I) == mu_polynomial(J)
+
+
+def _weakly_differs(seed):
+    I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+    return weakly_persistent_generators(I) != persistent_generators(I)
+
+
+#: The corpus seeds among the first 300 whose ideal has P*(I) != P(I).
+WEAKLY_SEEDS = [seed for seed in range(300) if _weakly_differs(seed)]
+
+
+@pytest.mark.parametrize("seed", WEAKLY_SEEDS)
+def test_weakly_persistent_choice_assembles(seed):
+    # P = P*(I) against the staircase expansion of the default P = P(I),
+    # as given and with a nonzero gcd.
+    I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+    for J in (I, I.shift((2, 3))):
+        dec = stable_decomposition(J, chosen=weakly_persistent_generators(J))
+        assert dec.profile.chosen == weakly_persistent_generators(J.anchor()[0])
+        anchored, shift = J.anchor()
+        profile = persistence_profile(anchored)
+        for n in (dec.s, dec.s + 1, dec.s + 3):
+            expected = decomposed_power(anchored, profile, n).shift(mon_pow(shift, n))
+            assert assemble_power(dec, n) == expected
+
+
+def test_weakly_persistent_sample():
+    assert len(WEAKLY_SEEDS) == 32
 
 
 def test_shift_generators_small():

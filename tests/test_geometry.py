@@ -1,73 +1,17 @@
-import random
-
 import pytest
 
+import brute
 from stairpow.ideals import Axis, MonomialIdeal, PrincipalIdealError, mon_pow, naive_power
 from stairpow.geometry import (
-    ClosureWitness,
-    OutsideWitness,
-    Region,
-    in_closure_pair,
-    lies_between,
     persistence_profile,
     persistent_generators,
-    power_relation_witness,
     stabilization_radius,
     weakly_persistent_generators,
-    weighted_deg,
-    wdd,
 )
 from stairpow.oracle import RandomIdealSpec, random_ideal
 
 SMALL = MonomialIdeal(((0, 2), (2, 1), (3, 0)))
 BIG = MonomialIdeal.of((0, 10), (1, 9), (2, 5), (4, 4), (5, 3), (6, 2), (12, 1), (15, 0))
-
-
-def test_lies_between():
-    assert lies_between((5, 1), (0, 5), (6, 0))
-    assert not lies_between((0, 5), (0, 5), (6, 0))
-    assert lies_between((1, 4), (0, 5), (6, 0))
-
-
-def test_weighted_degrees():
-    assert wdd((0, 5), (6, 0)) == 30
-    assert weighted_deg((0, 5), (6, 0), (5, 1)) == 31
-    assert weighted_deg((0, 5), (6, 0), (1, 4)) == 29
-    with pytest.raises(ValueError):
-        wdd((1, 1), (2, 2))
-
-
-def test_in_closure_pair():
-    assert in_closure_pair((5, 1), (0, 5), (6, 0)) is Region.INSIDE
-    assert in_closure_pair((1, 4), (0, 5), (6, 0)) is Region.OUTSIDE
-    assert in_closure_pair((3, 1), (0, 2), (6, 0)) is Region.BOUNDARY
-    with pytest.raises(ValueError):
-        in_closure_pair((0, 5), (0, 5), (6, 0))
-
-
-def test_power_relation_witnesses():
-    w = power_relation_witness((5, 1), (0, 5), (6, 0), Axis.Y)
-    assert isinstance(w, ClosureWitness) and w.n == 5 and w.alpha == 1
-    w = power_relation_witness((1, 4), (0, 5), (6, 0), Axis.Y)
-    assert isinstance(w, OutsideWitness) and w.n == 5 and w.alpha == 4
-    # boundary point: the witness product equals f^n exactly
-    w = power_relation_witness((3, 1), (0, 2), (6, 0), Axis.Y)
-    n, a = w.n, w.alpha
-    g, h, f = (0, 2), (6, 0), (3, 1)
-    assert (g[0] * a + h[0] * (n - a), g[1] * a + h[1] * (n - a)) == mon_pow(f, n)
-
-
-def test_power_relation_witness_randomized():
-    rng = random.Random(3)
-    for _ in range(200):
-        g = (0, rng.randint(1, 12))
-        h = (rng.randint(1, 12), 0)
-        if g[1] < 2 or h[0] < 2:
-            continue
-        f = (rng.randint(1, h[0] - 1), rng.randint(1, g[1] - 1))
-        assert lies_between(f, g, h)
-        for axis in (Axis.X, Axis.Y):
-            power_relation_witness(f, g, h, axis)  # must not raise
 
 
 def test_persistent_generators_examples():
@@ -86,16 +30,22 @@ def test_persistent_equals_closure_filter():
     # Brute-force cross-check of the hull against the definitional filter.
     for seed in range(40):
         I = random_ideal(RandomIdealSpec(8, 15, seed=seed))
-        hull = set(persistent_generators(I))
-        for f in I.gens:
-            outside_all = True
-            for g in I.gens:
-                for h in I.gens:
-                    if f in (g, h) or g == h:
-                        continue
-                    if lies_between(f, g, h) and in_closure_pair(f, g, h) is not Region.OUTSIDE:
-                        outside_all = False
-            assert (f in hull) == outside_all, (seed, f)
+        assert persistent_generators(I) == brute.persistent(I.gens), seed
+
+
+def test_weakly_persistent_equals_closure_filter():
+    # Against the definitional filter, and unchanged by a shift of the ideal.
+    differ = 0
+    for seed in range(300):
+        I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+        weakly = weakly_persistent_generators(I)
+        assert weakly == brute.weakly_persistent(I.gens), seed
+        for m in ((2, 3), (0, 7), (2**40, 1)):
+            assert weakly_persistent_generators(I.shift(m)) == tuple(
+                (a + m[0], b + m[1]) for a, b in weakly
+            ), (seed, m)
+        differ += weakly != persistent_generators(I)
+    assert differ >= 20  # the sample exercises edges with interior generators
 
 
 def test_persistent_powers_stay_minimal():
@@ -131,6 +81,8 @@ def test_weakly_persistent_examples():
     mid = MonomialIdeal(((0, 4), (2, 2), (4, 0)))
     assert weakly_persistent_generators(mid) == ((0, 4), (2, 2), (4, 0))
     assert (4, 4) not in weakly_persistent_generators(BIG)
+    with pytest.raises(PrincipalIdealError):
+        weakly_persistent_generators(MonomialIdeal(((2, 3),)))
 
 
 def test_profile_examples():

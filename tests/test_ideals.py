@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -190,6 +192,16 @@ def test_constructor_rejects_out_of_range_exponents():
         with pytest.raises(ExponentOverflowError):
             MonomialIdeal(pairs)
     assert MonomialIdeal(((0, EXP_LIMIT - 1), (EXP_LIMIT - 1, 0))).mu == 2
+
+
+def test_copies_stay_read_only():
+    I = MonomialIdeal(((0, 7), (2, 4), (4, 3), (5, 2), (6, 0)))
+    I.gens  # cache the tuple view before copying
+    for J in (pickle.loads(pickle.dumps(I)), copy.deepcopy(I), copy.copy(I)):
+        assert J == I and J.gens == I.gens
+        assert not J.xy.flags.writeable
+        with pytest.raises(ValueError):
+            J.xy[0, 0] = 1
 
 
 def test_minimalize_rejects_exponents_past_int64():

@@ -5,6 +5,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -28,12 +29,42 @@ def test_no_assert_statements():
     assert not found, f"assert statements in src: {found}"
 
 
-def test_traced_names_exist():
-    # The benchmark's span tracer patches these names; a missing one breaks
-    # every traced run.
+def _load_spans():
     spec = importlib.util.spec_from_file_location("stairbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_no_unused_imports():
+    # A name the span tracer looks up on a stairpow module may be imported
+    # only so that the tracer finds it.
+    traced = {
+        (owner.__name__.rsplit(".", 1)[-1], attr)
+        for _, owner, attr, _ in _load_spans().PATCHES
+        if isinstance(owner, types.ModuleType)
+    }
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used and (path.stem, name) not in traced:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, f"unused imports in src: {unused}"
+
+
+def test_traced_names_exist():
+    # The benchmark's span tracer patches these names; a missing one breaks
+    # every traced run.
+    spans = _load_spans()
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
         for _, owner, attr, _ in spans.PATCHES
