@@ -25,6 +25,7 @@ from .ideals import (
     naive_power,
 )
 from .engine import (
+    _axis_and_radius,
     assemble_power,
     decomposed_power,
     mu_polynomial,
@@ -214,10 +215,11 @@ def cmd_bench(args) -> int:
     rows: list[dict] = []
     jobs = []
     for label, ideal in ideals:
-        dec = stable_decomposition(ideal)
-        powers = [
-            _parse_power_token(tok, dec.s) for tok in args.powers.split(",") if tok.strip()
-        ]
+        # s = D_P + r + 1 from the profile alone, as ``power`` finds it.
+        anchored = ideal.anchor()[0]
+        profile = persistence_profile(anchored)  # raises on a principal ideal
+        s = profile.D_P + _axis_and_radius(anchored, profile, profile.D_P)[1] + 1
+        powers = [_parse_power_token(tok, s) for tok in args.powers.split(",") if tok.strip()]
         for n in powers:
             for method in methods:
                 jobs.append((label, ideal, n, method))

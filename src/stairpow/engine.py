@@ -45,9 +45,9 @@ def decomposed_power(
 ) -> MonomialIdeal:
     """``I^n`` via one naive ``I^D`` and staircase-pair expansions.
 
-    Valid for ``n >= D_P``; the pair powers are generated directly as
-    staircases, so the work per summand is linear in the candidate count.
-    ``base`` may supply a precomputed ``I^D``.
+    Valid for ``n >= D_P``; each summand ``(g_i, g_(i+1))^(n-D) I^D`` is a
+    window-minimum staircase, in work linear in its y-span rather than in
+    its candidate products.  ``base`` may supply a precomputed ``I^D``.
     """
     d = profile.D_P
     if n < d:

@@ -32,6 +32,9 @@ EXP_LIMIT = 1 << 63
 #: sparse exponents).  Measured: bucketing wins up to a ratio of about 30.
 _BUCKET_SPAN_FACTOR = 16
 
+#: Marks an empty level in a dense array of the least x per y level.
+_NO_POINT = np.iinfo(np.int64).max
+
 
 class ExponentOverflowError(OverflowError):
     """An exponent left the permitted 64-bit range."""
@@ -79,9 +82,9 @@ def _columns(points: Iterable[Monomial]) -> np.ndarray:
 def _minimalize_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The minimal generators of the int64 points ``(x[i], y[i])``, as columns.
 
-    Buckets the least x per y level, in O(N + y-span), then one ascending-y
-    sweep keeps each level whose x undercuts every level below it.  A y-span
-    beyond ``_BUCKET_SPAN_FACTOR * N`` is compressed to the occurring levels.
+    Buckets the least x per y level, in O(N + y-span), then sweeps the levels
+    once with :func:`_level_staircase`.  A y-span beyond
+    ``_BUCKET_SPAN_FACTOR * N`` is compressed to the occurring levels.
     """
     y0 = int(y.min())
     span = int(y.max()) - y0 + 1
@@ -91,11 +94,20 @@ def _minimalize_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     else:
         levels, y = np.unique(y, return_inverse=True)
         span = len(levels)
-    x_by_y = np.full(span, np.iinfo(np.int64).max, dtype=np.int64)  # int64 max: no point
+    x_by_y = np.full(span, _NO_POINT, dtype=np.int64)
     np.minimum.at(x_by_y, y, x)
+    return _level_staircase(x_by_y, y0 if dense else levels)
+
+
+def _level_staircase(x_by_y: np.ndarray, levels: int | np.ndarray) -> np.ndarray:
+    """The minimal generators of the points ``(x_by_y[i], levels + i)``, or
+    ``(x_by_y[i], levels[i])`` for an ascending array ``levels``, as columns:
+    one sweep keeps each level whose x undercuts every level below it.  An
+    empty level holds ``_NO_POINT``; the first is never empty."""
     below = np.minimum.accumulate(x_by_y)[:-1]
     keep = np.flatnonzero(np.concatenate(([True], x_by_y[1:] < below)))[::-1]
-    return np.stack((x_by_y[keep], keep + y0 if dense else levels[keep]))
+    ys = levels[keep] if isinstance(levels, np.ndarray) else keep + levels
+    return np.stack((x_by_y[keep], ys))
 
 
 def minimalize(candidates: Iterable[Monomial]) -> "MonomialIdeal":

@@ -165,6 +165,28 @@ def test_bench_decomposed_cell_builds_no_decomposition(monkeypatch):
     assert mu == naive_power(big, 60).mu
 
 
+def test_bench_s_without_decomposition(tmp_path, capsys, monkeypatch):
+    # s follows from the persistence profile; naive cells need nothing more.
+    def refuse(*args, **kwargs):
+        raise AssertionError("stable_decomposition called")
+
+    monkeypatch.setattr(cli, "stable_decomposition", refuse)
+    ideals = tmp_path / "ideals.txt"
+    ideals.write_text("small: y^2 + x^2*y + x^3\nsh: [(2,13),(3,10),(5,8),(9,3)]\n")
+    csv_path = tmp_path / "rows.csv"
+    argv = ["bench", str(ideals), "--powers", "s,s+1", "--methods", "naive"]
+    argv += ["--csv", str(csv_path)]
+    code, _, err = run(capsys, *argv, "--timeout", "60")
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
+    assert [(r["ideal"], r["n"]) for r in rows] == [
+        ("small", "3"), ("small", "4"), ("sh", "88"), ("sh", "89")
+    ]
+    ideals.write_text("p: x^3*y^2\n")
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "principal" in err
+
+
 def test_bench_timeout_dash(tmp_path, capsys, monkeypatch):
     # A cell that outlives --timeout; the forked worker inherits the patch.
     monkeypatch.setattr(cli, "_bench_cell", lambda *args: time.sleep(5))

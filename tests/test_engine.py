@@ -1,3 +1,8 @@
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 import brute
@@ -26,6 +31,8 @@ from stairpow.geometry import (
     weakly_persistent_generators,
 )
 from stairpow.oracle import RandomIdealSpec, random_ideal
+
+REFERENCES = Path(__file__).resolve().parents[1] / "stairbench" / "references.json"
 
 SMALL = MonomialIdeal(((0, 2), (2, 1), (3, 0)))
 BIG = MonomialIdeal.of((0, 10), (1, 9), (2, 5), (4, 4), (5, 3), (6, 2), (12, 1), (15, 0))
@@ -342,3 +349,21 @@ def test_d_override():
 def test_principal_rejected():
     with pytest.raises(PrincipalIdealError):
         stable_decomposition(MonomialIdeal(((3, 4),)))
+
+
+def test_decompositions_match_recorded_digests():
+    # The benchmark recorded SHA-256 digests of I^s, from candidate products,
+    # for both orientations of every decompose ideal; each ideal's least n
+    # is its s (the other rows are emit cells at s + ell, ell >= 1000).
+    least = {}
+    for row in json.loads(REFERENCES.read_text(encoding="utf-8")):
+        key = tuple(map(tuple, row["ideal"]))
+        if key not in least or row["n"] < least[key]["n"]:
+            least[key] = row
+    assert len(least) == 259
+    for gens, row in least.items():
+        dec = stable_decomposition(MonomialIdeal(gens))
+        assert dec.s == row["n"], gens
+        xy = assemble_power(dec, dec.s).xy
+        digest = hashlib.sha256(np.ascontiguousarray(xy.T).tobytes()).hexdigest()
+        assert (xy.shape[1], digest) == (row["mu"], row["digest"]), gens

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import brute
+from stairpow import segments
 from stairpow.ideals import (
     UNIT,
     Axis,
@@ -11,6 +12,7 @@ from stairpow.ideals import (
     MonomialIdeal,
     ideal_sum,
     naive_power,
+    pair_power,
 )
 from stairpow.geometry import persistence_profile
 from stairpow.oracle import RandomIdealSpec, random_ideal
@@ -42,19 +44,58 @@ def test_staircase_times_overflow_checked():
         staircase_times((0, 1), (2**62, 0), 1, pair)
 
 
-def test_staircase_times_near_int64():
-    # x exponents near 2^62: every generator of the product is in range.
+def counted_pair_power(monkeypatch):
+    """Count the calls of the candidate-product fallback."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pair_power(*args)
+
+    monkeypatch.setattr(segments, "pair_power", counted)
+    return calls
+
+
+def test_staircase_times_near_int64(monkeypatch):
+    # x exponents near 2^62: every generator of the product is in range, but
+    # the window values are not, so both calls take the candidate product.
+    calls = counted_pair_power(monkeypatch)
     J = MonomialIdeal(tuple((i, 4 - i) for i in range(5)))
     g, h = (0, 1), (2**62 - 8, 0)
     assert staircase_times(g, h, 1, J).gens == brute.staircase_times(g, h, 1, J)
     assert staircase_times(h, g, 1, J).gens == brute.staircase_times(g, h, 1, J)
+    assert len(calls) == 2
 
 
-def test_staircase_times_sparse_span():
-    # A y-span far beyond the candidate count, and a dense one.
+def test_staircase_times_sparse_span(monkeypatch):
+    # A y-span far beyond the candidate count takes the candidate product, a
+    # dense one the window.
+    calls = counted_pair_power(monkeypatch)
     g, h = (0, 2**40), (3, 0)
     assert staircase_times(g, h, 4, FIG3_J).gens == brute.staircase_times(g, h, 4, FIG3_J)
+    g, h = (0, 3 << 36), (3, 0)
+    assert staircase_times(h, g, 2, FIG3_J).gens == brute.staircase_times(g, h, 2, FIG3_J)
+    assert len(calls) == 2
     assert staircase_times((0, 4), (3, 0), 20, FIG3_J).gens == oracle_power(3, 4, FIG3_J, 20).gens
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "g, h, J",
+    [
+        ((0, 4), (3, 0), FIG3_J),
+        ((3, 0), (0, 4), FIG3_J),
+        ((2, 7), (5, 3), FIG3_J.shift((2, 3))),
+        ((5, 3), (2, 7), FIG3_J.shift((2, 3))),
+        ((1, 1), (4, 0), MonomialIdeal(((2, 5),))),
+        ((4, 0), (1, 1), MonomialIdeal(((2, 5),))),
+    ],
+)
+def test_staircase_times_window_path(monkeypatch, g, h, J):
+    # Dense cases never reach the candidate product.
+    calls = counted_pair_power(monkeypatch)
+    assert staircase_times(g, h, 20, J).gens == brute.staircase_times(g, h, 20, J)
+    assert not calls
 
 
 @st.composite

@@ -29,6 +29,12 @@ def test_no_assert_statements():
     assert not found, f"assert statements in src: {found}"
 
 
+def test_src_line_budget():
+    # The cap on the package's size, by ``wc -l src/stairpow/*.py``.
+    lines = sum(len(path.read_bytes().splitlines()) for path in SRC.glob("*.py"))
+    assert lines <= 2063, f"src/stairpow has {lines} lines, over the 2063-line budget"
+
+
 def _load_spans():
     spec = importlib.util.spec_from_file_location("stairbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
