@@ -21,6 +21,7 @@ from .ideals import (
     ExponentOverflowError,
     MonomialIdeal,
     PrincipalIdealError,
+    level_power,
     mon_pow,
     naive_power,
 )
@@ -163,7 +164,7 @@ def _bench_cell(gens: tuple, method: str, n: int) -> tuple[float, float, int]:
         start = time.perf_counter()
         anchored, _ = ideal.anchor()
         profile = persistence_profile(anchored)
-        base = naive_power(anchored, profile.D_P)
+        base = level_power(anchored, profile.D_P)
         pre_ms = (time.perf_counter() - start) * 1000.0
         start = time.perf_counter()
         result = decomposed_power(anchored, profile, n, base=base)

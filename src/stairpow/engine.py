@@ -1,11 +1,11 @@
 """Fast computation of large powers of bivariate monomial ideals.
 
-The pipeline: bound D from the persistence profile, compute I^D naively,
-expand to I^s (s = D + r + 1) as a sum of staircase-pair powers, split I^s
-into its stable components, and from then on assemble any I^(s+l) by pure
-exponent shifting in time proportional to its own generator count.  The
-generator count itself follows the exact linear polynomial
-``mu(I^s) + l * slope``.
+The pipeline: bound D from the persistence profile, compute I^D on one
+level array, expand to I^s (s = D + r + 1) as a sum of staircase-pair
+powers, split I^s into its stable components, and from then on assemble
+any I^(s+l) by pure exponent shifting in time proportional to its own
+generator count.  The generator count itself follows the exact linear
+polynomial ``mu(I^s) + l * slope``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ from .ideals import (
     PrincipalIdealError,
     _check_exponents,
     ideal_sum,
+    level_power,
     mon_pow,
+    # ``naive_power`` is unused here but stays importable as
+    # ``engine.naive_power``: the benchmark's span tracer patches that name.
     naive_power,
 )
 from .geometry import (
@@ -43,17 +46,18 @@ def _shift_chosen(chosen: Sequence[Monomial] | None, shift: Monomial):
 def decomposed_power(
     ideal: MonomialIdeal, profile: PersistenceProfile, n: int, base: MonomialIdeal | None = None
 ) -> MonomialIdeal:
-    """``I^n`` via one naive ``I^D`` and staircase-pair expansions.
+    """``I^n`` via one ``I^D`` and staircase-pair expansions.
 
     Valid for ``n >= D_P``; each summand ``(g_i, g_(i+1))^(n-D) I^D`` is a
     window-minimum staircase, in work linear in its y-span rather than in
-    its candidate products.  ``base`` may supply a precomputed ``I^D``.
+    its candidate products.  ``base`` may supply a precomputed ``I^D``;
+    by default :func:`level_power` builds it.
     """
     d = profile.D_P
     if n < d:
         raise ValueError(f"decomposed power needs n >= D_P = {d}, got {n}")
     if base is None:
-        base = naive_power(ideal, d)
+        base = level_power(ideal, d)
     if n == d:
         return base
     gs = profile.chosen
@@ -145,7 +149,7 @@ def _decompose(
     if axis is Axis.X:
         oriented, chosen = anchored.transpose(), chosen.transpose()
 
-    j_base = naive_power(oriented, D)
+    j_base = level_power(oriented, D)
     glued: GluedComponents = glued_components(chosen.gens, j_base, r)
     boundary = (
         ((0, glued.base.dist(Axis.Y)),)
@@ -195,7 +199,7 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """``I^n`` through the cheapest applicable route.
 
     Principal ideals short-circuit to the single-generator power.  Below
-    D_P the naive oracle runs; between D_P and s the staircase expansion;
+    D_P :func:`level_power` runs; between D_P and s the staircase expansion;
     from s on the stable-component assembly, the only route that builds a
     decomposition.
     """
@@ -207,7 +211,7 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     profile = persistence_profile(anchored)
     d = profile.D_P
     if n < d:
-        return naive_power(ideal, n)
+        return level_power(ideal, n)
     if n < d + _axis_and_radius(anchored, profile, d)[1] + 1:
         return decomposed_power(anchored, profile, n).shift(mon_pow(shift, n))
     return assemble_power(_decompose(anchored, shift, profile, None), n)

@@ -275,6 +275,41 @@ def naive_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     return result
 
 
+def level_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
+    """``I^n`` on one dense array of x values per y level.
+
+    Entry t for ``I^j`` is the x of a point of ``I^j`` at most t above its
+    lowest generator, and exactly the x of every minimal generator at that
+    generator's height.  Entry t for ``I^(j+1)`` is the minimum over the
+    generators g of entry ``t - g_y`` plus ``g_x``, which keeps both
+    properties: one slice minimum per generator, no candidate products.
+    The final running-minimum sweep then yields the minimal generators.
+    Below ``n = 2``, or for a y-span beyond ``_BUCKET_SPAN_FACTOR * mu(I)``,
+    :func:`naive_power` runs instead.
+    """
+    x, y = ideal.xy
+    rise = y - y[-1]
+    span = int(rise[0])
+    if n < 2 or span > _BUCKET_SPAN_FACTOR * ideal.mu:
+        return naive_power(ideal, n)
+    # The largest exponents of I^n, checked before any int64 add.
+    _check_exponents(n * int(x[-1]), n * int(y[0]))
+    levels = np.full(span + 1, _NO_POINT, dtype=np.int64)
+    levels[rise] = x
+    # Level 0 holds a generator, so no _NO_POINT is left to add to.  From
+    # then on the slices of the lowest and the highest generator cover every
+    # level, so none comes back.
+    np.minimum.accumulate(levels, out=levels)
+    steps = list(zip(x.tolist(), rise.tolist()))
+    for _ in range(n - 1):
+        stepped = np.full(len(levels) + span, _NO_POINT, dtype=np.int64)
+        for a, b in steps:
+            window = stepped[b : b + len(levels)]
+            np.minimum(window, levels + a, out=window)
+        levels = stepped
+    return MonomialIdeal(_level_staircase(levels, n * int(y[-1])))
+
+
 def pair_power(g: Monomial, h: Monomial, n: int) -> MonomialIdeal:
     """``(g, h)^n`` as the explicit staircase ``{g^j h^(n-j)}``.
 

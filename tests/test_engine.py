@@ -161,6 +161,25 @@ def test_power_decomposes_only_from_s(monkeypatch, ideal):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("ideal", [SMALL, BIG])
+def test_decompose_builds_no_candidate_power(monkeypatch, ideal):
+    # I^D and the powers below D_P come from the level array: no candidate
+    # product of two ideals is formed.
+    dec = stable_decomposition(ideal)
+    d = dec.D
+    expected = {n: naive_power(ideal, n) for n in (d - 1, d, dec.s) if n >= 1}
+
+    def forbidden(*args):
+        raise AssertionError("candidate product formed")
+
+    monkeypatch.setattr(engine, "naive_power", forbidden)
+    monkeypatch.setattr(MonomialIdeal, "__mul__", forbidden)
+    assert assemble_power(stable_decomposition(ideal), dec.s) == expected[dec.s]
+    assert decomposed_power(ideal, dec.profile, d) == expected[d]
+    for n in expected:
+        assert power(ideal, n) == expected[n]
+
+
 def test_power_principal():
     assert power(MonomialIdeal(((2, 3),)), 4).gens == ((8, 12),)
 

@@ -2,10 +2,13 @@ import copy
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 import brute
+from stairpow import ideals as ideals_module
+from stairpow.geometry import persistence_profile
 from stairpow.ideals import (
     EXP_LIMIT,
     UNIT,
@@ -13,6 +16,7 @@ from stairpow.ideals import (
     ExponentOverflowError,
     MonomialIdeal,
     ideal_sum,
+    level_power,
     minimalize,
     mon_divides,
     naive_power,
@@ -276,3 +280,69 @@ def test_transpose_involution():
     for seed in range(10):
         I = random_ideal(RandomIdealSpec(6, 15, seed=seed))
         assert I.transpose().transpose().gens == I.gens
+
+
+#: Corpus ideals (the Tier-1 distribution) with D_P from 4 to 115.
+LEVEL_CORPUS = [random_ideal(RandomIdealSpec(8, 20, seed=seed)) for seed in range(10)]
+
+
+@pytest.mark.parametrize("seed", range(len(LEVEL_CORPUS)))
+def test_level_power_matches_naive(seed):
+    I = LEVEL_CORPUS[seed]
+    for J in (I, I.transpose(), I.shift((2, 3))):
+        d = persistence_profile(J.anchor()[0]).D_P
+        for n in (0, 1, 2, d, d + 3):
+            assert level_power(J, n) == naive_power(J, n), (J.gens, n)
+
+
+@given(ideals(), st.integers(0, 8))
+@example(MonomialIdeal(((3, 5),)), 7)  # principal: a y-span of 0
+def test_level_power_matches_naive_random(ideal, n):
+    assert level_power(ideal, n) == naive_power(ideal, n)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("patched-out function called")
+
+
+def test_level_power_dense_path(monkeypatch):
+    # With the oracle disabled, the dense path alone must give I^20.
+    I = LEVEL_CORPUS[5]
+    cases = [(J, naive_power(J, 20)) for J in (I, I.transpose(), I.shift((2, 3)))]
+    monkeypatch.setattr(ideals_module, "naive_power", _raise)
+    for J, expected in cases:
+        assert level_power(J, 20) == expected
+
+
+def test_level_power_sparse_span_falls_back(monkeypatch):
+    calls = []
+
+    def counted(ideal, n):
+        calls.append(n)
+        return naive_power(ideal, n)
+
+    monkeypatch.setattr(ideals_module, "naive_power", counted)
+    sparse = MonomialIdeal(((0, 3 << 36), (2, 1 << 36), (5, 0)))
+    assert level_power(sparse, 3) == naive_power(sparse, 3)
+    assert calls == [3]
+    # A y-span of exactly 16 * mu stays dense; one more falls back.
+    edge = MonomialIdeal(((0, 32), (1, 0)))
+    assert level_power(edge, 5) == naive_power(edge, 5)
+    assert calls == [3]
+    wide = MonomialIdeal(((0, 33), (1, 0)))
+    assert level_power(wide, 5) == naive_power(wide, 5)
+    assert calls == [3, 5]
+
+
+def test_level_power_overflow_checked_before_allocation(monkeypatch):
+    # Dense y-spans, so that neither case takes the fallback.
+    top = (1 << 61) + 1
+    for I in (MonomialIdeal(((0, 1), (top, 0))), MonomialIdeal(((0, top), (1, top - 1)))):
+        n = -(-EXP_LIMIT // top)  # the least n with n * top >= 2**63
+        assert level_power(I, n - 1) == naive_power(I, n - 1)
+        with pytest.raises(ExponentOverflowError):
+            naive_power(I, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "full", _raise)
+            with pytest.raises(ExponentOverflowError):
+                level_power(I, n)

@@ -16,6 +16,7 @@ SRC = Path(stairpow.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "stairbench" / "spans.py"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+IDEALS = ROOT / "benchmarks" / "ideals.txt"
 
 
 def test_no_assert_statements():
@@ -79,16 +80,42 @@ def test_traced_names_exist():
     assert not missing, f"traced names missing from stairpow: {missing}"
 
 
+def _env():
+    # The package from this checkout, ahead of any installed copy.
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demos_run(demo, tmp_path):
     # In a scratch directory: the plot demo writes its SVGs where it runs.
-    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_env(),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _python(*args):
+    proc = subprocess.run(
+        [sys.executable, *args],
+        env=_env(),
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_power_under_optimize():
+    # I2 has D = 40 and s = 241: one power below D, one between D and s and
+    # one from s on, with every assert stripped by -O.
+    (line,) = [l for l in IDEALS.read_text(encoding="utf-8").splitlines() if l.startswith("I2:")]
+    ideal = line.split(":", 1)[1].strip()
+    for n in ("39", "41", "244"):
+        naive = _python("-m", "stairpow.cli", "power", ideal, n, "--method", "naive")
+        assert _python("-O", "-m", "stairpow.cli", "power", ideal, n) == naive, n
