@@ -3,14 +3,7 @@
 Run with: python demos/01_analyze.py
 """
 
-from stairpow import (
-    MonomialIdeal,
-    persistence_profile,
-    serialize_terms,
-    stabilization_radius,
-    stable_decomposition,
-)
-from stairpow.ideals import Axis
+from stairpow import MonomialIdeal, persistence_profile, serialize_terms, stable_decomposition
 
 # I = (y^2, x^2*y, x^3), written as (x-degree, y-degree) pairs.
 I = MonomialIdeal.of((0, 2), (2, 1), (3, 0))
@@ -24,11 +17,10 @@ print(f"persistent generators        P = {profile.persistent}")
 print(f"weakly persistent generators W = {profile.weakly_persistent}")
 print(f"delta_P = {profile.delta_P}, d_P = {profile.d_P}, D_P = {profile.D_P}")
 
-# The stabilization exponent s: from I^s on, every power is assembled from
+# The stabilization exponent s = D_P + r + 1, with r the smaller of the two
+# stabilization radii at D_P: from I^s on, every power is assembled from
 # fixed components and mu(I^n) is exactly linear in n.
-r_x = stabilization_radius(I, profile, profile.D_P, Axis.X)
-r_y = stabilization_radius(I, profile, profile.D_P, Axis.Y)
-print(f"r_x = {r_x}, r_y = {r_y}")
+print(f"r_x = {profile.r_x}, r_y = {profile.r_y}, r = {profile.r}, s = {profile.s}")
 dec = stable_decomposition(I)
 print(f"D = {dec.D}, r = {dec.r}, s = {dec.s}  (splitting axis: {dec.axis.name})")
 

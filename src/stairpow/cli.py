@@ -17,7 +17,6 @@ import sys
 import time
 
 from .ideals import (
-    Axis,
     ExponentOverflowError,
     MonomialIdeal,
     PrincipalIdealError,
@@ -26,14 +25,14 @@ from .ideals import (
     naive_power,
 )
 from .engine import (
-    _axis_and_radius,
     assemble_power,
     decomposed_power,
     mu_polynomial,
     power,
+    require_power,
     stable_decomposition,
 )
-from .geometry import persistence_profile, stabilization_radius, weakly_persistent_generators
+from .geometry import persistence_profile, weakly_persistent_generators
 from .oracle import check_corpus
 from .svg import write_svg
 from .textio import ParseError, format_term, parse_ideal, serialize
@@ -61,27 +60,24 @@ def _chosen(ideal: MonomialIdeal, args):
 
 
 def _decompose(ideal: MonomialIdeal, args):
-    return stable_decomposition(ideal, chosen=_chosen(ideal, args), D=args.big_d)
+    return stable_decomposition(ideal, chosen=_chosen(ideal, args))
 
 
 def cmd_analyze(args) -> int:
     ideal = parse_ideal(args.ideal)
     dec = _decompose(ideal, args)
     profile = dec.profile
-    anchored, shift = ideal.anchor()
-    r_x = stabilization_radius(anchored, profile, dec.D, Axis.X)
-    r_y = stabilization_radius(anchored, profile, dec.D, Axis.Y)
     print(f"ideal              {serialize(ideal)}")
     print(f"mu                 {ideal.mu}")
-    print(f"gcd                {format_term(shift)}")
+    print(f"gcd                {format_term(dec.gcd_shift)}")
     print(f"persistent P(I)    {serialize(MonomialIdeal(profile.persistent))}")
     print(f"weakly persistent  {serialize(MonomialIdeal(profile.weakly_persistent))}")
     print(f"chosen P           {serialize(MonomialIdeal(profile.chosen))}")
     print(f"delta_P            {profile.delta_P}")
     print(f"d_P                {profile.d_P}")
     print(f"D                  {dec.D}")
-    print(f"r_x                {r_x}")
-    print(f"r_y                {r_y}")
+    print(f"r_x                {profile.r_x}")
+    print(f"r_y                {profile.r_y}")
     print(f"axis               {dec.axis.value}")
     print(f"r                  {dec.r}")
     print(f"s                  {dec.s}")
@@ -102,23 +98,11 @@ def cmd_power(args) -> int:
     if args.method == "naive":
         result = naive_power(ideal, n)
     elif args.method == "decomposed":
-        if ideal.is_principal:
-            raise PrincipalIdealError("decomposed method needs a non-principal ideal")
         anchored, shift = ideal.anchor()
         profile = persistence_profile(anchored, _chosen(anchored, args))
-        d = profile.D_P if args.big_d is None else args.big_d
-        if d < profile.D_P:
-            raise ValueError(f"D={d} below the guaranteed bound D_P={profile.D_P}")
-        if n < d:
-            raise ValueError(f"decomposed method needs n >= D = {d}")
         result = decomposed_power(anchored, profile, n).shift(mon_pow(shift, n))
     elif args.method == "fast":
-        if ideal.is_principal:
-            raise PrincipalIdealError("fast method needs a non-principal ideal")
-        dec = _decompose(ideal, args)
-        if n < dec.s:
-            raise ValueError(f"fast method needs n >= s = {dec.s}")
-        result = assemble_power(dec, n)
+        result = assemble_power(_decompose(ideal, args), n)
     else:
         result = power(ideal, n)
     _print_ideal(result, args.format)
@@ -150,12 +134,11 @@ def cmd_mu(args) -> int:
 # -- bench ----------------------------------------------------------------
 
 
-def _bench_cell(gens: tuple, method: str, n: int) -> tuple[float, float, int]:
-    """One benchmark measurement; runs in a worker process.
+def _bench_cell(ideal: MonomialIdeal, method: str, n: int) -> tuple[float, float, int]:
+    """One benchmark measurement; runs in a forked worker process.
 
     Returns (preprocess_ms, compute_ms, mu).
     """
-    ideal = MonomialIdeal(gens)
     if method == "naive":
         start = time.perf_counter()
         result = naive_power(ideal, n)
@@ -174,7 +157,7 @@ def _bench_cell(gens: tuple, method: str, n: int) -> tuple[float, float, int]:
         dec = stable_decomposition(ideal)
         pre_ms = (time.perf_counter() - start) * 1000.0
         start = time.perf_counter()
-        result = assemble_power(dec, max(n, dec.s))
+        result = assemble_power(dec, n)
         return pre_ms, (time.perf_counter() - start) * 1000.0, result.mu
     raise ValueError(f"unknown method {method!r}")
 
@@ -216,39 +199,29 @@ def cmd_bench(args) -> int:
     rows: list[dict] = []
     jobs = []
     for label, ideal in ideals:
-        # s = D_P + r + 1 from the profile alone, as ``power`` finds it.
-        anchored = ideal.anchor()[0]
-        profile = persistence_profile(anchored)  # raises on a principal ideal
-        s = profile.D_P + _axis_and_radius(anchored, profile, profile.D_P)[1] + 1
-        powers = [_parse_power_token(tok, s) for tok in args.powers.split(",") if tok.strip()]
+        # s from the profile alone, as ``power`` finds it; cells out of their
+        # method's range are refused here, before any worker is forked.
+        profile = persistence_profile(ideal.anchor()[0])  # raises on a principal ideal
+        tokens = [tok for tok in args.powers.split(",") if tok.strip()]
+        powers = [_parse_power_token(tok, profile.s) for tok in tokens]
         for n in powers:
             for method in methods:
+                if method != "naive":
+                    require_power(n, profile, method)
                 jobs.append((label, ideal, n, method))
 
     def record(label, method, n, outcome):
-        if outcome is None:
-            rows.append(
-                dict(ideal=label, method=method, n=n, preprocess_ms="—", compute_ms="—", mu="—")
-            )
-        else:
-            pre, comp, mu = outcome
-            rows.append(
-                dict(
-                    ideal=label,
-                    method=method,
-                    n=n,
-                    preprocess_ms=f"{pre:.2f}",
-                    compute_ms=f"{comp:.2f}",
-                    mu=mu,
-                )
-            )
+        pre = comp = mu = "—"
+        if outcome is not None:
+            pre, comp, mu = f"{outcome[0]:.2f}", f"{outcome[1]:.2f}", outcome[2]
+        rows.append(dict(ideal=label, method=method, n=n, preprocess_ms=pre, compute_ms=comp, mu=mu))
 
     ctx = multiprocessing.get_context("fork")
     for label, ideal, n, method in jobs:
         queue = ctx.SimpleQueue()
 
-        def worker(q=queue, gens=ideal.gens, m=method, nn=n):
-            q.put(_bench_cell(gens, m, nn))
+        def worker(q=queue, i=ideal, m=method, nn=n):
+            q.put(_bench_cell(i, m, nn))
 
         proc = ctx.Process(target=worker)
         proc.start()
@@ -326,24 +299,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_decomposition_flags(p):
+    def add_weakly_persistent_flag(p):
         p.add_argument(
             "--use-weakly-persistent",
             dest="weakly",
             action="store_true",
             help="use all boundary generators (P = P*(I)) instead of the corners",
         )
-        p.add_argument(
-            "--big-d",
-            type=int,
-            default=None,
-            metavar="D",
-            help="override the expansion power D (must be >= D_P)",
-        )
 
     p = sub.add_parser("analyze", help="persistence profile and stabilization bounds")
     p.add_argument("ideal", help="ideal text, e.g. 'y^2 + x^2*y + x^3' or '[(0,2),(2,1),(3,0)]'")
-    add_decomposition_flags(p)
+    add_weakly_persistent_flag(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("power", help="minimal generators of I^n")
@@ -351,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--method", choices=["auto", "naive", "decomposed", "fast"], default="auto")
     p.add_argument("--format", choices=["pairs", "terms"], default="pairs")
-    add_decomposition_flags(p)
+    add_weakly_persistent_flag(p)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("mu", help="the generator-count polynomial, or mu(I^n)")

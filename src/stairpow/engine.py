@@ -31,6 +31,7 @@ from .ideals import (
 from .geometry import (
     PersistenceProfile,
     persistence_profile,
+    # Unused here too: the span tracer patches ``engine.stabilization_radius``.
     stabilization_radius,
 )
 from .links import link_blocks
@@ -43,6 +44,13 @@ def _shift_chosen(chosen: Sequence[Monomial] | None, shift: Monomial):
     return tuple((a - shift[0], b - shift[1]) for a, b in chosen)
 
 
+def require_power(n: int, profile: PersistenceProfile, method: str) -> None:
+    """Refuse ``n`` below ``D_P`` for ``"decomposed"``, below ``s`` for ``"assembled"``."""
+    name, least = ("D_P", profile.D_P) if method == "decomposed" else ("s", profile.s)
+    if n < least:
+        raise ValueError(f"{method} power needs n >= {name} = {least}, got {n}")
+
+
 def decomposed_power(
     ideal: MonomialIdeal, profile: PersistenceProfile, n: int, base: MonomialIdeal | None = None
 ) -> MonomialIdeal:
@@ -53,9 +61,8 @@ def decomposed_power(
     its candidate products.  ``base`` may supply a precomputed ``I^D``;
     by default :func:`level_power` builds it.
     """
+    require_power(n, profile, "decomposed")
     d = profile.D_P
-    if n < d:
-        raise ValueError(f"decomposed power needs n >= D_P = {d}, got {n}")
     if base is None:
         base = level_power(ideal, d)
     if n == d:
@@ -73,6 +80,7 @@ class StableDecomposition:
     The components live in the working orientation: the ideal is anchored
     and, when ``axis`` is X, transposed so that the y-oriented machinery
     applies.  ``boundary_points`` are h_0..h_{k+1} of the oriented I^s.
+    ``D``, ``r``, ``s`` and ``axis`` are those of ``profile``.
     """
 
     gcd_shift: Monomial
@@ -107,50 +115,30 @@ class StableDecomposition:
 
 
 def stable_decomposition(
-    ideal: MonomialIdeal,
-    chosen: Sequence[Monomial] | None = None,
-    D: int | None = None,
+    ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None
 ) -> StableDecomposition:
     """Compute the stable components of ``ideal``.
 
     ``chosen`` optionally picks the boundary generator set P (between the
     persistent and the weakly persistent generators, in the original
-    coordinates); ``D`` may be raised above the default bound D_P.
+    coordinates); ``D``, ``r`` and ``s`` follow from its persistence profile.
     """
     if ideal.is_principal:
         raise PrincipalIdealError("stable decomposition needs a non-principal ideal")
     anchored, shift = ideal.anchor()
     profile = persistence_profile(anchored, _shift_chosen(chosen, shift))
-    return _decompose(anchored, shift, profile, D)
+    return _decompose(anchored, shift, profile)
 
 
-def _axis_and_radius(anchored: MonomialIdeal, profile: PersistenceProfile, D: int) -> tuple[Axis, int]:
-    """The working axis and its repeat count r: the smaller of the two
-    stabilization radii at D, y on a tie."""
-    r_x = stabilization_radius(anchored, profile, D, Axis.X)
-    r_y = stabilization_radius(anchored, profile, D, Axis.Y)
-    return (Axis.Y, r_y) if r_y <= r_x else (Axis.X, r_x)
-
-
-def _decompose(
-    anchored: MonomialIdeal, shift: Monomial, profile: PersistenceProfile, D: int | None
-) -> StableDecomposition:
+def _decompose(anchored: MonomialIdeal, shift: Monomial, profile: PersistenceProfile) -> StableDecomposition:
     """The stable components of ``shift * anchored`` for the persistence
     profile of ``anchored``."""
-    if D is None:
-        D = profile.D_P
-    elif D < profile.D_P:
-        raise ValueError(f"D={D} below the guaranteed bound D_P={profile.D_P}")
-
-    axis, r = _axis_and_radius(anchored, profile, D)
-    s = D + r + 1
-
     oriented, chosen = anchored, MonomialIdeal(profile.chosen)
-    if axis is Axis.X:
+    if profile.axis is Axis.X:
         oriented, chosen = anchored.transpose(), chosen.transpose()
 
-    j_base = level_power(oriented, D)
-    glued: GluedComponents = glued_components(chosen.gens, j_base, r)
+    j_base = level_power(oriented, profile.D_P)
+    glued: GluedComponents = glued_components(chosen.gens, j_base, profile.r)
     boundary = (
         ((0, glued.base.dist(Axis.Y)),)
         + glued.link_points
@@ -158,11 +146,11 @@ def _decompose(
     )
     return StableDecomposition(
         gcd_shift=shift,
-        axis=axis,
+        axis=profile.axis,
         profile=profile,
-        D=D,
-        r=r,
-        s=s,
+        D=profile.D_P,
+        r=profile.r,
+        s=profile.s,
         gs=glued.gs,
         components=glued.components,
         middles=glued.middles,
@@ -185,8 +173,7 @@ def _emit(dec: StableDecomposition, ell: int) -> tuple[MonomialIdeal, int]:
 def assemble_power_counted(dec: StableDecomposition, n: int) -> tuple[MonomialIdeal, int]:
     """Like :func:`assemble_power` but also reports the number of exponent
     additions spent emitting generators."""
-    if n < dec.s:
-        raise ValueError(f"assembly needs n >= s = {dec.s}, got {n}")
+    require_power(n, dec.profile, "assembled")
     return _emit(dec, n - dec.s)
 
 
@@ -209,12 +196,11 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
         return MonomialIdeal((mon_pow(ideal.gcd(), n),))
     anchored, shift = ideal.anchor()
     profile = persistence_profile(anchored)
-    d = profile.D_P
-    if n < d:
+    if n < profile.D_P:
         return level_power(ideal, n)
-    if n < d + _axis_and_radius(anchored, profile, d)[1] + 1:
+    if n < profile.s:
         return decomposed_power(anchored, profile, n).shift(mon_pow(shift, n))
-    return assemble_power(_decompose(anchored, shift, profile, None), n)
+    return assemble_power(_decompose(anchored, shift, profile), n)
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,13 @@ def weakly_persistent_generators(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
 
 @dataclass(frozen=True)
 class PersistenceProfile:
-    """The boundary generators of an ideal and the stabilization constants.
+    """The boundary generators of an ideal and its stabilization constants.
 
     ``chosen`` is a set P with ``persistent <= P <= weakly_persistent``
     (ordered in descending y-degree); all constants refer to it.
+    ``r_x`` and ``r_y`` are the stabilization radii at ``D_P``.  The working
+    ``axis`` is the one with the smaller radius (y on a tie), ``r`` is that
+    radius and ``s = D_P + r + 1`` the stabilization exponent.
     """
 
     persistent: tuple[Monomial, ...]
@@ -68,6 +71,20 @@ class PersistenceProfile:
     delta_P: int
     d_P: int
     D_P: int
+    r_x: int
+    r_y: int
+
+    @property
+    def axis(self) -> Axis:
+        return Axis.Y if self.r_y <= self.r_x else Axis.X
+
+    @property
+    def r(self) -> int:
+        return min(self.r_x, self.r_y)
+
+    @property
+    def s(self) -> int:
+        return self.D_P + self.r + 1
 
 
 def persistence_profile(
@@ -99,21 +116,26 @@ def persistence_profile(
         d_p = min(ideal.dist(Axis.X), ideal.dist(Axis.Y)) - 2
     else:
         d_p = 0
-    big_d = (ideal.mu - len(chosen)) * delta + len(chosen) * d_p
+    D = (ideal.mu - len(chosen)) * delta + len(chosen) * d_p
     return PersistenceProfile(
         persistent=persistent,
         weakly_persistent=weakly,
         chosen=chosen,
         delta_P=delta,
         d_P=d_p,
-        D_P=big_d,
+        D_P=D,
+        r_x=_radius(ideal, chosen, D, Axis.X),
+        r_y=_radius(ideal, chosen, D, Axis.Y),
     )
+
+
+def _radius(ideal: MonomialIdeal, chosen: tuple[Monomial, ...], D: int, axis: Axis) -> int:
+    if D == 0:
+        return 0
+    min_pair = min(pair_dist(g, h, axis) for g, h in zip(chosen, chosen[1:]))
+    return -(-D * ideal.dist(axis) // min_pair)
 
 
 def stabilization_radius(ideal: MonomialIdeal, profile: PersistenceProfile, D: int, axis: Axis) -> int:
     """The minimal repeat count r_axis(P, D) for the staircase blocks of I^D."""
-    if D == 0:
-        return 0
-    dist_i = ideal.dist(axis)
-    min_pair = min(pair_dist(g, h, axis) for g, h in zip(profile.chosen, profile.chosen[1:]))
-    return -(-D * dist_i // min_pair)
+    return _radius(ideal, profile.chosen, D, axis)

@@ -98,7 +98,7 @@ def parse_ideal(text: str) -> MonomialIdeal:
 
 def serialize(ideal: MonomialIdeal) -> str:
     """The canonical pair-list form, inverse of :func:`parse_ideal`."""
-    return "[" + ", ".join(f"({a}, {b})" for a, b in ideal.gens) + "]"
+    return str(ideal)
 
 
 def format_term(m: Monomial) -> str:

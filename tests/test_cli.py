@@ -76,13 +76,11 @@ def test_power_decomposed_builds_no_decomposition(capsys, monkeypatch):
     big = MonomialIdeal.of((0, 10), (1, 9), (2, 5), (4, 4), (5, 3), (6, 2), (12, 1), (15, 0))
     text = str(big.shift((2, 3)))
     expected = str(naive_power(big.shift((2, 3)), 50)) + "\n"
-    for flags in ([], ["--use-weakly-persistent"], ["--big-d", "45"]):
+    for flags in ([], ["--use-weakly-persistent"]):
         code, out, err = run(capsys, "power", text, "50", "--method", "decomposed", *flags)
         assert (code, out) == (0, expected), err
-    code, _, err = run(capsys, "power", text, "50", "--method", "decomposed", "--big-d", "39")
-    assert code == 2 and "D_P=40" in err
-    code, _, err = run(capsys, "power", text, "44", "--method", "decomposed", "--big-d", "45")
-    assert code == 2 and "n >= D = 45" in err
+    code, _, err = run(capsys, "power", text, "39", "--method", "decomposed")
+    assert code == 2 and "D_P = 40" in err
 
 
 def test_power_n1_echo(capsys):
@@ -161,7 +159,7 @@ def test_bench_decomposed_cell_builds_no_decomposition(monkeypatch):
 
     monkeypatch.setattr(cli, "stable_decomposition", refuse)
     big = MonomialIdeal.of((0, 10), (1, 9), (2, 5), (4, 4), (5, 3), (6, 2), (12, 1), (15, 0))
-    _, _, mu = cli._bench_cell(big.gens, "decomposed", 60)
+    _, _, mu = cli._bench_cell(big, "decomposed", 60)
     assert mu == naive_power(big, 60).mu
 
 
@@ -185,6 +183,22 @@ def test_bench_s_without_decomposition(tmp_path, capsys, monkeypatch):
     ideals.write_text("p: x^3*y^2\n")
     code, _, err = run(capsys, *argv)
     assert code == 2 and "principal" in err
+
+
+def test_bench_refuses_out_of_range_cells(tmp_path, capsys, monkeypatch):
+    # D_P = 40 and s = 241 come from the profile; a cell below its method's
+    # least power is refused with the engine's message before any fork.
+    def refuse(*args, **kwargs):
+        raise AssertionError("worker forked")
+
+    monkeypatch.setattr(cli.multiprocessing, "get_context", refuse)
+    ideals = tmp_path / "ideals.txt"
+    ideals.write_text("big: [(0,10),(1,9),(2,5),(4,4),(5,3),(6,2),(12,1),(15,0)]\n")
+    argv = ["bench", str(ideals), "--powers", "5,241", "--methods"]
+    code, out, err = run(capsys, *argv, "naive,decomposed,assembled")
+    assert (code, out) == (2, "") and "decomposed power needs n >= D_P = 40, got 5" in err
+    code, out, err = run(capsys, *argv, "naive,assembled")
+    assert (code, out) == (2, "") and "assembled power needs n >= s = 241, got 5" in err
 
 
 def test_bench_timeout_dash(tmp_path, capsys, monkeypatch):

@@ -28,6 +28,7 @@ from stairpow.engine import (
 from stairpow.geometry import (
     persistence_profile,
     persistent_generators,
+    stabilization_radius,
     weakly_persistent_generators,
 )
 from stairpow.oracle import RandomIdealSpec, random_ideal
@@ -357,20 +358,13 @@ def test_bound_conformance_random():
             assert dec.s <= I.mu * (d * d - 1) + 1
 
 
-def test_d_override():
-    dec = stable_decomposition(SMALL, D=3)
-    assert dec.D == 3
-    assert assemble_power(dec, dec.s).gens == naive_power(SMALL, dec.s).gens
-    with pytest.raises(ValueError):
-        stable_decomposition(SMALL, D=0)
-
-
 def test_principal_rejected():
     with pytest.raises(PrincipalIdealError):
         stable_decomposition(MonomialIdeal(((3, 4),)))
 
 
-def test_decompositions_match_recorded_digests():
+def _recorded_at_s():
+    """The recorded row of I^s per anchored decompose ideal, both orientations."""
     # The benchmark recorded SHA-256 digests of I^s, from candidate products,
     # for both orientations of every decompose ideal; each ideal's least n
     # is its s (the other rows are emit cells at s + ell, ell >= 1000).
@@ -380,7 +374,26 @@ def test_decompositions_match_recorded_digests():
         if key not in least or row["n"] < least[key]["n"]:
             least[key] = row
     assert len(least) == 259
-    for gens, row in least.items():
+    return least
+
+
+def test_profile_holds_d_r_s():
+    # The 131 decompose ideals as given and transposed (259 distinct images):
+    # the profile's radii are the stabilization radii at D_P, its s is the
+    # recorded one, and the decomposition takes D, r, s and the axis from it.
+    for gens, row in _recorded_at_s().items():
+        ideal = MonomialIdeal(gens)
+        profile = persistence_profile(ideal)
+        radii = [stabilization_radius(ideal, profile, profile.D_P, axis) for axis in (Axis.X, Axis.Y)]
+        assert [profile.r_x, profile.r_y] == radii, gens
+        assert profile.r == min(radii) and profile.s == profile.D_P + profile.r + 1 == row["n"]
+        dec = stable_decomposition(ideal)
+        assert (dec.D, dec.r, dec.s, dec.axis) == (profile.D_P, profile.r, profile.s, profile.axis)
+        assert dec.profile == profile
+
+
+def test_decompositions_match_recorded_digests():
+    for gens, row in _recorded_at_s().items():
         dec = stable_decomposition(MonomialIdeal(gens))
         assert dec.s == row["n"], gens
         xy = assemble_power(dec, dec.s).xy

@@ -12,6 +12,7 @@ from stairpow.oracle import (
     random_ideal,
 )
 from stairpow.engine import stable_decomposition
+from stairpow.geometry import weakly_persistent_generators
 
 SMALL = MonomialIdeal(((0, 2), (2, 1), (3, 0)))
 
@@ -74,6 +75,20 @@ def test_big_example_at_s():
     report = differential_check(big, [241])
     assert report.passed
     assert any(r.method == "assembled" and r.n == 241 for r in report.records)
+
+
+def test_differential_check_weakly_persistent_decomposition():
+    # With P = P*(I) the reference, the staircase expansion and the assembly
+    # all step from the same profile, so they agree.
+    edge = MonomialIdeal.of((0, 4), (1, 3), (2, 2), (4, 0))
+    bends = MonomialIdeal.of((0, 12), (2, 8), (4, 4), (5, 3), (7, 1), (9, 0))
+    for ideal in (edge, bends, bends.shift((2, 3)).transpose()):
+        dec = stable_decomposition(ideal, chosen=weakly_persistent_generators(ideal))
+        assert len(dec.profile.chosen) > len(dec.profile.persistent)
+        powers = [1, 2, dec.D - 1, dec.D, dec.D + 1, dec.s - 1, dec.s, dec.s + 1]
+        report = differential_check(ideal, powers, dec=dec)
+        assert not report.failures, report.lines()
+        assert any(r.method == "assembled" for r in report.records)
 
 
 def test_corpus_powers_window():

@@ -43,6 +43,7 @@ def test_serialize_round_trip_random():
     for seed in range(100):
         I = random_ideal(RandomIdealSpec(8, 25, seed=seed))
         assert parse_ideal(serialize(I)).gens == I.gens
+        assert serialize(I) == str(I)
 
 
 def test_format_term():

@@ -33,7 +33,7 @@ def test_no_assert_statements():
 def test_src_line_budget():
     # The cap on the package's size, by ``wc -l src/stairpow/*.py``.
     lines = sum(len(path.read_bytes().splitlines()) for path in SRC.glob("*.py"))
-    assert lines <= 2063, f"src/stairpow has {lines} lines, over the 2063-line budget"
+    assert lines <= 2000, f"src/stairpow has {lines} lines, over the 2000-line budget"
 
 
 def _load_spans():
