@@ -2,8 +2,8 @@
 
 Subcommands: analyze | power | mu | bench | plot | check.  Exit codes:
 0 success, 1 usage or parse errors (and failed check suites), 2 violated
-math preconditions (principal ideal, n < 1, infeasible method), 3 exponent
-overflow.
+math preconditions (principal ideal, n < 1, a bench cell below its method's
+range), 3 exponent overflow.
 """
 
 from __future__ import annotations
@@ -12,18 +12,10 @@ import argparse
 import csv
 import io
 import multiprocessing
-import os
 import sys
 import time
 
-from .ideals import (
-    ExponentOverflowError,
-    MonomialIdeal,
-    PrincipalIdealError,
-    level_power,
-    mon_pow,
-    naive_power,
-)
+from .ideals import ExponentOverflowError, MonomialIdeal, PrincipalIdealError, level_power, naive_power
 from .engine import (
     assemble_power,
     decomposed_power,
@@ -36,9 +28,6 @@ from .geometry import persistence_profile, weakly_persistent_generators
 from .oracle import check_corpus
 from .svg import write_svg
 from .textio import ParseError, format_term, parse_ideal, serialize
-
-#: Environment variable overriding the seed of the check suite.
-SEED_ENV = "STAIRPOW_SEED"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,18 +43,9 @@ def _print_ideal(ideal: MonomialIdeal, fmt: str) -> None:
         print(serialize(ideal))
 
 
-def _chosen(ideal: MonomialIdeal, args):
-    """P*(I) under ``--use-weakly-persistent``, else the default P(I)."""
-    return weakly_persistent_generators(ideal) if args.weakly else None
-
-
-def _decompose(ideal: MonomialIdeal, args):
-    return stable_decomposition(ideal, chosen=_chosen(ideal, args))
-
-
 def cmd_analyze(args) -> int:
     ideal = parse_ideal(args.ideal)
-    dec = _decompose(ideal, args)
+    dec = stable_decomposition(ideal, weakly_persistent_generators(ideal) if args.weakly else None)
     profile = dec.profile
     print(f"ideal              {serialize(ideal)}")
     print(f"mu                 {ideal.mu}")
@@ -91,43 +71,28 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_power(args) -> int:
-    ideal = parse_ideal(args.ideal)
-    n = args.n
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
-    if args.method == "naive":
-        result = naive_power(ideal, n)
-    elif args.method == "decomposed":
-        anchored, shift = ideal.anchor()
-        profile = persistence_profile(anchored, _chosen(anchored, args))
-        result = decomposed_power(anchored, profile, n).shift(mon_pow(shift, n))
-    elif args.method == "fast":
-        result = assemble_power(_decompose(ideal, args), n)
-    else:
-        result = power(ideal, n)
-    _print_ideal(result, args.format)
+    _print_ideal(power(parse_ideal(args.ideal), args.n), args.format)
     return EXIT_OK
 
 
 def cmd_mu(args) -> int:
     ideal = parse_ideal(args.ideal)
+    n = args.n
+    if n is not None and n < 1:
+        raise ValueError(f"power must be >= 1, got {n}")
     if ideal.is_principal:
-        if args.n is not None:
-            print(f"mu(I^{args.n}) = 1")
-            return EXIT_OK
-        print("mu(I^n) = 1 for all n >= 1 (principal ideal)")
+        print("mu(I^n) = 1 for all n >= 1 (principal ideal)" if n is None else f"mu(I^{n}) = 1")
+        return EXIT_OK
+    # s from the profile alone: below it no decomposition is needed.
+    s = persistence_profile(ideal).s
+    if n is not None and n < s:
+        print(f"mu(I^{n}) = {power(ideal, n).mu}  (pre-stable: n < s = {s})")
         return EXIT_OK
     poly = mu_polynomial(ideal)
-    if args.n is None:
+    if n is None:
         print(f"mu(I^n) = {poly.intercept} + {poly.slope}*(n - {poly.s}) for n >= {poly.s}")
-        return EXIT_OK
-    n = args.n
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
-    if n >= poly.s:
-        print(f"mu(I^{n}) = {poly(n)}")
     else:
-        print(f"mu(I^{n}) = {power(ideal, n).mu}  (pre-stable: n < s = {poly.s})")
+        print(f"mu(I^{n}) = {poly(n)}")
     return EXIT_OK
 
 
@@ -145,12 +110,11 @@ def _bench_cell(ideal: MonomialIdeal, method: str, n: int) -> tuple[float, float
         return 0.0, (time.perf_counter() - start) * 1000.0, result.mu
     if method == "decomposed":
         start = time.perf_counter()
-        anchored, _ = ideal.anchor()
-        profile = persistence_profile(anchored)
-        base = level_power(anchored, profile.D_P)
+        profile = persistence_profile(ideal)
+        base = level_power(ideal, profile.D_P)
         pre_ms = (time.perf_counter() - start) * 1000.0
         start = time.perf_counter()
-        result = decomposed_power(anchored, profile, n, base=base)
+        result = decomposed_power(ideal, profile, n, base=base)
         return pre_ms, (time.perf_counter() - start) * 1000.0, result.mu
     if method == "assembled":
         start = time.perf_counter()
@@ -201,7 +165,7 @@ def cmd_bench(args) -> int:
     for label, ideal in ideals:
         # s from the profile alone, as ``power`` finds it; cells out of their
         # method's range are refused here, before any worker is forked.
-        profile = persistence_profile(ideal.anchor()[0])  # raises on a principal ideal
+        profile = persistence_profile(ideal)  # raises on a principal ideal
         tokens = [tok for tok in args.powers.split(",") if tok.strip()]
         powers = [_parse_power_token(tok, profile.s) for tok in tokens]
         for n in powers:
@@ -270,15 +234,11 @@ def cmd_plot(args) -> int:
 
 
 def cmd_check(args) -> int:
-    seed = args.seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        seed = int(env)
     reports = check_corpus(
         count=args.count,
         mu_max=args.mu_max,
         exp_max=args.exp_max,
-        seed=seed,
+        seed=args.seed,
         tail=args.tail,
     )
     failures = 0
@@ -288,7 +248,7 @@ def cmd_check(args) -> int:
                 print(line)
         failures += len(report.failures)
     total = sum(len(r.records) for r in reports)
-    print(f"check suite: {len(reports)} ideals, {total} comparisons, {failures} mismatches (seed={seed})")
+    print(f"check suite: {len(reports)} ideals, {total} comparisons, {failures} mismatches (seed={args.seed})")
     return EXIT_OK if failures == 0 else EXIT_USAGE
 
 
@@ -299,25 +259,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_weakly_persistent_flag(p):
-        p.add_argument(
-            "--use-weakly-persistent",
-            dest="weakly",
-            action="store_true",
-            help="use all boundary generators (P = P*(I)) instead of the corners",
-        )
-
     p = sub.add_parser("analyze", help="persistence profile and stabilization bounds")
     p.add_argument("ideal", help="ideal text, e.g. 'y^2 + x^2*y + x^3' or '[(0,2),(2,1),(3,0)]'")
-    add_weakly_persistent_flag(p)
+    p.add_argument(
+        "--use-weakly-persistent",
+        dest="weakly",
+        action="store_true",
+        help="use all boundary generators (P = P*(I)) instead of the corners",
+    )
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("power", help="minimal generators of I^n")
     p.add_argument("ideal")
     p.add_argument("n", type=int)
-    p.add_argument("--method", choices=["auto", "naive", "decomposed", "fast"], default="auto")
     p.add_argument("--format", choices=["pairs", "terms"], default="pairs")
-    add_weakly_persistent_flag(p)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("mu", help="the generator-count polynomial, or mu(I^n)")
@@ -344,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=25)
     p.add_argument("--mu-max", type=int, default=8)
     p.add_argument("--exp-max", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0, help=f"overridden by ${SEED_ENV} if set")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tail", type=int, default=15)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_check)

@@ -38,12 +38,6 @@ from .links import link_blocks
 from .segments import GluedComponents, glued_blocks, glued_components, staircase_times
 
 
-def _shift_chosen(chosen: Sequence[Monomial] | None, shift: Monomial):
-    if chosen is None:
-        return None
-    return tuple((a - shift[0], b - shift[1]) for a, b in chosen)
-
-
 def require_power(n: int, profile: PersistenceProfile, method: str) -> None:
     """Refuse ``n`` below ``D_P`` for ``"decomposed"``, below ``s`` for ``"assembled"``."""
     name, least = ("D_P", profile.D_P) if method == "decomposed" else ("s", profile.s)
@@ -56,9 +50,9 @@ def decomposed_power(
 ) -> MonomialIdeal:
     """``I^n`` via one ``I^D`` and staircase-pair expansions.
 
-    Valid for ``n >= D_P``; each summand ``(g_i, g_(i+1))^(n-D) I^D`` is a
-    window-minimum staircase, in work linear in its y-span rather than in
-    its candidate products.  ``base`` may supply a precomputed ``I^D``;
+    Valid for ``n >= D_P``, in the ideal's own coordinates; each summand
+    ``(g_i, g_(i+1))^(n-D) I^D`` is a window-minimum staircase, in work
+    linear in its y-span rather than in its candidate products.  ``base`` may supply a precomputed ``I^D``;
     by default :func:`level_power` builds it.
     """
     require_power(n, profile, "decomposed")
@@ -80,7 +74,8 @@ class StableDecomposition:
     The components live in the working orientation: the ideal is anchored
     and, when ``axis`` is X, transposed so that the y-oriented machinery
     applies.  ``boundary_points`` are h_0..h_{k+1} of the oriented I^s.
-    ``D``, ``r``, ``s`` and ``axis`` are those of ``profile``.
+    ``profile`` is the persistence profile of the ideal as given; ``D``,
+    ``r``, ``s`` and ``axis`` are its values.
     """
 
     gcd_shift: Monomial
@@ -120,22 +115,24 @@ def stable_decomposition(
     """Compute the stable components of ``ideal``.
 
     ``chosen`` optionally picks the boundary generator set P (between the
-    persistent and the weakly persistent generators, in the original
-    coordinates); ``D``, ``r`` and ``s`` follow from its persistence profile.
+    persistent and the weakly persistent generators); ``D``, ``r`` and ``s``
+    follow from its persistence profile.
     """
     if ideal.is_principal:
         raise PrincipalIdealError("stable decomposition needs a non-principal ideal")
-    anchored, shift = ideal.anchor()
-    profile = persistence_profile(anchored, _shift_chosen(chosen, shift))
-    return _decompose(anchored, shift, profile)
+    return _decompose(ideal, persistence_profile(ideal, chosen))
 
 
-def _decompose(anchored: MonomialIdeal, shift: Monomial, profile: PersistenceProfile) -> StableDecomposition:
-    """The stable components of ``shift * anchored`` for the persistence
-    profile of ``anchored``."""
-    oriented, chosen = anchored, MonomialIdeal(profile.chosen)
+def _decompose(ideal: MonomialIdeal, profile: PersistenceProfile) -> StableDecomposition:
+    """The stable components of ``ideal`` for its persistence profile.
+
+    The one place that anchors: P holds both extreme generators of the
+    ideal, so the gcd of the ideal is also that of P.
+    """
+    oriented, shift = ideal.anchor()
+    chosen = MonomialIdeal(profile.chosen).shift((-shift[0], -shift[1]))
     if profile.axis is Axis.X:
-        oriented, chosen = anchored.transpose(), chosen.transpose()
+        oriented, chosen = oriented.transpose(), chosen.transpose()
 
     j_base = level_power(oriented, profile.D_P)
     glued: GluedComponents = glued_components(chosen.gens, j_base, profile.r)
@@ -194,13 +191,12 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
         raise ValueError(f"power must be >= 1, got {n}")
     if ideal.is_principal:
         return MonomialIdeal((mon_pow(ideal.gcd(), n),))
-    anchored, shift = ideal.anchor()
-    profile = persistence_profile(anchored)
+    profile = persistence_profile(ideal)
     if n < profile.D_P:
         return level_power(ideal, n)
     if n < profile.s:
-        return decomposed_power(anchored, profile, n).shift(mon_pow(shift, n))
-    return assemble_power(_decompose(anchored, shift, profile), n)
+        return decomposed_power(ideal, profile, n)
+    return assemble_power(_decompose(ideal, profile), n)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .ideals import MonomialIdeal, PrincipalIdealError, mon_pow, naive_power
+from .ideals import MonomialIdeal, PrincipalIdealError, naive_power
 from .engine import (
     StableDecomposition,
     assemble_power,
@@ -126,8 +126,7 @@ def differential_check(
         raise PrincipalIdealError("differential check needs a non-principal ideal")
     if dec is None:
         dec = stable_decomposition(ideal)
-    anchored, shift = ideal.anchor()
-    d_base = naive_power(anchored, dec.D)
+    d_base = naive_power(ideal, dec.D)
 
     report = DifferentialReport(label=label, ideal=ideal)
     naive_cache: MonomialIdeal | None = None
@@ -151,11 +150,7 @@ def differential_check(
             naive_cache, naive_at = value, n
             candidates["naive"] = value
         if n >= dec.D:
-            value, ms = _timed(
-                lambda: decomposed_power(anchored, dec.profile, n, base=d_base).shift(
-                    mon_pow(shift, n)
-                )
-            )
+            value, ms = _timed(lambda: decomposed_power(ideal, dec.profile, n, base=d_base))
             candidates["decomposed"] = value
             timings["decomposed"] = ms
         if n >= dec.s:

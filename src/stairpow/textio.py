@@ -69,7 +69,7 @@ def _parse_pair_list(text: str) -> MonomialIdeal:
         if (
             not isinstance(item, (list, tuple))
             or len(item) != 2
-            or not all(isinstance(c, int) and c >= 0 for c in item)
+            or not all(type(c) is int and c >= 0 for c in item)  # no bool
         ):
             raise ParseError(f"invalid exponent pair {item!r}", 0)
         pairs.append((item[0], item[1]))

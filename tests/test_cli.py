@@ -4,9 +4,12 @@ import time
 
 import pytest
 
-from stairpow import cli
+from stairpow import cli, engine
 from stairpow.cli import main
 from stairpow.ideals import MonomialIdeal, naive_power
+
+SMALL = MonomialIdeal(((0, 2), (2, 1), (3, 0)))
+BIG = MonomialIdeal.of((0, 10), (1, 9), (2, 5), (4, 4), (5, 3), (6, 2), (12, 1), (15, 0))
 
 
 def run(capsys, *argv):
@@ -46,41 +49,45 @@ def test_analyze_parse_error_exit_1(capsys):
 
 
 def test_power_fast_vs_naive(capsys):
-    _, fast, _ = run(capsys, "power", "y^2 + x^2*y + x^3", "3", "--method", "fast")
-    _, naive, _ = run(capsys, "power", "y^2 + x^2*y + x^3", "3", "--method", "naive")
-    assert fast == naive
-    assert fast.count("(") == 7
+    # n = s = 3: the assembled route.
+    code, out, _ = run(capsys, "power", "y^2 + x^2*y + x^3", "3")
+    assert (code, out) == (0, str(naive_power(SMALL, 3)) + "\n")
+    assert out.count("(") == 7
 
 
 def _analyze_lines(out):
     return dict((line[:19].strip(), line[19:]) for line in out.splitlines())
 
 
-@pytest.mark.parametrize("text", ["[(0,4),(1,3),(2,2),(4,0)]", "[(2,7),(3,6),(4,5),(6,3)]"])
+#: Ideal text -> its P*(I) and P(I), as generators of the ideal as given.
+BOUNDARY_SETS = {
+    "[(0,4),(1,3),(2,2),(4,0)]": ("[(0, 4), (1, 3), (2, 2), (4, 0)]", "[(0, 4), (4, 0)]"),
+    "[(2,7),(3,6),(4,5),(6,3)]": ("[(2, 7), (3, 6), (4, 5), (6, 3)]", "[(2, 7), (6, 3)]"),
+}
+
+
+@pytest.mark.parametrize("text", BOUNDARY_SETS)
 def test_analyze_weakly_persistent(capsys, text):
     # The edge from y^4 to x^4 carries x*y^3 and x^2*y^2; the second ideal is
     # the first times x^2*y^3.
+    weakly, persistent = BOUNDARY_SETS[text]
     code, out, _ = run(capsys, "analyze", text, "--use-weakly-persistent")
     assert code == 0
     lines = _analyze_lines(out)
-    assert lines["chosen P"] == lines["weakly persistent"] == "[(0, 4), (1, 3), (2, 2), (4, 0)]"
-    assert lines["persistent P(I)"] == "[(0, 4), (4, 0)]"
+    assert lines["chosen P"] == lines["weakly persistent"] == weakly
+    assert lines["persistent P(I)"] == persistent
 
 
 def test_power_decomposed_builds_no_decomposition(capsys, monkeypatch):
-    # The decomposed route needs only the profile: D and the chosen P.
+    # Below s = 241 the routes need only the profile: D_P = 40 and P.
     def refuse(*args, **kwargs):
-        raise AssertionError("stable_decomposition called")
+        raise AssertionError("decomposition built")
 
-    monkeypatch.setattr(cli, "stable_decomposition", refuse)
-    big = MonomialIdeal.of((0, 10), (1, 9), (2, 5), (4, 4), (5, 3), (6, 2), (12, 1), (15, 0))
-    text = str(big.shift((2, 3)))
-    expected = str(naive_power(big.shift((2, 3)), 50)) + "\n"
-    for flags in ([], ["--use-weakly-persistent"]):
-        code, out, err = run(capsys, "power", text, "50", "--method", "decomposed", *flags)
-        assert (code, out) == (0, expected), err
-    code, _, err = run(capsys, "power", text, "39", "--method", "decomposed")
-    assert code == 2 and "D_P = 40" in err
+    monkeypatch.setattr(engine, "_decompose", refuse)
+    shifted = BIG.shift((2, 3))
+    for n in (39, 50):
+        code, out, err = run(capsys, "power", str(shifted), str(n))
+        assert (code, out) == (0, str(naive_power(shifted, n)) + "\n"), err
 
 
 def test_power_n1_echo(capsys):
@@ -100,12 +107,6 @@ def test_power_invalid_n_exit_2(capsys):
     assert code == 2
 
 
-def test_power_fast_below_s_exit_2(capsys):
-    code, _, err = run(capsys, "power", "y^2 + x^2*y + x^3", "2", "--method", "fast")
-    assert code == 2
-    assert "n >= s" in err
-
-
 def test_mu_polynomial_output(capsys):
     code, out, _ = run(capsys, "mu", "y^2 + x^2*y + x^3")
     assert code == 0
@@ -122,6 +123,23 @@ def test_mu_at_n(capsys):
     code, out, _ = run(capsys, "mu", "y^2 + x^2*y + x^3", "10")
     assert code == 0
     assert "mu(I^10) = 21" in out
+
+
+@pytest.mark.parametrize("text", ["x^2*y^3", "y^2 + x^2*y + x^3"])
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_mu_invalid_n_exit_2(capsys, text, n):
+    code, out, err = run(capsys, "mu", text, n)
+    assert (code, out) == (2, "") and "power must be >= 1" in err
+
+
+def test_mu_prestable_builds_no_decomposition(capsys, monkeypatch):
+    # s = 241 comes from the profile; below it the count is that of I^n.
+    def refuse(*args, **kwargs):
+        raise AssertionError("mu_polynomial called")
+
+    monkeypatch.setattr(cli, "mu_polynomial", refuse)
+    code, out, _ = run(capsys, "mu", str(BIG), "100")
+    assert (code, out) == (0, f"mu(I^100) = {naive_power(BIG, 100).mu}  (pre-stable: n < s = 241)\n")
 
 
 def test_bench_csv(tmp_path, capsys):
@@ -158,9 +176,8 @@ def test_bench_decomposed_cell_builds_no_decomposition(monkeypatch):
         raise AssertionError("stable_decomposition called")
 
     monkeypatch.setattr(cli, "stable_decomposition", refuse)
-    big = MonomialIdeal.of((0, 10), (1, 9), (2, 5), (4, 4), (5, 3), (6, 2), (12, 1), (15, 0))
-    _, _, mu = cli._bench_cell(big, "decomposed", 60)
-    assert mu == naive_power(big, 60).mu
+    _, _, mu = cli._bench_cell(BIG, "decomposed", 60)
+    assert mu == naive_power(BIG, 60).mu
 
 
 def test_bench_s_without_decomposition(tmp_path, capsys, monkeypatch):
@@ -239,13 +256,6 @@ def test_check_suite(capsys):
     code, out, _ = run(capsys, "check", "--count", "3")
     assert code == 0
     assert "0 mismatches" in out
-
-
-def test_check_seed_env(monkeypatch, capsys):
-    monkeypatch.setenv("STAIRPOW_SEED", "99")
-    code, out, _ = run(capsys, "check", "--count", "2")
-    assert code == 0
-    assert "seed=99" in out
 
 
 def test_usage_error_exit_1(capsys):

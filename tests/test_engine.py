@@ -12,7 +12,6 @@ from stairpow.ideals import (
     ExponentOverflowError,
     MonomialIdeal,
     PrincipalIdealError,
-    mon_pow,
     naive_power,
 )
 from stairpow.engine import (
@@ -114,9 +113,8 @@ def test_assemble_big_against_decomposed():
     for ideal in (BIG, BIG.transpose(), BIG.shift((3, 2))):
         dec = stable_decomposition(ideal)
         axes.append(dec.axis)
-        anchored, shift = ideal.anchor()
         for n in (dec.s, dec.s + 10):
-            expected = decomposed_power(anchored, dec.profile, n).shift(mon_pow(shift, n))
+            expected = decomposed_power(ideal, dec.profile, n)
             assert assemble_power(dec, n).gens == expected.gens
     assert axes == [Axis.Y, Axis.X, Axis.Y]
     assert assemble_power(stable_decomposition(BIG), 251).mu == 1688 + 70
@@ -147,6 +145,22 @@ def test_power_computes_profile_once(monkeypatch):
     monkeypatch.setattr(engine, "persistence_profile", lambda *a: calls.append(a) or real(*a))
     assert power(BIG, 300).gens == expected
     assert len(calls) == 1
+
+
+def test_power_below_s_never_anchors(monkeypatch):
+    # Below s both routes work in the ideal's own coordinates.
+    def refuse(self):
+        raise AssertionError("anchor called")
+
+    monkeypatch.setattr(MonomialIdeal, "anchor", refuse)
+    for seed in (1, 3, 8, 13, 16, 21):
+        I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+        for J in (I.shift((3, 5)), I.transpose().shift((2, 0))):
+            profile = persistence_profile(J)
+            for n in sorted({profile.D_P, (profile.D_P + profile.s) // 2, profile.s - 1}):
+                expected = naive_power(J, n)
+                assert power(J, n) == expected, (seed, n)
+                assert decomposed_power(J, profile, n) == expected, (seed, n)
 
 
 @pytest.mark.parametrize("ideal", [SMALL, BIG])
@@ -245,12 +259,10 @@ def test_weakly_persistent_choice_assembles(seed):
     I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
     for J in (I, I.shift((2, 3))):
         dec = stable_decomposition(J, chosen=weakly_persistent_generators(J))
-        assert dec.profile.chosen == weakly_persistent_generators(J.anchor()[0])
-        anchored, shift = J.anchor()
-        profile = persistence_profile(anchored)
+        assert dec.profile.chosen == weakly_persistent_generators(J)
+        profile = persistence_profile(J)
         for n in (dec.s, dec.s + 1, dec.s + 3):
-            expected = decomposed_power(anchored, profile, n).shift(mon_pow(shift, n))
-            assert assemble_power(dec, n) == expected
+            assert assemble_power(dec, n) == decomposed_power(J, profile, n)
 
 
 def test_weakly_persistent_sample():

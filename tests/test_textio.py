@@ -39,6 +39,13 @@ def test_parse_errors_positioned():
         parse_ideal("[(1, -2)]")
 
 
+@pytest.mark.parametrize("text", ["[(True, 2), (0, 5), (3, False)]", "[(0, 1), (2, True)]"])
+def test_parse_pair_list_rejects_bools(text):
+    # bool is a subclass of int, but True is no exponent.
+    with pytest.raises(ParseError, match="invalid exponent pair"):
+        parse_ideal(text)
+
+
 def test_serialize_round_trip_random():
     for seed in range(100):
         I = random_ideal(RandomIdealSpec(8, 25, seed=seed))
