@@ -40,11 +40,9 @@ from .engine import (
     StableDecomposition,
     assemble_power,
     assemble_power_counted,
-    back_shift_factor,
     decomposed_power,
     mu_polynomial,
     power,
-    shift_generators,
     stable_decomposition,
 )
 from .oracle import (
@@ -53,9 +51,9 @@ from .oracle import (
     check_corpus,
     differential_check,
     random_ideal,
+    shift_generators,
 )
 from .textio import ParseError, format_term, parse_ideal, serialize, serialize_terms
-from .svg import render_svg, write_svg
 
 __version__ = "1.0.0"
 
@@ -78,7 +76,6 @@ __all__ = [
     "StableDecomposition",
     "assemble_power",
     "assemble_power_counted",
-    "back_shift_factor",
     "check_corpus",
     "decomposed_power",
     "differential_check",
@@ -100,7 +97,6 @@ __all__ = [
     "power",
     "r_segments",
     "random_ideal",
-    "render_svg",
     "serialize",
     "serialize_terms",
     "shift_generators",
@@ -108,5 +104,4 @@ __all__ = [
     "stable_decomposition",
     "unlink",
     "weakly_persistent_generators",
-    "write_svg",
 ]

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: analyze | power | mu | bench | plot | check.  Exit codes:
-0 success, 1 usage or parse errors (and failed check suites), 2 violated
-math preconditions (principal ideal, n < 1, a bench cell below its method's
+Subcommands: analyze | power | mu | bench | check.  Exit codes: 0 success,
+1 usage or parse errors (and failed check suites), 2 violated math
+preconditions (principal ideal, n < 1, a bench cell below its method's
 range), 3 exponent overflow.
 """
 
@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import multiprocessing
 import sys
 import time
 
-from .ideals import ExponentOverflowError, MonomialIdeal, PrincipalIdealError, level_power, naive_power
+from .ideals import EXP_LIMIT, ExponentOverflowError, MonomialIdeal, PrincipalIdealError, level_power, naive_power
 from .engine import (
     assemble_power,
     decomposed_power,
@@ -26,7 +27,6 @@ from .engine import (
 )
 from .geometry import persistence_profile, weakly_persistent_generators
 from .oracle import check_corpus
-from .svg import write_svg
 from .textio import ParseError, format_term, parse_ideal, serialize
 
 EXIT_OK = 0
@@ -127,18 +127,26 @@ def _bench_cell(ideal: MonomialIdeal, method: str, n: int) -> tuple[float, float
 
 
 def _parse_power_token(token: str, s: int) -> int:
+    """``n``, ``s`` or ``s+n``, where ``n`` is an integer such as ``1e4``."""
     token = token.strip().lower()
-    if token.startswith("s+"):
-        return s + int(float(token[2:]))
     if token == "s":
         return s
-    return int(float(token))
+    text, base = (token[2:], s) if token.startswith("s+") else (token, 0)
+    try:
+        value = decimal.Decimal(text)
+    except decimal.InvalidOperation:
+        raise ParseError(f"malformed power {token!r}", 0) from None
+    if not value.is_finite() or value != value.to_integral_value():
+        raise ParseError(f"power {token!r} is not an integer", 0)
+    if not -EXP_LIMIT < value < EXP_LIMIT:  # before int() expands an exponent like 1e999999999
+        raise ExponentOverflowError(f"power {token!r} is beyond the exponent limit 2^63")
+    return base + int(value)
 
 
 def _read_bench_ideals(path: str) -> list[tuple[str, MonomialIdeal]]:
     out = []
     with open(path, encoding="utf-8") as fh:
-        for idx, line in enumerate(fh, start=1):
+        for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -170,8 +178,7 @@ def cmd_bench(args) -> int:
         powers = [_parse_power_token(tok, profile.s) for tok in tokens]
         for n in powers:
             for method in methods:
-                if method != "naive":
-                    require_power(n, profile, method)
+                require_power(n, profile, method)
                 jobs.append((label, ideal, n, method))
 
     def record(label, method, n, outcome):
@@ -215,21 +222,6 @@ def cmd_bench(args) -> int:
     else:
         print()
         print(buf.getvalue(), end="")
-    return EXIT_OK
-
-
-def cmd_plot(args) -> int:
-    ideal = parse_ideal(args.ideal)
-    if args.power is not None:
-        if args.power < 1:
-            raise ValueError(f"power must be >= 1, got {args.power}")
-        ideal = power(ideal, args.power)
-    try:
-        write_svg(ideal, args.out, hull=args.hull)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -287,13 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=300.0, help="seconds per cell (default 300)")
     p.add_argument("--csv", default=None, help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("plot", help="SVG staircase diagram")
-    p.add_argument("ideal")
-    p.add_argument("--out", required=True, help="output .svg path")
-    p.add_argument("--power", type=int, default=None, help="plot I^n instead of I")
-    p.add_argument("--hull", action="store_true", help="draw the Newton-polyhedron boundary")
-    p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("check", help="run the randomized differential suite")
     p.add_argument("--count", type=int, default=25)

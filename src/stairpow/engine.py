@@ -13,14 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .ideals import (
     Axis,
     Monomial,
     MonomialIdeal,
     PrincipalIdealError,
-    _check_exponents,
     ideal_sum,
     level_power,
     mon_pow,
@@ -34,12 +31,17 @@ from .geometry import (
     # Unused here too: the span tracer patches ``engine.stabilization_radius``.
     stabilization_radius,
 )
-from .links import link_blocks
+from .links import boundary_points, link_blocks
 from .segments import GluedComponents, glued_blocks, glued_components, staircase_times
 
 
 def require_power(n: int, profile: PersistenceProfile, method: str) -> None:
-    """Refuse ``n`` below ``D_P`` for ``"decomposed"``, below ``s`` for ``"assembled"``."""
+    """Refuse ``n < 1`` for every method, and ``n`` below ``D_P`` for
+    ``"decomposed"`` or below ``s`` for ``"assembled"``."""
+    if n < 1:
+        raise ValueError(f"power must be >= 1, got {n}")
+    if method == "naive":
+        return
     name, least = ("D_P", profile.D_P) if method == "decomposed" else ("s", profile.s)
     if n < least:
         raise ValueError(f"{method} power needs n >= {name} = {least}, got {n}")
@@ -75,20 +77,32 @@ class StableDecomposition:
     and, when ``axis`` is X, transposed so that the y-oriented machinery
     applies.  ``boundary_points`` are h_0..h_{k+1} of the oriented I^s.
     ``profile`` is the persistence profile of the ideal as given; ``D``,
-    ``r``, ``s`` and ``axis`` are its values.
+    ``r``, ``s`` and ``axis`` read it.
     """
 
     gcd_shift: Monomial
-    axis: Axis
     profile: PersistenceProfile
-    D: int
-    r: int
-    s: int
     gs: tuple[Monomial, ...]
     components: tuple[MonomialIdeal, ...]
     middles: tuple[MonomialIdeal, ...]
     boundary_points: tuple[Monomial, ...]
     base_power: MonomialIdeal
+
+    @property
+    def D(self) -> int:
+        return self.profile.D_P
+
+    @property
+    def r(self) -> int:
+        return self.profile.r
+
+    @property
+    def s(self) -> int:
+        return self.profile.s
+
+    @property
+    def axis(self) -> Axis:
+        return self.profile.axis
 
     @property
     def k(self) -> int:
@@ -136,22 +150,13 @@ def _decompose(ideal: MonomialIdeal, profile: PersistenceProfile) -> StableDecom
 
     j_base = level_power(oriented, profile.D_P)
     glued: GluedComponents = glued_components(chosen.gens, j_base, profile.r)
-    boundary = (
-        ((0, glued.base.dist(Axis.Y)),)
-        + glued.link_points
-        + ((glued.base.dist(Axis.X), 0),)
-    )
     return StableDecomposition(
         gcd_shift=shift,
-        axis=profile.axis,
         profile=profile,
-        D=profile.D_P,
-        r=profile.r,
-        s=profile.s,
         gs=glued.gs,
         components=glued.components,
         middles=glued.middles,
-        boundary_points=boundary,
+        boundary_points=boundary_points(glued.base, glued.link_points),
         base_power=glued.base,
     )
 
@@ -214,70 +219,7 @@ class MuPolynomial:
         return self.intercept + (n - self.s) * self.slope
 
 
-def mu_polynomial(ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None) -> MuPolynomial:
-    dec = stable_decomposition(ideal, chosen)
+def mu_polynomial(ideal: MonomialIdeal) -> MuPolynomial:
+    dec = stable_decomposition(ideal)
     return MuPolynomial(s=dec.s, intercept=dec.base_power.mu, slope=dec.slope)
 
-
-def shift_generators(dec: StableDecomposition, gens_n: MonomialIdeal, n: int) -> MonomialIdeal:
-    """``G(I^(n+1))`` from ``G(I^n)`` by multiplying each generator with one
-    or two boundary generators selected by its y-degree band.
-
-    ``n`` must be at least s and ``gens_n`` must equal G(I^n).
-    """
-    if n < dec.s:
-        raise ValueError(f"generator shifting needs n >= s = {dec.s}")
-    oriented = dec.oriented(gens_n, n)
-    x, y = oriented.xy
-    _check_exponents(int(x[-1]) + dec.gs[-1][0], int(y[0]) + dec.gs[0][1])
-    # Middle block i spans y from its last copy's bottom to that plus its y-span.
-    ell = n - dec.s
-    bottom = np.array([h[1] + ell * g[1] for h, g in zip(dec.boundary_points[1:-1], dec.gs[1:])])
-    top = bottom + [h.dist(Axis.Y) for h in dec.middles]
-    # Inside band i a generator takes g_i and g_(i+1); outside every band it
-    # takes g_i of the first band below it (the bands descend), else g_k.
-    inside = (bottom <= y[:, None]) & (y[:, None] <= top)
-    rows, band = np.nonzero(inside)
-    alone = np.flatnonzero(~inside.any(axis=1))
-    gen = np.concatenate((rows, rows, alone))
-    factor = np.concatenate((band, band + 1, np.count_nonzero(y[alone, None] <= top, axis=1)))
-    products = oriented.xy[:, gen] + np.array(dec.gs).T[:, factor]
-    # Sorted by x, equal products are neighbours; the constructor rejects any
-    # other pair that shares an x.
-    products = products[:, products[0].argsort()]
-    fresh = np.concatenate(([True], (products[:, 1:] != products[:, :-1]).any(axis=0)))
-    result = MonomialIdeal(products[:, fresh])
-    if result.mu != oriented.mu + dec.slope:
-        raise AssertionError("band shift produced a wrong generator count")
-    return dec.unoriented(result, n + 1)
-
-
-def back_shift_factor(
-    dec: StableDecomposition, gen: Monomial, n: int
-) -> tuple[int, Monomial]:
-    """For a generator of I^n with n in {s+1, s+2}: the boundary generator
-    it can be divided by to land in G(I^(n-1)).
-
-    Returns ``(i, factor)`` with i the 1-based index of the surrounding
-    boundary pair and ``factor`` in original coordinates.
-    """
-    ell = n - dec.s
-    if ell not in (1, 2):
-        raise ValueError("back shifting is only available for n in {s+1, s+2}")
-    power_n = assemble_power(dec, n)
-    if tuple(gen) not in set(power_n.gens):
-        raise ValueError(f"{gen} is not a minimal generator of I^{n}")
-    prev_gens = set(dec.oriented(assemble_power(dec, n - 1), n - 1).gens)
-
-    f = dec.oriented(MonomialIdeal((gen,)), n).gcd()
-    gs = dec.gs
-    for i in range(1, dec.k + 1):
-        if not (n * gs[i][1] <= f[1] <= n * gs[i - 1][1]):
-            continue
-        h = dec.boundary_points[i]
-        threshold = h[1] + gs[i - 1][1] + (gs[i][1] if ell == 2 else 0)
-        factor = gs[i - 1] if f[1] >= threshold else gs[i]
-        reduced = (f[0] - factor[0], f[1] - factor[1])
-        if reduced[0] >= 0 and reduced[1] >= 0 and reduced in prev_gens:
-            return i, dec.unoriented(MonomialIdeal((factor,)), 1).gcd()
-    raise AssertionError(f"no boundary factor found for {gen} at n={n}")

@@ -1,12 +1,12 @@
 """The link operation on bivariate monomial ideals.
 
 Linking joins two anchored staircases so that they share exactly one
-minimal generator, the link point: for the y-orientation the left ideal is
-shifted up by the y-span of the right one, the right ideal is shifted right
-by the x-span of the left one.  Generator counts therefore add minus one,
-and a linked ideal can be split back into its parts by colon ideals at the
-link points.  The x-link of a sequence is the y-link of the reversed
-sequence, so every linked staircase is emitted by :func:`link_blocks`.
+minimal generator, the link point: the left ideal is shifted up by the
+y-span of the right one, the right ideal is shifted right by the x-span of
+the left one.  Generator counts therefore add minus one, and a linked ideal
+can be split back into its parts by colon ideals at the link points.  Links
+are taken along y only; the x-link of a sequence is the y-link of the
+reversed sequence.  Every linked staircase is emitted by :func:`link_blocks`.
 """
 
 from __future__ import annotations
@@ -63,16 +63,20 @@ def link_blocks(
     return MonomialIdeal(xy)
 
 
-def link_point(left: MonomialIdeal, right: MonomialIdeal, axis: Axis = Axis.Y) -> Monomial:
+def link_point(left: MonomialIdeal, right: MonomialIdeal) -> Monomial:
     """The single generator shared by the two shifted staircases of a link."""
-    if axis is Axis.X:
-        left, right = right, left
     return (left.dist(Axis.X), right.dist(Axis.Y))
 
 
-def link(left: MonomialIdeal, right: MonomialIdeal, axis: Axis = Axis.Y) -> MonomialIdeal:
+def link(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
     """The link of two ideals; both are anchored first."""
-    return link_many([left, right], axis).ideal
+    return link_many([left, right]).ideal
+
+
+def boundary_points(ideal: MonomialIdeal, link_points: Sequence[Monomial]) -> tuple[Monomial, ...]:
+    """The link points of an anchored ideal between the sentinels
+    ``y^dist_y`` and ``x^dist_x``."""
+    return ((0, ideal.dist(Axis.Y)), *link_points, (ideal.dist(Axis.X), 0))
 
 
 @dataclass(frozen=True)
@@ -85,39 +89,30 @@ class LinkChain:
     """
 
     parts: tuple[MonomialIdeal, ...]
-    axis: Axis
     ideal: MonomialIdeal
     link_points: tuple[Monomial, ...]
 
     @property
     def boundary_points(self) -> tuple[Monomial, ...]:
-        ends = ((0, self.ideal.dist(Axis.Y)), (self.ideal.dist(Axis.X), 0))
-        top, bottom = ends if self.axis is Axis.Y else ends[::-1]
-        return (top,) + self.link_points + (bottom,)
+        return boundary_points(self.ideal, self.link_points)
 
 
-def link_many(parts: Sequence[MonomialIdeal], axis: Axis = Axis.Y) -> LinkChain:
+def link_many(parts: Sequence[MonomialIdeal]) -> LinkChain:
     """Left-fold link of a sequence of ideals, keeping all link points."""
     if not parts:
         raise ValueError("cannot link an empty sequence of ideals")
     anchored = tuple(p.anchor()[0] for p in parts)
-    order = anchored if axis is Axis.Y else anchored[::-1]
-    ideal = link_blocks([(p, 1) for p in order])
     # Link point j sits at the x-span of parts 0..j and the y-span of the rest.
-    xs = accumulate(p.dist(Axis.X) for p in order)
-    ys = list(accumulate(p.dist(Axis.Y) for p in reversed(order)))[::-1]
-    points = tuple(zip(xs, ys[1:]))
+    xs = accumulate(p.dist(Axis.X) for p in anchored)
+    ys = list(accumulate(p.dist(Axis.Y) for p in reversed(anchored)))[::-1]
     return LinkChain(
         parts=anchored,
-        axis=axis,
-        ideal=ideal,
-        link_points=points if axis is Axis.Y else points[::-1],
+        ideal=link_blocks([(p, 1) for p in anchored]),
+        link_points=tuple(zip(xs, ys[1:])),
     )
 
 
-def unlink(
-    ideal: MonomialIdeal, link_points: Sequence[Monomial], axis: Axis = Axis.Y
-) -> list[MonomialIdeal]:
+def unlink(ideal: MonomialIdeal, link_points: Sequence[Monomial]) -> list[MonomialIdeal]:
     """Recover the anchored parts of a linked ideal from its link points.
 
     Inverse of :func:`link_many` for the points it records: part i is the
@@ -130,8 +125,5 @@ def unlink(
     for p in points:
         if not ((ideal.xy[0] == p[0]) & (ideal.xy[1] == p[1])).any():
             raise ValueError(f"link point {p} is not a generator of the ideal")
-    if axis is Axis.X:
-        points.reverse()
-    sentinels = [(0, ideal.dist(Axis.Y))] + points + [(ideal.dist(Axis.X), 0)]
-    parts = [ideal.colon(mon_gcd(a, b)) for a, b in zip(sentinels, sentinels[1:])]
-    return parts if axis is Axis.Y else parts[::-1]
+    bounds = boundary_points(ideal, points)
+    return [ideal.colon(mon_gcd(a, b)) for a, b in zip(bounds, bounds[1:])]

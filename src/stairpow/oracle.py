@@ -4,7 +4,8 @@ The root oracle is plain repeated multiplication (:func:`naive_power`),
 trusted by construction but infeasible beyond small powers.  The staircase
 expansion (:func:`decomposed_power`), once validated against it, serves as
 the scaled oracle for the large powers where the assembled fast path is
-exercised.
+exercised.  From s on, the one-step band rule (:func:`shift_generators`)
+is checked against the same references, with no assembly involved.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .ideals import MonomialIdeal, PrincipalIdealError, naive_power
+import numpy as np
+
+from .ideals import Axis, MonomialIdeal, PrincipalIdealError, _check_exponents, naive_power
 from .engine import (
     StableDecomposition,
     assemble_power,
@@ -102,6 +105,39 @@ class DifferentialReport:
         return out
 
 
+def shift_generators(dec: StableDecomposition, gens_n: MonomialIdeal, n: int) -> MonomialIdeal:
+    """``G(I^(n+1))`` from ``G(I^n)`` by multiplying each generator with one
+    or two boundary generators selected by its y-degree band.
+
+    ``n`` must be at least s and ``gens_n`` must equal G(I^n).
+    """
+    if n < dec.s:
+        raise ValueError(f"generator shifting needs n >= s = {dec.s}")
+    oriented = dec.oriented(gens_n, n)
+    x, y = oriented.xy
+    _check_exponents(int(x[-1]) + dec.gs[-1][0], int(y[0]) + dec.gs[0][1])
+    # Middle block i spans y from its last copy's bottom to that plus its y-span.
+    ell = n - dec.s
+    bottom = np.array([h[1] + ell * g[1] for h, g in zip(dec.boundary_points[1:-1], dec.gs[1:])])
+    top = bottom + [h.dist(Axis.Y) for h in dec.middles]
+    # Inside band i a generator takes g_i and g_(i+1); outside every band it
+    # takes g_i of the first band below it (the bands descend), else g_k.
+    inside = (bottom <= y[:, None]) & (y[:, None] <= top)
+    rows, band = np.nonzero(inside)
+    alone = np.flatnonzero(~inside.any(axis=1))
+    gen = np.concatenate((rows, rows, alone))
+    factor = np.concatenate((band, band + 1, np.count_nonzero(y[alone, None] <= top, axis=1)))
+    products = oriented.xy[:, gen] + np.array(dec.gs).T[:, factor]
+    # Sorted by x, equal products are neighbours; the constructor rejects any
+    # other pair that shares an x.
+    products = products[:, products[0].argsort()]
+    fresh = np.concatenate(([True], (products[:, 1:] != products[:, :-1]).any(axis=0)))
+    result = MonomialIdeal(products[:, fresh])
+    if result.mu != oriented.mu + dec.slope:
+        raise AssertionError("band shift produced a wrong generator count")
+    return dec.unoriented(result, n + 1)
+
+
 def _timed(fn):
     start = time.perf_counter()
     value = fn()
@@ -120,7 +156,9 @@ def differential_check(
     For each n the reference is repeated multiplication when n is at most
     ``naive_limit``, otherwise the staircase expansion; every other
     applicable routine is compared against it by exact generator-list
-    equality.  Mismatches are recorded, never raised.
+    equality.  When ``n - 1 >= s`` is in the range too, the band shift of
+    the reference at ``n - 1`` is one of them.  Mismatches are recorded,
+    never raised.
     """
     if ideal.is_principal:
         raise PrincipalIdealError("differential check needs a non-principal ideal")
@@ -131,10 +169,11 @@ def differential_check(
     report = DifferentialReport(label=label, ideal=ideal)
     naive_cache: MonomialIdeal | None = None
     naive_at = 0
+    prev: tuple[int, MonomialIdeal] | None = None
     for n in sorted(set(n_range)):
         if n < 1:
             continue
-        candidates: dict[str, MonomialIdeal] = {}
+        candidates: dict[str, MonomialIdeal | None] = {}
         timings: dict[str, float] = {}
 
         if n <= naive_limit:
@@ -157,11 +196,20 @@ def differential_check(
             value, ms = _timed(lambda: assemble_power(dec, n))
             candidates["assembled"] = value
             timings["assembled"] = ms
+        if prev is not None and prev[0] == n - 1 >= dec.s:
+            start = time.perf_counter()
+            try:
+                candidates["shifted"] = shift_generators(dec, prev[1], n - 1)
+            except (AssertionError, ValueError):
+                # A shift that breaks its own invariants yields no G(I^n).
+                candidates["shifted"] = None
+            timings["shifted"] = (time.perf_counter() - start) * 1000.0
 
         if not candidates:
             continue
         ref_name = "naive" if "naive" in candidates else "decomposed"
         ref = candidates[ref_name]
+        prev = (n, ref)
         for name, value in candidates.items():
             if name == ref_name:
                 continue

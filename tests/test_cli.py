@@ -6,7 +6,8 @@ import pytest
 
 from stairpow import cli, engine
 from stairpow.cli import main
-from stairpow.ideals import MonomialIdeal, naive_power
+from stairpow.ideals import ExponentOverflowError, MonomialIdeal, naive_power
+from stairpow.textio import ParseError
 
 SMALL = MonomialIdeal(((0, 2), (2, 1), (3, 0)))
 BIG = MonomialIdeal.of((0, 10), (1, 9), (2, 5), (4, 4), (5, 3), (6, 2), (12, 1), (15, 0))
@@ -216,6 +217,36 @@ def test_bench_refuses_out_of_range_cells(tmp_path, capsys, monkeypatch):
     assert (code, out) == (2, "") and "decomposed power needs n >= D_P = 40, got 5" in err
     code, out, err = run(capsys, *argv, "naive,assembled")
     assert (code, out) == (2, "") and "assembled power needs n >= s = 241, got 5" in err
+    # n < 1 is refused for every method with the message power and mu give.
+    for method in ("naive", "decomposed", "assembled"):
+        for n in ("0", "-3"):
+            code, out, err = run(capsys, "bench", str(ideals), f"--powers={n}", "--methods", method)
+            assert (code, out) == (2, "") and f"power must be >= 1, got {n}" in err, method
+
+
+@pytest.mark.parametrize(
+    "token, expected",
+    [
+        ("s", 3),
+        ("1e4", 10_000),
+        ("s+1e2", 103),
+        ("9007199254740993", 9007199254740993),
+        ("s+123456789012345678", 123456789012345681),
+        ("2.7", ParseError),
+        ("s+0.5", ParseError),
+        ("nan", ParseError),
+        ("inf", ParseError),
+        ("s+abc", ParseError),
+        ("1e999999999", ExponentOverflowError),
+    ],
+)
+def test_parse_power_token_exact(token, expected):
+    # s = 3; integers are read exactly, never through a float.
+    if isinstance(expected, int):
+        assert cli._parse_power_token(token, 3) == expected
+    else:
+        with pytest.raises(expected):
+            cli._parse_power_token(token, 3)
 
 
 def test_bench_timeout_dash(tmp_path, capsys, monkeypatch):
@@ -236,20 +267,6 @@ def test_bench_timeout_dash(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert "—" in out
-
-
-def test_plot_writes_file(tmp_path, capsys):
-    out_file = tmp_path / "plot.svg"
-    code, out, _ = run(capsys, "plot", "x^4 + x*y + y^3", "--out", str(out_file))
-    assert code == 0
-    assert out_file.read_text().startswith("<svg")
-
-
-def test_plot_unwritable_exit_1(tmp_path, capsys):
-    code, _, err = run(
-        capsys, "plot", "x^4 + y^3", "--out", str(tmp_path / "no" / "dir" / "x.svg")
-    )
-    assert code == 1
 
 
 def test_check_suite(capsys):

@@ -17,11 +17,9 @@ from stairpow.ideals import (
 from stairpow.engine import (
     assemble_power,
     assemble_power_counted,
-    back_shift_factor,
     decomposed_power,
     mu_polynomial,
     power,
-    shift_generators,
     stable_decomposition,
 )
 from stairpow.geometry import (
@@ -30,7 +28,7 @@ from stairpow.geometry import (
     stabilization_radius,
     weakly_persistent_generators,
 )
-from stairpow.oracle import RandomIdealSpec, random_ideal
+from stairpow.oracle import RandomIdealSpec, random_ideal, shift_generators
 
 REFERENCES = Path(__file__).resolve().parents[1] / "stairbench" / "references.json"
 
@@ -317,36 +315,6 @@ def test_shift_generators_validates_n():
     dec = stable_decomposition(SMALL)
     with pytest.raises(ValueError):
         shift_generators(dec, SMALL, 1)
-
-
-def test_back_shift_exhaustive_small():
-    dec = stable_decomposition(SMALL)
-    for n in (dec.s + 1, dec.s + 2):
-        prev = set(naive_power(SMALL, n - 1).gens)
-        for g in assemble_power(dec, n).gens:
-            i, factor = back_shift_factor(dec, g, n)
-            assert 1 <= i <= dec.k
-            assert factor in SMALL.gens
-            assert (g[0] - factor[0], g[1] - factor[1]) in prev
-
-
-def test_back_shift_random():
-    for seed in range(6):
-        I = random_ideal(RandomIdealSpec(5, 10, seed=seed))
-        dec = stable_decomposition(I)
-        for n in (dec.s + 1, dec.s + 2):
-            prev = set(assemble_power(dec, n - 1).gens)
-            for g in assemble_power(dec, n).gens:
-                _, factor = back_shift_factor(dec, g, n)
-                assert (g[0] - factor[0], g[1] - factor[1]) in prev
-
-
-def test_back_shift_restrictions():
-    dec = stable_decomposition(SMALL)
-    with pytest.raises(ValueError):
-        back_shift_factor(dec, (0, 6), dec.s)
-    with pytest.raises(ValueError):
-        back_shift_factor(dec, (1, 1), dec.s + 1)
 
 
 def test_addition_counter_linear():

@@ -25,8 +25,6 @@ def test_link_point_examples():
     assert link_point(FIG_I, FIG_J) == (4, 2)
     small = MonomialIdeal(((0, 2), (2, 1), (3, 0)))
     assert link_point(small, small) == (3, 2)
-    # I (.)_x J = J (.)_y I, so the link points coincide as well.
-    assert link_point(FIG_I, FIG_J, Axis.X) == link_point(FIG_J, FIG_I, Axis.Y)
 
 
 def test_link_point_is_generator():
@@ -34,10 +32,6 @@ def test_link_point_is_generator():
         A = random_ideal(RandomIdealSpec(5, 10, seed=seed))
         B = random_ideal(RandomIdealSpec(5, 10, seed=500 + seed))
         assert link_point(A, B) in link(A, B).gens
-
-
-def test_link_x_axis_is_swapped_y():
-    assert link(FIG_I, FIG_J, Axis.X).gens == link(FIG_J, FIG_I, Axis.Y).gens
 
 
 def test_mu_recurrence_and_chain():
@@ -71,10 +65,9 @@ def test_unlink_round_trip():
             random_ideal(RandomIdealSpec(5, 9, seed=seed * 10 + j)).anchor()[0]
             for j in range(3)
         ]
-        for axis in (Axis.Y, Axis.X):
-            chain = link_many(parts, axis)
-            back = unlink(chain.ideal, chain.link_points, axis)
-            assert [p.gens for p in back] == [p.gens for p in parts]
+        chain = link_many(parts)
+        back = unlink(chain.ideal, chain.link_points)
+        assert [p.gens for p in back] == [p.gens for p in parts]
 
 
 def test_unlink_small_example():
@@ -100,13 +93,6 @@ def test_unlink_edge_cases():
 def test_boundary_points_sentinels():
     chain = link_many([FIG_I, FIG_J])
     assert chain.boundary_points == ((0, 5), (4, 2), (6, 0))
-
-
-def test_link_many_x_axis_pinned():
-    chain = link_many([FIG_I, FIG_J], Axis.X)
-    assert chain.ideal.gens == ((0, 5), (2, 3), (3, 1), (6, 0))
-    assert chain.link_points == ((2, 3),)
-    assert chain.boundary_points == ((6, 0), (2, 3), (0, 5))
 
 
 @st.composite

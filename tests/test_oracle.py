@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from stairpow import oracle
 from stairpow.ideals import MonomialIdeal, PrincipalIdealError
 from stairpow.oracle import (
     CheckRecord,
@@ -89,6 +90,26 @@ def test_differential_check_weakly_persistent_decomposition():
         report = differential_check(ideal, powers, dec=dec)
         assert not report.failures, report.lines()
         assert any(r.method == "assembled" for r in report.records)
+
+
+def test_differential_check_band_shift():
+    # SMALL has s = 3, so each n in 4..7 is the band shift of n - 1.
+    report = differential_check(SMALL, range(3, 8))
+    shifted = [r for r in report.records if r.method == "shifted"]
+    assert [(r.n, r.reference) for r in shifted] == [(n, "naive") for n in range(4, 8)]
+    assert report.passed
+
+
+def test_differential_check_catches_a_wrong_band_shift(monkeypatch):
+    # g_k stands in for g_(k+1), so the lowest band drops its second factor.
+    shift = oracle.shift_generators
+
+    def dropped(dec, gens_n, n):
+        return shift(dataclasses.replace(dec, gs=dec.gs[:-1] + dec.gs[-2:-1]), gens_n, n)
+
+    monkeypatch.setattr(oracle, "shift_generators", dropped)
+    report = differential_check(SMALL, range(3, 8))
+    assert [(r.method, r.n) for r in report.failures] == [("shifted", n) for n in range(4, 8)]
 
 
 def test_corpus_powers_window():

@@ -35,7 +35,7 @@ def test_no_assert_statements():
 def test_src_line_budget():
     # The cap on the package's size, by ``wc -l src/stairpow/*.py``.
     lines = sum(len(path.read_bytes().splitlines()) for path in SRC.glob("*.py"))
-    assert lines <= 1946, f"src/stairpow has {lines} lines, over the 1946-line budget"
+    assert lines <= 1817, f"src/stairpow has {lines} lines, over the 1817-line budget"
 
 
 def _load_spans():
@@ -90,7 +90,7 @@ def _env():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demos_run(demo, tmp_path):
-    # In a scratch directory: the plot demo writes its SVGs where it runs.
+    # In a scratch directory, so that nothing a demo leaves lands in the checkout.
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
