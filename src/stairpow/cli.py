@@ -3,7 +3,7 @@
 Subcommands: analyze | power | mu | bench | check.  Exit codes: 0 success,
 1 usage or parse errors (and failed check suites), 2 violated math
 preconditions (principal ideal, n < 1, a bench cell below its method's
-range), 3 exponent overflow.
+range or one whose worker raised), 3 exponent overflow.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import time
 
 from .ideals import EXP_LIMIT, ExponentOverflowError, MonomialIdeal, PrincipalIdealError, level_power, naive_power
 from .engine import (
+    _plan,
     assemble_power,
     decomposed_power,
     mu_polynomial,
@@ -83,8 +84,9 @@ def cmd_mu(args) -> int:
     if ideal.is_principal:
         print("mu(I^n) = 1 for all n >= 1 (principal ideal)" if n is None else f"mu(I^{n}) = 1")
         return EXIT_OK
-    # s from the profile alone: below it no decomposition is needed.
-    s = persistence_profile(ideal).s
+    # s from the profile alone: below it no decomposition is needed.  The
+    # plan is the one that power() and mu_polynomial() then reuse.
+    s = _plan(ideal).profile.s
     if n is not None and n < s:
         print(f"mu(I^{n}) = {power(ideal, n).mu}  (pre-stable: n < s = {s})")
         return EXIT_OK
@@ -182,8 +184,8 @@ def cmd_bench(args) -> int:
                 jobs.append((label, ideal, n, method))
 
     def record(label, method, n, outcome):
-        pre = comp = mu = "—"
-        if outcome is not None:
+        pre = comp = mu = outcome  # "—" for a timeout, "error" for a raise
+        if isinstance(outcome, tuple):
             pre, comp, mu = f"{outcome[0]:.2f}", f"{outcome[1]:.2f}", outcome[2]
         rows.append(dict(ideal=label, method=method, n=n, preprocess_ms=pre, compute_ms=comp, mu=mu))
 
@@ -200,9 +202,9 @@ def cmd_bench(args) -> int:
         if proc.is_alive():
             proc.terminate()
             proc.join()
-            record(label, method, n, None)
+            record(label, method, n, "—")
         else:
-            record(label, method, n, queue.get() if not queue.empty() else None)
+            record(label, method, n, queue.get() if proc.exitcode == 0 else "error")
 
     header = ["ideal", "method", "n", "preprocess_ms", "compute_ms", "mu"]
     widths = [
@@ -222,6 +224,10 @@ def cmd_bench(args) -> int:
     else:
         print()
         print(buf.getvalue(), end="")
+    errors = sum(r["mu"] == "error" for r in rows)
+    if errors:
+        print(f"error: {errors} bench cell(s) raised in their worker", file=sys.stderr)
+        return EXIT_MATH
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ polynomial ``mu(I^s) + l * slope``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .ideals import (
@@ -33,6 +34,9 @@ from .geometry import (
 )
 from .links import boundary_points, link_blocks
 from .segments import GluedComponents, glued_blocks, glued_components, staircase_times
+
+#: How many ideals' plans :func:`power` and :func:`mu_polynomial` keep.
+_PLAN_CACHE_SIZE = 16
 
 
 def require_power(n: int, profile: PersistenceProfile, method: str) -> None:
@@ -126,29 +130,29 @@ class StableDecomposition:
 def stable_decomposition(
     ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None
 ) -> StableDecomposition:
-    """Compute the stable components of ``ideal``.
+    """Compute the stable components of ``ideal``, afresh on every call.
 
     ``chosen`` optionally picks the boundary generator set P (between the
     persistent and the weakly persistent generators); ``D``, ``r`` and ``s``
     follow from its persistence profile.
     """
-    if ideal.is_principal:
-        raise PrincipalIdealError("stable decomposition needs a non-principal ideal")
-    return _decompose(ideal, persistence_profile(ideal, chosen))
+    return _Plan(ideal, chosen).decomposition
 
 
-def _decompose(ideal: MonomialIdeal, profile: PersistenceProfile) -> StableDecomposition:
-    """The stable components of ``ideal`` for its persistence profile.
+def _decompose(ideal: MonomialIdeal, profile: PersistenceProfile, base: MonomialIdeal) -> StableDecomposition:
+    """The stable components of ``ideal`` from ``base``, its ``I^D``.
 
-    The one place that anchors: P holds both extreme generators of the
-    ideal, so the gcd of the ideal is also that of P.
+    The one place that re-orients: P holds both extreme generators of the
+    ideal, so the gcd of the ideal is also that of P, and ``gcd^D`` that of
+    ``base``.
     """
-    oriented, shift = ideal.anchor()
+    shift = ideal.gcd()
     chosen = MonomialIdeal(profile.chosen).shift((-shift[0], -shift[1]))
+    g = mon_pow(shift, profile.D_P)
+    j_base = base.shift((-g[0], -g[1]))
     if profile.axis is Axis.X:
-        oriented, chosen = oriented.transpose(), chosen.transpose()
+        chosen, j_base = chosen.transpose(), j_base.transpose()
 
-    j_base = level_power(oriented, profile.D_P)
     glued: GluedComponents = glued_components(chosen.gens, j_base, profile.r)
     return StableDecomposition(
         gcd_shift=shift,
@@ -159,6 +163,30 @@ def _decompose(ideal: MonomialIdeal, profile: PersistenceProfile) -> StableDecom
         boundary_points=boundary_points(glued.base, glued.link_points),
         base_power=glued.base,
     )
+
+
+class _Plan:
+    """The profile of a non-principal ideal, with its ``I^D`` (in its own
+    coordinates) and decomposition built on first use."""
+
+    def __init__(self, ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None) -> None:
+        if ideal.is_principal:
+            raise PrincipalIdealError("stable decomposition needs a non-principal ideal")
+        self.ideal, self.profile = ideal, persistence_profile(ideal, chosen)
+
+    @cached_property
+    def base(self) -> MonomialIdeal:
+        return level_power(self.ideal, self.profile.D_P)
+
+    @cached_property
+    def decomposition(self) -> StableDecomposition:
+        return _decompose(self.ideal, self.profile, self.base)
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(ideal: MonomialIdeal) -> _Plan:
+    """The plan :func:`power` and :func:`mu_polynomial` share for equal ideals."""
+    return _Plan(ideal)
 
 
 def _emit(dec: StableDecomposition, ell: int) -> tuple[MonomialIdeal, int]:
@@ -190,18 +218,20 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     Principal ideals short-circuit to the single-generator power.  Below
     D_P :func:`level_power` runs; between D_P and s the staircase expansion;
     from s on the stable-component assembly, the only route that builds a
-    decomposition.
+    decomposition.  The profile, ``I^D`` and the decomposition of the last
+    16 ideals are kept for later calls, shared by equal ideals; ``G(I^n)``
+    itself is emitted afresh by every call.
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
     if ideal.is_principal:
         return MonomialIdeal((mon_pow(ideal.gcd(), n),))
-    profile = persistence_profile(ideal)
-    if n < profile.D_P:
+    plan = _plan(ideal)
+    if n < plan.profile.D_P:
         return level_power(ideal, n)
-    if n < profile.s:
-        return decomposed_power(ideal, profile, n)
-    return assemble_power(_decompose(ideal, profile), n)
+    if n < plan.profile.s:
+        return decomposed_power(ideal, plan.profile, n, base=plan.base)
+    return assemble_power(plan.decomposition, n)
 
 
 @dataclass(frozen=True)
@@ -220,6 +250,8 @@ class MuPolynomial:
 
 
 def mu_polynomial(ideal: MonomialIdeal) -> MuPolynomial:
-    dec = stable_decomposition(ideal)
+    """The generator-count polynomial of a non-principal ``ideal``, from the
+    decomposition :func:`power` keeps for it."""
+    dec = _plan(ideal).decomposition
     return MuPolynomial(s=dec.s, intercept=dec.base_power.mu, slope=dec.slope)
 

@@ -269,6 +269,45 @@ def test_bench_timeout_dash(tmp_path, capsys, monkeypatch):
     assert "—" in out
 
 
+def test_bench_raised_cell_is_an_error(tmp_path, capsys):
+    # I^(10^18) of SMALL has about 2e18 generators: the worker raises, which
+    # is an error row and exit 2, not the timeout's dash.
+    ideals = tmp_path / "small.txt"
+    ideals.write_text(f"{SMALL}\n")
+    code, out, err = run(capsys, "bench", str(ideals), "--powers", "1e18", "--methods", "assembled")
+    assert code == 2 and "1 bench cell(s) raised" in err
+    (row,) = list(csv.DictReader(io.StringIO(out.split("\n\n", 1)[1])))
+    assert row["n"] == str(10**18) and row["preprocess_ms"] == row["compute_ms"] == row["mu"] == "error"
+    assert "—" not in out
+
+
+def test_bench_cells_ignore_the_plan_memo(monkeypatch):
+    # A forked worker inherits the parent's plans; preprocess_ms must still
+    # time a decomposition and an I^D_P of its own.
+    s = engine.persistence_profile(BIG).s
+    engine.power(BIG, s)
+    decompositions, bases = [], []
+    real_decomposition, real_level_power = cli.stable_decomposition, cli.level_power
+    monkeypatch.setattr(cli, "stable_decomposition", lambda *a: decompositions.append(a) or real_decomposition(*a))
+    monkeypatch.setattr(cli, "level_power", lambda *a: bases.append(a) or real_level_power(*a))
+    assert cli._bench_cell(BIG, "assembled", s)[2] == engine.power(BIG, s).mu
+    assert len(decompositions) == 1
+    assert cli._bench_cell(BIG, "decomposed", 60)[2] == naive_power(BIG, 60).mu
+    assert bases == [(BIG, 40)]
+
+
+@pytest.mark.parametrize("argv, decompositions", [(["100"], 0), (["300"], 1), ([], 1)])
+def test_mu_builds_one_profile(capsys, monkeypatch, argv, decompositions):
+    # s, the count below it and the polynomial from s on share one plan.
+    calls = {"persistence_profile": [], "_decompose": []}
+    for owner, name in ((engine, "persistence_profile"), (cli, "persistence_profile"), (engine, "_decompose")):
+        real, seen = getattr(owner, name), calls[name]
+        monkeypatch.setattr(owner, name, lambda *a, seen=seen, real=real: seen.append(a) or real(*a))
+    code, out, err = run(capsys, "mu", str(BIG), *argv)
+    assert code == 0, err
+    assert (len(calls["persistence_profile"]), len(calls["_decompose"])) == (1, decompositions)
+
+
 def test_check_suite(capsys):
     code, out, _ = run(capsys, "check", "--count", "3")
     assert code == 0

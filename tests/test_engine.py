@@ -379,3 +379,79 @@ def test_decompositions_match_recorded_digests():
         xy = assemble_power(dec, dec.s).xy
         digest = hashlib.sha256(np.ascontiguousarray(xy.T).tobytes()).hexdigest()
         assert (xy.shape[1], digest) == (row["mu"], row["digest"]), gens
+
+
+def _count_calls(monkeypatch, owner, name, keep=lambda *a: True):
+    """Patch ``owner.name`` to record the arguments of the calls ``keep`` picks."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: (keep(*a) and calls.append(a)) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("ideal", [BIG, BIG.shift((2, 3)).transpose()])
+def test_plan_builds_each_stage_once(monkeypatch, ideal):
+    # Every route of power() and mu_polynomial(), each called twice, share
+    # one profile, one I^D_P and one decomposition.
+    profile = persistence_profile(ideal)
+    expected = {n: decomposed_power(ideal, profile, n) for n in (profile.D_P, 100, profile.s + 5)}
+    expected[profile.D_P - 1] = naive_power(ideal, profile.D_P - 1)
+    profiles = _count_calls(monkeypatch, engine, "persistence_profile")
+    bases = _count_calls(monkeypatch, engine, "level_power", lambda _, n: n == profile.D_P)
+    decompositions = _count_calls(monkeypatch, engine, "_decompose")
+    for _ in range(2):
+        for n, ideal_n in expected.items():
+            assert power(ideal, n) == ideal_n, n
+        poly = mu_polynomial(ideal)
+        assert poly(profile.s + 5) == expected[profile.s + 5].mu
+    assert (len(profiles), len(bases), len(decompositions)) == (1, 1, 1)
+    assert engine._plan.cache_info().currsize == 1
+
+
+def test_plan_shared_by_equal_ideals(monkeypatch):
+    decompositions = _count_calls(monkeypatch, engine, "_decompose")
+    twin = MonomialIdeal(BIG.xy.copy())
+    assert twin is not BIG and twin == BIG
+    assert power(BIG, 241) == power(twin, 241)
+    assert mu_polynomial(twin) == mu_polynomial(BIG)
+    info = engine._plan.cache_info()
+    assert (info.misses, info.hits, len(decompositions)) == (1, 3, 1)
+
+
+@pytest.mark.parametrize("seed", [4, 8, 12, 14, 22])
+def test_plan_images_are_misses(seed):
+    # Shifted and transposed images are other ideals with other plans; each
+    # answers for itself, on every route, on the first call and the second.
+    I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+    images = {I, I.shift((2, 3)), I.transpose(), I.transpose().shift((0, 5))}
+    for J in images:
+        profile = persistence_profile(J)
+        d, s = profile.D_P, profile.s
+        for n in sorted({d, (d + s) // 2, s - 1, s, s + 7} - {0}):
+            expected = naive_power(J, n)
+            assert power(J, n) == expected and power(J, n) == expected, (seed, n)
+    assert engine._plan.cache_info().misses == len(images)
+
+
+def test_plan_memo_is_bounded():
+    info = engine._plan.cache_info()
+    assert info.maxsize == engine._PLAN_CACHE_SIZE == 16
+    for j in range(info.maxsize + 5):
+        assert power(SMALL.shift((j, 0)), 5).mu == 11
+        assert engine._plan.cache_info().currsize <= info.maxsize
+    assert engine._plan.cache_info().misses == info.maxsize + 5
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_decompose_orients_the_given_base(monkeypatch, seed):
+    # _decompose anchors and orients the I^D it is given; the result is the
+    # I^D of the anchored, oriented ideal, in every placement.
+    bases, real = [], engine.glued_components
+    monkeypatch.setattr(engine, "glued_components", lambda gs, j, r: bases.append(j) or real(gs, j, r))
+    I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+    for J in (I, I.transpose(), I.shift((2, 3))):
+        bases.clear()
+        dec = stable_decomposition(J)
+        oriented = J.anchor()[0]
+        if dec.axis is Axis.X:
+            oriented = oriented.transpose()
+        assert bases == [engine.level_power(oriented, dec.D)], seed

@@ -35,7 +35,7 @@ def test_no_assert_statements():
 def test_src_line_budget():
     # The cap on the package's size, by ``wc -l src/stairpow/*.py``.
     lines = sum(len(path.read_bytes().splitlines()) for path in SRC.glob("*.py"))
-    assert lines <= 1817, f"src/stairpow has {lines} lines, over the 1817-line budget"
+    assert lines <= 1855, f"src/stairpow has {lines} lines, over the 1855-line budget"
 
 
 def _load_spans():
