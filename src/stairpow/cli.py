@@ -3,7 +3,8 @@
 Subcommands: analyze | power | mu | bench | check.  Exit codes: 0 success,
 1 usage or parse errors (and failed check suites), 2 violated math
 preconditions (principal ideal, n < 1, a bench cell below its method's
-range or one whose worker raised), 3 exponent overflow.
+range or one whose worker raised) or an output too large to allocate,
+3 exponent overflow.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import decimal
-import io
 import multiprocessing
 import sys
 import time
@@ -104,28 +104,45 @@ def cmd_mu(args) -> int:
 def _bench_cell(ideal: MonomialIdeal, method: str, n: int) -> tuple[float, float, int]:
     """One benchmark measurement; runs in a forked worker process.
 
-    Returns (preprocess_ms, compute_ms, mu).
+    A method is a preprocess stage and a compute stage, each fed what the
+    one before it returned.  Returns (preprocess_ms, compute_ms, mu).
     """
-    if method == "naive":
-        start = time.perf_counter()
-        result = naive_power(ideal, n)
-        return 0.0, (time.perf_counter() - start) * 1000.0, result.mu
-    if method == "decomposed":
-        start = time.perf_counter()
+
+    def profile_and_base(_):
         profile = persistence_profile(ideal)
-        base = level_power(ideal, profile.D_P)
-        pre_ms = (time.perf_counter() - start) * 1000.0
+        return profile, level_power(ideal, profile.D_P)
+
+    stages = {
+        "naive": (lambda _: None, lambda _: naive_power(ideal, n)),
+        "decomposed": (profile_and_base, lambda pb: decomposed_power(ideal, pb[0], n, base=pb[1])),
+        "assembled": (lambda _: stable_decomposition(ideal), lambda dec: assemble_power(dec, n)),
+    }
+    if method not in stages:
+        raise ValueError(f"unknown method {method!r}")
+    value, ms = None, []
+    for stage in stages[method]:
         start = time.perf_counter()
-        result = decomposed_power(ideal, profile, n, base=base)
-        return pre_ms, (time.perf_counter() - start) * 1000.0, result.mu
-    if method == "assembled":
-        start = time.perf_counter()
-        dec = stable_decomposition(ideal)
-        pre_ms = (time.perf_counter() - start) * 1000.0
-        start = time.perf_counter()
-        result = assemble_power(dec, n)
-        return pre_ms, (time.perf_counter() - start) * 1000.0, result.mu
-    raise ValueError(f"unknown method {method!r}")
+        value = stage(value)
+        ms.append((time.perf_counter() - start) * 1000.0)
+    return ms[0], ms[1], value.mu
+
+
+def _run_cell(ideal: MonomialIdeal, method: str, n: int, timeout: float) -> list:
+    """:func:`_bench_cell` in a forked worker, as its three formatted values:
+    ``—`` each when it outlives ``timeout`` seconds, ``error`` each when it raises."""
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.SimpleQueue()
+    proc = ctx.Process(target=lambda: queue.put(_bench_cell(ideal, method, n)))
+    proc.start()
+    proc.join(timeout)
+    if proc.is_alive():
+        proc.terminate()
+        proc.join()
+        return ["—"] * 3
+    if proc.exitcode != 0:
+        return ["error"] * 3
+    pre_ms, compute_ms, mu = queue.get()
+    return [f"{pre_ms:.2f}", f"{compute_ms:.2f}", mu]
 
 
 def _parse_power_token(token: str, s: int) -> int:
@@ -152,13 +169,9 @@ def _read_bench_ideals(path: str) -> list[tuple[str, MonomialIdeal]]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            label = f"I_{len(out) + 1}"
-            text = line
-            colon = line.find(":")
-            bracket = line.find("[")
-            if colon != -1 and (bracket == -1 or colon < bracket):
-                label, text = (p.strip() for p in line.split(":", 1))
-            out.append((label, parse_ideal(text)))
+            # An optional "label:" prefix; ideal text never holds a colon.
+            label, _, text = line.rpartition(":")
+            out.append((label.strip() or f"I_{len(out) + 1}", parse_ideal(text)))
     if not out:
         raise ParseError("no ideals found in benchmark file", 0)
     return out
@@ -167,64 +180,38 @@ def _read_bench_ideals(path: str) -> list[tuple[str, MonomialIdeal]]:
 def cmd_bench(args) -> int:
     ideals = _read_bench_ideals(args.ideal_file)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    tokens = [tok for tok in args.powers.split(",") if tok.strip()]
+    if not methods or not tokens:
+        raise ParseError("bench needs at least one method and one power", 0)
     for m in methods:
         if m not in ("naive", "decomposed", "assembled"):
             raise ParseError(f"unknown method {m!r}", 0)
-    rows: list[dict] = []
+    if not args.timeout > 0:  # false for nan too
+        raise ParseError(f"--timeout must be positive, got {args.timeout}", 0)
     jobs = []
     for label, ideal in ideals:
         # s from the profile alone, as ``power`` finds it; cells out of their
         # method's range are refused here, before any worker is forked.
         profile = persistence_profile(ideal)  # raises on a principal ideal
-        tokens = [tok for tok in args.powers.split(",") if tok.strip()]
         powers = [_parse_power_token(tok, profile.s) for tok in tokens]
         for n in powers:
             for method in methods:
                 require_power(n, profile, method)
                 jobs.append((label, ideal, n, method))
 
-    def record(label, method, n, outcome):
-        pre = comp = mu = outcome  # "—" for a timeout, "error" for a raise
-        if isinstance(outcome, tuple):
-            pre, comp, mu = f"{outcome[0]:.2f}", f"{outcome[1]:.2f}", outcome[2]
-        rows.append(dict(ideal=label, method=method, n=n, preprocess_ms=pre, compute_ms=comp, mu=mu))
-
-    ctx = multiprocessing.get_context("fork")
+    table = [["ideal", "method", "n", "preprocess_ms", "compute_ms", "mu"]]
     for label, ideal, n, method in jobs:
-        queue = ctx.SimpleQueue()
-
-        def worker(q=queue, i=ideal, m=method, nn=n):
-            q.put(_bench_cell(i, m, nn))
-
-        proc = ctx.Process(target=worker)
-        proc.start()
-        proc.join(args.timeout)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join()
-            record(label, method, n, "—")
-        else:
-            record(label, method, n, queue.get() if proc.exitcode == 0 else "error")
-
-    header = ["ideal", "method", "n", "preprocess_ms", "compute_ms", "mu"]
-    widths = [
-        max(len(h), max((len(str(r[h])) for r in rows), default=0)) for h in header
-    ]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(str(r[h]).ljust(w) for h, w in zip(header, widths)))
-
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=header)
-    writer.writeheader()
-    writer.writerows(rows)
+        table.append([label, method, n, *_run_cell(ideal, method, n, args.timeout)])
+    widths = [max(len(str(cell)) for cell in column) for column in zip(*table)]
+    for row in table:
+        print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+            csv.writer(fh).writerows(table)
     else:
         print()
-        print(buf.getvalue(), end="")
-    errors = sum(r["mu"] == "error" for r in rows)
+        csv.writer(sys.stdout).writerows(table)
+    errors = sum(row[-1] == "error" for row in table)
     if errors:
         print(f"error: {errors} bench cell(s) raised in their worker", file=sys.stderr)
         return EXIT_MATH
@@ -239,12 +226,11 @@ def cmd_check(args) -> int:
         seed=args.seed,
         tail=args.tail,
     )
-    failures = 0
     for report in reports:
         for line in report.lines():
             if args.verbose or "FAIL" in line:
                 print(line)
-        failures += len(report.failures)
+    failures = sum(len(r.failures) for r in reports)
     total = sum(len(r.records) for r in reports)
     print(f"check suite: {len(reports)} ideals, {total} comparisons, {failures} mismatches (seed={args.seed})")
     return EXIT_OK if failures == 0 else EXIT_USAGE
@@ -314,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OVERFLOW
     except (PrincipalIdealError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MATH
+    except MemoryError as exc:  # numpy's message, when there is one, names the size
+        print(f"error: output too large to allocate: {exc}".rstrip(": "), file=sys.stderr)
         return EXIT_MATH
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -153,77 +154,54 @@ def differential_check(
 ) -> DifferentialReport:
     """Cross-check every applicable power routine over ``n_range``.
 
-    For each n the reference is repeated multiplication when n is at most
-    ``naive_limit``, otherwise the staircase expansion; every other
-    applicable routine is compared against it by exact generator-list
-    equality.  When ``n - 1 >= s`` is in the range too, the band shift of
-    the reference at ``n - 1`` is one of them.  Mismatches are recorded,
-    never raised.
+    Each n runs the routes that apply to it, in this order: repeated
+    multiplication up to ``naive_limit``, the staircase expansion from D,
+    assembly from s, and, when n - 1 >= s was checked just before, the band
+    shift of the reference at n - 1.  The first of them is the reference;
+    every other one is compared against it by exact generator-list
+    equality.  Mismatches are recorded, never raised.
     """
     if ideal.is_principal:
         raise PrincipalIdealError("differential check needs a non-principal ideal")
     if dec is None:
         dec = stable_decomposition(ideal)
     d_base = naive_power(ideal, dec.D)
+    naive_at, naive_value = 1, ideal  # I^naive_at, stepped up one factor at a time
+    prev: dict[int, MonomialIdeal] = {}  # the last reference, keyed by its n
 
+    def naive(n: int) -> MonomialIdeal:
+        nonlocal naive_at, naive_value
+        for _ in range(naive_at, n):
+            naive_value = naive_value * ideal
+        naive_at = n
+        return naive_value
+
+    def shifted(n: int) -> MonomialIdeal | None:
+        try:
+            return shift_generators(dec, prev[n - 1], n - 1)
+        except (AssertionError, ValueError):
+            return None  # a shift that breaks its own invariants yields no G(I^n)
+
+    routes = (  # (name, whether it applies to n, its G(I^n))
+        ("naive", lambda n: n <= naive_limit, naive),
+        ("decomposed", lambda n: n >= dec.D,
+         partial(decomposed_power, ideal, dec.profile, base=d_base)),
+        ("assembled", lambda n: n >= dec.s, partial(assemble_power, dec)),
+        ("shifted", lambda n: n - 1 >= dec.s and n - 1 in prev, shifted),
+    )
     report = DifferentialReport(label=label, ideal=ideal)
-    naive_cache: MonomialIdeal | None = None
-    naive_at = 0
-    prev: tuple[int, MonomialIdeal] | None = None
-    for n in sorted(set(n_range)):
-        if n < 1:
+    for n in sorted({n for n in n_range if n >= 1}):
+        results = [
+            (name, *_timed(lambda: compute(n))) for name, applies, compute in routes if applies(n)
+        ]
+        if not results:
             continue
-        candidates: dict[str, MonomialIdeal | None] = {}
-        timings: dict[str, float] = {}
-
-        if n <= naive_limit:
-            # Incremental: reuse the previous naive power when consecutive.
-            start = time.perf_counter()
-            if naive_cache is not None and naive_at < n:
-                value = naive_cache
-                for _ in range(n - naive_at):
-                    value = value * ideal
-            else:
-                value = naive_power(ideal, n)
-            timings["naive"] = (time.perf_counter() - start) * 1000.0
-            naive_cache, naive_at = value, n
-            candidates["naive"] = value
-        if n >= dec.D:
-            value, ms = _timed(lambda: decomposed_power(ideal, dec.profile, n, base=d_base))
-            candidates["decomposed"] = value
-            timings["decomposed"] = ms
-        if n >= dec.s:
-            value, ms = _timed(lambda: assemble_power(dec, n))
-            candidates["assembled"] = value
-            timings["assembled"] = ms
-        if prev is not None and prev[0] == n - 1 >= dec.s:
-            start = time.perf_counter()
-            try:
-                candidates["shifted"] = shift_generators(dec, prev[1], n - 1)
-            except (AssertionError, ValueError):
-                # A shift that breaks its own invariants yields no G(I^n).
-                candidates["shifted"] = None
-            timings["shifted"] = (time.perf_counter() - start) * 1000.0
-
-        if not candidates:
-            continue
-        ref_name = "naive" if "naive" in candidates else "decomposed"
-        ref = candidates[ref_name]
-        prev = (n, ref)
-        for name, value in candidates.items():
-            if name == ref_name:
-                continue
-            report.records.append(
-                CheckRecord(
-                    label=label,
-                    n=n,
-                    method=name,
-                    reference=ref_name,
-                    equal=value == ref,
-                    method_ms=timings[name],
-                    reference_ms=timings[ref_name],
-                )
-            )
+        (ref_name, ref, ref_ms), *others = results
+        prev = {n: ref}
+        report.records.extend(
+            CheckRecord(label, n, name, ref_name, value == ref, ms, ref_ms)
+            for name, value, ms in others
+        )
     return report
 
 

@@ -225,6 +225,31 @@ def test_bench_refuses_out_of_range_cells(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "option", ["--powers=", "--powers= , ", "--methods=", "--timeout=0", "--timeout=-1", "--timeout=nan"]
+)
+def test_bench_refuses_bad_arguments(tmp_path, capsys, monkeypatch, option):
+    # No power, no method or a timeout that is not positive: a usage error
+    # before any fork, not an empty table or a table of dashes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("worker forked")
+
+    monkeypatch.setattr(cli.multiprocessing, "get_context", refuse)
+    ideals = tmp_path / "ideals.txt"
+    ideals.write_text(f"small: {SMALL}\n")
+    code, out, err = run(capsys, "bench", str(ideals), option)
+    assert (code, out) == (1, "") and err.startswith("error: "), err
+
+
+def test_read_bench_ideals_splits_at_the_last_colon(tmp_path):
+    # Ideal text never holds a colon, so a label may; no label numbers the line.
+    path = tmp_path / "ideals.txt"
+    path.write_text("# comment\nrun 2: I1: y^2 + x^2*y + x^3\n[(0,4),(4,0)]\n: [(0,2),(2,1),(3,0)]\n")
+    assert cli._read_bench_ideals(str(path)) == [
+        ("run 2: I1", SMALL), ("I_2", MonomialIdeal.of((0, 4), (4, 0))), ("I_3", SMALL)
+    ]
+
+
+@pytest.mark.parametrize(
     "token, expected",
     [
         ("s", 3),
@@ -316,6 +341,26 @@ def test_check_suite(capsys):
 
 def test_usage_error_exit_1(capsys):
     assert main(["nonsense"]) == 1
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 1.46 TiB for an array"), ": Unable to allocate 1.46 TiB for an array"),
+        (MemoryError(), ""),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_memory_error_exit_2(capsys, monkeypatch, exc, message):
+    # G(I^(5e10)) of SMALL needs about 1.46 TiB.  The error is raised here,
+    # never provoked: where memory is overcommitted the real request would
+    # fill memory instead of being refused.
+    def refuse(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "power", refuse)
+    code, out, err = run(capsys, "power", str(SMALL), "50000000000")
+    assert (code, out, err) == (2, "", f"error: output too large to allocate{message}\n")
 
 
 def test_overflow_exit_3(capsys):

@@ -35,7 +35,7 @@ def test_no_assert_statements():
 def test_src_line_budget():
     # The cap on the package's size, by ``wc -l src/stairpow/*.py``.
     lines = sum(len(path.read_bytes().splitlines()) for path in SRC.glob("*.py"))
-    assert lines <= 1855, f"src/stairpow has {lines} lines, over the 1855-line budget"
+    assert lines <= 1822, f"src/stairpow has {lines} lines, over the 1822-line budget"
 
 
 def _load_spans():
@@ -121,3 +121,10 @@ def test_power_under_optimize():
     for n in (39, 41, 244):
         naive = str(naive_power(parse_ideal(ideal), n)) + "\n"
         assert _python("-O", "-m", "stairpow.cli", "power", ideal, str(n)).decode() == naive, n
+
+
+def test_check_under_optimize():
+    # The band shift's generator count and the glued-span checks raise rather
+    # than assert, so the differential suite still checks them under -O.
+    out = _python("-O", "-m", "stairpow.cli", "check", "--count", "3").decode()
+    assert "3 ideals" in out and "0 mismatches" in out, out
