@@ -35,6 +35,10 @@ EXIT_USAGE = 1
 EXIT_MATH = 2
 EXIT_OVERFLOW = 3
 
+#: The longest ``bench --timeout`` in seconds: a worker is joined through
+#: ``poll``, whose timeout is an int of milliseconds.
+BENCH_TIMEOUT_MAX = (2**31 - 1) // 1000
+
 
 def _print_ideal(ideal: MonomialIdeal, fmt: str) -> None:
     if fmt == "terms":
@@ -57,6 +61,7 @@ def cmd_analyze(args) -> int:
     print(f"delta_P            {profile.delta_P}")
     print(f"d_P                {profile.d_P}")
     print(f"D                  {dec.D}")
+    print(f"reduction m        {'none' if dec.reduction_number is None else dec.reduction_number}")
     print(f"r_x                {profile.r_x}")
     print(f"r_y                {profile.r_y}")
     print(f"axis               {dec.axis.value}")
@@ -110,7 +115,7 @@ def _bench_cell(ideal: MonomialIdeal, method: str, n: int) -> tuple[float, float
 
     def profile_and_base(_):
         profile = persistence_profile(ideal)
-        return profile, level_power(ideal, profile.D_P)
+        return profile, level_power(ideal, profile.D_P, profile.chosen)
 
     stages = {
         "naive": (lambda _: None, lambda _: naive_power(ideal, n)),
@@ -186,8 +191,8 @@ def cmd_bench(args) -> int:
     for m in methods:
         if m not in ("naive", "decomposed", "assembled"):
             raise ParseError(f"unknown method {m!r}", 0)
-    if not args.timeout > 0:  # false for nan too
-        raise ParseError(f"--timeout must be positive, got {args.timeout}", 0)
+    if not 0 < args.timeout <= BENCH_TIMEOUT_MAX:  # false for nan too
+        raise ParseError(f"--timeout must be positive and at most {BENCH_TIMEOUT_MAX} s, got {args.timeout}", 0)
     jobs = []
     for label, ideal in ideals:
         # s from the profile alone, as ``power`` finds it; cells out of their

@@ -1,7 +1,8 @@
 """Fast computation of large powers of bivariate monomial ideals.
 
 The pipeline: bound D from the persistence profile, compute I^D on one
-level array, expand to I^s (s = D + r + 1) as a sum of staircase-pair
+level array (by the generators in P alone once ``I^(m+1) = (P) I^m`` is
+certified), expand to I^s (s = D + r + 1) as a sum of staircase-pair
 powers, split I^s into its stable components, and from then on assemble
 any I^(s+l) by pure exponent shifting in time proportional to its own
 generator count.  The generator count itself follows the exact linear
@@ -19,11 +20,13 @@ from .ideals import (
     Monomial,
     MonomialIdeal,
     PrincipalIdealError,
-    ideal_sum,
+    _certified_level_power,
     level_power,
     mon_pow,
-    # ``naive_power`` is unused here but stays importable as
-    # ``engine.naive_power``: the benchmark's span tracer patches that name.
+    # ``ideal_sum`` and ``naive_power`` are unused here but stay importable
+    # as ``engine.ideal_sum`` and ``engine.naive_power``: the benchmark's
+    # span tracer patches those names.
+    ideal_sum,
     naive_power,
 )
 from .geometry import (
@@ -33,7 +36,8 @@ from .geometry import (
     stabilization_radius,
 )
 from .links import boundary_points, link_blocks
-from .segments import GluedComponents, glued_blocks, glued_components, staircase_times
+# ``staircase_times`` is unused here too, patched by the span tracer.
+from .segments import GluedComponents, glued_blocks, glued_components, staircase_sum, staircase_times
 
 #: How many ideals' plans :func:`power` and :func:`mu_polynomial` keep.
 _PLAN_CACHE_SIZE = 16
@@ -56,10 +60,11 @@ def decomposed_power(
 ) -> MonomialIdeal:
     """``I^n`` via one ``I^D`` and staircase-pair expansions.
 
-    Valid for ``n >= D_P``, in the ideal's own coordinates; each summand
-    ``(g_i, g_(i+1))^(n-D) I^D`` is a window-minimum staircase, in work
-    linear in its y-span rather than in its candidate products.  ``base`` may supply a precomputed ``I^D``;
-    by default :func:`level_power` builds it.
+    Valid for ``n >= D_P``, in the ideal's own coordinates: the sum of the
+    ``(g_i, g_(i+1))^(n-D) I^D`` over P, which :func:`staircase_sum` builds
+    on one level array, in work linear in its y-span rather than in its
+    candidate products.  ``base`` may supply a precomputed ``I^D``; by
+    default :func:`level_power` builds it with every generator of I.
     """
     require_power(n, profile, "decomposed")
     d = profile.D_P
@@ -67,10 +72,7 @@ def decomposed_power(
         base = level_power(ideal, d)
     if n == d:
         return base
-    gs = profile.chosen
-    return ideal_sum(
-        [staircase_times(g, h, n - d, base) for g, h in zip(gs, gs[1:])]
-    )
+    return staircase_sum(profile.chosen, n - d, base)
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,14 @@ class StableDecomposition:
     and, when ``axis`` is X, transposed so that the y-oriented machinery
     applies.  ``boundary_points`` are h_0..h_{k+1} of the oriented I^s.
     ``profile`` is the persistence profile of the ideal as given; ``D``,
-    ``r``, ``s`` and ``axis`` read it.
+    ``r``, ``s`` and ``axis`` read it.  ``reduction_number`` is the least
+    ``m`` with ``I^(m+1) = (P) I^m`` that building ``I^D`` certified: 0 when
+    P is all of G(I), None when it certified none below ``D``.
     """
 
     gcd_shift: Monomial
     profile: PersistenceProfile
+    reduction_number: int | None
     gs: tuple[Monomial, ...]
     components: tuple[MonomialIdeal, ...]
     middles: tuple[MonomialIdeal, ...]
@@ -139,7 +144,9 @@ def stable_decomposition(
     return _Plan(ideal, chosen).decomposition
 
 
-def _decompose(ideal: MonomialIdeal, profile: PersistenceProfile, base: MonomialIdeal) -> StableDecomposition:
+def _decompose(
+    ideal: MonomialIdeal, profile: PersistenceProfile, base: MonomialIdeal, reduction_number: int | None
+) -> StableDecomposition:
     """The stable components of ``ideal`` from ``base``, its ``I^D``.
 
     The one place that re-orients: P holds both extreme generators of the
@@ -157,6 +164,7 @@ def _decompose(ideal: MonomialIdeal, profile: PersistenceProfile, base: Monomial
     return StableDecomposition(
         gcd_shift=shift,
         profile=profile,
+        reduction_number=reduction_number,
         gs=glued.gs,
         components=glued.components,
         middles=glued.middles,
@@ -167,7 +175,8 @@ def _decompose(ideal: MonomialIdeal, profile: PersistenceProfile, base: Monomial
 
 class _Plan:
     """The profile of a non-principal ideal, with its ``I^D`` (in its own
-    coordinates) and decomposition built on first use."""
+    coordinates, with the reduction number certified while building it) and
+    its decomposition built on first use."""
 
     def __init__(self, ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None) -> None:
         if ideal.is_principal:
@@ -175,12 +184,12 @@ class _Plan:
         self.ideal, self.profile = ideal, persistence_profile(ideal, chosen)
 
     @cached_property
-    def base(self) -> MonomialIdeal:
-        return level_power(self.ideal, self.profile.D_P)
+    def certified_base(self) -> tuple[MonomialIdeal, int | None]:
+        return _certified_level_power(self.ideal, self.profile.D_P, self.profile.chosen)
 
     @cached_property
     def decomposition(self) -> StableDecomposition:
-        return _decompose(self.ideal, self.profile, self.base)
+        return _decompose(self.ideal, self.profile, *self.certified_base)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -230,7 +239,7 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     if n < plan.profile.D_P:
         return level_power(ideal, n)
     if n < plan.profile.s:
-        return decomposed_power(ideal, plan.profile, n, base=plan.base)
+        return decomposed_power(ideal, plan.profile, n, base=plan.certified_base[0])
     return assemble_power(plan.decomposition, n)
 
 

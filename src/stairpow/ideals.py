@@ -32,6 +32,10 @@ EXP_LIMIT = 1 << 63
 #: sparse exponents).  Measured: bucketing wins up to a ratio of about 30.
 _BUCKET_SPAN_FACTOR = 16
 
+#: ``level_power`` of ``I^n`` checks for a certificate at step j while
+#: ``j * _CHECK_COST <= n * mu(I)``.
+_CHECK_COST = 20
+
 #: Marks an empty level in a dense array of the least x per y level.
 _NO_POINT = np.iinfo(np.int64).max
 
@@ -275,39 +279,88 @@ def naive_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     return result
 
 
-def level_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
+def level_power(ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial] = ()) -> MonomialIdeal:
     """``I^n`` on one dense array of x values per y level.
 
-    Entry t for ``I^j`` is the x of a point of ``I^j`` at most t above its
-    lowest generator, and exactly the x of every minimal generator at that
-    generator's height.  Entry t for ``I^(j+1)`` is the minimum over the
-    generators g of entry ``t - g_y`` plus ``g_x``, which keeps both
-    properties: one slice minimum per generator, no candidate products.
-    The final running-minimum sweep then yields the minimal generators.
+    Entry t for ``I^j`` is the least x of ``I^j`` at most t above its lowest
+    generator: the staircase of ``I^j``.  Entry t for ``I^(j+1)`` is the
+    minimum over the generators g of entry ``t - g_y`` plus ``g_x``: one
+    slice minimum per generator, no candidate products.  Slices end at the
+    top of ``I^j``, where the slice of the highest generator has already
+    come as far left, so the result is again the staircase, equal arrays
+    are equal ideals, and one final sweep yields the minimal generators.
+
+    ``reduction`` is a set P of generators of I holding both extreme ones
+    (else ValueError), such as its corners, which generate a reduction of I
+    (Northcott and Rees 1954).  Until a step certifies ``I^(j+1) =
+    (P) I^j``, each step takes the slices of P, which give the staircase of
+    ``(P) I^j``, and then those of the other generators: if none of them
+    lowers that staircase, the step certifies.  By induction
+    ``I^(i+1) = (P) I^i`` for every ``i >= j``, so every later step takes
+    the slices of P alone.  A check costs about one slice, so checks stop
+    after step ``n * mu(I) / _CHECK_COST``, where they have cost about a
+    twentieth of the kernel.  With no ``reduction`` every step takes the
+    slices of every generator.
+
     Below ``n = 2``, or for a y-span beyond ``_BUCKET_SPAN_FACTOR * mu(I)``,
     :func:`naive_power` runs instead.
     """
+    return _certified_level_power(ideal, n, reduction)[0]
+
+
+def _certified_level_power(
+    ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial]
+) -> tuple[MonomialIdeal, int | None]:
+    """:func:`level_power` and the least ``m`` it certified with
+    ``I^(m+1) = (P) I^m``: 0 when P is all of G(I), None when no step did."""
     x, y = ideal.xy
     rise = y - y[-1]
     span = int(rise[0])
+    # The lowest generator's slice starts at level 0; the others follow it.
+    lowest, steps = int(x[-1]), list(zip(x[:-1].tolist(), rise[:-1].tolist()))
+    chosen = dict(reduction)  # generators of I differ in x
+    if chosen and (lowest not in chosen or int(x[0]) not in chosen):
+        raise ValueError(f"the reduction {tuple(reduction)} misses an extreme generator of {ideal}")
+    certified = 0 if len(chosen) in (0, ideal.mu) else None  # 0: P is all of G(I)
     if n < 2 or span > _BUCKET_SPAN_FACTOR * ideal.mu:
-        return naive_power(ideal, n)
+        return naive_power(ideal, n), certified
     # The largest exponents of I^n, checked before any int64 add.
-    _check_exponents(n * int(x[-1]), n * int(y[0]))
+    _check_exponents(n * lowest, n * int(y[0]))
     levels = np.full(span + 1, _NO_POINT, dtype=np.int64)
     levels[rise] = x
     # Level 0 holds a generator, so no _NO_POINT is left to add to.  From
-    # then on the slices of the lowest and the highest generator cover every
-    # level, so none comes back.
+    # then on the slices of the lowest and the highest generator, both in P,
+    # cover every level, so none comes back.
     np.minimum.accumulate(levels, out=levels)
-    steps = list(zip(x.tolist(), rise.tolist()))
-    for _ in range(n - 1):
-        stepped = np.full(len(levels) + span, _NO_POINT, dtype=np.int64)
-        for a, b in steps:
+    active, reducing, rest = steps, steps, []
+    last_check = 0 if certified == 0 else n * ideal.mu // _CHECK_COST
+    if last_check:
+        reducing = [step for step in steps if step[0] in chosen]
+        rest = [step for step in steps if step[0] not in chosen]
+    # Two level arrays of the final length take turns, and one buffer takes
+    # the shifted copies: no allocation per step.
+    size = n * span + 1
+    buffers, lowered = np.empty((2, size), dtype=np.int64), np.empty(size, dtype=np.int64)
+    for j in range(1, n):
+        stepped = buffers[j % 2, : len(levels) + span]
+        np.add(levels, lowest, out=stepped[: len(levels)])
+        stepped[len(levels) :] = _NO_POINT
+        shifted = lowered[: len(levels)]
+        checking = j <= last_check
+        for a, b in reducing if checking else active:
             window = stepped[b : b + len(levels)]
-            np.minimum(window, levels + a, out=window)
+            np.minimum(window, np.add(levels, a, out=shifted), out=window)
+        if checking:
+            # stepped is the staircase of (P) I^j; a generator lowering none of it adds nothing.
+            for a, b in rest:
+                window = stepped[b : b + len(levels)]
+                np.add(levels, a, out=shifted)
+                checking = checking and not (shifted < window).any()
+                np.minimum(window, shifted, out=window)
+            if checking:
+                certified, active, last_check = j, reducing, 0
         levels = stepped
-    return MonomialIdeal(_level_staircase(levels, n * int(y[-1])))
+    return MonomialIdeal(_level_staircase(levels, n * int(y[-1]))), certified
 
 
 def pair_power(g: Monomial, h: Monomial, n: int) -> MonomialIdeal:

@@ -25,14 +25,48 @@ from .links import link_blocks, link_many, unlink
 
 
 def staircase_times(pair_g: Monomial, pair_h: Monomial, n: int, j_ideal: MonomialIdeal) -> MonomialIdeal:
-    """``(g, h)^n * J`` in work proportional to its y-span.
+    """``(g, h)^n * J``, the one-pair case of :func:`staircase_sum`."""
+    return staircase_sum((pair_g, pair_h), n, j_ideal)
+
+
+def staircase_sum(gs: Sequence[Monomial], n: int, j_ideal: MonomialIdeal) -> MonomialIdeal:
+    """``sum_i (g_i, g_(i+1))^n * J`` over consecutive pairs of ``gs``, each
+    pair in either order, in work proportional to its y-span.
+
+    Every pair's window table (see :func:`_pair_levels`) is min-ed into one
+    level array spanning the union of their levels, which one sweep turns
+    into the minimal generators.  A single pair needs no shared array.  If
+    a pair's table would be larger than its ``(n+1) * mu(J)`` candidates,
+    or beyond int64, that pair is the product of those candidates and the
+    per-pair ideals are summed.
+    """
+    pairs = list(zip(gs, gs[1:]))
+    tables = [_pair_levels(g, h, n, j_ideal) for g, h in pairs]
+    if len(tables) == 1 or any(table is None for table in tables):
+        return ideal_sum([
+            pair_power(g, h, n) * j_ideal if table is None else MonomialIdeal(_level_staircase(*table))
+            for (g, h), table in zip(pairs, tables)
+        ])
+    low = min(bottom for _, bottom in tables)
+    levels = np.full(max(bottom + len(t) for t, bottom in tables) - low, _NO_POINT, dtype=np.int64)
+    for table, bottom in tables:
+        view = levels[bottom - low : bottom - low + len(table)]
+        np.minimum(view, table, out=view)
+    return MonomialIdeal(_level_staircase(levels, low))
+
+
+def _pair_levels(
+    pair_g: Monomial, pair_h: Monomial, n: int, j_ideal: MonomialIdeal
+) -> tuple[np.ndarray, int] | None:
+    """The least x per y level of ``(g, h)^n * J`` from its lowest level on,
+    and that level; None where the candidate product is the cheaper route.
 
     With g the pair member of smaller x, ``u = h_x - g_x``, ``v = g_y - h_y``
     and ``F(t)`` the least x of G(J) at most t above its lowest generator,
     the staircase at height ``n*h_y + c + q*v`` (``0 <= c < v``) is
     ``n*h_x - q*u + min(F(c + t*v) + t*u for t in [q - n, q])``, a sliding
-    window minimum (van Herk 1992; Gil and Werman 1993).  Tables larger than
-    the ``(n+1) * mu(J)`` candidates, or beyond int64, minimalize those.
+    window minimum (van Herk 1992; Gil and Werman 1993).  None when that
+    table is larger than the ``(n+1) * mu(J)`` candidates or beyond int64.
     """
     if mon_divides(pair_g, pair_h) or mon_divides(pair_h, pair_g):
         raise ValueError(f"{pair_g} and {pair_h} are comparable; staircase power undefined")
@@ -46,7 +80,7 @@ def staircase_times(pair_g: Monomial, pair_h: Monomial, n: int, j_ideal: Monomia
     # The window kernel sweeps about 2 * rows * v levels, the product the
     # (n+1) * mu(J) candidates: measured, they break even at about equal sizes.
     if rows * v > (n + 1) * j_ideal.mu or rows * u + x1 - x0 >= EXP_LIMIT:
-        return pair_power(g, h, n) * j_ideal
+        return None
     # Pad n rows in front and cut blocks of n + 1 rows: the window [q - n, q]
     # is a block suffix from row q plus a block prefix up to row q + n.
     blocks = -(-(n + rows) // (n + 1))
@@ -64,7 +98,7 @@ def staircase_times(pair_g: Monomial, pair_h: Monomial, n: int, j_ideal: Monomia
     window = np.minimum(suffix.reshape(-1, v)[:rows], padded.reshape(-1, v)[n : n + rows])
     window -= steps
     window += n * h[0] + x0
-    return MonomialIdeal(_level_staircase(window.reshape(-1), n * h[1] + y0))
+    return window.reshape(-1), n * h[1] + y0
 
 
 @dataclass(frozen=True)
@@ -128,8 +162,9 @@ def glued_components(
     """Split one explicitly computed base power into its repeating components.
 
     ``gs`` are boundary generators g_1..g_{k+1} of an anchored ideal in
-    descending y-order.  The components are read off the summed power S
-    directly; the per-summand r-segments are never formed.
+    descending y-order.  :func:`staircase_sum` builds the summed power S,
+    and the components are read off S directly; the per-summand r-segments
+    are never formed.
     """
     boundary = MonomialIdeal(gs)  # raises unless they descend in y and ascend in x
     if boundary.mu < 2 or boundary.gcd() != (0, 0):
@@ -142,7 +177,7 @@ def glued_components(
     if r < needed:
         raise ValueError(f"r={r} below the stabilization bound {needed}")
 
-    base = ideal_sum([staircase_times(g, h, r + 1, j_ideal) for g, h in zip(gs, gs[1:])])
+    base = staircase_sum(gs, r + 1, j_ideal)
     k = len(gs) - 1
     points: list[Monomial] = []
     x, y = base.xy

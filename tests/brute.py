@@ -32,14 +32,40 @@ def antichain(points) -> tuple[Monomial, ...]:
     )
 
 
+def _candidates(a: MonomialIdeal, b: MonomialIdeal):
+    return ((p + r, q + s) for p, q in a.gens for r, s in b.gens)
+
+
 def product(a: MonomialIdeal, b: MonomialIdeal) -> tuple[Monomial, ...]:
     """G(a * b) from all mu(a) * mu(b) candidate products."""
-    return lexsort_minimal((p + r, q + s) for p, q in a.gens for r, s in b.gens)
+    return lexsort_minimal(_candidates(a, b))
 
 
 def staircase_times(g: Monomial, h: Monomial, n: int, j_ideal: MonomialIdeal) -> tuple[Monomial, ...]:
     """G((g, h)^n * J) from the ``(n + 1) * mu(J)`` candidate products."""
     return product(pair_power(g, h, n), j_ideal)
+
+
+def staircase_sum(gs, n: int, j_ideal: MonomialIdeal) -> tuple[Monomial, ...]:
+    """G(sum_i (g_i, g_(i+1))^n * J) from the candidate products of every pair."""
+    return lexsort_minimal(
+        c for g, h in zip(gs, gs[1:]) for c in _candidates(pair_power(g, h, n), j_ideal)
+    )
+
+
+def reduction_number(ideal: MonomialIdeal, chosen, last: int):
+    """The least m with ``I^(m+1) = (P) I^m``, by repeated candidate
+    products: 0 when P is all of G(I), else the least m in ``1..last``, or
+    None."""
+    if set(chosen) == set(ideal.gens):
+        return 0
+    reduction, power = MonomialIdeal(tuple(sorted(chosen))), ideal
+    for m in range(1, last + 1):
+        following = product(power, ideal)
+        if product(reduction, power) == following:
+            return m
+        power = MonomialIdeal(following)
+    return None
 
 
 def colon(gens, m: Monomial) -> tuple[Monomial, ...]:

@@ -23,6 +23,7 @@ def test_analyze_small(capsys):
     code, out, _ = run(capsys, "analyze", "y^2 + x^2*y + x^3")
     assert code == 0
     assert "D                  1" in out
+    assert "reduction m        none" in out  # P misses x^2*y, and only m = 0 is below D = 1
     assert "r                  1" in out
     assert "s                  3" in out
 
@@ -33,6 +34,7 @@ def test_analyze_big(capsys):
     )
     assert code == 0
     assert "D                  40" in out
+    assert "reduction m        1" in out
     assert "r                  200" in out
     assert "s                  241" in out
 
@@ -77,6 +79,7 @@ def test_analyze_weakly_persistent(capsys, text):
     lines = _analyze_lines(out)
     assert lines["chosen P"] == lines["weakly persistent"] == weakly
     assert lines["persistent P(I)"] == persistent
+    assert lines["reduction m"] == "0"  # P is all of G(I)
 
 
 def test_power_decomposed_builds_no_decomposition(capsys, monkeypatch):
@@ -192,7 +195,8 @@ def test_bench_s_without_decomposition(tmp_path, capsys, monkeypatch):
     csv_path = tmp_path / "rows.csv"
     argv = ["bench", str(ideals), "--powers", "s,s+1", "--methods", "naive"]
     argv += ["--csv", str(csv_path)]
-    code, _, err = run(capsys, *argv, "--timeout", "60")
+    # The longest timeout poll takes still joins the workers.
+    code, _, err = run(capsys, *argv, "--timeout", str(cli.BENCH_TIMEOUT_MAX))
     assert code == 0, err
     rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
     assert [(r["ideal"], r["n"]) for r in rows] == [
@@ -225,11 +229,16 @@ def test_bench_refuses_out_of_range_cells(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "option", ["--powers=", "--powers= , ", "--methods=", "--timeout=0", "--timeout=-1", "--timeout=nan"]
+    "option",
+    [
+        "--powers=", "--powers= , ", "--methods=", "--timeout=0", "--timeout=-1", "--timeout=nan",
+        "--timeout=inf", "--timeout=3e6", f"--timeout={cli.BENCH_TIMEOUT_MAX + 1}",
+    ],
 )
 def test_bench_refuses_bad_arguments(tmp_path, capsys, monkeypatch, option):
-    # No power, no method or a timeout that is not positive: a usage error
-    # before any fork, not an empty table or a table of dashes.
+    # No power, no method, or a timeout that is not positive or longer than
+    # poll takes: a usage error before any fork, not an empty table, a table
+    # of dashes or an OverflowError in the join.
     def refuse(*args, **kwargs):
         raise AssertionError("worker forked")
 
@@ -318,7 +327,7 @@ def test_bench_cells_ignore_the_plan_memo(monkeypatch):
     assert cli._bench_cell(BIG, "assembled", s)[2] == engine.power(BIG, s).mu
     assert len(decompositions) == 1
     assert cli._bench_cell(BIG, "decomposed", 60)[2] == naive_power(BIG, 60).mu
-    assert bases == [(BIG, 40)]
+    assert bases == [(BIG, 40, engine.persistence_profile(BIG).chosen)]
 
 
 @pytest.mark.parametrize("argv, decompositions", [(["100"], 0), (["300"], 1), ([], 1)])

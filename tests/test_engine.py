@@ -396,7 +396,7 @@ def test_plan_builds_each_stage_once(monkeypatch, ideal):
     expected = {n: decomposed_power(ideal, profile, n) for n in (profile.D_P, 100, profile.s + 5)}
     expected[profile.D_P - 1] = naive_power(ideal, profile.D_P - 1)
     profiles = _count_calls(monkeypatch, engine, "persistence_profile")
-    bases = _count_calls(monkeypatch, engine, "level_power", lambda _, n: n == profile.D_P)
+    bases = _count_calls(monkeypatch, engine, "_certified_level_power", lambda _, n, *rest: n == profile.D_P)
     decompositions = _count_calls(monkeypatch, engine, "_decompose")
     for _ in range(2):
         for n, ideal_n in expected.items():

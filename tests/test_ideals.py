@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 import brute
 from stairpow import ideals as ideals_module
-from stairpow.geometry import persistence_profile
+from stairpow.geometry import persistence_profile, persistent_generators, weakly_persistent_generators
 from stairpow.ideals import (
     EXP_LIMIT,
     UNIT,
@@ -288,11 +288,73 @@ LEVEL_CORPUS = [random_ideal(RandomIdealSpec(8, 20, seed=seed)) for seed in rang
 
 @pytest.mark.parametrize("seed", range(len(LEVEL_CORPUS)))
 def test_level_power_matches_naive(seed):
+    # With every generator, and with P(I) or P*(I) as the reduction.
     I = LEVEL_CORPUS[seed]
     for J in (I, I.transpose(), I.shift((2, 3))):
         d = persistence_profile(J.anchor()[0]).D_P
+        reductions = ((), persistent_generators(J), weakly_persistent_generators(J))
         for n in (0, 1, 2, d, d + 3):
-            assert level_power(J, n) == naive_power(J, n), (J.gens, n)
+            expected = naive_power(J, n)
+            for P in reductions:
+                assert level_power(J, n, P) == expected, (J.gens, n, P)
+
+
+def _checked_steps(ideal, n):
+    """The last step at which ``level_power(ideal, n, P)`` checks for a certificate."""
+    if n < 2 or ideal.dist(Axis.Y) > ideals_module._BUCKET_SPAN_FACTOR * ideal.mu:
+        return 0
+    return min(n - 1, n * ideal.mu // ideals_module._CHECK_COST)
+
+
+@given(ideals(), st.integers(0, 30), st.booleans())
+@example(MonomialIdeal(((3, 5),)), 7, False)  # principal: P is G(I)
+def test_level_power_with_a_reduction(ideal, n, weakly):
+    # I^n as repeated multiplication gives it, and the certified m is the
+    # least m with I^(m+1) = (P) I^m among the steps that were checked.
+    boundary = weakly_persistent_generators if weakly else persistent_generators
+    chosen = ideal.gens if ideal.is_principal else boundary(ideal)
+    power, m = ideals_module._certified_level_power(ideal, n, chosen)
+    assert power == naive_power(ideal, n)
+    assert m == brute.reduction_number(ideal, chosen, _checked_steps(ideal, n))
+
+
+def test_level_power_refuses_a_reduction_without_both_extremes():
+    # The slices of the lowest and the highest generator reach every level.
+    I = MonomialIdeal(((0, 4), (1, 2), (3, 1), (5, 0)))
+    assert level_power(I, 30, ((0, 4), (5, 0))) == naive_power(I, 30)
+    for P in (((0, 4), (1, 2)), ((1, 2), (5, 0))):
+        for n in (1, 30):
+            with pytest.raises(ValueError, match="extreme generator"):
+                level_power(I, n, P)
+
+
+#: I4 of ``benchmarks/ideals.txt``.
+I4 = MonomialIdeal.of(
+    (0, 24), (3, 21), (4, 20), (6, 17), (8, 15), (10, 13), (11, 12), (13, 11),
+    (14, 10), (15, 9), (16, 7), (17, 3), (19, 2), (21, 1), (24, 0),
+)
+
+
+@pytest.mark.parametrize(
+    "ideal, boundary, m",
+    [
+        (LEVEL_CORPUS[2], persistent_generators, 4),
+        (LEVEL_CORPUS[9], persistent_generators, 6),
+        (LEVEL_CORPUS[9], weakly_persistent_generators, 1),
+        (I4, persistent_generators, 3),
+    ],
+    ids=["seed2-P", "seed9-P", "seed9-P*", "I4-P"],
+)
+def test_level_power_certifies_late_reductions(ideal, boundary, m):
+    # Certificates from m >= 3 on: I^D_P from the steps of P alone equals
+    # the all-generator kernel's, and m is the least with I^(m+1) = (P) I^m.
+    chosen, d = boundary(ideal), persistence_profile(ideal).D_P
+    power, certified = ideals_module._certified_level_power(ideal, d, chosen)
+    assert certified == m == brute.reduction_number(ideal, chosen, m)
+    assert power == level_power(ideal, d)
+    # At least four steps of P alone follow the certificate at step m.
+    n = max(m + 5, -(-m * ideals_module._CHECK_COST // ideal.mu))
+    assert level_power(ideal, n, chosen) == naive_power(ideal, n)
 
 
 @given(ideals(), st.integers(0, 8))
@@ -335,14 +397,21 @@ def test_level_power_sparse_span_falls_back(monkeypatch):
 
 
 def test_level_power_overflow_checked_before_allocation(monkeypatch):
-    # Dense y-spans, so that neither case takes the fallback.
+    # Dense y-spans, so that no case takes the fallback; the three-generator
+    # ideals take their two extreme generators as the reduction.
     top = (1 << 61) + 1
-    for I in (MonomialIdeal(((0, 1), (top, 0))), MonomialIdeal(((0, top), (1, top - 1)))):
+    cases = [
+        (MonomialIdeal(((0, 1), (top, 0))), ()),
+        (MonomialIdeal(((0, top), (1, top - 1))), ()),
+        (MonomialIdeal(((0, 2), (top - 1, 1), (top, 0))), ((0, 2), (top, 0))),
+        (MonomialIdeal(((0, top), (1, top - 1), (2, top - 2))), ((0, top), (2, top - 2))),
+    ]
+    for I, P in cases:
         n = -(-EXP_LIMIT // top)  # the least n with n * top >= 2**63
-        assert level_power(I, n - 1) == naive_power(I, n - 1)
+        assert level_power(I, n - 1, P) == naive_power(I, n - 1)
         with pytest.raises(ExponentOverflowError):
             naive_power(I, n)
         with monkeypatch.context() as patch:
             patch.setattr(np, "full", _raise)
             with pytest.raises(ExponentOverflowError):
-                level_power(I, n)
+                level_power(I, n, P)

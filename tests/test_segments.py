@@ -21,6 +21,7 @@ from stairpow.segments import (
     glued_power,
     one_segment_power,
     r_segments,
+    staircase_sum,
     staircase_times,
 )
 
@@ -124,6 +125,55 @@ def pair_and_ideal(draw):
 def test_staircase_times_matches_candidate_product(case, n):
     g, h, J = case
     assert staircase_times(g, h, n, J).gens == brute.staircase_times(g, h, n, J)
+
+
+@st.composite
+def chain_and_ideal(draw):
+    """Two to five boundary generators, descending in y or reversed, with
+    possibly one pair near int64 and one far sparser than its candidates,
+    and a possibly unanchored J."""
+    k = draw(st.integers(1, 4))
+    us = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+    vs = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+    if draw(st.integers(0, 3)) == 0:
+        us[draw(st.integers(0, k - 1))] += 2**57  # x exponents up to about 2^62
+    if draw(st.integers(0, 3)) == 0:
+        vs[draw(st.integers(0, k - 1))] <<= 36  # that pair takes the candidate product
+    x, y = draw(st.integers(0, 5)), draw(st.integers(0, 5)) + sum(vs)
+    gs = [(x, y)]
+    for u, v in zip(us, vs):
+        x, y = x + u, y - v
+        gs.append((x, y))
+    if draw(st.booleans()):
+        gs.reverse()
+    mu = draw(st.integers(1, 12))
+    coords = st.lists(st.integers(0, 2 * mu), min_size=mu, max_size=mu, unique=True)
+    xs, ys = sorted(draw(coords)), sorted(draw(coords), reverse=True)
+    return tuple(gs), MonomialIdeal(tuple(zip(xs, ys)))
+
+
+@given(chain_and_ideal(), st.integers(0, 25))
+@example((((0, 4), (3, 1), (5, 0)), FIG3_J.shift((2, 3))), 6)  # unanchored
+@example((((5, 0), (3, 1), (0, 4)), FIG3_J), 2)  # reversed, n < dist_y(J) / v
+@example((((0, 2**40 + 4), (3, 4), (5, 0)), FIG3_J), 5)  # one sparse pair
+def test_staircase_sum_matches_candidate_products(case, n):
+    gs, J = case
+    assert staircase_sum(gs, n, J).gens == brute.staircase_sum(gs, n, J)
+
+
+def test_staircase_sum_is_one_level_array(monkeypatch):
+    # Dense pairs share one level array and never reach the candidate product
+    # or ideal_sum; one sparse pair sends the whole sum through both.
+    calls = counted_pair_power(monkeypatch)
+    sums = []
+    monkeypatch.setattr(segments, "ideal_sum", lambda ideals: sums.append(len(ideals)) or ideal_sum(ideals))
+    dense = ((0, 9), (1, 6), (3, 2), (7, 0))
+    for gs in (dense, dense[::-1]):
+        assert staircase_sum(gs, 20, FIG3_J).gens == brute.staircase_sum(gs, 20, FIG3_J)
+    assert (calls, sums) == ([], [])
+    sparse = ((0, 2**40 + 6),) + dense[1:]
+    assert staircase_sum(sparse, 20, FIG3_J).gens == brute.staircase_sum(sparse, 20, FIG3_J)
+    assert (len(calls), sums) == (1, [3])
 
 
 @st.composite
