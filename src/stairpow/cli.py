@@ -4,7 +4,7 @@ Subcommands: analyze | power | mu | bench | check.  Exit codes: 0 success,
 1 usage or parse errors (and failed check suites), 2 violated math
 preconditions (principal ideal, n < 1, a bench cell below its method's
 range or one whose worker raised) or an output too large to allocate,
-3 exponent overflow.
+3 exponent overflow, 141 stdout closed by its reader (a broken pipe).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import csv
 import decimal
 import multiprocessing
+import os
 import sys
 import time
 
@@ -34,10 +35,14 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MATH = 2
 EXIT_OVERFLOW = 3
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer stopped by SIGPIPE
 
 #: The longest ``bench --timeout`` in seconds: a worker is joined through
 #: ``poll``, whose timeout is an int of milliseconds.
 BENCH_TIMEOUT_MAX = (2**31 - 1) // 1000
+
+#: The methods ``bench`` times, as ``_bench_cell`` names its stages.
+BENCH_METHODS = ("naive", "decomposed", "assembled")
 
 
 def _print_ideal(ideal: MonomialIdeal, fmt: str) -> None:
@@ -122,8 +127,6 @@ def _bench_cell(ideal: MonomialIdeal, method: str, n: int) -> tuple[float, float
         "decomposed": (profile_and_base, lambda pb: decomposed_power(ideal, pb[0], n, base=pb[1])),
         "assembled": (lambda _: stable_decomposition(ideal), lambda dec: assemble_power(dec, n)),
     }
-    if method not in stages:
-        raise ValueError(f"unknown method {method!r}")
     value, ms = None, []
     for stage in stages[method]:
         start = time.perf_counter()
@@ -189,7 +192,7 @@ def cmd_bench(args) -> int:
     if not methods or not tokens:
         raise ParseError("bench needs at least one method and one power", 0)
     for m in methods:
-        if m not in ("naive", "decomposed", "assembled"):
+        if m not in BENCH_METHODS:
             raise ParseError(f"unknown method {m!r}", 0)
     if not 0 < args.timeout <= BENCH_TIMEOUT_MAX:  # false for nan too
         raise ParseError(f"--timeout must be positive and at most {BENCH_TIMEOUT_MAX} s, got {args.timeout}", 0)
@@ -224,16 +227,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_check(args) -> int:
-    reports = check_corpus(
-        count=args.count,
-        mu_max=args.mu_max,
-        exp_max=args.exp_max,
-        seed=args.seed,
-        tail=args.tail,
-    )
+    reports = check_corpus(count=args.count, seed=args.seed)
     for report in reports:
         for line in report.lines():
-            if args.verbose or "FAIL" in line:
+            if "FAIL" in line:
                 print(line)
     failures = sum(len(r.failures) for r in reports)
     total = sum(len(r.records) for r in reports)
@@ -272,18 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark the power routines")
     p.add_argument("ideal_file", help="file with one ideal per line ('label: text' allowed)")
     p.add_argument("--powers", default="s+1e2,s+1e3,s+1e4", help="comma list; 's+1e3' means s+1000")
-    p.add_argument("--methods", default="assembled", help="comma list of naive,decomposed,assembled")
+    p.add_argument("--methods", default="assembled", help=f"comma list of {','.join(BENCH_METHODS)}")
     p.add_argument("--timeout", type=float, default=300.0, help="seconds per cell (default 300)")
     p.add_argument("--csv", default=None, help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("check", help="run the randomized differential suite")
     p.add_argument("--count", type=int, default=25)
-    p.add_argument("--mu-max", type=int, default=8)
-    p.add_argument("--exp-max", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tail", type=int, default=15)
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_check)
 
     return parser
@@ -309,6 +302,10 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # numpy's message, when there is one, names the size
         print(f"error: output too large to allocate: {exc}".rstrip(": "), file=sys.stderr)
         return EXIT_MATH
+    except BrokenPipeError:
+        # The reader left; the interpreter's flush at exit must not fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

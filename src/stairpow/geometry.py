@@ -130,8 +130,6 @@ def persistence_profile(
 
 
 def _radius(ideal: MonomialIdeal, chosen: tuple[Monomial, ...], D: int, axis: Axis) -> int:
-    if D == 0:
-        return 0
     min_pair = min(pair_dist(g, h, axis) for g, h in zip(chosen, chosen[1:]))
     return -(-D * ideal.dist(axis) // min_pair)
 

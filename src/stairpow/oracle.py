@@ -11,7 +11,6 @@ is checked against the same references, with no assembly involved.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable
@@ -70,16 +69,11 @@ class CheckRecord:
     method: str
     reference: str
     equal: bool
-    method_ms: float
-    reference_ms: float
 
     @property
     def line(self) -> str:
         verdict = "ok  " if self.equal else "FAIL"
-        return (
-            f"{verdict} {self.label} n={self.n} {self.method} vs {self.reference} "
-            f"({self.method_ms:.1f} ms / {self.reference_ms:.1f} ms)"
-        )
+        return f"{verdict} {self.label} n={self.n} {self.method} vs {self.reference}"
 
 
 @dataclass
@@ -139,12 +133,6 @@ def shift_generators(dec: StableDecomposition, gens_n: MonomialIdeal, n: int) ->
     return dec.unoriented(result, n + 1)
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    value = fn()
-    return value, (time.perf_counter() - start) * 1000.0
-
-
 def differential_check(
     ideal: MonomialIdeal,
     n_range: Iterable[int],
@@ -191,16 +179,13 @@ def differential_check(
     )
     report = DifferentialReport(label=label, ideal=ideal)
     for n in sorted({n for n in n_range if n >= 1}):
-        results = [
-            (name, *_timed(lambda: compute(n))) for name, applies, compute in routes if applies(n)
-        ]
+        results = [(name, compute(n)) for name, applies, compute in routes if applies(n)]
         if not results:
             continue
-        (ref_name, ref, ref_ms), *others = results
+        (ref_name, ref), *others = results
         prev = {n: ref}
         report.records.extend(
-            CheckRecord(label, n, name, ref_name, value == ref, ms, ref_ms)
-            for name, value, ms in others
+            CheckRecord(label, n, name, ref_name, value == ref) for name, value in others
         )
     return report
 

@@ -1,10 +1,14 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from stairpow import cli, engine
+from stairpow import cli, engine, oracle
 from stairpow.cli import main
 from stairpow.ideals import ExponentOverflowError, MonomialIdeal, naive_power
 from stairpow.textio import ParseError
@@ -129,6 +133,12 @@ def test_mu_at_n(capsys):
     assert "mu(I^10) = 21" in out
 
 
+@pytest.mark.parametrize("argv, line", [([], "mu(I^n) = 1 for all n >= 1 (principal ideal)"), (["7"], "mu(I^7) = 1")])
+def test_mu_principal(capsys, argv, line):
+    code, out, err = run(capsys, "mu", "x^2*y^3", *argv)
+    assert (code, out, err) == (0, line + "\n", "")
+
+
 @pytest.mark.parametrize("text", ["x^2*y^3", "y^2 + x^2*y + x^3"])
 @pytest.mark.parametrize("n", ["0", "-4"])
 def test_mu_invalid_n_exit_2(capsys, text, n):
@@ -231,7 +241,8 @@ def test_bench_refuses_out_of_range_cells(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "option",
     [
-        "--powers=", "--powers= , ", "--methods=", "--timeout=0", "--timeout=-1", "--timeout=nan",
+        "--powers=", "--powers= , ", "--methods=", "--methods=naive,foo",
+        "--timeout=0", "--timeout=-1", "--timeout=nan",
         "--timeout=inf", "--timeout=3e6", f"--timeout={cli.BENCH_TIMEOUT_MAX + 1}",
     ],
 )
@@ -247,6 +258,15 @@ def test_bench_refuses_bad_arguments(tmp_path, capsys, monkeypatch, option):
     ideals.write_text(f"small: {SMALL}\n")
     code, out, err = run(capsys, "bench", str(ideals), option)
     assert (code, out) == (1, "") and err.startswith("error: "), err
+
+
+def test_bench_unreadable_or_empty_file_exit_1(tmp_path, capsys):
+    code, out, err = run(capsys, "bench", str(tmp_path / "missing.txt"))
+    assert (code, out) == (1, "") and "No such file" in err
+    path = tmp_path / "comments.txt"
+    path.write_text("# only a comment\n\n")
+    code, out, err = run(capsys, "bench", str(path))
+    assert (code, out) == (1, "") and "no ideals found" in err
 
 
 def test_read_bench_ideals_splits_at_the_last_colon(tmp_path):
@@ -346,6 +366,52 @@ def test_check_suite(capsys):
     code, out, _ = run(capsys, "check", "--count", "3")
     assert code == 0
     assert "0 mismatches" in out
+
+
+def test_check_prints_a_failure(capsys, monkeypatch):
+    # Assembly drops a generator at s = 663 of the first corpus ideal, whose
+    # 31 records compare with the staircase expansion there: one FAIL record,
+    # its ideal's FAIL summary and exit 1.
+    real = oracle.assemble_power
+
+    def dropped(dec, n):
+        result = real(dec, n)
+        return MonomialIdeal(result.gens[1:]) if n == 663 else result
+
+    monkeypatch.setattr(oracle, "assemble_power", dropped)
+    code, out, _ = run(capsys, "check", "--count", "1")
+    assert (code, out.splitlines()) == (1, [
+        "FAIL seed=0 n=663 assembled vs decomposed",
+        "FAIL seed=0: 31 comparisons, 1 mismatches",
+        "check suite: 1 ideals, 31 comparisons, 1 mismatches (seed=0)",
+    ])
+
+
+@pytest.mark.parametrize("option", ["--verbose", "--tail=3", "--mu-max=5", "--exp-max=9"])
+def test_check_takes_only_count_and_seed(capsys, option):
+    code, out, err = run(capsys, "check", "--count", "1", option)
+    assert (code, out) == (1, "") and "unrecognized arguments" in err
+
+
+#: The ``stairpow`` entry point, and one that prints again after ``main``
+#: returned, as the interpreter's own flush at exit may.
+ENTRIES = {
+    "module": ["-m", "stairpow.cli"],
+    "print after": ["-c", "import sys; from stairpow.cli import main; code = main(); print(); sys.exit(code)"],
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_broken_pipe_exit_141(entry):
+    # The reader closes stdout after one line: no traceback, no error line.
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, *ENTRIES[entry], "power", str(SMALL), "100000", "--format", "terms"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"y^200000\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 def test_usage_error_exit_1(capsys):

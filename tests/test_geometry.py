@@ -99,6 +99,8 @@ def test_profile_chosen_validation():
     assert p.chosen == ((0, 4), (2, 2), (4, 0))
     with pytest.raises(ValueError):
         persistence_profile(SMALL, chosen=((0, 2), (2, 1), (3, 0)))
+    with pytest.raises(ValueError, match="ordered by descending y-degree"):
+        persistence_profile(SMALL, chosen=((3, 0), (0, 2)))
 
 
 def test_stabilization_radius():

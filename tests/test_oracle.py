@@ -64,6 +64,11 @@ def test_differential_check_detects_mutation():
     assert "FAIL" in mutated.line
 
 
+def test_check_record_line():
+    assert CheckRecord("seed=3", 4, "assembled", "naive", True).line == "ok   seed=3 n=4 assembled vs naive"
+    assert CheckRecord("I", 9, "shifted", "decomposed", False).line == "FAIL I n=9 shifted vs decomposed"
+
+
 def test_report_lines_format():
     report = differential_check(SMALL, [3, 4])
     lines = report.lines()

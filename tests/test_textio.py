@@ -37,6 +37,10 @@ def test_parse_errors_positioned():
         parse_ideal("[]")
     with pytest.raises(ParseError):
         parse_ideal("[(1, -2)]")
+    with pytest.raises(ParseError, match=r"^malformed pair list \(at position 0\)$"):
+        parse_ideal("[(1, 2),")
+    with pytest.raises(ParseError, match=r"^no monomials found \(at position 0\)$"):
+        parse_ideal("+ ;")
 
 
 @pytest.mark.parametrize("text", ["[(True, 2), (0, 5), (3, False)]", "[(0, 1), (2, True)]"])

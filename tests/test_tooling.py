@@ -35,7 +35,7 @@ def test_no_assert_statements():
 def test_src_line_budget():
     # The cap on the package's size, by ``wc -l src/stairpow/*.py``.
     lines = sum(len(path.read_bytes().splitlines()) for path in SRC.glob("*.py"))
-    assert lines <= 1924, f"src/stairpow has {lines} lines, over the 1924-line budget"
+    assert lines <= 1904, f"src/stairpow has {lines} lines, over the 1904-line budget"
 
 
 def _load_spans():
