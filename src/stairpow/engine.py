@@ -76,12 +76,12 @@ def decomposed_power(
 
 
 @dataclass(frozen=True)
-class StableDecomposition:
-    """Everything needed to emit G(I^n) for any n >= s by shifting alone.
+class StableDecomposition(GluedComponents):
+    """Everything needed to emit G(I^n) for any n >= s by shifting alone:
+    the glued components of I^s in the working orientation (the ideal
+    anchored and, when ``axis`` is X, transposed), with what places them.
 
-    The components live in the working orientation: the ideal is anchored
-    and, when ``axis`` is X, transposed so that the y-oriented machinery
-    applies.  ``boundary_points`` are h_0..h_{k+1} of the oriented I^s.
+    ``base_power`` is that I^s and ``boundary_points`` its h_0..h_{k+1}.
     ``profile`` is the persistence profile of the ideal as given; ``D``,
     ``r``, ``s`` and ``axis`` read it.  ``reduction_number`` is the least
     ``m`` with ``I^(m+1) = (P) I^m`` that building ``I^D`` certified: 0 when
@@ -91,11 +91,14 @@ class StableDecomposition:
     gcd_shift: Monomial
     profile: PersistenceProfile
     reduction_number: int | None
-    gs: tuple[Monomial, ...]
-    components: tuple[MonomialIdeal, ...]
-    middles: tuple[MonomialIdeal, ...]
-    boundary_points: tuple[Monomial, ...]
-    base_power: MonomialIdeal
+
+    @property
+    def base_power(self) -> MonomialIdeal:
+        return self.base
+
+    @property
+    def boundary_points(self) -> tuple[Monomial, ...]:
+        return boundary_points(self.base, self.link_points)
 
     @property
     def D(self) -> int:
@@ -160,16 +163,9 @@ def _decompose(
     if profile.axis is Axis.X:
         chosen, j_base = chosen.transpose(), j_base.transpose()
 
-    glued: GluedComponents = glued_components(chosen.gens, j_base, profile.r)
+    glued = glued_components(chosen.gens, j_base, profile.r)
     return StableDecomposition(
-        gcd_shift=shift,
-        profile=profile,
-        reduction_number=reduction_number,
-        gs=glued.gs,
-        components=glued.components,
-        middles=glued.middles,
-        boundary_points=boundary_points(glued.base, glued.link_points),
-        base_power=glued.base,
+        **vars(glued), gcd_shift=shift, profile=profile, reduction_number=reduction_number
     )
 
 

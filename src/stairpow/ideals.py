@@ -64,10 +64,6 @@ def mon_pow(m: Monomial, n: int) -> Monomial:
     return (a, b)
 
 
-def mon_gcd(m: Monomial, n: Monomial) -> Monomial:
-    return (min(m[0], n[0]), min(m[1], n[1]))
-
-
 def mon_divides(m: Monomial, n: Monomial) -> bool:
     return m[0] <= n[0] and m[1] <= n[1]
 
@@ -332,11 +328,11 @@ def _certified_level_power(
     # then on the slices of the lowest and the highest generator, both in P,
     # cover every level, so none comes back.
     np.minimum.accumulate(levels, out=levels)
-    active, reducing, rest = steps, steps, []
-    last_check = 0 if certified == 0 else n * ideal.mu // _CHECK_COST
-    if last_check:
-        reducing = [step for step in steps if step[0] in chosen]
-        rest = [step for step in steps if step[0] not in chosen]
+    # P's steps reduce every step, the others until a step certifies.
+    reducing, others = [], []
+    for step in steps:
+        (reducing if certified == 0 or step[0] in chosen else others).append(step)
+    last_check = n * ideal.mu // _CHECK_COST
     # Two level arrays of the final length take turns, and one buffer takes
     # the shifted copies: no allocation per step.
     size = n * span + 1
@@ -346,19 +342,18 @@ def _certified_level_power(
         np.add(levels, lowest, out=stepped[: len(levels)])
         stepped[len(levels) :] = _NO_POINT
         shifted = lowered[: len(levels)]
-        checking = j <= last_check
-        for a, b in reducing if checking else active:
+        for a, b in reducing:
             window = stepped[b : b + len(levels)]
             np.minimum(window, np.add(levels, a, out=shifted), out=window)
-        if checking:
-            # stepped is the staircase of (P) I^j; a generator lowering none of it adds nothing.
-            for a, b in rest:
-                window = stepped[b : b + len(levels)]
-                np.add(levels, a, out=shifted)
-                checking = checking and not (shifted < window).any()
-                np.minimum(window, shifted, out=window)
-            if checking:
-                certified, active, last_check = j, reducing, 0
+        # stepped is now the staircase of (P) I^j; a generator lowering none of it adds nothing.
+        certifies = j <= last_check
+        for a, b in others:
+            window = stepped[b : b + len(levels)]
+            np.add(levels, a, out=shifted)
+            certifies = certifies and not (shifted < window).any()
+            np.minimum(window, shifted, out=window)
+        if certifies and others:
+            certified, others = j, []
         levels = stepped
     return MonomialIdeal(_level_staircase(levels, n * int(y[-1]))), certified
 

@@ -17,13 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ideals import (
-    Axis,
-    Monomial,
-    MonomialIdeal,
-    mon_gcd,
-    _check_exponents,
-)
+from .ideals import Axis, Monomial, MonomialIdeal, _check_exponents
 
 
 def link_blocks(
@@ -115,15 +109,22 @@ def link_many(parts: Sequence[MonomialIdeal]) -> LinkChain:
 def unlink(ideal: MonomialIdeal, link_points: Sequence[Monomial]) -> list[MonomialIdeal]:
     """Recover the anchored parts of a linked ideal from its link points.
 
-    Inverse of :func:`link_many` for the points it records: part i is the
-    colon of the ideal by the gcd of the two surrounding link points (with
-    axis-extreme sentinels at the ends).
+    Inverse of :func:`link_many` for the points it records, in link order.
+    Part i is the slice of generators a..b from link point i to link point
+    i+1 (the first and the last generator at the ends) less its corner
+    ``(x_a, y_b)``: exactly the colon of the ideal by the gcd of the two
+    boundary points around it.
     """
     if ideal.gcd() != (0, 0):
         raise ValueError("unlink expects an anchored ideal")
     points = [tuple(p) for p in link_points]
-    for p in points:
-        if not ((ideal.xy[0] == p[0]) & (ideal.xy[1] == p[1])).any():
+    if any(p[0] > q[0] for p, q in zip(points, points[1:])):
+        raise ValueError(f"link points {points} are not in link order")
+    # x ascends strictly, so one search finds the only candidate of each point.
+    x, y = ideal.xy
+    cuts = x.searchsorted([p[0] for p in points]).tolist()
+    for p, i in zip(points, cuts):
+        if i == ideal.mu or (x[i], y[i]) != p:
             raise ValueError(f"link point {p} is not a generator of the ideal")
-    bounds = boundary_points(ideal, points)
-    return [ideal.colon(mon_gcd(a, b)) for a, b in zip(bounds, bounds[1:])]
+    ends = [0, *cuts, ideal.mu - 1]
+    return [MonomialIdeal(ideal.xy[:, a : b + 1] - ((x[a],), (y[b],))) for a, b in zip(ends, ends[1:])]

@@ -113,7 +113,7 @@ def shift_generators(dec: StableDecomposition, gens_n: MonomialIdeal, n: int) ->
     _check_exponents(int(x[-1]) + dec.gs[-1][0], int(y[0]) + dec.gs[0][1])
     # Middle block i spans y from its last copy's bottom to that plus its y-span.
     ell = n - dec.s
-    bottom = np.array([h[1] + ell * g[1] for h, g in zip(dec.boundary_points[1:-1], dec.gs[1:])])
+    bottom = np.array([h[1] + ell * g[1] for h, g in zip(dec.link_points, dec.gs[1:])])
     top = bottom + [h.dist(Axis.Y) for h in dec.middles]
     # Inside band i a generator takes g_i and g_(i+1); outside every band it
     # takes g_i of the first band below it (the bands descend), else g_k.

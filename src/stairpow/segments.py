@@ -156,9 +156,7 @@ class GluedComponents:
     link_points: tuple[Monomial, ...]
 
 
-def glued_components(
-    gs: Sequence[Monomial], j_ideal: MonomialIdeal, r: int
-) -> GluedComponents:
+def glued_components(gs: Sequence[Monomial], j_ideal: MonomialIdeal, r: int) -> GluedComponents:
     """Split one explicitly computed base power into its repeating components.
 
     ``gs`` are boundary generators g_1..g_{k+1} of an anchored ideal in
@@ -178,31 +176,21 @@ def glued_components(
         raise ValueError(f"r={r} below the stabilization bound {needed}")
 
     base = staircase_sum(gs, r + 1, j_ideal)
-    k = len(gs) - 1
-    points: list[Monomial] = []
+    # Link point i is the lowest generator at or above its threshold.  y
+    # descends, so one search of the ascending reversed column counts them.
     x, y = base.xy
-    for i in range(k):
-        # y descends, so the lowest generator at or above the threshold is
-        # the last of those counted.
-        above = int(np.count_nonzero(y >= r * vs[i] + (r + 1) * gs[i + 1][1]))
-        if not above:
-            raise AssertionError("no generator above the link-point threshold")
-        points.append((int(x[above - 1]), int(y[above - 1])))
+    thresholds = [r * v + (r + 1) * g[1] for v, g in zip(vs, gs[1:])]
+    above = len(y) - y[::-1].searchsorted(thresholds)
+    if not above.all():
+        raise AssertionError("no generator above the link-point threshold")
+    points = tuple(zip(x[above - 1].tolist(), y[above - 1].tolist()))
 
     components = tuple(unlink(base, points))
-    middles = tuple(
-        base.colon((points[i][0] - us[i], points[i][1])) for i in range(k)
-    )
-    for i in range(k):
-        if not (middles[i].dist(Axis.X) == us[i] and middles[i].dist(Axis.Y) == vs[i]):
+    middles = tuple(base.colon((a - u, b)) for (a, b), u in zip(points, us))
+    for i, (middle, u, v) in enumerate(zip(middles, us, vs)):
+        if not (middle.dist(Axis.X) == u and middle.dist(Axis.Y) == v):
             raise AssertionError(f"middle block {i + 1} does not span its staircase step")
-    return GluedComponents(
-        gs=gs,
-        base=base,
-        components=components,
-        middles=middles,
-        link_points=tuple(points),
-    )
+    return GluedComponents(gs, base, components, middles, points)
 
 
 def glued_blocks(

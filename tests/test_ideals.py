@@ -81,6 +81,13 @@ def test_canonical_order_enforced():
         MonomialIdeal(())
 
 
+def test_constructor_rejects_other_arrays():
+    with pytest.raises(ValueError):
+        MonomialIdeal(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError):
+        MonomialIdeal(np.array([[0, 2], [1, 1], [2, 0]], dtype=np.int64))
+
+
 def test_multiply_small_example_square():
     I = MonomialIdeal(((0, 2), (2, 1), (3, 0)))
     assert (I * I).gens == ((0, 4), (2, 3), (3, 2), (5, 1), (6, 0))
@@ -118,6 +125,11 @@ def test_naive_power_identity_and_small_example():
     assert naive_power(I, 1).gens == I.gens
     assert naive_power(I, 3).mu == 7
     assert naive_power(I, 0).gens == UNIT.gens
+
+
+def test_naive_power_refuses_a_negative_power():
+    with pytest.raises(ValueError):
+        naive_power(MonomialIdeal(((0, 1), (1, 0))), -1)
 
 
 def test_naive_power_persistent_middle_generator():

@@ -90,6 +90,25 @@ def test_unlink_edge_cases():
         unlink(I.shift((1, 0)), [])
 
 
+def test_unlink_takes_link_points_in_link_order():
+    A = MonomialIdeal(((0, 2), (2, 1), (3, 0)))
+    B = MonomialIdeal(((0, 3), (1, 1), (4, 0)))
+    C = MonomialIdeal(((0, 1), (2, 0)))
+    chain = link_many([A, B, C])
+    assert chain.ideal.mu == 6 and chain.link_points == ((3, 4), (7, 1))
+    with pytest.raises(ValueError, match="link order"):
+        unlink(chain.ideal, chain.link_points[::-1])
+    # A repeated point cuts out a unit part.
+    first, unit, rest = unlink(chain.ideal, [(3, 4), (3, 4)])
+    assert first.gens == A.gens and unit.gens == UNIT.gens
+    assert rest.gens == link(B, C).gens
+
+
+def test_link_many_refuses_an_empty_sequence():
+    with pytest.raises(ValueError):
+        link_many([])
+
+
 def test_boundary_points_sentinels():
     chain = link_many([FIG_I, FIG_J])
     assert chain.boundary_points == ((0, 5), (4, 2), (6, 0))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -43,6 +44,11 @@ def test_staircase_times_overflow_checked():
     pair = MonomialIdeal(((0, 1), (2**62, 0)))
     with pytest.raises(ExponentOverflowError):
         staircase_times((0, 1), (2**62, 0), 1, pair)
+
+
+def test_staircase_times_refuses_a_comparable_pair():
+    with pytest.raises(ValueError, match="comparable"):
+        staircase_times((0, 1), (1, 2), 1, SMALL)
 
 
 def counted_pair_power(monkeypatch):
@@ -337,3 +343,41 @@ def test_glued_validation():
         glued_components(((0, 2), (3, 0)), SMALL.shift((1, 0)), 1)
     with pytest.raises(ValueError):
         glued_components(((1, 2), (3, 0)), SMALL, 1)
+
+
+def test_refusals_of_the_segment_powers():
+    with pytest.raises(ValueError):
+        r_segments(0, 2, SMALL, 1)
+    with pytest.raises(ValueError):
+        one_segment_power(r_segments(3, 2, SMALL, 1), -1)
+    with pytest.raises(ValueError):
+        glued_power(glued_components(((0, 2), (3, 0)), SMALL, 1), -1)
+
+
+# I^s of the pair y^2, x^3 over SMALL at r = 1 is
+# (0,6) (2,5) (3,4) (5,3) (6,2) (8,1) (9,0), with link point (6, 2) and
+# middle block I^s : (3, 2) = SMALL.  The corrupted copies below break one
+# invariant of the cut each.
+
+
+def test_glued_components_refuses_a_cut_without_link_point(monkeypatch):
+    # Every generator lies below the threshold y = 2 of the link point.
+    monkeypatch.setattr(segments, "staircase_sum", lambda *args: MonomialIdeal(((0, 1), (9, 0))))
+    with pytest.raises(AssertionError, match="threshold"):
+        glued_components(((0, 2), (3, 0)), SMALL, 1)
+
+
+def test_glued_components_refuses_a_short_middle_block(monkeypatch):
+    # Without (3, 4) the middle block I^s : (3, 2) starts at (2, 5), one too high.
+    base = MonomialIdeal(((0, 6), (2, 5), (5, 3), (6, 2), (8, 1), (9, 0)))
+    monkeypatch.setattr(segments, "staircase_sum", lambda *args: base)
+    with pytest.raises(AssertionError, match="middle block 1"):
+        glued_components(((0, 2), (3, 0)), SMALL, 1)
+
+
+def test_r_segments_refuses_a_pivot_off_its_step(monkeypatch):
+    glued = glued_components(((0, 2), (3, 0)), SMALL, 1)
+    corrupt = dataclasses.replace(glued, link_points=((0, 6),))
+    monkeypatch.setattr(segments, "glued_components", lambda *args: corrupt)
+    with pytest.raises(AssertionError, match="pivot"):
+        r_segments(3, 2, SMALL, 1)

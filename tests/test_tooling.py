@@ -32,10 +32,16 @@ def test_no_assert_statements():
     assert not found, f"assert statements in src: {found}"
 
 
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10.
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def test_src_line_budget():
     # The cap on the package's size, by ``wc -l src/stairpow/*.py``.
     lines = sum(len(path.read_bytes().splitlines()) for path in SRC.glob("*.py"))
-    assert lines <= 1904, f"src/stairpow has {lines} lines, over the 1904-line budget"
+    assert lines <= 1884, f"src/stairpow has {lines} lines, over the 1884-line budget"
 
 
 def _load_spans():
