@@ -3,31 +3,33 @@
 For S = (y^v, x^u)^(r+1) * J with r large enough, the generators of every
 higher power S_l = (y^v, x^u)^(r+1+l) * J split into three bands L, M, R:
 L shifts straight up, R shifts straight right, and the middle band M is
-copied l times along the diagonal.  This is the one-segment engine behind
-the general fast power assembly.
+copied l times along the diagonal.  These are the glued components of the
+single pair y^v, x^u -- the one-segment case of the general fast power
+assembly -- and their link point is the pivot where the bands meet.
 
 Run with: python demos/05_segments.py
 """
 
-from stairpow import MonomialIdeal, naive_power, one_segment_power, r_segments
+from stairpow import MonomialIdeal, glued_components, glued_power, naive_power
 from stairpow.ideals import Axis
 
 J = MonomialIdeal.of((0, 4), (1, 2), (3, 1), (4, 0))
 u, v = 3, 2
 r = -(-J.dist(Axis.Y) // v)  # smallest admissible r
-triple = r_segments(u, v, J, r)
+glued = glued_components(((0, v), (u, 0)), J, r)
+((alpha, beta),) = glued.link_points
 print(f"J = {J.gens}, (u, v) = ({u}, {v}), r = {r}")
-print(f"segment pivot (alpha, beta) = ({triple.alpha}, {triple.beta})")
+print(f"segment pivot (alpha, beta) = ({alpha}, {beta})")
 
-base = one_segment_power(triple, 0)
-L = [f for f in base.gens if f[1] >= triple.beta]
-M = [f for f in base.gens if triple.beta <= f[1] < triple.beta + v]
-R = [f for f in base.gens if f[1] < triple.beta]
+base = glued_power(glued, 0)
+L = [f for f in base.gens if f[1] >= beta]
+M = [f for f in base.gens if beta <= f[1] < beta + v]
+R = [f for f in base.gens if f[1] < beta]
 print(f"|L| = {len(L)}, |M| = {len(M)}, |R| = {len(R)}  (L and M overlap)")
 
 pair = MonomialIdeal.of((0, v), (u, 0))
 for ell in range(4):
-    fast = one_segment_power(triple, ell)
+    fast = glued_power(glued, ell)
     slow = naive_power(pair, r + 1 + ell) * J
     assert fast.gens == slow.gens
     print(f"l = {ell}: mu = {fast.mu}  (matches the naive product)")

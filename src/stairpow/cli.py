@@ -19,6 +19,7 @@ import time
 
 from .ideals import EXP_LIMIT, ExponentOverflowError, MonomialIdeal, PrincipalIdealError, level_power, naive_power
 from .engine import (
+    _Plan,
     _plan,
     assemble_power,
     decomposed_power,
@@ -72,6 +73,10 @@ def cmd_analyze(args) -> int:
     print(f"axis               {dec.axis.value}")
     print(f"r                  {dec.r}")
     print(f"s                  {dec.s}")
+    plan = _Plan(ideal, profile.chosen, early=True)  # the onset power() serves from, unless it is D
+    onset_m, onset_s = (plan.onset[0], plan.s) if plan.onset[0] < dec.D else ("none", "none")
+    print(f"onset m            {onset_m}")
+    print(f"onset s            {onset_s}")
     print(f"mu(I^s)            {dec.base_power.mu}")
     print(f"slope              {dec.slope}")
     print(

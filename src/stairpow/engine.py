@@ -7,6 +7,9 @@ powers, split I^s into its stable components, and from then on assemble
 any I^(s+l) by pure exponent shifting in time proportional to its own
 generator count.  The generator count itself follows the exact linear
 polynomial ``mu(I^s) + l * slope``.
+
+:func:`power` and :func:`mu_polynomial` run it from an onset m where (E*) certifies
+``I^(m+j)`` to be that sum over I^m (see ``segments._pairs_covered``), else from D.
 """
 
 from __future__ import annotations
@@ -15,32 +18,25 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
+# ``ideal_sum``, ``naive_power``, ``stabilization_radius`` and
+# ``staircase_times`` are unused here but stay importable from ``engine``:
+# the benchmark's span tracer patches those names.
 from .ideals import (
-    Axis,
-    Monomial,
-    MonomialIdeal,
-    PrincipalIdealError,
-    _certified_level_power,
-    level_power,
-    mon_pow,
-    # ``ideal_sum`` and ``naive_power`` are unused here but stay importable
-    # as ``engine.ideal_sum`` and ``engine.naive_power``: the benchmark's
-    # span tracer patches those names.
-    ideal_sum,
-    naive_power,
+    Axis, ExponentOverflowError, Monomial, MonomialIdeal, PrincipalIdealError, _certified_level_power, ideal_sum,
+    level_power, mon_pow, naive_power,
 )
-from .geometry import (
-    PersistenceProfile,
-    persistence_profile,
-    # Unused here too: the span tracer patches ``engine.stabilization_radius``.
-    stabilization_radius,
-)
+from .geometry import PersistenceProfile, _radius, persistence_profile, stabilization_radius
 from .links import boundary_points, link_blocks
-# ``staircase_times`` is unused here too, patched by the span tracer.
-from .segments import GluedComponents, glued_blocks, glued_components, staircase_sum, staircase_times
+from .segments import (
+    GluedComponents, _pairs_covered, glued_blocks, glued_components, staircase_sum, staircase_times,
+)
 
 #: How many ideals' plans :func:`power` and :func:`mu_polynomial` keep.
 _PLAN_CACHE_SIZE = 16
+
+#: How many levels above the reduction number the onset search tries (E*)
+#: at: on the corpus seeds 0-199 every certificate is within 6, none in 7-40.
+_ONSET_TRIES = 10
 
 
 def require_power(n: int, profile: PersistenceProfile, method: str) -> None:
@@ -68,11 +64,8 @@ def decomposed_power(
     """
     require_power(n, profile, "decomposed")
     d = profile.D_P
-    if base is None:
-        base = level_power(ideal, d)
-    if n == d:
-        return base
-    return staircase_sum(profile.chosen, n - d, base)
+    base = level_power(ideal, d) if base is None else base
+    return staircase_sum(profile.chosen, n - d, base) if n > d else base
 
 
 @dataclass(frozen=True)
@@ -82,15 +75,19 @@ class StableDecomposition(GluedComponents):
     anchored and, when ``axis`` is X, transposed), with what places them.
 
     ``base_power`` is that I^s and ``boundary_points`` its h_0..h_{k+1}.
-    ``profile`` is the persistence profile of the ideal as given; ``D``,
-    ``r``, ``s`` and ``axis`` read it.  ``reduction_number`` is the least
-    ``m`` with ``I^(m+1) = (P) I^m`` that building ``I^D`` certified: 0 when
-    P is all of G(I), None when it certified none below ``D``.
+    ``profile`` is the persistence profile of the ideal as given.  ``D`` is the level of
+    the power cut, and ``r``, ``axis``, ``s = D + r + 1`` follow as the profile's at D_P.
+    ``reduction_number`` is the least ``m`` with ``I^(m+1) = (P) I^m`` that
+    building ``I^D`` certified: 0 when P is all of G(I), None when it
+    certified none below ``D``.
     """
 
     gcd_shift: Monomial
     profile: PersistenceProfile
     reduction_number: int | None
+    D: int
+    r: int
+    axis: Axis
 
     @property
     def base_power(self) -> MonomialIdeal:
@@ -101,20 +98,8 @@ class StableDecomposition(GluedComponents):
         return boundary_points(self.base, self.link_points)
 
     @property
-    def D(self) -> int:
-        return self.profile.D_P
-
-    @property
-    def r(self) -> int:
-        return self.profile.r
-
-    @property
     def s(self) -> int:
-        return self.profile.s
-
-    @property
-    def axis(self) -> Axis:
-        return self.profile.axis
+        return self.D + self.r + 1
 
     @property
     def k(self) -> int:
@@ -147,51 +132,88 @@ def stable_decomposition(
     return _Plan(ideal, chosen).decomposition
 
 
+def _radius_at(ideal: MonomialIdeal, chosen: Sequence[Monomial], level: int) -> tuple[int, Axis]:
+    """``r`` and the axis for cutting ``I^level``, by the profile's rule."""
+    r_y, r_x = (_radius(ideal, chosen, level, axis) for axis in (Axis.Y, Axis.X))
+    return (r_y, Axis.Y) if r_y <= r_x else (r_x, Axis.X)
+
+
 def _decompose(
-    ideal: MonomialIdeal, profile: PersistenceProfile, base: MonomialIdeal, reduction_number: int | None
+    ideal: MonomialIdeal, profile: PersistenceProfile, level: int, base: MonomialIdeal, reduction: int | None
 ) -> StableDecomposition:
-    """The stable components of ``ideal`` from ``base``, its ``I^D``.
+    """The stable components of ``ideal`` from ``base``, its ``I^level``
+    for ``level`` D_P or a certified onset.
 
     The one place that re-orients: P holds both extreme generators of the
-    ideal, so the gcd of the ideal is also that of P, and ``gcd^D`` that of
-    ``base``.
+    ideal, so the gcd of the ideal is also that of P, and ``gcd^level``
+    that of ``base``.
     """
     shift = ideal.gcd()
     chosen = MonomialIdeal(profile.chosen).shift((-shift[0], -shift[1]))
-    g = mon_pow(shift, profile.D_P)
+    g = mon_pow(shift, level)
     j_base = base.shift((-g[0], -g[1]))
-    if profile.axis is Axis.X:
+    r, axis = _radius_at(ideal, profile.chosen, level)
+    if axis is Axis.X:
         chosen, j_base = chosen.transpose(), j_base.transpose()
 
-    glued = glued_components(chosen.gens, j_base, profile.r)
+    glued = glued_components(chosen.gens, j_base, r)
     return StableDecomposition(
-        **vars(glued), gcd_shift=shift, profile=profile, reduction_number=reduction_number
+        **vars(glued), gcd_shift=shift, profile=profile, reduction_number=reduction, D=level, r=r, axis=axis
     )
 
 
 class _Plan:
-    """The profile of a non-principal ideal, with its ``I^D`` (in its own
-    coordinates, with the reduction number certified while building it) and
-    its decomposition built on first use."""
+    """The profile of a non-principal ideal, with its onset level (D_P, or with
+    ``early`` a certified one that comes first) and what is built there on first use."""
 
-    def __init__(self, ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None) -> None:
+    def __init__(
+        self, ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None, early: bool = False
+    ) -> None:
         if ideal.is_principal:
             raise PrincipalIdealError("stable decomposition needs a non-principal ideal")
-        self.ideal, self.profile = ideal, persistence_profile(ideal, chosen)
+        self.ideal, self.profile, self.early = ideal, persistence_profile(ideal, chosen), early
 
     @cached_property
-    def certified_base(self) -> tuple[MonomialIdeal, int | None]:
-        return _certified_level_power(self.ideal, self.profile.D_P, self.profile.chosen)
+    def onset(self) -> tuple[int, MonomialIdeal | None, int | None]:
+        """``(m, I^m, reduction number)``.  With ``early``, m is the least level
+        from the reduction number, at most ``_ONSET_TRIES`` above it, where
+        (E*) holds, if its s comes before the paper's: the level kernel stops
+        there, or where none can follow.  Else m is D_P, I^m None if not built."""
+        ideal, (d, r, chosen) = self.ideal, (self.profile.D_P, self.profile.r, self.profile.chosen)
+        found = []
+
+        def stop(level: int, reduction: int, staircase) -> bool:
+            if level > reduction + _ONSET_TRIES or level + _radius_at(ideal, chosen, level)[0] >= d + r:
+                return True  # no onset can follow
+            if _pairs_covered(chosen, staircase):
+                found.append(level)
+            return bool(found)
+
+        try:
+            level, power, reduction = _certified_level_power(ideal, d, chosen, stop if self.early else None)
+        except ExponentOverflowError:  # I^D_P leaves int64: the powers below D_P need no onset
+            return d, None, None
+        return (level, power, reduction) if found or level == d else (d, None, reduction)
+
+    @cached_property
+    def base(self) -> MonomialIdeal:
+        return self.onset[1] or level_power(self.ideal, self.onset[0], self.profile.chosen)
+
+    @cached_property
+    def s(self) -> int:
+        level = self.onset[0]
+        return level + _radius_at(self.ideal, self.profile.chosen, level)[0] + 1
 
     @cached_property
     def decomposition(self) -> StableDecomposition:
-        return _decompose(self.ideal, self.profile, *self.certified_base)
+        level, _, reduction = self.onset
+        return _decompose(self.ideal, self.profile, level, self.base, reduction)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(ideal: MonomialIdeal) -> _Plan:
     """The plan :func:`power` and :func:`mu_polynomial` share for equal ideals."""
-    return _Plan(ideal)
+    return _Plan(ideal, early=True)
 
 
 def _emit(dec: StableDecomposition, ell: int) -> tuple[MonomialIdeal, int]:
@@ -208,7 +230,8 @@ def _emit(dec: StableDecomposition, ell: int) -> tuple[MonomialIdeal, int]:
 def assemble_power_counted(dec: StableDecomposition, n: int) -> tuple[MonomialIdeal, int]:
     """Like :func:`assemble_power` but also reports the number of exponent
     additions spent emitting generators."""
-    require_power(n, dec.profile, "assembled")
+    if n < dec.s:  # s >= 1
+        raise ValueError(f"assembled power needs n >= s = {dec.s}, got {n}")
     return _emit(dec, n - dec.s)
 
 
@@ -221,10 +244,11 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """``I^n`` through the cheapest applicable route.
 
     Principal ideals short-circuit to the single-generator power.  Below
-    D_P :func:`level_power` runs; between D_P and s the staircase expansion;
-    from s on the stable-component assembly, the only route that builds a
-    decomposition.  The profile, ``I^D`` and the decomposition of the last
-    16 ideals are kept for later calls, shared by equal ideals; ``G(I^n)``
+    the onset m (D_P unless certified earlier) :func:`level_power` runs;
+    from m the staircase expansion of ``I^m``; from its ``s = m + r + 1``
+    the stable-component assembly, the only route that builds a
+    decomposition.  The profile, onset and decomposition of the last 16
+    ideals are kept for later calls, shared by equal ideals; ``G(I^n)``
     itself is emitted afresh by every call.
     """
     if n < 1:
@@ -232,10 +256,11 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     if ideal.is_principal:
         return MonomialIdeal((mon_pow(ideal.gcd(), n),))
     plan = _plan(ideal)
-    if n < plan.profile.D_P:
+    level = plan.onset[0]
+    if n < level:
         return level_power(ideal, n)
-    if n < plan.profile.s:
-        return decomposed_power(ideal, plan.profile, n, base=plan.certified_base[0])
+    if n < plan.s:
+        return staircase_sum(plan.profile.chosen, n - level, plan.base) if n > level else plan.base
     return assemble_power(plan.decomposition, n)
 
 
@@ -255,8 +280,9 @@ class MuPolynomial:
 
 
 def mu_polynomial(ideal: MonomialIdeal) -> MuPolynomial:
-    """The generator-count polynomial of a non-principal ``ideal``, from the
-    decomposition :func:`power` keeps for it."""
-    dec = _plan(ideal).decomposition
-    return MuPolynomial(s=dec.s, intercept=dec.base_power.mu, slope=dec.slope)
+    """The generator-count polynomial of a non-principal ``ideal`` from the
+    paper's s on, read off the decomposition :func:`power` keeps for it."""
+    plan = _plan(ideal)
+    dec, s = plan.decomposition, plan.profile.s
+    return MuPolynomial(s=s, intercept=dec.base_power.mu + (s - dec.s) * dec.slope, slope=dec.slope)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -301,14 +301,18 @@ def level_power(ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial] = ()
     Below ``n = 2``, or for a y-span beyond ``_BUCKET_SPAN_FACTOR * mu(I)``,
     :func:`naive_power` runs instead.
     """
-    return _certified_level_power(ideal, n, reduction)[0]
+    return _certified_level_power(ideal, n, reduction)[1]
 
 
 def _certified_level_power(
-    ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial]
-) -> tuple[MonomialIdeal, int | None]:
-    """:func:`level_power` and the least ``m`` it certified with
-    ``I^(m+1) = (P) I^m``: 0 when P is all of G(I), None when no step did."""
+    ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial], stop: Callable | None = None
+) -> tuple[int, MonomialIdeal, int | None]:
+    """``(n, I^n, m)``: :func:`level_power` and the least ``m`` it certified
+    with ``I^(m+1) = (P) I^m``, 0 when P is all of G(I), None when no step did.
+
+    With ``stop`` every step checks, and from m on the kernel calls ``stop(j,
+    m, levels)`` with the staircase of ``I^j`` at each level ``j >= 1``: a true
+    answer returns ``(j, I^j, m)``.  Where the kernel does not run, I^n is None."""
     x, y = ideal.xy
     rise = y - y[-1]
     span = int(rise[0])
@@ -319,7 +323,7 @@ def _certified_level_power(
         raise ValueError(f"the reduction {tuple(reduction)} misses an extreme generator of {ideal}")
     certified = 0 if len(chosen) in (0, ideal.mu) else None  # 0: P is all of G(I)
     if n < 2 or span > _BUCKET_SPAN_FACTOR * ideal.mu:
-        return naive_power(ideal, n), certified
+        return n, None if stop else naive_power(ideal, n), certified
     # The largest exponents of I^n, checked before any int64 add.
     _check_exponents(n * lowest, n * int(y[0]))
     levels = np.full(span + 1, _NO_POINT, dtype=np.int64)
@@ -332,7 +336,7 @@ def _certified_level_power(
     reducing, others = [], []
     for step in steps:
         (reducing if certified == 0 or step[0] in chosen else others).append(step)
-    last_check = n * ideal.mu // _CHECK_COST
+    last_check = n if stop else n * ideal.mu // _CHECK_COST
     # Two level arrays of the final length take turns, and one buffer takes
     # the shifted copies: no allocation per step.
     size = n * span + 1
@@ -354,8 +358,10 @@ def _certified_level_power(
             np.minimum(window, shifted, out=window)
         if certifies and others:
             certified, others = j, []
+        if stop and certified is not None and stop(j, certified, levels):  # levels is still I^j
+            return j, MonomialIdeal(_level_staircase(levels, j * int(y[-1]))), certified
         levels = stepped
-    return MonomialIdeal(_level_staircase(levels, n * int(y[-1]))), certified
+    return n, MonomialIdeal(_level_staircase(levels, n * int(y[-1]))), certified
 
 
 def pair_power(g: Monomial, h: Monomial, n: int) -> MonomialIdeal:

@@ -4,8 +4,10 @@ For a fixed anchored ideal J and a staircase pair, the minimal generators
 of ``(x^u, y^v)^(r+1+l) J`` repeat a fixed middle block l times between an
 unchanging top and bottom block.  This module extracts the glued
 components C_i / H_i of a sum of such powers over consecutive boundary
-generators (the r-segments A, H, B are the one-pair case), and reassembles
-arbitrary higher powers from them by linking.
+generators (the r-segments A, H, B of the paper are the one-pair case),
+and reassembles arbitrary higher powers from them by linking.  It also
+checks the pair condition (E*) under which such a sum over ``J = I^m`` is
+``I^(m+j)`` itself (see :func:`_pairs_covered`).
 """
 
 from __future__ import annotations
@@ -102,46 +104,6 @@ def _pair_levels(
 
 
 @dataclass(frozen=True)
-class SegmentTriple:
-    """The r-segments of ``(x^u, y^v) J`` with respect to y.
-
-    ``A``, ``H``, ``B`` are anchored; the pivot generator ``x^alpha y^beta``
-    of ``(x^u, y^v)^(r+1) J`` is where A and B meet, and H is the block
-    repeated once per extra power.
-    """
-
-    A: MonomialIdeal
-    H: MonomialIdeal
-    B: MonomialIdeal
-    alpha: int
-    beta: int
-
-
-def r_segments(u: int, v: int, j_ideal: MonomialIdeal, r: int) -> SegmentTriple:
-    """Extract the repeating blocks of ``(x^u, y^v)^(r+1) J``.
-
-    They are the glued components of the single pair ``y^v, x^u``, with the
-    link point as pivot.  ``r`` must be at least ``ceil(dist_y(J) / v)`` so
-    that the middle block has settled.
-    """
-    if u < 1 or v < 1:
-        raise ValueError("u and v must be positive")
-    glued = glued_components(((0, v), (u, 0)), j_ideal, r)
-    ((alpha, beta),) = glued.link_points
-    if not (u <= alpha <= (r + 1) * u and beta < (r + 1) * v):
-        raise AssertionError("pivot generator outside the (r+1)-th staircase step")
-    (a, b), (h,) = glued.components, glued.middles
-    return SegmentTriple(A=a, H=h, B=b, alpha=alpha, beta=beta)
-
-
-def one_segment_power(triple: SegmentTriple, ell: int) -> MonomialIdeal:
-    """``(x^u, y^v)^(r+1+ell) J`` assembled as A . H^ell . B."""
-    if ell < 0:
-        raise ValueError("ell must be non-negative")
-    return link_blocks([(triple.A, 1), (triple.H, ell), (triple.B, 1)])
-
-
-@dataclass(frozen=True)
 class GluedComponents:
     """Components of ``S = sum_i (g_i, g_{i+1})^(r+1) J`` ready for gluing.
 
@@ -154,6 +116,23 @@ class GluedComponents:
     components: tuple[MonomialIdeal, ...]
     middles: tuple[MonomialIdeal, ...]
     link_points: tuple[Monomial, ...]
+
+
+@dataclass(frozen=True)
+class SegmentTriple(GluedComponents):
+    """The glued components of one pair ``y^v, x^u``: the r-segments A, H, B
+    of ``(x^u, y^v)^(r+1) J`` and their pivot ``x^alpha y^beta``, the link point."""
+
+    A = property(lambda self: self.components[0])
+    H = property(lambda self: self.middles[0])
+    B = property(lambda self: self.components[1])
+    alpha = property(lambda self: self.link_points[0][0])
+    beta = property(lambda self: self.link_points[0][1])
+
+
+def r_segments(u: int, v: int, j_ideal: MonomialIdeal, r: int) -> SegmentTriple:
+    """The r-segments of ``(x^u, y^v)^(r+1) J``, for ``r >= ceil(dist_y(J) / v)``."""
+    return SegmentTriple(**vars(glued_components(((0, v), (u, 0)), j_ideal, r)))
 
 
 def glued_components(gs: Sequence[Monomial], j_ideal: MonomialIdeal, r: int) -> GluedComponents:
@@ -193,6 +172,52 @@ def glued_components(gs: Sequence[Monomial], j_ideal: MonomialIdeal, r: int) -> 
     return GluedComponents(gs, base, components, middles, points)
 
 
+def _pairs_covered(gs: Sequence[Monomial], staircase: np.ndarray) -> bool:
+    """(E*) for the boundary generators ``gs`` (descending y) over the ideal
+    J whose least x at each level from its lowest generator up is
+    ``staircase`` (as :func:`ideals.level_power` steps it): each
+    ``g_a g_b J`` with ``b - a >= 2`` lies in the sum of the ``g_p g_q J``,
+    ``a <= p <= q <= b``, other than ``(a, b)`` and one of ``(a, a)``,
+    ``(b, b)``, chosen per pair.  Vacuous for two generators.
+
+    With (A), ``I^(m+1) = (P) I^m``, it gives ``I^(m+j) = Q_j J`` for ``J =
+    I^m`` and every j, where ``Q_j = sum_l (g_l, g_(l+1))^j``.  By (A),
+    ``I^(m+j)`` is the sum of the ``g_N J`` over the index multisets N of
+    size j, and those of span ``max N - min N <= 1`` make up ``Q_j J``.  By
+    (E*), any other ``g_N J``, with ``a = min N`` and ``b = max N``, lies in
+    the sum of the ``g_N' J``, ``N' = N - {a, b} + {p, q}`` over the allowed
+    (p, q).  N' keeps the span only if it keeps a and b; then it holds fewer
+    of the extreme e whose square was left out, or as many and fewer of the
+    other.  So (span, count of e, count of the other) falls in the
+    lexicographic order, and the rewriting ends in ``Q_j J``.  With both
+    squares allowed it could cycle: ``{a, b, b} -> {a, a, b} -> {a, b, b}``.
+
+    The staircase of ``g_p g_q J`` is a slice of J's, padded with its top value, plus
+    ``x(g_p g_q)``; containment is ``>=`` at each level.  Per a, ``cover`` grows with b.
+    """
+    if len(gs) < 3:
+        return True
+    dx, dy = [g[0] - gs[0][0] for g in gs], [g[1] - gs[-1][1] for g in gs]
+    top = 2 * dy[0] + len(staircase) - 1  # from here on every shift is at its top
+    if 2 * dx[-1] + int(staircase[0]) >= EXP_LIMIT:
+        return False  # beyond int64: not certified
+    padded = np.full(top + 1, staircase[-1], dtype=np.int64)
+    padded[: len(staircase)] = staircase
+    shifted = {}  # (p, q): the staircase of g_p g_q J
+    for p in range(len(gs)):
+        for q in range(p, len(gs)):
+            shifted[p, q] = np.full(top + 1, _NO_POINT, dtype=np.int64)
+            np.add(padded[: top + 1 - dy[p] - dy[q]], dx[p] + dx[q], out=shifted[p, q][dy[p] + dy[q] :])
+    for a in range(len(gs) - 2):
+        cover = np.full(top + 1, _NO_POINT, dtype=np.int64)  # the sum allowed for (a, b) but its squares
+        for b in range(a + 2, len(gs)):
+            for p, q in [(a, b - 1), (b - 1, b - 1)] + [(p, b) for p in range(a + 1, b)]:
+                np.minimum(cover, shifted[p, q], out=cover)
+            if not any((shifted[a, b] >= np.minimum(cover, shifted[e, e])).all() for e in (a, b)):
+                return False
+    return True
+
+
 def glued_blocks(
     components: Sequence[MonomialIdeal], middles: Sequence[MonomialIdeal], ell: int
 ) -> list[tuple[MonomialIdeal, int]]:
@@ -208,3 +233,7 @@ def glued_power(glued: GluedComponents, ell: int) -> MonomialIdeal:
     if ell < 0:
         raise ValueError("ell must be non-negative")
     return link_blocks(glued_blocks(glued.components, glued.middles, ell))
+
+
+#: ``(x^u, y^v)^(r+1+ell) J`` from the r-segments, assembled as A . H^ell . B.
+one_segment_power = glued_power

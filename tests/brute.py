@@ -154,3 +154,39 @@ def persistent(gens) -> tuple[Monomial, ...]:
 def weakly_persistent(gens) -> tuple[Monomial, ...]:
     """The generators strictly inside the closure of no pair of generators."""
     return tuple(f for f in gens if all(side <= 0 for side in _closure_sides(f, gens)))
+
+
+def staircase(j_ideal: MonomialIdeal) -> np.ndarray:
+    """The least x of J at each level from its lowest generator up to its
+    highest, one level at a time."""
+    low = min(y for _, y in j_ideal.gens)
+    top = max(y for _, y in j_ideal.gens)
+    return np.array([min(x for x, y in j_ideal.gens if y <= t) for t in range(low, top + 1)], dtype=np.int64)
+
+
+def pairs_covered(gs, j_ideal: MonomialIdeal) -> bool:
+    """(E*) by containment: every generator of ``g_a g_b J`` (``b - a >= 2``)
+    is divisible by a generator of one allowed ``g_p g_q J``, with one
+    square left out per pair, tried both ways."""
+    jxy = np.array(j_ideal.gens)
+    shifted = lambda p, q: jxy + (gs[p][0] + gs[q][0], gs[p][1] + gs[q][1])
+    for a in range(len(gs)):
+        for b in range(a + 2, len(gs)):
+            need = shifted(a, b)
+            pairs = [(p, q) for p in range(a, b + 1) for q in range(p, b + 1) if (p, q) != (a, b)]
+            for left_out in ((a, a), (b, b)):
+                cover = np.concatenate([shifted(*pair) for pair in pairs if pair != left_out])
+                divides = (cover[None, :, 0] <= need[:, None, 0]) & (cover[None, :, 1] <= need[:, None, 1])
+                if divides.any(axis=1).all():
+                    break
+            else:
+                return False
+    return True
+
+
+def reduction_times(gs, j: int, j_ideal: MonomialIdeal) -> tuple[Monomial, ...]:
+    """G((P)^j J) for ``P = (gs)`` by j candidate products."""
+    power = j_ideal
+    for _ in range(j):
+        power = MonomialIdeal(product(MonomialIdeal(tuple(sorted(gs))), power))
+    return power.gens

@@ -11,6 +11,7 @@ import pytest
 from stairpow import cli, engine, oracle
 from stairpow.cli import main
 from stairpow.ideals import ExponentOverflowError, MonomialIdeal, naive_power
+from stairpow.oracle import RandomIdealSpec, random_ideal
 from stairpow.textio import ParseError
 
 SMALL = MonomialIdeal(((0, 2), (2, 1), (3, 0)))
@@ -41,6 +42,21 @@ def test_analyze_big(capsys):
     assert "reduction m        1" in out
     assert "r                  200" in out
     assert "s                  241" in out
+
+
+@pytest.mark.parametrize("text, weakly, onset", [
+    ("y^2 + x^2*y + x^3", False, ("none", "none")),  # D_P = 1: no level to try
+    (str(BIG), False, ("1", "7")),
+    ("[(0,4),(1,3),(2,2),(4,0)]", False, ("2", "5")),  # the kernel's budget stops (A) short of 2
+    ("[(0,4),(1,3),(2,2),(4,0)]", True, ("1", "6")),  # P = P*(I) = G(I): reduction number 0
+])
+def test_analyze_onset_lines(capsys, text, weakly, onset):
+    # The onset power() serves from, for the chosen P, after the paper's s.
+    code, out, _ = run(capsys, "analyze", text, *(["--use-weakly-persistent"] if weakly else []))
+    assert code == 0
+    lines = out.splitlines()
+    s = lines.index(next(line for line in lines if line.startswith("s ")))
+    assert lines[s + 1 : s + 3] == [f"onset m            {onset[0]}", f"onset s            {onset[1]}"]
 
 
 def test_analyze_principal_exit_2(capsys):
@@ -87,15 +103,17 @@ def test_analyze_weakly_persistent(capsys, text):
 
 
 def test_power_decomposed_builds_no_decomposition(capsys, monkeypatch):
-    # Below s = 241 the routes need only the profile: D_P = 40 and P.
+    # Below the s power() serves from, no decomposition is built: BIG
+    # certifies the onset m = 1 with s = 7; seed 23 certifies none, so below
+    # D_P = 68 the level kernel runs and up to s = 324 the staircase sum.
     def refuse(*args, **kwargs):
         raise AssertionError("decomposition built")
 
     monkeypatch.setattr(engine, "_decompose", refuse)
-    shifted = BIG.shift((2, 3))
-    for n in (39, 50):
-        code, out, err = run(capsys, "power", str(shifted), str(n))
-        assert (code, out) == (0, str(naive_power(shifted, n)) + "\n"), err
+    shifted, uncertified = BIG.shift((2, 3)), random_ideal(RandomIdealSpec(8, 20, seed=23))
+    for ideal, n in ((shifted, 1), (shifted, 5), (shifted, 6), (uncertified, 67), (uncertified, 200)):
+        code, out, err = run(capsys, "power", str(ideal), str(n))
+        assert (code, out) == (0, str(naive_power(ideal, n)) + "\n"), err
 
 
 def test_power_n1_echo(capsys):
@@ -350,9 +368,11 @@ def test_bench_cells_ignore_the_plan_memo(monkeypatch):
     assert bases == [(BIG, 40, engine.persistence_profile(BIG).chosen)]
 
 
-@pytest.mark.parametrize("argv, decompositions", [(["100"], 0), (["300"], 1), ([], 1)])
+@pytest.mark.parametrize("argv, decompositions", [(["5"], 0), (["300"], 1), ([], 1), (["100"], 1)])
 def test_mu_builds_one_profile(capsys, monkeypatch, argv, decompositions):
     # s, the count below it and the polynomial from s on share one plan.
+    # Below the onset's s = 7 the count needs no decomposition; from it on,
+    # below the paper's s = 241 too, the count is that of the assembled I^n.
     calls = {"persistence_profile": [], "_decompose": []}
     for owner, name in ((engine, "persistence_profile"), (cli, "persistence_profile"), (engine, "_decompose")):
         real, seen = getattr(owner, name), calls[name]

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import brute
-from stairpow import engine
+from stairpow import engine, segments
 from stairpow.ideals import (
     Axis,
     ExponentOverflowError,
@@ -29,8 +30,10 @@ from stairpow.geometry import (
     weakly_persistent_generators,
 )
 from stairpow.oracle import RandomIdealSpec, random_ideal, shift_generators
+from stairpow.textio import parse_ideal
 
-REFERENCES = Path(__file__).resolve().parents[1] / "stairbench" / "references.json"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCES = ROOT / "stairbench" / "references.json"
 
 SMALL = MonomialIdeal(((0, 2), (2, 1), (3, 0)))
 BIG = MonomialIdeal.of((0, 10), (1, 9), (2, 5), (4, 4), (5, 3), (6, 2), (12, 1), (15, 0))
@@ -161,16 +164,18 @@ def test_power_below_s_never_anchors(monkeypatch):
                 assert decomposed_power(J, profile, n) == expected, (seed, n)
 
 
-@pytest.mark.parametrize("ideal", [SMALL, BIG])
+@pytest.mark.parametrize("ideal", [SMALL, BIG, random_ideal(RandomIdealSpec(8, 20, seed=23))])
 def test_power_decomposes_only_from_s(monkeypatch, ideal):
-    dec = stable_decomposition(ideal)
-    calls = []
-    real = engine._decompose
-    monkeypatch.setattr(engine, "_decompose", lambda *a: calls.append(a) or real(*a))
-    for n in (dec.D, dec.s - 1):
-        assert power(ideal, n).gens == decomposed_power(ideal, dec.profile, n).gens
+    # Below the plan's s -- from the certified onset (BIG: m = 1, s = 7) or
+    # else from D_P (SMALL, and seed 23: D_P = 68, s = 324) -- power builds
+    # no decomposition; at s it builds the one it keeps.
+    plan = engine._plan(ideal)
+    level, s = plan.onset[0], plan.s
+    calls = _count_calls(monkeypatch, engine, "_decompose")
+    for n in sorted({level, s - 1} - {0}):
+        assert power(ideal, n) == naive_power(ideal, n), n
         assert calls == []
-    assert power(ideal, dec.s).gens == assemble_power(dec, dec.s).gens
+    assert power(ideal, s) == naive_power(ideal, s)
     assert len(calls) == 1
 
 
@@ -384,26 +389,28 @@ def test_decompositions_match_recorded_digests():
 def _count_calls(monkeypatch, owner, name, keep=lambda *a: True):
     """Patch ``owner.name`` to record the arguments of the calls ``keep`` picks."""
     calls, real = [], getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *a: (keep(*a) and calls.append(a)) or real(*a))
+    monkeypatch.setattr(owner, name, lambda *a, **k: (keep(*a) and calls.append(a)) or real(*a, **k))
     return calls
 
 
 @pytest.mark.parametrize("ideal", [BIG, BIG.shift((2, 3)).transpose()])
 def test_plan_builds_each_stage_once(monkeypatch, ideal):
     # Every route of power() and mu_polynomial(), each called twice, share
-    # one profile, one I^D_P and one decomposition.
+    # one profile, one run of the level kernel (to the onset m = 1) and one
+    # decomposition (at the onset's s = 7).
     profile = persistence_profile(ideal)
-    expected = {n: decomposed_power(ideal, profile, n) for n in (profile.D_P, 100, profile.s + 5)}
-    expected[profile.D_P - 1] = naive_power(ideal, profile.D_P - 1)
+    expected = {n: naive_power(ideal, n) for n in (1, 6, 7, profile.D_P - 1, profile.D_P, 100)}
+    expected[profile.s + 5] = decomposed_power(ideal, profile, profile.s + 5)
     profiles = _count_calls(monkeypatch, engine, "persistence_profile")
-    bases = _count_calls(monkeypatch, engine, "_certified_level_power", lambda _, n, *rest: n == profile.D_P)
+    kernels = _count_calls(monkeypatch, engine, "_certified_level_power")
     decompositions = _count_calls(monkeypatch, engine, "_decompose")
     for _ in range(2):
         for n, ideal_n in expected.items():
             assert power(ideal, n) == ideal_n, n
         poly = mu_polynomial(ideal)
         assert poly(profile.s + 5) == expected[profile.s + 5].mu
-    assert (len(profiles), len(bases), len(decompositions)) == (1, 1, 1)
+    assert (len(profiles), len(kernels), len(decompositions)) == (1, 1, 1)
+    assert engine._plan(ideal).onset[0] == 1 and engine._plan(ideal).s == 7
     assert engine._plan.cache_info().currsize == 1
 
 
@@ -455,3 +462,190 @@ def test_decompose_orients_the_given_base(monkeypatch, seed):
         if dec.axis is Axis.X:
             oriented = oriented.transpose()
         assert bases == [engine.level_power(oriented, dec.D)], seed
+
+
+# -- the certified onset ---------------------------------------------------
+
+
+def _fixed_ideals():
+    lines = (ROOT / "benchmarks" / "ideals.txt").read_text(encoding="utf-8").splitlines()
+    return dict(
+        (label.strip(), parse_ideal(text))
+        for label, text in (line.split(":", 1) for line in lines if line and not line.startswith("#"))
+    )
+
+
+def test_onset_of_the_fixed_ideals():
+    # I1-I4 certify at m = 1, 1, 1 and 3: s drops from 61, 241, 989 and 2377
+    # to 5, 7, 14 and 28.
+    got = {label: (engine._plan(I).onset[0], engine._plan(I).s) for label, I in _fixed_ideals().items()}
+    assert got == {"I1": (1, 5), "I2": (1, 7), "I3": (1, 14), "I4": (3, 28)}
+
+
+def test_onset_on_the_corpus():
+    # Of the seeds 0-199 of RandomIdealSpec(8, 20) with D_P > 0, 157 of 168
+    # certify an onset; their s sum to 2734, against 48295 for the paper's.
+    certified, onset_s, paper_s, missed = 0, 0, 0, []
+    for seed in range(200):
+        plan = engine._Plan(random_ideal(RandomIdealSpec(8, 20, seed=seed)), early=True)
+        if plan.profile.D_P == 0:
+            continue
+        if plan.onset[0] < plan.profile.D_P:
+            certified, onset_s, paper_s = certified + 1, onset_s + plan.s, paper_s + plan.profile.s
+        else:
+            missed.append(seed)
+    assert (certified, onset_s, paper_s) == (157, 2734, 48295)
+    assert missed == UNCERTIFIED
+
+
+#: The corpus seeds whose onset stays at D_P: (A) certifies at no level below
+#: D_P, or (E*) at none of the levels tried.
+UNCERTIFIED = [8, 21, 23, 41, 54, 62, 88, 100, 124, 133, 157]
+
+
+@pytest.mark.parametrize("seed", UNCERTIFIED)
+def test_uncertified_seeds_keep_the_paper_route(seed):
+    I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+    plan = engine._plan(I)
+    d, s = plan.profile.D_P, plan.profile.s
+    assert (plan.onset[0], plan.s) == (d, s)
+    current, at = I, 1
+    for n in sorted({max(d - 1, 1), d, (d + s) // 2, s - 1, s, s + 3}):
+        for _ in range(at, n):
+            current = current * I
+        at = n
+        assert power(I, n) == current, n
+
+
+def test_uncertified_plan_stops_its_search(monkeypatch):
+    # Seed 23 certifies (A) at 2 but (E*) at none of the levels 2-12, so its
+    # kernel run stops at 13; I^D_P = I^68 is built by a second run, and only
+    # once a power from D_P on needs it.
+    I = random_ideal(RandomIdealSpec(8, 20, seed=23))
+    profile = persistence_profile(I)
+    expected = {n: decomposed_power(I, profile, n) for n in (100, 324, 330)}
+    kernels = _count_calls(monkeypatch, engine, "_certified_level_power")
+    levels = _count_calls(monkeypatch, engine, "level_power")
+    assert power(I, 13) == naive_power(I, 13)
+    assert engine._plan(I).onset == (68, None, 2)
+    assert [n for _, n, *rest in kernels] == [68] and levels == [(I, 13)]
+    for n, ideal_n in expected.items():
+        assert power(I, n) == ideal_n, n
+    assert len(kernels) == 1 and levels == [(I, 13), (I, 68, profile.chosen)]
+
+
+def test_sparse_ideal_below_d_builds_no_i_d(monkeypatch):
+    # A y-span beyond 16 mu(I) keeps the level kernel, and so the onset
+    # search, out: a power below D_P = 1192 builds no I^D_P.
+    I = MonomialIdeal(((0, 900), (2, 500), (7, 200), (300, 0)))
+    levels = _count_calls(monkeypatch, engine, "level_power")
+    assert power(I, 3) == naive_power(I, 3)
+    assert engine._plan(I).onset[:2] == (1192, None) and levels == [(I, 3)]
+
+
+@pytest.mark.parametrize("seed, reduction, onset", [(11, 1, 5), (15, 0, 2), (19, 1, 3)])
+def test_onset_refuses_every_level_below_it(seed, reduction, onset):
+    # (A) holds from the reduction number on, but I^(m+j) = Q_j I^m only
+    # from the onset on: (E*) must refuse every level between.
+    I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+    gs = persistence_profile(I).chosen
+    assert brute.reduction_number(I, gs, onset) == reduction
+    powers = [naive_power(I, n) for n in range(onset + 31)]
+    for m in range(max(reduction, 1), onset):
+        assert not segments._pairs_covered(gs, brute.staircase(powers[m])), m
+        assert any(segments.staircase_sum(gs, j, powers[m]) != powers[m + j] for j in range(2, 31)), m
+    assert segments._pairs_covered(gs, brute.staircase(powers[onset]))
+    assert engine._plan(I).onset == (onset, powers[onset], reduction)
+
+
+def test_rewriting_lemma_by_candidate_products():
+    # Wherever (A) and (E*) hold at I^m, the candidate products of (P)^j I^m
+    # and of Q_j I^m agree for j <= 6; |P| = 2 needs (A) alone.
+    held = {2: 0, 3: 0}
+    for seed in range(80):
+        I = random_ideal(RandomIdealSpec(6, 10, seed=seed))
+        gs = persistence_profile(I).chosen
+        J = I
+        for m in range(1, 5):
+            reduces = brute.reduction_times(gs, 1, J) == brute.product(I, J)
+            if reduces and segments._pairs_covered(gs, brute.staircase(J)):
+                held[min(len(gs), 3)] += 1
+                for j in range(1, 7):
+                    assert brute.reduction_times(gs, j, J) == brute.staircase_sum(gs, j, J), (seed, m, j)
+            J = J * I
+    assert min(held.values()) >= 20, held
+
+
+@st.composite
+def corpus_image(draw, pairs):
+    """A corpus ideal of ``RandomIdealSpec(8, 20)``, maybe transposed, maybe
+    shifted, whose P has two generators (``pairs`` 2) or more (3)."""
+    I = random_ideal(RandomIdealSpec(8, 20, seed=draw(st.integers(0, 10**6))))
+    assume(min(len(persistence_profile(I).chosen), 3) == pairs)
+    if draw(st.booleans()):
+        I = I.transpose()
+    return I.shift((draw(st.integers(0, 4)), draw(st.integers(0, 4))))
+
+
+def _onset_route_matches_naive(ideal):
+    plan = engine._plan(ideal)
+    assume(plan.s <= 150)  # bounds the repeated multiplication
+    n = max(plan.s - 1, 1)
+    current = naive_power(ideal, n)
+    for n in range(n, plan.s + 41):
+        assert power(ideal, n) == current, n
+        current = current * ideal
+
+
+@settings(max_examples=25, deadline=None)
+@given(corpus_image(2))
+def test_onset_route_matches_naive_for_one_pair(ideal):
+    _onset_route_matches_naive(ideal)
+
+
+@settings(max_examples=25, deadline=None)
+@given(corpus_image(3))
+def test_onset_route_matches_naive_for_more_pairs(ideal):
+    _onset_route_matches_naive(ideal)
+
+
+def test_stable_decomposition_never_searches_the_onset(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("onset search")
+
+    real = engine._certified_level_power
+    monkeypatch.setattr(engine, "_pairs_covered", refuse)
+    monkeypatch.setattr(engine, "_certified_level_power", lambda *a: real(*a) if a[3] is None else refuse())
+    for ideal in [*_fixed_ideals().values(), BIG.transpose()]:
+        dec, profile = stable_decomposition(ideal), persistence_profile(ideal)
+        assert (dec.D, dec.r, dec.s, dec.axis) == (profile.D_P, profile.r, profile.s, profile.axis)
+
+
+def test_mu_polynomial_from_the_onset(monkeypatch):
+    # The paper's s with mu(I^s), from the decomposition at the onset: no
+    # kernel runs to D_P and no decomposition is cut at the paper's s.
+    expected = {"I1": (61, 245, 4), "I2": (241, 1688, 7), "I3": (989, 8902, 9), "I4": (2377, 38030, 16)}
+    kernels = _count_calls(monkeypatch, engine, "_certified_level_power")
+    levels = _count_calls(monkeypatch, engine, "_decompose")
+    for label, ideal in _fixed_ideals().items():
+        poly = mu_polynomial(ideal)
+        assert (poly.s, poly.intercept, poly.slope) == expected[label]
+    assert [n for _, n, *rest in kernels] == [18, 40, 76, 264]  # each D_P, stopped at m
+    assert [level for _, _, level, *rest in levels] == [1, 1, 1, 3]
+    dec = stable_decomposition(_fixed_ideals()["I1"])
+    assert (dec.s, dec.base_power.mu, dec.slope) == expected["I1"]
+
+
+@pytest.mark.parametrize(
+    "ideal", [MonomialIdeal(((0, 6), (1, 2), (3, 1), (2**59, 0))), MonomialIdeal(((0, 4), (1, 3), (5, 1), (2**60, 0)))]
+)
+def test_powers_below_an_overflowing_d(ideal):
+    # I^D_P leaves int64 (D_P = 16 and 8), so no onset is searched: the powers
+    # below D_P are served as before, and from D_P on power and mu raise.
+    d = persistence_profile(ideal).D_P
+    for n in range(1, d):
+        assert power(ideal, n) == naive_power(ideal, n), n
+    with pytest.raises(ExponentOverflowError):
+        power(ideal, d)
+    with pytest.raises(ExponentOverflowError):
+        mu_polynomial(ideal)

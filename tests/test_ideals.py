@@ -325,7 +325,7 @@ def test_level_power_with_a_reduction(ideal, n, weakly):
     # least m with I^(m+1) = (P) I^m among the steps that were checked.
     boundary = weakly_persistent_generators if weakly else persistent_generators
     chosen = ideal.gens if ideal.is_principal else boundary(ideal)
-    power, m = ideals_module._certified_level_power(ideal, n, chosen)
+    _, power, m = ideals_module._certified_level_power(ideal, n, chosen)
     assert power == naive_power(ideal, n)
     assert m == brute.reduction_number(ideal, chosen, _checked_steps(ideal, n))
 
@@ -361,7 +361,7 @@ def test_level_power_certifies_late_reductions(ideal, boundary, m):
     # Certificates from m >= 3 on: I^D_P from the steps of P alone equals
     # the all-generator kernel's, and m is the least with I^(m+1) = (P) I^m.
     chosen, d = boundary(ideal), persistence_profile(ideal).D_P
-    power, certified = ideals_module._certified_level_power(ideal, d, chosen)
+    _, power, certified = ideals_module._certified_level_power(ideal, d, chosen)
     assert certified == m == brute.reduction_number(ideal, chosen, m)
     assert power == level_power(ideal, d)
     # At least four steps of P alone follow the certificate at step m.

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -194,42 +193,49 @@ def segment_case(draw):
     return u, v, J, -(-J.dist(Axis.Y) // v) + draw(st.integers(0, 3))
 
 
+def one_pair(u, v, J, r):
+    """The glued components of the single pair y^v, x^u over J -- the
+    r-segments -- with their link point, the pivot (alpha, beta), checked to
+    lie on the (r+1)-th staircase step."""
+    gl = glued_components(((0, v), (u, 0)), J, r)
+    ((alpha, beta),) = gl.link_points
+    assert u <= alpha <= (r + 1) * u and beta < (r + 1) * v
+    return gl, alpha, beta
+
+
 @given(segment_case())
 @example((1, 1, UNIT, 0))
 @example((1, 5, FIG3_J, 2))
 @example((4, 1, FIG3_J, 12))
 def test_segments_match_direct_extraction(case):
     u, v, J, r = case
-    alpha, beta, A, H, B = brute.r_segments(u, v, J, r)
-    tr = r_segments(u, v, J, r)
-    assert (tr.alpha, tr.beta, tr.A.gens, tr.H.gens, tr.B.gens) == (alpha, beta, A, H, B)
-    gl = glued_components(((0, v), (u, 0)), J, r)
-    assert gl.link_points == ((alpha, beta),)
-    assert tuple(c.gens for c in gl.components + gl.middles) == (A, B, H)
+    gl, alpha, beta = one_pair(u, v, J, r)
+    A, B, H = (c.gens for c in gl.components + gl.middles)
+    assert (alpha, beta, A, H, B) == brute.r_segments(u, v, J, r)
 
 
 def test_figure3_middle_block_size():
-    tr = r_segments(3, 4, FIG3_J, 3)
-    assert tr.H.mu - 1 == 2  # |M| = 2, the two encircled generators
+    gl, _, _ = one_pair(3, 4, FIG3_J, 3)
+    assert gl.middles[0].mu - 1 == 2  # |M| = 2, the two encircled generators
 
 
 def test_unit_symmetric_segments():
-    tr = r_segments(1, 1, UNIT, 1)
-    assert (tr.alpha, tr.beta) == (1, 1)
-    xy = ((0, 1), (1, 0))
-    assert tr.A.gens == xy and tr.H.gens == xy and tr.B.gens == xy
+    gl, alpha, beta = one_pair(1, 1, UNIT, 1)
+    assert (alpha, beta) == (1, 1)
+    assert [c.gens for c in gl.components + gl.middles] == [((0, 1), (1, 0))] * 3
 
 
 def test_small_example_segments():
-    tr = r_segments(3, 2, SMALL, 1)
-    assert tr.A.gens == ((0, 4), (2, 3), (3, 2), (5, 1), (6, 0))
-    assert tr.H.gens == SMALL.gens
-    assert tr.B.gens == SMALL.gens
+    gl, _, _ = one_pair(3, 2, SMALL, 1)
+    (A, B), (H,) = gl.components, gl.middles
+    assert A.gens == ((0, 4), (2, 3), (3, 2), (5, 1), (6, 0))
+    assert H.gens == SMALL.gens
+    assert B.gens == SMALL.gens
 
 
 def test_r_bound_enforced():
     with pytest.raises(ValueError):
-        r_segments(3, 4, FIG3_J, 2)  # ceil(10/4) = 3
+        glued_components(((0, 4), (3, 0)), FIG3_J, 2)  # ceil(10/4) = 3
 
 
 def test_triple_invariants_random():
@@ -241,26 +247,23 @@ def test_triple_invariants_random():
         r = rmin + rng.randint(0, 2)
         if r < 1:
             r = 1
-        tr = r_segments(u, v, J, r)
-        assert tr.beta < (r + 1) * v and tr.alpha <= (r + 1) * u
-        assert tr.H.dist(Axis.X) == u and tr.H.dist(Axis.Y) == v
-        assert tr.H.mu >= 2  # M is never empty
+        gl, _, _ = one_pair(u, v, J, r)
+        (H,) = gl.middles
+        assert H.dist(Axis.X) == u and H.dist(Axis.Y) == v
+        assert H.mu >= 2  # M is never empty
 
 
 def test_one_segment_power_vs_oracle():
-    tr = r_segments(3, 4, FIG3_J, 3)
+    gl, _, _ = one_pair(3, 4, FIG3_J, 3)
     for ell in range(4):
-        assert (
-            one_segment_power(tr, ell).gens
-            == oracle_power(3, 4, FIG3_J, 3 + 1 + ell).gens
-        )
+        assert glued_power(gl, ell).gens == oracle_power(3, 4, FIG3_J, 3 + 1 + ell).gens
 
 
 def test_one_segment_mu_linear():
-    tr = r_segments(3, 4, FIG3_J, 3)
-    mu0 = one_segment_power(tr, 0).mu
+    gl, _, _ = one_pair(3, 4, FIG3_J, 3)
+    mu0 = glued_power(gl, 0).mu
     for ell in range(1, 5):
-        assert one_segment_power(tr, ell).mu == mu0 + ell * (tr.H.mu - 1)
+        assert glued_power(gl, ell).mu == mu0 + ell * (gl.middles[0].mu - 1)
 
 
 def test_band_partition_random():
@@ -271,11 +274,11 @@ def test_band_partition_random():
         J = random_ideal(RandomIdealSpec(5, 8, seed=600 + trial)).anchor()[0]
         u, v = rng.randint(1, 4), rng.randint(1, 4)
         r = max(1, -(-J.dist(Axis.Y) // v)) + rng.randint(0, 1)
-        tr = r_segments(u, v, J, r)
-        base = one_segment_power(tr, 0)
-        L = [f for f in base.gens if f[1] >= tr.beta]
-        M = [f for f in base.gens if tr.beta <= f[1] < tr.beta + v]
-        R = [f for f in base.gens if f[1] < tr.beta]
+        gl, _, beta = one_pair(u, v, J, r)
+        base = glued_power(gl, 0)
+        L = [f for f in base.gens if f[1] >= beta]
+        M = [f for f in base.gens if beta <= f[1] < beta + v]
+        R = [f for f in base.gens if f[1] < beta]
         for ell in range(5):
             expected = set()
             for f in L:
@@ -309,7 +312,9 @@ def test_glued_small_reduces_to_segments():
     assert gl.components[0].gens == tr.A.gens
     assert gl.middles[0].gens == tr.H.gens
     assert gl.components[1].gens == tr.B.gens
-    assert gl.link_points == ((6, 2),)
+    assert gl.link_points == ((6, 2),) == ((tr.alpha, tr.beta),)
+    for ell in range(3):
+        assert one_segment_power(tr, ell) == glued_power(gl, ell)
 
 
 def test_glued_power_vs_sum_oracle():
@@ -375,9 +380,30 @@ def test_glued_components_refuses_a_short_middle_block(monkeypatch):
         glued_components(((0, 2), (3, 0)), SMALL, 1)
 
 
-def test_r_segments_refuses_a_pivot_off_its_step(monkeypatch):
-    glued = glued_components(((0, 2), (3, 0)), SMALL, 1)
-    corrupt = dataclasses.replace(glued, link_points=((0, 6),))
-    monkeypatch.setattr(segments, "glued_components", lambda *args: corrupt)
-    with pytest.raises(AssertionError, match="pivot"):
-        r_segments(3, 2, SMALL, 1)
+def test_pairs_covered_matches_containment():
+    # (E*) on level arrays against the divisibility check of every generator,
+    # on the corpus seeds 0-199 with |P| >= 3 at I^1 .. I^6; shifting J
+    # changes nothing.  Both verdicts occur.
+    verdicts = {True: 0, False: 0}
+    for seed in range(200):
+        I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+        gs = persistence_profile(I).chosen
+        if len(gs) < 3:
+            continue
+        J = I
+        for m in range(1, 7):
+            got = segments._pairs_covered(gs, brute.staircase(J))
+            shifted = segments._pairs_covered(gs, brute.staircase(J.shift((3, 1))))
+            assert got == brute.pairs_covered(gs, J) == shifted, (seed, m)
+            verdicts[got] += 1
+            J = J * I
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_pairs_covered_is_vacuous_for_one_pair():
+    assert segments._pairs_covered(((0, 5), (7, 0)), brute.staircase(FIG3_J))
+
+
+def test_pairs_covered_certifies_nothing_beyond_int64():
+    # g_2^2 J would reach x = 2^63: no certificate, rather than a wrapped add.
+    assert not segments._pairs_covered(((0, 4), (1, 1), (2**62, 0)), brute.staircase(SMALL))

@@ -12,6 +12,7 @@ import pytest
 
 import stairpow
 from stairpow.ideals import naive_power
+from stairpow.oracle import RandomIdealSpec, random_ideal
 from stairpow.textio import parse_ideal
 
 SRC = Path(stairpow.__file__).parent
@@ -41,7 +42,7 @@ def test_sources_parse_as_python_3_10():
 def test_src_line_budget():
     # The cap on the package's size, by ``wc -l src/stairpow/*.py``.
     lines = sum(len(path.read_bytes().splitlines()) for path in SRC.glob("*.py"))
-    assert lines <= 1884, f"src/stairpow has {lines} lines, over the 1884-line budget"
+    assert lines <= 1882, f"src/stairpow has {lines} lines, over the 1882-line budget"
 
 
 def _load_spans():
@@ -120,13 +121,15 @@ def _python(*args):
 
 
 def test_power_under_optimize():
-    # I2 has D = 40 and s = 241: one power below D, one between D and s and
-    # one from s on, with every assert stripped by -O.
+    # Every route with every assert stripped by -O.  I2 certifies the onset
+    # m = 1 with s = 7 (the staircase sum at 6, assembly from 7 on, which
+    # 39, 41 and 244 take too); seed 23 certifies none and keeps D_P = 68
+    # and s = 324: one power below D_P, one between and one from s.
     (line,) = [l for l in IDEALS.read_text(encoding="utf-8").splitlines() if l.startswith("I2:")]
-    ideal = line.split(":", 1)[1].strip()
-    for n in (39, 41, 244):
+    i2, seed_23 = line.split(":", 1)[1].strip(), str(random_ideal(RandomIdealSpec(8, 20, seed=23)))
+    for ideal, n in [(i2, 6), (i2, 7), (i2, 39), (i2, 41), (i2, 244), (seed_23, 67), (seed_23, 200), (seed_23, 330)]:
         naive = str(naive_power(parse_ideal(ideal), n)) + "\n"
-        assert _python("-O", "-m", "stairpow.cli", "power", ideal, str(n)).decode() == naive, n
+        assert _python("-O", "-m", "stairpow.cli", "power", ideal, str(n)).decode() == naive, (ideal, n)
 
 
 def test_check_under_optimize():
