@@ -19,14 +19,7 @@ import time
 
 from .ideals import EXP_LIMIT, ExponentOverflowError, MonomialIdeal, PrincipalIdealError, level_power, naive_power
 from .engine import (
-    _Plan,
-    _plan,
-    assemble_power,
-    decomposed_power,
-    mu_polynomial,
-    power,
-    require_power,
-    stable_decomposition,
+    _Plan, _plan, assemble_power, decomposed_power, mu_polynomial, power, require_power, stable_decomposition,
 )
 from .geometry import persistence_profile, weakly_persistent_generators
 from .oracle import check_corpus
@@ -56,8 +49,10 @@ def _print_ideal(ideal: MonomialIdeal, fmt: str) -> None:
 
 def cmd_analyze(args) -> int:
     ideal = parse_ideal(args.ideal)
-    dec = stable_decomposition(ideal, weakly_persistent_generators(ideal) if args.weakly else None)
-    profile = dec.profile
+    # One plan: the paper's decomposition, and the onset power() serves from unless it is D.
+    plan = _Plan(ideal, weakly_persistent_generators(ideal) if args.weakly else None)
+    profile = plan.profile
+    dec = plan.decomposition_at(profile.D_P)
     print(f"ideal              {serialize(ideal)}")
     print(f"mu                 {ideal.mu}")
     print(f"gcd                {format_term(dec.gcd_shift)}")
@@ -73,7 +68,6 @@ def cmd_analyze(args) -> int:
     print(f"axis               {dec.axis.value}")
     print(f"r                  {dec.r}")
     print(f"s                  {dec.s}")
-    plan = _Plan(ideal, profile.chosen, early=True)  # the onset power() serves from, unless it is D
     onset_m, onset_s = (plan.onset[0], plan.s) if plan.onset[0] < dec.D else ("none", "none")
     print(f"onset m            {onset_m}")
     print(f"onset s            {onset_s}")

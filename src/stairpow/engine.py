@@ -1,15 +1,14 @@
 """Fast computation of large powers of bivariate monomial ideals.
 
-The pipeline: bound D from the persistence profile, compute I^D on one
-level array (by the generators in P alone once ``I^(m+1) = (P) I^m`` is
-certified), expand to I^s (s = D + r + 1) as a sum of staircase-pair
-powers, split I^s into its stable components, and from then on assemble
-any I^(s+l) by pure exponent shifting in time proportional to its own
-generator count.  The generator count itself follows the exact linear
-polynomial ``mu(I^s) + l * slope``.
-
-:func:`power` and :func:`mu_polynomial` run it from an onset m where (E*) certifies
-``I^(m+j)`` to be that sum over I^m (see ``segments._pairs_covered``), else from D.
+The pipeline: bound D from the persistence profile, run one level array up
+to the onset m (by the generators in P alone once ``I^(m+1) = (P) I^m`` is
+certified), where (E*) certifies ``I^(m+j)`` to be the sum of the
+staircase-pair powers ``(g_i, g_(i+1))^j I^m`` (see
+``segments._pairs_covered``), else up to D; expand to I^s as that sum, cut
+I^s into its stable components, and from then on assemble any I^(s+l) by
+pure exponent shifting in time proportional to its own generator count,
+``mu(I^s) + l * slope``.  :func:`stable_decomposition` cuts at the paper's
+``s = D + r + 1``; :func:`power` and :func:`mu_polynomial` at the onset's.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-# ``ideal_sum``, ``naive_power``, ``stabilization_radius`` and
-# ``staircase_times`` are unused here but stay importable from ``engine``:
+# ``ideal_sum``, ``naive_power``, ``stabilization_radius``, ``glued_components``
+# and ``staircase_times`` are unused here but stay importable from ``engine``:
 # the benchmark's span tracer patches those names.
 from .ideals import (
     Axis, ExponentOverflowError, Monomial, MonomialIdeal, PrincipalIdealError, _certified_level_power, ideal_sum,
@@ -28,7 +27,8 @@ from .ideals import (
 from .geometry import PersistenceProfile, _radius, persistence_profile, stabilization_radius
 from .links import boundary_points, link_blocks
 from .segments import (
-    GluedComponents, _pairs_covered, glued_blocks, glued_components, staircase_sum, staircase_times,
+    GluedComponents, _pairs_covered, glued_blocks, glued_components, glued_cut, staircase_sum,
+    staircase_times,
 )
 
 #: How many ideals' plans :func:`power` and :func:`mu_polynomial` keep.
@@ -77,9 +77,8 @@ class StableDecomposition(GluedComponents):
     ``base_power`` is that I^s and ``boundary_points`` its h_0..h_{k+1}.
     ``profile`` is the persistence profile of the ideal as given.  ``D`` is the level of
     the power cut, and ``r``, ``axis``, ``s = D + r + 1`` follow as the profile's at D_P.
-    ``reduction_number`` is the least ``m`` with ``I^(m+1) = (P) I^m`` that
-    building ``I^D`` certified: 0 when P is all of G(I), None when it
-    certified none below ``D``.
+    ``reduction_number`` is the least ``m`` with ``I^(m+1) = (P) I^m``: 0
+    when P is all of G(I), None when there is none below ``D_P``.
     """
 
     gcd_shift: Monomial
@@ -127,9 +126,10 @@ def stable_decomposition(
 
     ``chosen`` optionally picks the boundary generator set P (between the
     persistent and the weakly persistent generators); ``D``, ``r`` and ``s``
-    follow from its persistence profile.
+    follow from its persistence profile.  I^s is built from the onset m.
     """
-    return _Plan(ideal, chosen).decomposition
+    plan = _Plan(ideal, chosen)
+    return plan.decomposition_at(plan.profile.D_P)
 
 
 def _radius_at(ideal: MonomialIdeal, chosen: Sequence[Monomial], level: int) -> tuple[int, Axis]:
@@ -139,81 +139,92 @@ def _radius_at(ideal: MonomialIdeal, chosen: Sequence[Monomial], level: int) -> 
 
 
 def _decompose(
-    ideal: MonomialIdeal, profile: PersistenceProfile, level: int, base: MonomialIdeal, reduction: int | None
+    ideal: MonomialIdeal, profile: PersistenceProfile, level: int, power: MonomialIdeal, reduction: int | None
 ) -> StableDecomposition:
-    """The stable components of ``ideal`` from ``base``, its ``I^level``
-    for ``level`` D_P or a certified onset.
+    """The stable components of ``ideal`` cut at ``level`` (D_P or the onset)
+    from ``power``, its ``I^s`` for ``s = level + r + 1``.
 
     The one place that re-orients: P holds both extreme generators of the
-    ideal, so the gcd of the ideal is also that of P, and ``gcd^level``
-    that of ``base``.
+    ideal, so the gcd of the ideal is also that of P, and ``gcd^s`` that of ``power``.
     """
-    shift = ideal.gcd()
+    shift, (r, axis) = ideal.gcd(), _radius_at(ideal, profile.chosen, level)
     chosen = MonomialIdeal(profile.chosen).shift((-shift[0], -shift[1]))
-    g = mon_pow(shift, level)
-    j_base = base.shift((-g[0], -g[1]))
-    r, axis = _radius_at(ideal, profile.chosen, level)
+    g = mon_pow(shift, level + r + 1)
+    power = power.shift((-g[0], -g[1]))
     if axis is Axis.X:
-        chosen, j_base = chosen.transpose(), j_base.transpose()
-
-    glued = glued_components(chosen.gens, j_base, r)
+        chosen, power = chosen.transpose(), power.transpose()
+    glued = glued_cut(chosen, power, r)
     return StableDecomposition(
         **vars(glued), gcd_shift=shift, profile=profile, reduction_number=reduction, D=level, r=r, axis=axis
     )
 
 
 class _Plan:
-    """The profile of a non-principal ideal, with its onset level (D_P, or with
-    ``early`` a certified one that comes first) and what is built there on first use."""
+    """The profile of a non-principal ideal, its onset level m (certified
+    before D_P, else D_P) and what is built from there on first use."""
 
-    def __init__(
-        self, ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None, early: bool = False
-    ) -> None:
+    def __init__(self, ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None) -> None:
         if ideal.is_principal:
             raise PrincipalIdealError("stable decomposition needs a non-principal ideal")
-        self.ideal, self.profile, self.early = ideal, persistence_profile(ideal, chosen), early
+        self.ideal, self.profile = ideal, persistence_profile(ideal, chosen)
+        self.stopped = None  # the kernel's (j, I^j, m) where a search found no onset
 
     @cached_property
     def onset(self) -> tuple[int, MonomialIdeal | None, int | None]:
-        """``(m, I^m, reduction number)``.  With ``early``, m is the least level
-        from the reduction number, at most ``_ONSET_TRIES`` above it, where
-        (E*) holds, if its s comes before the paper's: the level kernel stops
-        there, or where none can follow.  Else m is D_P, I^m None if not built."""
-        ideal, (d, r, chosen) = self.ideal, (self.profile.D_P, self.profile.r, self.profile.chosen)
-        found = []
+        """``(m, I^m, reduction number)``: the level kernel stops at the least
+        level from the reduction number, at most ``_ONSET_TRIES`` above it,
+        where (E*) holds, if its s comes before the paper's, or where none can
+        follow.  Without an onset m is D_P, and I^m None unless the kernel ran to it."""
+        ideal, chosen, d, found = self.ideal, self.profile.chosen, self.profile.D_P, []
 
         def stop(level: int, reduction: int, staircase) -> bool:
-            if level > reduction + _ONSET_TRIES or level + _radius_at(ideal, chosen, level)[0] >= d + r:
+            if level > reduction + _ONSET_TRIES or self.s_at(level) >= self.profile.s:
                 return True  # no onset can follow
             if _pairs_covered(chosen, staircase):
                 found.append(level)
             return bool(found)
 
         try:
-            level, power, reduction = _certified_level_power(ideal, d, chosen, stop if self.early else None)
+            level, power, reduction = _certified_level_power(ideal, d, chosen, stop)
         except ExponentOverflowError:  # I^D_P leaves int64: the powers below D_P need no onset
             return d, None, None
-        return (level, power, reduction) if found or level == d else (d, None, reduction)
+        if found or level == d:
+            return level, power, reduction
+        self.stopped = (level, power, reduction)
+        return d, None, reduction
 
     @cached_property
     def base(self) -> MonomialIdeal:
-        return self.onset[1] or level_power(self.ideal, self.onset[0], self.profile.chosen)
+        """I^m, by the kernel resumed from where it stopped, if it stopped short."""
+        level, power, _ = self.onset
+        return power or _certified_level_power(self.ideal, level, self.profile.chosen, None, self.stopped)[1]
 
-    @cached_property
-    def s(self) -> int:
-        level = self.onset[0]
+    def s_at(self, level: int) -> int:
         return level + _radius_at(self.ideal, self.profile.chosen, level)[0] + 1
 
     @cached_property
+    def s(self) -> int:
+        return self.s_at(self.onset[0])
+
+    def power(self, n: int) -> MonomialIdeal:
+        """``I^n = staircase_sum(P, n - m, I^m)`` for ``n >= m``: by (A) and
+        (E*) at a certified m, by the paper at D_P."""
+        level = self.onset[0]
+        return staircase_sum(self.profile.chosen, n - level, self.base) if n > level else self.base
+
+    def decomposition_at(self, level: int) -> StableDecomposition:
+        """The decomposition cut at ``level``, the onset or D_P."""
+        return _decompose(self.ideal, self.profile, level, self.power(self.s_at(level)), self.onset[2])
+
+    @cached_property
     def decomposition(self) -> StableDecomposition:
-        level, _, reduction = self.onset
-        return _decompose(self.ideal, self.profile, level, self.base, reduction)
+        return self.decomposition_at(self.onset[0])
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(ideal: MonomialIdeal) -> _Plan:
     """The plan :func:`power` and :func:`mu_polynomial` share for equal ideals."""
-    return _Plan(ideal, early=True)
+    return _Plan(ideal)
 
 
 def _emit(dec: StableDecomposition, ell: int) -> tuple[MonomialIdeal, int]:
@@ -256,11 +267,10 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     if ideal.is_principal:
         return MonomialIdeal((mon_pow(ideal.gcd(), n),))
     plan = _plan(ideal)
-    level = plan.onset[0]
-    if n < level:
+    if n < plan.onset[0]:
         return level_power(ideal, n)
     if n < plan.s:
-        return staircase_sum(plan.profile.chosen, n - level, plan.base) if n > level else plan.base
+        return plan.power(n)
     return assemble_power(plan.decomposition, n)
 
 

@@ -32,10 +32,6 @@ EXP_LIMIT = 1 << 63
 #: sparse exponents).  Measured: bucketing wins up to a ratio of about 30.
 _BUCKET_SPAN_FACTOR = 16
 
-#: ``level_power`` of ``I^n`` checks for a certificate at step j while
-#: ``j * _CHECK_COST <= n * mu(I)``.
-_CHECK_COST = 20
-
 #: Marks an empty level in a dense array of the least x per y level.
 _NO_POINT = np.iinfo(np.int64).max
 
@@ -293,9 +289,7 @@ def level_power(ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial] = ()
     ``(P) I^j``, and then those of the other generators: if none of them
     lowers that staircase, the step certifies.  By induction
     ``I^(i+1) = (P) I^i`` for every ``i >= j``, so every later step takes
-    the slices of P alone.  A check costs about one slice, so checks stop
-    after step ``n * mu(I) / _CHECK_COST``, where they have cost about a
-    twentieth of the kernel.  With no ``reduction`` every step takes the
+    the slices of P alone.  With no ``reduction`` every step takes the
     slices of every generator.
 
     Below ``n = 2``, or for a y-span beyond ``_BUCKET_SPAN_FACTOR * mu(I)``,
@@ -305,14 +299,16 @@ def level_power(ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial] = ()
 
 
 def _certified_level_power(
-    ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial], stop: Callable | None = None
+    ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial], stop: Callable | None = None,
+    start: tuple[int, MonomialIdeal, int] | None = None,
 ) -> tuple[int, MonomialIdeal, int | None]:
-    """``(n, I^n, m)``: :func:`level_power` and the least ``m`` it certified
-    with ``I^(m+1) = (P) I^m``, 0 when P is all of G(I), None when no step did.
+    """``(n, I^n, m)``: :func:`level_power` and the least ``m`` with ``I^(m+1)
+    = (P) I^m``, 0 when P is all of G(I), None when no step below n certifies.
 
-    With ``stop`` every step checks, and from m on the kernel calls ``stop(j,
-    m, levels)`` with the staircase of ``I^j`` at each level ``j >= 1``: a true
-    answer returns ``(j, I^j, m)``.  Where the kernel does not run, I^n is None."""
+    With ``stop`` the kernel calls ``stop(j, m, levels)`` from m on with the
+    staircase of ``I^j`` at each level ``j >= 1``: a true answer returns ``(j,
+    I^j, m)``; I^n is then None where the kernel does not run.  ``start`` is
+    such an answer: the kernel resumes from its ``I^j`` by P's slices alone."""
     x, y = ideal.xy
     rise = y - y[-1]
     span = int(rise[0])
@@ -321,13 +317,14 @@ def _certified_level_power(
     chosen = dict(reduction)  # generators of I differ in x
     if chosen and (lowest not in chosen or int(x[0]) not in chosen):
         raise ValueError(f"the reduction {tuple(reduction)} misses an extreme generator of {ideal}")
-    certified = 0 if len(chosen) in (0, ideal.mu) else None  # 0: P is all of G(I)
+    first, power, certified = start or (1, ideal, 0 if len(chosen) in (0, ideal.mu) else None)  # 0: P is G(I)
     if n < 2 or span > _BUCKET_SPAN_FACTOR * ideal.mu:
         return n, None if stop else naive_power(ideal, n), certified
     # The largest exponents of I^n, checked before any int64 add.
     _check_exponents(n * lowest, n * int(y[0]))
-    levels = np.full(span + 1, _NO_POINT, dtype=np.int64)
-    levels[rise] = x
+    px, py = power.xy
+    levels = np.full(first * span + 1, _NO_POINT, dtype=np.int64)
+    levels[py - py[-1]] = px
     # Level 0 holds a generator, so no _NO_POINT is left to add to.  From
     # then on the slices of the lowest and the highest generator, both in P,
     # cover every level, so none comes back.
@@ -335,13 +332,12 @@ def _certified_level_power(
     # P's steps reduce every step, the others until a step certifies.
     reducing, others = [], []
     for step in steps:
-        (reducing if certified == 0 or step[0] in chosen else others).append(step)
-    last_check = n if stop else n * ideal.mu // _CHECK_COST
+        (reducing if certified is not None or step[0] in chosen else others).append(step)
     # Two level arrays of the final length take turns, and one buffer takes
     # the shifted copies: no allocation per step.
     size = n * span + 1
     buffers, lowered = np.empty((2, size), dtype=np.int64), np.empty(size, dtype=np.int64)
-    for j in range(1, n):
+    for j in range(first, n):
         stepped = buffers[j % 2, : len(levels) + span]
         np.add(levels, lowest, out=stepped[: len(levels)])
         stepped[len(levels) :] = _NO_POINT
@@ -350,7 +346,7 @@ def _certified_level_power(
             window = stepped[b : b + len(levels)]
             np.minimum(window, np.add(levels, a, out=shifted), out=window)
         # stepped is now the staircase of (P) I^j; a generator lowering none of it adds nothing.
-        certifies = j <= last_check
+        certifies = True
         for a, b in others:
             window = stepped[b : b + len(levels)]
             np.add(levels, a, out=shifted)

@@ -18,12 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .ideals import Axis, MonomialIdeal, PrincipalIdealError, _check_exponents, naive_power
-from .engine import (
-    StableDecomposition,
-    assemble_power,
-    decomposed_power,
-    stable_decomposition,
-)
+from .engine import StableDecomposition, assemble_power, decomposed_power, stable_decomposition
 
 #: Largest power for which repeated multiplication is used as the reference.
 NAIVE_LIMIT = 30

@@ -140,21 +140,25 @@ def glued_components(gs: Sequence[Monomial], j_ideal: MonomialIdeal, r: int) -> 
 
     ``gs`` are boundary generators g_1..g_{k+1} of an anchored ideal in
     descending y-order.  :func:`staircase_sum` builds the summed power S,
-    and the components are read off S directly; the per-summand r-segments
-    are never formed.
+    and :func:`glued_cut` reads the components off S directly; the
+    per-summand r-segments are never formed.
     """
     boundary = MonomialIdeal(gs)  # raises unless they descend in y and ascend in x
     if boundary.mu < 2 or boundary.gcd() != (0, 0):
         raise ValueError("need at least two boundary generators spanning an anchored ideal")
-    gs = boundary.gens
     if j_ideal.gcd() != (0, 0):
         raise ValueError("J must be anchored")
-    us, vs = abs(boundary.xy[:, 1:] - boundary.xy[:, :-1]).tolist()
-    needed = max(-(-j_ideal.dist(Axis.Y) // v) for v in vs)
+    needed = max(-(-j_ideal.dist(Axis.Y) // v) for v in (boundary.xy[1, :-1] - boundary.xy[1, 1:]).tolist())
     if r < needed:
         raise ValueError(f"r={r} below the stabilization bound {needed}")
+    return glued_cut(boundary, staircase_sum(boundary.gens, r + 1, j_ideal), r)
 
-    base = staircase_sum(gs, r + 1, j_ideal)
+
+def glued_cut(boundary: MonomialIdeal, base: MonomialIdeal, r: int) -> GluedComponents:
+    """The glued components of ``base``, the S of :func:`glued_components`
+    for the ``gs`` that generate ``boundary``, however S was built."""
+    gs = boundary.gens
+    us, vs = abs(boundary.xy[:, 1:] - boundary.xy[:, :-1]).tolist()
     # Link point i is the lowest generator at or above its threshold.  y
     # descends, so one search of the ascending reversed column counts them.
     x, y = base.xy

@@ -47,7 +47,7 @@ def test_analyze_big(capsys):
 @pytest.mark.parametrize("text, weakly, onset", [
     ("y^2 + x^2*y + x^3", False, ("none", "none")),  # D_P = 1: no level to try
     (str(BIG), False, ("1", "7")),
-    ("[(0,4),(1,3),(2,2),(4,0)]", False, ("2", "5")),  # the kernel's budget stops (A) short of 2
+    ("[(0,4),(1,3),(2,2),(4,0)]", False, ("2", "5")),
     ("[(0,4),(1,3),(2,2),(4,0)]", True, ("1", "6")),  # P = P*(I) = G(I): reduction number 0
 ])
 def test_analyze_onset_lines(capsys, text, weakly, onset):
@@ -57,6 +57,13 @@ def test_analyze_onset_lines(capsys, text, weakly, onset):
     lines = out.splitlines()
     s = lines.index(next(line for line in lines if line.startswith("s ")))
     assert lines[s + 1 : s + 3] == [f"onset m            {onset[0]}", f"onset s            {onset[1]}"]
+
+
+def test_analyze_reduction_from_the_plan(capsys):
+    # D = 6: the plan's kernel checks every step below D and finds m = 2.
+    code, out, _ = run(capsys, "analyze", "[(0,4),(1,3),(2,2),(4,0)]")
+    assert code == 0
+    assert _analyze_lines(out)["reduction m"] == "2"
 
 
 def test_analyze_principal_exit_2(capsys):

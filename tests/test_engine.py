@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from stairpow.engine import (
     power,
     stable_decomposition,
 )
+from stairpow.segments import glued_components
 from stairpow.geometry import (
     persistence_profile,
     persistent_generators,
@@ -450,10 +452,10 @@ def test_plan_memo_is_bounded():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_decompose_orients_the_given_base(monkeypatch, seed):
-    # _decompose anchors and orients the I^D it is given; the result is the
-    # I^D of the anchored, oriented ideal, in every placement.
-    bases, real = [], engine.glued_components
-    monkeypatch.setattr(engine, "glued_components", lambda gs, j, r: bases.append(j) or real(gs, j, r))
+    # _decompose anchors and orients the I^s it is given; the result is the
+    # I^s of the anchored, oriented ideal, in every placement.
+    bases, real = [], engine.glued_cut
+    monkeypatch.setattr(engine, "glued_cut", lambda gs, base, r: bases.append(base) or real(gs, base, r))
     I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
     for J in (I, I.transpose(), I.shift((2, 3))):
         bases.clear()
@@ -461,7 +463,7 @@ def test_decompose_orients_the_given_base(monkeypatch, seed):
         oriented = J.anchor()[0]
         if dec.axis is Axis.X:
             oriented = oriented.transpose()
-        assert bases == [engine.level_power(oriented, dec.D)], seed
+        assert bases == [engine.level_power(oriented, dec.s)], seed
 
 
 # -- the certified onset ---------------------------------------------------
@@ -487,7 +489,7 @@ def test_onset_on_the_corpus():
     # certify an onset; their s sum to 2734, against 48295 for the paper's.
     certified, onset_s, paper_s, missed = 0, 0, 0, []
     for seed in range(200):
-        plan = engine._Plan(random_ideal(RandomIdealSpec(8, 20, seed=seed)), early=True)
+        plan = engine._Plan(random_ideal(RandomIdealSpec(8, 20, seed=seed)))
         if plan.profile.D_P == 0:
             continue
         if plan.onset[0] < plan.profile.D_P:
@@ -519,8 +521,8 @@ def test_uncertified_seeds_keep_the_paper_route(seed):
 
 def test_uncertified_plan_stops_its_search(monkeypatch):
     # Seed 23 certifies (A) at 2 but (E*) at none of the levels 2-12, so its
-    # kernel run stops at 13; I^D_P = I^68 is built by a second run, and only
-    # once a power from D_P on needs it.
+    # kernel run stops at 13; I^D_P = I^68 resumes that run from I^13, and
+    # only once a power from D_P on needs it.
     I = random_ideal(RandomIdealSpec(8, 20, seed=23))
     profile = persistence_profile(I)
     expected = {n: decomposed_power(I, profile, n) for n in (100, 324, 330)}
@@ -528,10 +530,11 @@ def test_uncertified_plan_stops_its_search(monkeypatch):
     levels = _count_calls(monkeypatch, engine, "level_power")
     assert power(I, 13) == naive_power(I, 13)
     assert engine._plan(I).onset == (68, None, 2)
-    assert [n for _, n, *rest in kernels] == [68] and levels == [(I, 13)]
+    assert engine._plan(I).stopped == (13, naive_power(I, 13), 2)
+    assert _kernel_runs(kernels) == [(68, None)] and levels == [(I, 13)]
     for n, ideal_n in expected.items():
         assert power(I, n) == ideal_n, n
-    assert len(kernels) == 1 and levels == [(I, 13), (I, 68, profile.chosen)]
+    assert _kernel_runs(kernels) == [(68, None), (68, 13)] and levels == [(I, 13)]
 
 
 def test_sparse_ideal_below_d_builds_no_i_d(monkeypatch):
@@ -609,16 +612,54 @@ def test_onset_route_matches_naive_for_more_pairs(ideal):
     _onset_route_matches_naive(ideal)
 
 
-def test_stable_decomposition_never_searches_the_onset(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("onset search")
+def _kernel_runs(kernels):
+    """``(n, the level a run resumed from, or None)`` per recorded call of the level kernel."""
+    return [(args[1], args[4][0] if len(args) > 4 else None) for args in kernels]
 
-    real = engine._certified_level_power
-    monkeypatch.setattr(engine, "_pairs_covered", refuse)
-    monkeypatch.setattr(engine, "_certified_level_power", lambda *a: real(*a) if a[3] is None else refuse())
-    for ideal in [*_fixed_ideals().values(), BIG.transpose()]:
+
+def test_stable_decomposition_runs_the_kernel_once(monkeypatch):
+    # BIG certifies its onset at 1: the one kernel run stops there.  Seed 23
+    # certifies none: I^D_P = I^68 resumes the search's run where it stopped,
+    # at 13, so no level is stepped twice, and no other power is built.
+    kernels = _count_calls(monkeypatch, engine, "_certified_level_power")
+    levels = _count_calls(monkeypatch, engine, "level_power")
+    seed23 = random_ideal(RandomIdealSpec(8, 20, seed=23))
+    for ideal, runs in [(BIG, [(40, None)]), (seed23, [(68, None), (68, 13)])]:
+        kernels.clear()
         dec, profile = stable_decomposition(ideal), persistence_profile(ideal)
         assert (dec.D, dec.r, dec.s, dec.axis) == (profile.D_P, profile.r, profile.s, profile.axis)
+        assert _kernel_runs(kernels) == runs and levels == []
+
+
+def _paper_route_cases():
+    """Seeds 0-199 of RandomIdealSpec(8, 20), as given and transposed, with
+    P = P(I), and with P = P*(I) where that differs."""
+    for seed in range(200):
+        I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+        for chosen in {persistent_generators(I), weakly_persistent_generators(I)}:
+            yield seed, I, chosen, brute.reduction_number(I, chosen, persistence_profile(I, chosen).D_P - 1)
+
+
+def test_stable_decomposition_is_the_paper_route():
+    # Built from the certified onset, the decomposition is field by field the
+    # paper's: glued_components of the anchored, oriented I^D_P that every
+    # generator's level kernel builds, and the reduction number is the least
+    # m <= D_P - 1 that repeated candidate products find.
+    cases = Counter()
+    for seed, I, chosen, reduction in _paper_route_cases():
+        for J, P in ((I, chosen), (I.transpose(), tuple((b, a) for a, b in reversed(chosen)))):
+            dec, profile = stable_decomposition(J, P), persistence_profile(J, P)
+            shift = J.gcd()
+            gs, base = MonomialIdeal(P).shift((-shift[0], -shift[1])), J.shift((-shift[0], -shift[1]))
+            if profile.axis is Axis.X:
+                gs, base = gs.transpose(), base.transpose()
+            paper = glued_components(gs.gens, engine.level_power(base, profile.D_P), profile.r)
+            assert vars(dec) == {
+                **vars(paper), "gcd_shift": shift, "profile": profile, "reduction_number": reduction,
+                "D": profile.D_P, "r": profile.r, "axis": profile.axis,
+            }, seed
+            cases[engine._Plan(J, P).onset[0] < profile.D_P] += 1
+    assert cases == {True: 346, False: 100}
 
 
 def test_mu_polynomial_from_the_onset(monkeypatch):
