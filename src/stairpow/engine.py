@@ -21,10 +21,10 @@ from typing import Sequence
 # and ``staircase_times`` are unused here but stay importable from ``engine``:
 # the benchmark's span tracer patches those names.
 from .ideals import (
-    Axis, ExponentOverflowError, Monomial, MonomialIdeal, PrincipalIdealError, _certified_level_power, ideal_sum,
+    Axis, ExponentOverflowError, Monomial, MonomialIdeal, _certified_level_power, ideal_sum,
     level_power, mon_pow, naive_power,
 )
-from .geometry import PersistenceProfile, _radius, persistence_profile, stabilization_radius
+from .geometry import PersistenceProfile, persistence_profile, stabilization_radius
 from .links import boundary_points, link_blocks
 from .segments import (
     GluedComponents, _pairs_covered, glued_blocks, glued_components, glued_cut, staircase_sum,
@@ -132,12 +132,6 @@ def stable_decomposition(
     return plan.decomposition_at(plan.profile.D_P)
 
 
-def _radius_at(ideal: MonomialIdeal, chosen: Sequence[Monomial], level: int) -> tuple[int, Axis]:
-    """``r`` and the axis for cutting ``I^level``, by the profile's rule."""
-    r_y, r_x = (_radius(ideal, chosen, level, axis) for axis in (Axis.Y, Axis.X))
-    return (r_y, Axis.Y) if r_y <= r_x else (r_x, Axis.X)
-
-
 def _decompose(
     ideal: MonomialIdeal, profile: PersistenceProfile, level: int, power: MonomialIdeal, reduction: int | None
 ) -> StableDecomposition:
@@ -147,7 +141,7 @@ def _decompose(
     The one place that re-orients: P holds both extreme generators of the
     ideal, so the gcd of the ideal is also that of P, and ``gcd^s`` that of ``power``.
     """
-    shift, (r, axis) = ideal.gcd(), _radius_at(ideal, profile.chosen, level)
+    shift, (r, axis) = ideal.gcd(), profile.radius(level)
     chosen = MonomialIdeal(profile.chosen).shift((-shift[0], -shift[1]))
     g = mon_pow(shift, level + r + 1)
     power = power.shift((-g[0], -g[1]))
@@ -164,8 +158,6 @@ class _Plan:
     before D_P, else D_P) and what is built from there on first use."""
 
     def __init__(self, ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None) -> None:
-        if ideal.is_principal:
-            raise PrincipalIdealError("stable decomposition needs a non-principal ideal")
         self.ideal, self.profile = ideal, persistence_profile(ideal, chosen)
         self.stopped = None  # the kernel's (j, I^j, m) where a search found no onset
 
@@ -173,22 +165,18 @@ class _Plan:
     def onset(self) -> tuple[int, MonomialIdeal | None, int | None]:
         """``(m, I^m, reduction number)``: the level kernel stops at the least
         level from the reduction number, at most ``_ONSET_TRIES`` above it,
-        where (E*) holds, if its s comes before the paper's, or where none can
-        follow.  Without an onset m is D_P, and I^m None unless the kernel ran to it."""
-        ideal, chosen, d, found = self.ideal, self.profile.chosen, self.profile.D_P, []
+        where (E*) holds, or gives up past that; ``s_at`` grows with m, so an
+        onset's s comes first.  Else m is D_P, and I^m None unless the kernel ran to it."""
+        ideal, chosen, d = self.ideal, self.profile.chosen, self.profile.D_P
 
         def stop(level: int, reduction: int, staircase) -> bool:
-            if level > reduction + _ONSET_TRIES or self.s_at(level) >= self.profile.s:
-                return True  # no onset can follow
-            if _pairs_covered(chosen, staircase):
-                found.append(level)
-            return bool(found)
+            return level > reduction + _ONSET_TRIES or _pairs_covered(chosen, staircase)
 
         try:
             level, power, reduction = _certified_level_power(ideal, d, chosen, stop)
         except ExponentOverflowError:  # I^D_P leaves int64: the powers below D_P need no onset
             return d, None, None
-        if found or level == d:
+        if level == d or level <= reduction + _ONSET_TRIES:
             return level, power, reduction
         self.stopped = (level, power, reduction)
         return d, None, reduction
@@ -200,7 +188,7 @@ class _Plan:
         return power or _certified_level_power(self.ideal, level, self.profile.chosen, None, self.stopped)[1]
 
     def s_at(self, level: int) -> int:
-        return level + _radius_at(self.ideal, self.profile.chosen, level)[0] + 1
+        return level + self.profile.radius(level)[0] + 1
 
     @cached_property
     def s(self) -> int:

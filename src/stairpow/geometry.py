@@ -60,9 +60,8 @@ class PersistenceProfile:
 
     ``chosen`` is a set P with ``persistent <= P <= weakly_persistent``
     (ordered in descending y-degree); all constants refer to it.
-    ``r_x`` and ``r_y`` are the stabilization radii at ``D_P``.  The working
-    ``axis`` is the one with the smaller radius (y on a tie), ``r`` is that
-    radius and ``s = D_P + r + 1`` the stabilization exponent.
+    ``r_x`` and ``r_y`` are the stabilization radii at ``D_P``, ``(r, axis)``
+    is ``radius(D_P)`` and ``s = D_P + r + 1`` the stabilization exponent.
     """
 
     persistent: tuple[Monomial, ...]
@@ -76,15 +75,24 @@ class PersistenceProfile:
 
     @property
     def axis(self) -> Axis:
-        return Axis.Y if self.r_y <= self.r_x else Axis.X
+        return _smaller(self.r_x, self.r_y)[1]
 
     @property
     def r(self) -> int:
-        return min(self.r_x, self.r_y)
+        return _smaller(self.r_x, self.r_y)[0]
 
     @property
     def s(self) -> int:
         return self.D_P + self.r + 1
+
+    def radius(self, level: int) -> tuple[int, Axis]:
+        """``(r, axis)`` for cutting ``I^level``: the smaller of the two radii at ``level``."""
+        return _smaller(*(_radius(self.chosen, level, axis) for axis in (Axis.X, Axis.Y)))
+
+
+def _smaller(r_x: int, r_y: int) -> tuple[int, Axis]:
+    """The smaller radius and its axis, y on a tie."""
+    return (r_y, Axis.Y) if r_y <= r_x else (r_x, Axis.X)
 
 
 def persistence_profile(
@@ -124,16 +132,17 @@ def persistence_profile(
         delta_P=delta,
         d_P=d_p,
         D_P=D,
-        r_x=_radius(ideal, chosen, D, Axis.X),
-        r_y=_radius(ideal, chosen, D, Axis.Y),
+        r_x=_radius(chosen, D, Axis.X),
+        r_y=_radius(chosen, D, Axis.Y),
     )
 
 
-def _radius(ideal: MonomialIdeal, chosen: tuple[Monomial, ...], D: int, axis: Axis) -> int:
+def _radius(chosen: tuple[Monomial, ...], D: int, axis: Axis) -> int:
+    # P holds both extreme generators, so its span on ``axis`` is dist(I).
     min_pair = min(pair_dist(g, h, axis) for g, h in zip(chosen, chosen[1:]))
-    return -(-D * ideal.dist(axis) // min_pair)
+    return -(-D * pair_dist(chosen[0], chosen[-1], axis) // min_pair)
 
 
 def stabilization_radius(ideal: MonomialIdeal, profile: PersistenceProfile, D: int, axis: Axis) -> int:
-    """The minimal repeat count r_axis(P, D) for the staircase blocks of I^D."""
-    return _radius(ideal, profile.chosen, D, axis)
+    """The minimal repeat count r_axis(P, D) for the staircase blocks of I^D (P spans ``ideal``)."""
+    return _radius(profile.chosen, D, axis)

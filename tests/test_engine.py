@@ -26,6 +26,7 @@ from stairpow.engine import (
 )
 from stairpow.segments import glued_components
 from stairpow.geometry import (
+    pair_dist,
     persistence_profile,
     persistent_generators,
     stabilization_radius,
@@ -33,6 +34,7 @@ from stairpow.geometry import (
 )
 from stairpow.oracle import RandomIdealSpec, random_ideal, shift_generators
 from stairpow.textio import parse_ideal
+from test_ideals import ideals
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCES = ROOT / "stairbench" / "references.json"
@@ -559,6 +561,47 @@ def test_onset_refuses_every_level_below_it(seed, reduction, onset):
         assert any(segments.staircase_sum(gs, j, powers[m]) != powers[m + j] for j in range(2, 31)), m
     assert segments._pairs_covered(gs, brute.staircase(powers[onset]))
     assert engine._plan(I).onset == (onset, powers[onset], reduction)
+
+
+def test_onset_gives_up_past_its_tries(monkeypatch):
+    # Seed 11 reduces at m = 1 and certifies (E*) first at 5: with 4 tries
+    # the search finds that onset, with 3 it gives up at 5 and the plan keeps
+    # D_P = 53, built by resuming the stopped run.
+    I = random_ideal(RandomIdealSpec(8, 20, seed=11))
+    monkeypatch.setattr(engine, "_ONSET_TRIES", 4)
+    plan = engine._Plan(I)
+    assert plan.onset == (5, naive_power(I, 5), 1) and plan.stopped is None and plan.s == 39
+    monkeypatch.setattr(engine, "_ONSET_TRIES", 3)
+    plan = engine._Plan(I)
+    assert plan.onset == (53, None, 1) and plan.stopped[0] == 5 and plan.s == 399
+    assert plan.base == naive_power(I, 53)
+
+
+def _radius_grows(ideal, chosen=None):
+    # s_at(L) = L + r(L) + 1 strictly grows up to s_at(D_P), the paper's s, so
+    # an onset below D_P always has the earlier s; r(L) is the smaller of
+    # the per-axis ceil(L dist(I) / least step of P), y on a tie.
+    plan = engine._Plan(ideal, chosen)
+    profile, d = plan.profile, plan.profile.D_P
+    steps = {axis: min(pair_dist(g, h, axis) for g, h in zip(profile.chosen, profile.chosen[1:])) for axis in Axis}
+    s_at = [plan.s_at(level) for level in range(d + 1)]
+    assert all(a < b for a, b in zip(s_at, s_at[1:])) and s_at[d] == profile.s
+    for level in range(d + 1):
+        r_x, r_y = (-(-level * ideal.dist(axis) // steps[axis]) for axis in (Axis.X, Axis.Y))
+        assert profile.radius(level) == ((r_y, Axis.Y) if r_y <= r_x else (r_x, Axis.X)), level
+
+
+def test_onset_s_grows_with_the_level_on_the_corpus():
+    for seed in range(200):
+        I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+        for J in (I, I.transpose()):
+            for chosen in (None, weakly_persistent_generators(J)):
+                _radius_grows(J, chosen)
+
+
+@given(ideals().filter(lambda ideal: not ideal.is_principal), st.booleans())
+def test_onset_s_grows_with_the_level(ideal, weakly):
+    _radius_grows(ideal, weakly_persistent_generators(ideal) if weakly else None)
 
 
 def test_rewriting_lemma_by_candidate_products():
