@@ -49,34 +49,32 @@ def _print_ideal(ideal: MonomialIdeal, fmt: str) -> None:
 
 def cmd_analyze(args) -> int:
     ideal = parse_ideal(args.ideal)
-    # One plan: the paper's decomposition, and the onset power() serves from unless it is D.
+    # One plan and its one decomposition, at the onset power() serves from:
+    # the paper's constants come from the profile, mu(I^s) from the polynomial.
     plan = _Plan(ideal, weakly_persistent_generators(ideal) if args.weakly else None)
-    profile = plan.profile
-    dec = plan.decomposition_at(profile.D_P)
+    profile, (onset, _, reduction) = plan.profile, plan.onset
+    poly, s = plan.polynomial, profile.s
     print(f"ideal              {serialize(ideal)}")
     print(f"mu                 {ideal.mu}")
-    print(f"gcd                {format_term(dec.gcd_shift)}")
+    print(f"gcd                {format_term(ideal.gcd())}")
     print(f"persistent P(I)    {serialize(MonomialIdeal(profile.persistent))}")
     print(f"weakly persistent  {serialize(MonomialIdeal(profile.weakly_persistent))}")
     print(f"chosen P           {serialize(MonomialIdeal(profile.chosen))}")
     print(f"delta_P            {profile.delta_P}")
     print(f"d_P                {profile.d_P}")
-    print(f"D                  {dec.D}")
-    print(f"reduction m        {'none' if dec.reduction_number is None else dec.reduction_number}")
+    print(f"D                  {profile.D_P}")
+    print(f"reduction m        {'none' if reduction is None else reduction}")
     print(f"r_x                {profile.r_x}")
     print(f"r_y                {profile.r_y}")
-    print(f"axis               {dec.axis.value}")
-    print(f"r                  {dec.r}")
-    print(f"s                  {dec.s}")
-    onset_m, onset_s = (plan.onset[0], plan.s) if plan.onset[0] < dec.D else ("none", "none")
+    print(f"axis               {profile.axis.value}")
+    print(f"r                  {profile.r}")
+    print(f"s                  {s}")
+    onset_m, onset_s = (onset, plan.s) if onset < profile.D_P else ("none", "none")
     print(f"onset m            {onset_m}")
     print(f"onset s            {onset_s}")
-    print(f"mu(I^s)            {dec.base_power.mu}")
-    print(f"slope              {dec.slope}")
-    print(
-        f"mu(I^n)            {dec.base_power.mu} + {dec.slope}*(n - {dec.s}) "
-        f"for n >= {dec.s}"
-    )
+    print(f"mu(I^s)            {poly(s)}")
+    print(f"slope              {poly.slope}")
+    print(f"mu(I^n)            {poly(s)} + {poly.slope}*(n - {s}) for n >= {s}")
     return EXIT_OK
 
 
@@ -93,9 +91,8 @@ def cmd_mu(args) -> int:
     if ideal.is_principal:
         print("mu(I^n) = 1 for all n >= 1 (principal ideal)" if n is None else f"mu(I^{n}) = 1")
         return EXIT_OK
-    # s from the profile alone: below it no decomposition is needed.  The
-    # plan is the one that power() and mu_polynomial() then reuse.
-    s = _plan(ideal).profile.s
+    # The plan's s needs no decomposition; power() and mu_polynomial() reuse the plan.
+    s = _plan(ideal).s
     if n is not None and n < s:
         print(f"mu(I^{n}) = {power(ideal, n).mu}  (pre-stable: n < s = {s})")
         return EXIT_OK

@@ -129,27 +129,26 @@ def stable_decomposition(
     follow from its persistence profile.  I^s is built from the onset m.
     """
     plan = _Plan(ideal, chosen)
-    return plan.decomposition_at(plan.profile.D_P)
+    return _decompose(plan, plan.profile.D_P, plan.profile.r, plan.profile.axis)
 
 
-def _decompose(
-    ideal: MonomialIdeal, profile: PersistenceProfile, level: int, power: MonomialIdeal, reduction: int | None
-) -> StableDecomposition:
-    """The stable components of ``ideal`` cut at ``level`` (D_P or the onset)
-    from ``power``, its ``I^s`` for ``s = level + r + 1``.
+def _decompose(plan: _Plan, level: int, r: int, axis: Axis) -> StableDecomposition:
+    """The stable components of the plan's ideal cut at ``level`` (D_P or the
+    onset), whose ``(r, axis)`` is ``profile.radius(level)``, from its ``I^s``
+    for ``s = level + r + 1``.
 
     The one place that re-orients: P holds both extreme generators of the
-    ideal, so the gcd of the ideal is also that of P, and ``gcd^s`` that of ``power``.
+    ideal, so the gcd of the ideal is also that of P, and ``gcd^s`` that of I^s.
     """
-    shift, (r, axis) = ideal.gcd(), profile.radius(level)
+    profile, shift = plan.profile, plan.ideal.gcd()
     chosen = MonomialIdeal(profile.chosen).shift((-shift[0], -shift[1]))
     g = mon_pow(shift, level + r + 1)
-    power = power.shift((-g[0], -g[1]))
+    power = plan.power(level + r + 1).shift((-g[0], -g[1]))
     if axis is Axis.X:
         chosen, power = chosen.transpose(), power.transpose()
     glued = glued_cut(chosen, power, r)
     return StableDecomposition(
-        **vars(glued), gcd_shift=shift, profile=profile, reduction_number=reduction, D=level, r=r, axis=axis
+        **vars(glued), gcd_shift=shift, profile=profile, reduction_number=plan.onset[2], D=level, r=r, axis=axis
     )
 
 
@@ -165,8 +164,8 @@ class _Plan:
     def onset(self) -> tuple[int, MonomialIdeal | None, int | None]:
         """``(m, I^m, reduction number)``: the level kernel stops at the least
         level from the reduction number, at most ``_ONSET_TRIES`` above it,
-        where (E*) holds, or gives up past that; ``s_at`` grows with m, so an
-        onset's s comes first.  Else m is D_P, and I^m None unless the kernel ran to it."""
+        where (E*) holds, or gives up past that; ``m + r(m)`` grows with m, so
+        an onset's s comes first.  Else m is D_P, and I^m None unless the kernel ran to it."""
         ideal, chosen, d = self.ideal, self.profile.chosen, self.profile.D_P
 
         def stop(level: int, reduction: int, staircase) -> bool:
@@ -187,12 +186,14 @@ class _Plan:
         level, power, _ = self.onset
         return power or _certified_level_power(self.ideal, level, self.profile.chosen, None, self.stopped)[1]
 
-    def s_at(self, level: int) -> int:
-        return level + self.profile.radius(level)[0] + 1
+    @cached_property
+    def radius(self) -> tuple[int, Axis]:
+        """``(r, axis)`` at the onset level."""
+        return self.profile.radius(self.onset[0])
 
     @cached_property
     def s(self) -> int:
-        return self.s_at(self.onset[0])
+        return self.onset[0] + self.radius[0] + 1
 
     def power(self, n: int) -> MonomialIdeal:
         """``I^n = staircase_sum(P, n - m, I^m)`` for ``n >= m``: by (A) and
@@ -200,13 +201,15 @@ class _Plan:
         level = self.onset[0]
         return staircase_sum(self.profile.chosen, n - level, self.base) if n > level else self.base
 
-    def decomposition_at(self, level: int) -> StableDecomposition:
-        """The decomposition cut at ``level``, the onset or D_P."""
-        return _decompose(self.ideal, self.profile, level, self.power(self.s_at(level)), self.onset[2])
-
     @cached_property
     def decomposition(self) -> StableDecomposition:
-        return self.decomposition_at(self.onset[0])
+        return _decompose(self, self.onset[0], *self.radius)
+
+    @property
+    def polynomial(self) -> MuPolynomial:
+        """``mu(I^n)`` from the onset's s on, read off its decomposition."""
+        dec = self.decomposition
+        return MuPolynomial(s=dec.s, intercept=dec.base_power.mu, slope=dec.slope)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -278,9 +281,7 @@ class MuPolynomial:
 
 
 def mu_polynomial(ideal: MonomialIdeal) -> MuPolynomial:
-    """The generator-count polynomial of a non-principal ``ideal`` from the
-    paper's s on, read off the decomposition :func:`power` keeps for it."""
-    plan = _plan(ideal)
-    dec, s = plan.decomposition, plan.profile.s
-    return MuPolynomial(s=s, intercept=dec.base_power.mu + (s - dec.s) * dec.slope, slope=dec.slope)
+    """The generator-count polynomial of a non-principal ``ideal``, valid from
+    the onset's s on: that of the decomposition :func:`power` keeps for it."""
+    return _plan(ideal).polynomial
 

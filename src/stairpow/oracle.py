@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .ideals import Axis, MonomialIdeal, PrincipalIdealError, _check_exponents, naive_power
-from .engine import StableDecomposition, assemble_power, decomposed_power, stable_decomposition
+from .engine import StableDecomposition, assemble_power, decomposed_power, power, stable_decomposition
 
 #: Largest power for which repeated multiplication is used as the reference.
 NAIVE_LIMIT = 30
@@ -139,10 +139,10 @@ def differential_check(
 
     Each n runs the routes that apply to it, in this order: repeated
     multiplication up to ``naive_limit``, the staircase expansion from D,
-    assembly from s, and, when n - 1 >= s was checked just before, the band
-    shift of the reference at n - 1.  The first of them is the reference;
-    every other one is compared against it by exact generator-list
-    equality.  Mismatches are recorded, never raised.
+    assembly from s, the band shift of the reference at n - 1 when n - 1 >= s
+    was checked just before, and :func:`power` where either of the first two
+    applies.  The first is the reference; the others are compared with it by
+    exact generator-list equality.  Mismatches are recorded, never raised.
     """
     if ideal.is_principal:
         raise PrincipalIdealError("differential check needs a non-principal ideal")
@@ -171,6 +171,7 @@ def differential_check(
          partial(decomposed_power, ideal, dec.profile, base=d_base)),
         ("assembled", lambda n: n >= dec.s, partial(assemble_power, dec)),
         ("shifted", lambda n: n - 1 >= dec.s and n - 1 in prev, shifted),
+        ("power", lambda n: n <= naive_limit or n >= dec.D, partial(power, ideal)),
     )
     report = DifferentialReport(label=label, ideal=ideal)
     for n in sorted({n for n in n_range if n >= 1}):

@@ -42,6 +42,22 @@ def test_analyze_big(capsys):
     assert "reduction m        1" in out
     assert "r                  200" in out
     assert "s                  241" in out
+    # The count at the paper's s, from the polynomial of the onset's s = 7.
+    assert out.splitlines()[-3:] == [
+        "mu(I^s)            1688", "slope              7", "mu(I^n)            1688 + 7*(n - 241) for n >= 241"
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, level", [(str(BIG), 1), (str(random_ideal(RandomIdealSpec(8, 20, seed=23))), 68)], ids=["BIG", "seed23"]
+)
+def test_analyze_cuts_one_decomposition(capsys, monkeypatch, text, level):
+    # The plan's one decomposition, at the onset (BIG: m = 1) or, where none
+    # is certified (seed 23), at D_P = 68: no power at the paper's s is built.
+    levels, real = [], engine._decompose
+    monkeypatch.setattr(engine, "_decompose", lambda plan, *a: levels.append(a[0]) or real(plan, *a))
+    code, _, err = run(capsys, "analyze", text)
+    assert (code, levels) == (0, [level]), err
 
 
 @pytest.mark.parametrize("text, weakly, onset", [
@@ -172,13 +188,28 @@ def test_mu_invalid_n_exit_2(capsys, text, n):
 
 
 def test_mu_prestable_builds_no_decomposition(capsys, monkeypatch):
-    # s = 241 comes from the profile; below it the count is that of I^n.
+    # The onset's s = 7 comes from the plan; below it the count is that of I^n.
     def refuse(*args, **kwargs):
         raise AssertionError("mu_polynomial called")
 
     monkeypatch.setattr(cli, "mu_polynomial", refuse)
-    code, out, _ = run(capsys, "mu", str(BIG), "100")
-    assert (code, out) == (0, f"mu(I^100) = {naive_power(BIG, 100).mu}  (pre-stable: n < s = 241)\n")
+    code, out, _ = run(capsys, "mu", str(BIG), "5")
+    assert (code, out) == (0, f"mu(I^5) = {naive_power(BIG, 5).mu}  (pre-stable: n < s = 7)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, line", [(["7"], "mu(I^7) = 50"), (["100"], "mu(I^100) = 701"), ([], "mu(I^n) = 50 + 7*(n - 7) for n >= 7")]
+)
+def test_mu_from_the_onset_builds_no_power(capsys, monkeypatch, argv, line):
+    # From the onset's s = 7 on, below the paper's s = 241 too, the count is
+    # the polynomial's: no I^n is assembled to count it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("power called")
+
+    monkeypatch.setattr(cli, "power", refuse)
+    code, out, err = run(capsys, "mu", str(BIG), *argv)
+    assert (code, out, err) == (0, line + "\n", "")
+    assert (naive_power(BIG, 7).mu, naive_power(BIG, 100).mu) == (50, 701)
 
 
 def test_bench_csv(tmp_path, capsys):
@@ -375,11 +406,13 @@ def test_bench_cells_ignore_the_plan_memo(monkeypatch):
     assert bases == [(BIG, 40, engine.persistence_profile(BIG).chosen)]
 
 
-@pytest.mark.parametrize("argv, decompositions", [(["5"], 0), (["300"], 1), ([], 1), (["100"], 1)])
+@pytest.mark.parametrize(
+    "argv, decompositions", [(["5"], 0), (["300"], 1), ([], 1), (["100"], 1), (["6"], 0), (["7"], 1)]
+)
 def test_mu_builds_one_profile(capsys, monkeypatch, argv, decompositions):
     # s, the count below it and the polynomial from s on share one plan.
     # Below the onset's s = 7 the count needs no decomposition; from it on,
-    # below the paper's s = 241 too, the count is that of the assembled I^n.
+    # below the paper's s = 241 too, the count is the polynomial's.
     calls = {"persistence_profile": [], "_decompose": []}
     for owner, name in ((engine, "persistence_profile"), (cli, "persistence_profile"), (engine, "_decompose")):
         real, seen = getattr(owner, name), calls[name]
@@ -397,8 +430,9 @@ def test_check_suite(capsys):
 
 def test_check_prints_a_failure(capsys, monkeypatch):
     # Assembly drops a generator at s = 663 of the first corpus ideal, whose
-    # 31 records compare with the staircase expansion there: one FAIL record,
-    # its ideal's FAIL summary and exit 1.
+    # 77 records compare with the staircase expansion or repeated
+    # multiplication (power() assembles 663 through the engine's own,
+    # unpatched name): one FAIL record, its ideal's FAIL summary and exit 1.
     real = oracle.assemble_power
 
     def dropped(dec, n):
@@ -409,8 +443,8 @@ def test_check_prints_a_failure(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--count", "1")
     assert (code, out.splitlines()) == (1, [
         "FAIL seed=0 n=663 assembled vs decomposed",
-        "FAIL seed=0: 31 comparisons, 1 mismatches",
-        "check suite: 1 ideals, 31 comparisons, 1 mismatches (seed=0)",
+        "FAIL seed=0: 77 comparisons, 1 mismatches",
+        "check suite: 1 ideals, 77 comparisons, 1 mismatches (seed=0)",
     ])
 
 

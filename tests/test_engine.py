@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import brute
-from stairpow import engine, segments
+from stairpow import engine, geometry, segments
 from stairpow.ideals import (
     Axis,
     ExponentOverflowError,
@@ -213,8 +213,9 @@ def test_power_large_mu():
 def test_mu_polynomial_examples():
     poly = mu_polynomial(SMALL)
     assert (poly.s, poly.intercept, poly.slope) == (3, 7, 2)
-    poly = mu_polynomial(BIG)
-    assert (poly.s, poly.intercept, poly.slope) == (241, 1688, 7)
+    poly = mu_polynomial(BIG)  # from the onset's s = 7, not the paper's 241
+    assert (poly.s, poly.intercept, poly.slope) == (7, 50, 7)
+    assert poly(241) == 1688
     with pytest.raises(ValueError):
         poly(poly.s - 1)
     with pytest.raises(PrincipalIdealError):
@@ -581,10 +582,10 @@ def _radius_grows(ideal, chosen=None):
     # s_at(L) = L + r(L) + 1 strictly grows up to s_at(D_P), the paper's s, so
     # an onset below D_P always has the earlier s; r(L) is the smaller of
     # the per-axis ceil(L dist(I) / least step of P), y on a tie.
-    plan = engine._Plan(ideal, chosen)
-    profile, d = plan.profile, plan.profile.D_P
+    profile = persistence_profile(ideal, chosen)
+    d = profile.D_P
     steps = {axis: min(pair_dist(g, h, axis) for g, h in zip(profile.chosen, profile.chosen[1:])) for axis in Axis}
-    s_at = [plan.s_at(level) for level in range(d + 1)]
+    s_at = [level + profile.radius(level)[0] + 1 for level in range(d + 1)]
     assert all(a < b for a, b in zip(s_at, s_at[1:])) and s_at[d] == profile.s
     for level in range(d + 1):
         r_x, r_y = (-(-level * ideal.dist(axis) // steps[axis]) for axis in (Axis.X, Axis.Y))
@@ -706,18 +707,49 @@ def test_stable_decomposition_is_the_paper_route():
 
 
 def test_mu_polynomial_from_the_onset(monkeypatch):
-    # The paper's s with mu(I^s), from the decomposition at the onset: no
-    # kernel runs to D_P and no decomposition is cut at the paper's s.
-    expected = {"I1": (61, 245, 4), "I2": (241, 1688, 7), "I3": (989, 8902, 9), "I4": (2377, 38030, 16)}
+    # The polynomial of the decomposition at the onset, from the onset's s:
+    # no kernel runs to D_P and no decomposition is cut at the paper's s.
+    # At the paper's s it gives the count of stable_decomposition's I^s.
+    expected = {"I1": (5, 21, 4), "I2": (7, 50, 7), "I3": (14, 127, 9), "I4": (28, 446, 16)}
+    paper = {"I1": (61, 245), "I2": (241, 1688), "I3": (989, 8902), "I4": (2377, 38030)}
     kernels = _count_calls(monkeypatch, engine, "_certified_level_power")
     levels = _count_calls(monkeypatch, engine, "_decompose")
-    for label, ideal in _fixed_ideals().items():
-        poly = mu_polynomial(ideal)
-        assert (poly.s, poly.intercept, poly.slope) == expected[label]
+    polys = {label: mu_polynomial(ideal) for label, ideal in _fixed_ideals().items()}
+    assert {label: (poly.s, poly.intercept, poly.slope) for label, poly in polys.items()} == expected
+    assert {label: (s, polys[label](s)) for label, (s, _) in paper.items()} == paper
     assert [n for _, n, *rest in kernels] == [18, 40, 76, 264]  # each D_P, stopped at m
-    assert [level for _, _, level, *rest in levels] == [1, 1, 1, 3]
+    assert [level for _, level, *rest in levels] == [1, 1, 1, 3]
     dec = stable_decomposition(_fixed_ideals()["I1"])
-    assert (dec.s, dec.base_power.mu, dec.slope) == expected["I1"]
+    assert (dec.s, dec.base_power.mu, dec.slope) == (61, 245, 4)
+
+
+def test_mu_polynomial_is_the_onset_route_on_the_corpus():
+    # Seeds 0-199 of RandomIdealSpec(8, 20), as given and transposed: the
+    # polynomial starts at the plan's s, agrees with power() there, past it
+    # and at the paper's s, and refuses the level below it.
+    for seed in range(200):
+        I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+        for J in (I, I.transpose()):
+            poly, plan = mu_polynomial(J), engine._plan(J)
+            assert poly.s == plan.s, seed
+            for n in {plan.s, plan.s + 1, plan.s + 5, plan.profile.s, plan.profile.s + 7}:
+                assert poly(n) == power(J, n).mu, (seed, n)
+            with pytest.raises(ValueError):
+                poly(plan.s - 1)
+
+
+def test_decomposition_reads_each_radius_once(monkeypatch):
+    # The profile computes r_x and r_y at D_P; stable_decomposition cuts with
+    # those, and the plan reads the radii at its onset once more.
+    calls = _count_calls(monkeypatch, geometry, "_radius")
+    for seed in range(20):
+        I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+        calls.clear()
+        stable_decomposition(I)
+        assert len(calls) == 2, seed
+        calls.clear()
+        assert mu_polynomial(I) == mu_polynomial(I)
+        assert len(calls) == 4, seed
 
 
 @pytest.mark.parametrize(

@@ -117,6 +117,19 @@ def test_differential_check_catches_a_wrong_band_shift(monkeypatch):
     assert [(r.method, r.n) for r in report.failures] == [("shifted", n) for n in range(4, 8)]
 
 
+
+def test_differential_check_catches_a_wrong_power(monkeypatch):
+    # power() serves BIG by assembly from its onset's s = 7 on, below the
+    # paper's D = 40: a generator dropped there shows against repeated
+    # multiplication, and one dropped at the paper's s against the expansion.
+    big = MonomialIdeal.of((0, 10), (1, 9), (2, 5), (4, 4), (5, 3), (6, 2), (12, 1), (15, 0))
+    real = oracle.power
+    dropped = lambda ideal, n: MonomialIdeal(real(ideal, n).gens[1:]) if n in (7, 241) else real(ideal, n)
+    monkeypatch.setattr(oracle, "power", dropped)
+    report = differential_check(big, [6, 7, 8, 241])
+    failures = [(r.n, r.method, r.reference) for r in report.failures]
+    assert failures == [(7, "power", "naive"), (241, "power", "decomposed")]
+
 def test_corpus_powers_window():
     dec = stable_decomposition(SMALL)
     powers = corpus_powers(dec, naive_limit=30, tail=4)
@@ -133,37 +146,52 @@ def test_check_corpus_reproducible():
 
 #: ``(n, method, reference, equal)`` of each record of SMALL over 1..15, in
 #: order: D = 1 and s = 3, so repeated multiplication is the reference
-#: throughout, assembly joins at s and the band shift at s + 1.
+#: throughout, assembly joins at s, the band shift at s + 1, and power() is
+#: checked at every n.
 SMALL_RECORDS = [
-    (1, "decomposed", "naive", True),
-    (2, "decomposed", "naive", True),
-    (3, "decomposed", "naive", True), (3, "assembled", "naive", True),
+    (1, "decomposed", "naive", True), (1, "power", "naive", True),
+    (2, "decomposed", "naive", True), (2, "power", "naive", True),
+    (3, "decomposed", "naive", True), (3, "assembled", "naive", True), (3, "power", "naive", True),
     (4, "decomposed", "naive", True), (4, "assembled", "naive", True), (4, "shifted", "naive", True),
+    (4, "power", "naive", True),
     (5, "decomposed", "naive", True), (5, "assembled", "naive", True), (5, "shifted", "naive", True),
+    (5, "power", "naive", True),
     (6, "decomposed", "naive", True), (6, "assembled", "naive", True), (6, "shifted", "naive", True),
+    (6, "power", "naive", True),
     (7, "decomposed", "naive", True), (7, "assembled", "naive", True), (7, "shifted", "naive", True),
+    (7, "power", "naive", True),
     (8, "decomposed", "naive", True), (8, "assembled", "naive", True), (8, "shifted", "naive", True),
+    (8, "power", "naive", True),
     (9, "decomposed", "naive", True), (9, "assembled", "naive", True), (9, "shifted", "naive", True),
+    (9, "power", "naive", True),
     (10, "decomposed", "naive", True), (10, "assembled", "naive", True), (10, "shifted", "naive", True),
+    (10, "power", "naive", True),
     (11, "decomposed", "naive", True), (11, "assembled", "naive", True), (11, "shifted", "naive", True),
+    (11, "power", "naive", True),
     (12, "decomposed", "naive", True), (12, "assembled", "naive", True), (12, "shifted", "naive", True),
+    (12, "power", "naive", True),
     (13, "decomposed", "naive", True), (13, "assembled", "naive", True), (13, "shifted", "naive", True),
+    (13, "power", "naive", True),
     (14, "decomposed", "naive", True), (14, "assembled", "naive", True), (14, "shifted", "naive", True),
+    (14, "power", "naive", True),
     (15, "decomposed", "naive", True), (15, "assembled", "naive", True), (15, "shifted", "naive", True),
+    (15, "power", "naive", True),
 ]
 
 
 def test_differential_check_records_pinned():
     # The order of the records and the reference of each n.  BIG has D = 40
     # and s = 241: at D - 1 = 39 > naive_limit no route applies, and at D and
-    # s - 1 the staircase expansion is the only one, so it has nothing to check.
+    # s - 1 the staircase expansion checks power() alone.
     records = lambda report: [(r.n, r.method, r.reference, r.equal) for r in report.records]
     assert records(differential_check(SMALL, range(1, 16))) == SMALL_RECORDS
     big = MonomialIdeal.of((0, 10), (1, 9), (2, 5), (4, 4), (5, 3), (6, 2), (12, 1), (15, 0))
     dec = stable_decomposition(big)
     assert (dec.D, dec.s) == (40, 241)
     assert records(differential_check(big, [39, 40, 240, 241, 242], dec=dec)) == [
-        (241, "assembled", "decomposed", True),
+        (40, "power", "decomposed", True),
+        (240, "power", "decomposed", True),
+        (241, "assembled", "decomposed", True), (241, "power", "decomposed", True),
         (242, "assembled", "decomposed", True),
-        (242, "shifted", "decomposed", True),
+        (242, "shifted", "decomposed", True), (242, "power", "decomposed", True),
     ]
