@@ -27,8 +27,9 @@ def link_blocks(
 
     ``blocks`` are ``(part, reps)`` pairs in link order; the result is
     multiplied by the monomial ``origin``.  The full span is range-checked
-    before anything is emitted, and each emitted generator costs exactly
-    one exponent-pair addition.
+    before anything is emitted.  Copies ``[c, 2c)`` of a part are copies
+    ``[0, c)`` shifted by ``(c*dx, -c*dy)``: ``ceil(log2 reps) + 1`` numpy adds
+    per block, and exactly one exponent-pair addition per emitted generator.
     """
     spans = [(part.dist(Axis.X), part.dist(Axis.Y)) for part, _ in blocks]
     total_x = origin[0] + sum(dx * reps for (dx, _), (_, reps) in zip(spans, blocks))
@@ -43,16 +44,13 @@ def link_blocks(
     xy[:, 0] = origin[0], total_y
     x, y, start = origin[0], total_y, 1
     for (part, reps), (dx, dy), size in zip(blocks, spans, sizes):
-        copy = np.arange(reps)
-        corners = np.stack((x + dx * copy, y - dy * (copy + 1)))  # bottom-left of each copy
-        # out[:, c, j] is generator j + 1 of copy c.  Adding one column of the
-        # shorter axis at a time keeps numpy's inner loop on the longer one.
-        a, b = corners, part.xy[:, 1:]
-        out = xy[:, start : start + size].reshape(2, reps, part.mu - 1)
-        if reps < part.mu - 1:
-            a, b, out = b, a, out.transpose(0, 2, 1)
-        for j in range(b.shape[1]):
-            np.add(a, b[:, j, None], out=out[:, :, j])
+        if size:  # out[:, c*h + j] is generator j + 1 of copy c
+            out, h, c = xy[:, start : start + size], part.mu - 1, 1
+            np.add(part.xy[:, 1:], ((x,), (y - dy,)), out=out[:, :h])
+            while c < reps:
+                n = min(c, reps - c) * h
+                np.add(out[:, :n], ((c * dx,), (-c * dy,)), out=out[:, c * h : c * h + n])
+                c *= 2
         x, y, start = x + dx * reps, y - dy * reps, start + size
     return MonomialIdeal(xy)
 

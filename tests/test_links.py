@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
 import brute
 from stairpow.engine import assemble_power, stable_decomposition
-from stairpow.ideals import UNIT, Axis, MonomialIdeal, naive_power
+from stairpow.ideals import UNIT, Axis, ExponentOverflowError, MonomialIdeal, naive_power
 from stairpow.links import link, link_blocks, link_many, link_point, unlink
 from stairpow.oracle import RandomIdealSpec, random_ideal
 
@@ -122,13 +123,18 @@ def anchored_parts(draw):
     return MonomialIdeal(tuple(zip(xs, ys))).anchor()[0]
 
 
-blocks = st.lists(st.tuples(anchored_parts(), st.integers(0, 5)), min_size=1, max_size=5)
+blocks = st.lists(st.tuples(anchored_parts(), st.integers(0, 40)), min_size=1, max_size=5)
 origins = st.tuples(st.integers(0, 50), st.integers(0, 50))
 
 
 @given(blocks, origins)
 @example([(FIG_I, 0), (FIG_J, 3), (UNIT, 2), (FIG_I, 1)], (7, 4))  # zero-rep first block
 @example([(UNIT, 4), (FIG_J, 1)], (0, 0))
+# Copies are written by doubling: reps at, just above and just below a power of two.
+@example([(FIG_I, 32), (FIG_J, 33), (FIG_I, 31)], (3, 1))
+@example([(FIG_J, 16), (FIG_I, 17), (FIG_J, 15)], (0, 9))
+@example([(FIG_I, 2), (UNIT, 7), (FIG_J, 3)], (1, 1))  # h = 0 between real parts
+@example([(FIG_J, 5), (FIG_I, 0), (FIG_J, 6)], (2, 0))  # zero-rep middle block
 def test_link_blocks_matches_per_generator_loop(blocks, origin):
     assume(any(reps for _, reps in blocks))
     assert link_blocks(blocks, origin).gens == brute.link_blocks(blocks, origin)
@@ -136,6 +142,27 @@ def test_link_blocks_matches_per_generator_loop(blocks, origin):
 
 def test_link_blocks_without_copies_is_the_origin():
     assert link_blocks([(FIG_I, 0), (FIG_J, 0)], (2, 3)).gens == ((2, 3),)
+
+
+def test_link_blocks_many_copies_match_the_closed_form():
+    # Generator j >= 1 of copy c sits at (x0 + c*dx + x_j, y_top - (c+1)*dy + y_j).
+    part, reps, (x0, y0) = MonomialIdeal(((0, 4), (1, 2), (3, 1), (5, 0))), 2**17 + 3, (6, 2)
+    dx, dy = part.dist(Axis.X), part.dist(Axis.Y)
+    top, copy = y0 + reps * dy, np.arange(reps)[:, None]
+    xs = x0 + copy * dx + part.xy[0, 1:]
+    ys = top - (copy + 1) * dy + part.xy[1, 1:]
+    expected = np.stack(([x0, *xs.ravel()], [top, *ys.ravel()]))
+    assert np.array_equal(link_blocks([(part, reps)], (x0, y0)).xy, expected)
+
+
+def test_link_blocks_reaches_the_exponent_limit():
+    part = MonomialIdeal(((0, 2), (1, 1), (2**60, 0)))
+    origin = (2**63 - 1 - 7 * 2**60, 0)
+    linked = link_blocks([(part, 7)], origin)
+    assert linked.gens == brute.link_blocks([(part, 7)], origin)
+    assert linked.gens[-1] == (2**63 - 1, 0)
+    with pytest.raises(ExponentOverflowError):
+        link_blocks([(part, 7)], (origin[0] + 1, 0))
 
 
 def test_no_numpy_scalars_escape():
