@@ -10,7 +10,7 @@ Run with: python demos/07_differential_check.py
 
 from stairpow import check_corpus
 
-reports = check_corpus(10, mu_max=6, exp_max=15, seed=42, naive_limit=25, tail=5)
+reports = check_corpus(10, seed=42)
 
 total = sum(len(r.records) for r in reports)
 mismatches = sum(len(r.failures) for r in reports)

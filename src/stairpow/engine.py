@@ -154,11 +154,11 @@ def _decompose(plan: _Plan, level: int, r: int, axis: Axis) -> StableDecompositi
 
 class _Plan:
     """The profile of a non-principal ideal, its onset level m (certified
-    before D_P, else D_P) and what is built from there on first use."""
+    before D_P, else D_P) and what is built from there on first use: I^m is
+    the onset search's, or else one fresh kernel run's from I."""
 
     def __init__(self, ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None) -> None:
         self.ideal, self.profile = ideal, persistence_profile(ideal, chosen)
-        self.stopped = None  # the kernel's (j, I^j, m) where a search found no onset
 
     @cached_property
     def onset(self) -> tuple[int, MonomialIdeal | None, int | None]:
@@ -177,14 +177,13 @@ class _Plan:
             return d, None, None
         if level == d or level <= reduction + _ONSET_TRIES:
             return level, power, reduction
-        self.stopped = (level, power, reduction)
         return d, None, reduction
 
     @cached_property
     def base(self) -> MonomialIdeal:
-        """I^m, by the kernel resumed from where it stopped, if it stopped short."""
+        """I^m: the search's, or else I^D_P by the level kernel with P."""
         level, power, _ = self.onset
-        return power or _certified_level_power(self.ideal, level, self.profile.chosen, None, self.stopped)[1]
+        return power or level_power(self.ideal, level, self.profile.chosen)
 
     @cached_property
     def radius(self) -> tuple[int, Axis]:

@@ -299,16 +299,14 @@ def level_power(ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial] = ()
 
 
 def _certified_level_power(
-    ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial], stop: Callable | None = None,
-    start: tuple[int, MonomialIdeal, int] | None = None,
-) -> tuple[int, MonomialIdeal, int | None]:
+    ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial], stop: Callable | None = None
+) -> tuple[int, MonomialIdeal | None, int | None]:
     """``(n, I^n, m)``: :func:`level_power` and the least ``m`` with ``I^(m+1)
     = (P) I^m``, 0 when P is all of G(I), None when no step below n certifies.
 
     With ``stop`` the kernel calls ``stop(j, m, levels)`` from m on with the
     staircase of ``I^j`` at each level ``j >= 1``: a true answer returns ``(j,
-    I^j, m)``; I^n is then None where the kernel does not run.  ``start`` is
-    such an answer: the kernel resumes from its ``I^j`` by P's slices alone."""
+    I^j, m)``; I^n is then None where the kernel does not run."""
     x, y = ideal.xy
     rise = y - y[-1]
     span = int(rise[0])
@@ -317,14 +315,13 @@ def _certified_level_power(
     chosen = dict(reduction)  # generators of I differ in x
     if chosen and (lowest not in chosen or int(x[0]) not in chosen):
         raise ValueError(f"the reduction {tuple(reduction)} misses an extreme generator of {ideal}")
-    first, power, certified = start or (1, ideal, 0 if len(chosen) in (0, ideal.mu) else None)  # 0: P is G(I)
+    certified = 0 if len(chosen) in (0, ideal.mu) else None  # 0: P is G(I)
     if n < 2 or span > _BUCKET_SPAN_FACTOR * ideal.mu:
         return n, None if stop else naive_power(ideal, n), certified
     # The largest exponents of I^n, checked before any int64 add.
     _check_exponents(n * lowest, n * int(y[0]))
-    px, py = power.xy
-    levels = np.full(first * span + 1, _NO_POINT, dtype=np.int64)
-    levels[py - py[-1]] = px
+    levels = np.full(span + 1, _NO_POINT, dtype=np.int64)
+    levels[rise] = x
     # Level 0 holds a generator, so no _NO_POINT is left to add to.  From
     # then on the slices of the lowest and the highest generator, both in P,
     # cover every level, so none comes back.
@@ -337,7 +334,7 @@ def _certified_level_power(
     # the shifted copies: no allocation per step.
     size = n * span + 1
     buffers, lowered = np.empty((2, size), dtype=np.int64), np.empty(size, dtype=np.int64)
-    for j in range(first, n):
+    for j in range(1, n):
         stepped = buffers[j % 2, : len(levels) + span]
         np.add(levels, lowest, out=stepped[: len(levels)])
         stepped[len(levels) :] = _NO_POINT

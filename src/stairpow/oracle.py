@@ -132,13 +132,12 @@ def differential_check(
     ideal: MonomialIdeal,
     n_range: Iterable[int],
     label: str = "I",
-    naive_limit: int = NAIVE_LIMIT,
     dec: StableDecomposition | None = None,
 ) -> DifferentialReport:
     """Cross-check every applicable power routine over ``n_range``.
 
     Each n runs the routes that apply to it, in this order: repeated
-    multiplication up to ``naive_limit``, the staircase expansion from D,
+    multiplication up to ``NAIVE_LIMIT``, the staircase expansion from D,
     assembly from s, the band shift of the reference at n - 1 when n - 1 >= s
     was checked just before, and :func:`power` where either of the first two
     applies.  The first is the reference; the others are compared with it by
@@ -166,12 +165,12 @@ def differential_check(
             return None  # a shift that breaks its own invariants yields no G(I^n)
 
     routes = (  # (name, whether it applies to n, its G(I^n))
-        ("naive", lambda n: n <= naive_limit, naive),
+        ("naive", lambda n: n <= NAIVE_LIMIT, naive),
         ("decomposed", lambda n: n >= dec.D,
          partial(decomposed_power, ideal, dec.profile, base=d_base)),
         ("assembled", lambda n: n >= dec.s, partial(assemble_power, dec)),
         ("shifted", lambda n: n - 1 >= dec.s and n - 1 in prev, shifted),
-        ("power", lambda n: n <= naive_limit or n >= dec.D, partial(power, ideal)),
+        ("power", lambda n: n <= NAIVE_LIMIT or n >= dec.D, partial(power, ideal)),
     )
     report = DifferentialReport(label=label, ideal=ideal)
     for n in sorted({n for n in n_range if n >= 1}):
@@ -186,38 +185,33 @@ def differential_check(
     return report
 
 
-def corpus_powers(dec: StableDecomposition, naive_limit: int = NAIVE_LIMIT, tail: int = 15) -> list[int]:
+def corpus_powers(dec: StableDecomposition) -> list[int]:
     """The standing power range for one corpus instance:
-    1..min(s, naive_limit) plus the window s..s+tail."""
-    low = range(1, min(dec.s, naive_limit) + 1)
-    high = range(dec.s, dec.s + tail + 1)
+    1..min(s, NAIVE_LIMIT) plus the window s..s+15."""
+    low = range(1, min(dec.s, NAIVE_LIMIT) + 1)
+    high = range(dec.s, dec.s + 16)
     return sorted(set(low) | set(high))
 
 
 def check_corpus(
     count: int,
-    mu_max: int = 8,
-    exp_max: int = 20,
     seed: int = 0,
-    naive_limit: int = NAIVE_LIMIT,
-    tail: int = 15,
 ) -> list[DifferentialReport]:
     """Run the standing randomized differential suite.
 
-    Instance i uses seed ``seed + i``; each is checked over
-    :func:`corpus_powers` of its own decomposition.
+    Instance i is the ideal of ``RandomIdealSpec(8, 20, seed + i)``; each is
+    checked over :func:`corpus_powers` of its own decomposition.
     """
     reports = []
     for i in range(count):
-        spec = RandomIdealSpec(mu_max=mu_max, exp_max=exp_max, seed=seed + i)
+        spec = RandomIdealSpec(mu_max=8, exp_max=20, seed=seed + i)
         ideal = random_ideal(spec)
         dec = stable_decomposition(ideal)
         reports.append(
             differential_check(
                 ideal,
-                corpus_powers(dec, naive_limit, tail),
+                corpus_powers(dec),
                 label=f"seed={spec.seed}",
-                naive_limit=naive_limit,
                 dec=dec,
             )
         )

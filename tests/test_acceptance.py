@@ -61,7 +61,7 @@ def test_criterion_2_big_golden():
 
 def test_criterion_3_differential_suite():
     start = time.perf_counter()
-    reports = check_corpus(200, mu_max=8, exp_max=20, seed=0, naive_limit=30, tail=15)
+    reports = check_corpus(200, seed=0)
     mismatches = sum(len(r.failures) for r in reports)
     assert mismatches == 0
     elapsed = time.perf_counter() - start

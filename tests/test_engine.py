@@ -507,6 +507,10 @@ def test_onset_on_the_corpus():
 #: D_P, or (E*) at none of the levels tried.
 UNCERTIFIED = [8, 21, 23, 41, 54, 62, 88, 100, 124, 133, 157]
 
+#: Those among them whose search certifies (A) but gives up on (E*) past its
+#: tries, so that I^D_P (23 to 68) is built afresh, from I.
+GIVE_UP = [23, 41, 62, 88, 124, 133, 157]
+
 
 @pytest.mark.parametrize("seed", UNCERTIFIED)
 def test_uncertified_seeds_keep_the_paper_route(seed):
@@ -514,6 +518,7 @@ def test_uncertified_seeds_keep_the_paper_route(seed):
     plan = engine._plan(I)
     d, s = plan.profile.D_P, plan.profile.s
     assert (plan.onset[0], plan.s) == (d, s)
+    assert (plan.onset[1] is None and plan.onset[2] is not None) == (seed in GIVE_UP)
     current, at = I, 1
     for n in sorted({max(d - 1, 1), d, (d + s) // 2, s - 1, s, s + 3}):
         for _ in range(at, n):
@@ -524,7 +529,7 @@ def test_uncertified_seeds_keep_the_paper_route(seed):
 
 def test_uncertified_plan_stops_its_search(monkeypatch):
     # Seed 23 certifies (A) at 2 but (E*) at none of the levels 2-12, so its
-    # kernel run stops at 13; I^D_P = I^68 resumes that run from I^13, and
+    # search stops at 13; I^D_P = I^68 is one level_power call with P, made
     # only once a power from D_P on needs it.
     I = random_ideal(RandomIdealSpec(8, 20, seed=23))
     profile = persistence_profile(I)
@@ -532,12 +537,13 @@ def test_uncertified_plan_stops_its_search(monkeypatch):
     kernels = _count_calls(monkeypatch, engine, "_certified_level_power")
     levels = _count_calls(monkeypatch, engine, "level_power")
     assert power(I, 13) == naive_power(I, 13)
+    assert power(I, 67) == naive_power(I, 67)
     assert engine._plan(I).onset == (68, None, 2)
-    assert engine._plan(I).stopped == (13, naive_power(I, 13), 2)
-    assert _kernel_runs(kernels) == [(68, None)] and levels == [(I, 13)]
+    assert not hasattr(engine._plan(I), "stopped")
+    assert _kernel_runs(kernels) == [68] and levels == [(I, 13), (I, 67)]
     for n, ideal_n in expected.items():
         assert power(I, n) == ideal_n, n
-    assert _kernel_runs(kernels) == [(68, None), (68, 13)] and levels == [(I, 13)]
+    assert _kernel_runs(kernels) == [68] and levels == [(I, 13), (I, 67), (I, 68, profile.chosen)]
 
 
 def test_sparse_ideal_below_d_builds_no_i_d(monkeypatch):
@@ -567,14 +573,14 @@ def test_onset_refuses_every_level_below_it(seed, reduction, onset):
 def test_onset_gives_up_past_its_tries(monkeypatch):
     # Seed 11 reduces at m = 1 and certifies (E*) first at 5: with 4 tries
     # the search finds that onset, with 3 it gives up at 5 and the plan keeps
-    # D_P = 53, built by resuming the stopped run.
+    # D_P = 53, built afresh by level_power.
     I = random_ideal(RandomIdealSpec(8, 20, seed=11))
     monkeypatch.setattr(engine, "_ONSET_TRIES", 4)
     plan = engine._Plan(I)
-    assert plan.onset == (5, naive_power(I, 5), 1) and plan.stopped is None and plan.s == 39
+    assert plan.onset == (5, naive_power(I, 5), 1) and plan.s == 39
     monkeypatch.setattr(engine, "_ONSET_TRIES", 3)
     plan = engine._Plan(I)
-    assert plan.onset == (53, None, 1) and plan.stopped[0] == 5 and plan.s == 399
+    assert plan.onset == (53, None, 1) and plan.s == 399
     assert plan.base == naive_power(I, 53)
 
 
@@ -657,22 +663,23 @@ def test_onset_route_matches_naive_for_more_pairs(ideal):
 
 
 def _kernel_runs(kernels):
-    """``(n, the level a run resumed from, or None)`` per recorded call of the level kernel."""
-    return [(args[1], args[4][0] if len(args) > 4 else None) for args in kernels]
+    """The ``n`` of each recorded call of the level kernel."""
+    return [args[1] for args in kernels]
 
 
 def test_stable_decomposition_runs_the_kernel_once(monkeypatch):
-    # BIG certifies its onset at 1: the one kernel run stops there.  Seed 23
-    # certifies none: I^D_P = I^68 resumes the search's run where it stopped,
-    # at 13, so no level is stepped twice, and no other power is built.
+    # BIG certifies its onset at 1: the one search stops there and builds no
+    # other power.  Seed 23 certifies none: its search gives up at 13, and
+    # I^D_P = I^68 is one level_power call with P.
     kernels = _count_calls(monkeypatch, engine, "_certified_level_power")
     levels = _count_calls(monkeypatch, engine, "level_power")
     seed23 = random_ideal(RandomIdealSpec(8, 20, seed=23))
-    for ideal, runs in [(BIG, [(40, None)]), (seed23, [(68, None), (68, 13)])]:
+    for ideal, built in [(BIG, []), (seed23, [(seed23, 68, persistence_profile(seed23).chosen)])]:
         kernels.clear()
+        levels.clear()
         dec, profile = stable_decomposition(ideal), persistence_profile(ideal)
         assert (dec.D, dec.r, dec.s, dec.axis) == (profile.D_P, profile.r, profile.s, profile.axis)
-        assert _kernel_runs(kernels) == runs and levels == []
+        assert _kernel_runs(kernels) == [profile.D_P] and levels == built
 
 
 def _paper_route_cases():

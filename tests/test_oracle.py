@@ -131,10 +131,10 @@ def test_differential_check_catches_a_wrong_power(monkeypatch):
     assert failures == [(7, "power", "naive"), (241, "power", "decomposed")]
 
 def test_corpus_powers_window():
-    dec = stable_decomposition(SMALL)
-    powers = corpus_powers(dec, naive_limit=30, tail=4)
-    assert powers[0] == 1
-    assert dec.s + 4 in powers
+    # 1..min(s, 30) plus the window s..s+15: SMALL has s = 3, BIG s = 241.
+    assert corpus_powers(stable_decomposition(SMALL)) == list(range(1, 19))
+    big = MonomialIdeal.of((0, 10), (1, 9), (2, 5), (4, 4), (5, 3), (6, 2), (12, 1), (15, 0))
+    assert corpus_powers(stable_decomposition(big)) == [*range(1, 31), *range(241, 257)]
 
 
 def test_check_corpus_reproducible():
@@ -181,7 +181,7 @@ SMALL_RECORDS = [
 
 def test_differential_check_records_pinned():
     # The order of the records and the reference of each n.  BIG has D = 40
-    # and s = 241: at D - 1 = 39 > naive_limit no route applies, and at D and
+    # and s = 241: at D - 1 = 39 > NAIVE_LIMIT no route applies, and at D and
     # s - 1 the staircase expansion checks power() alone.
     records = lambda report: [(r.n, r.method, r.reference, r.equal) for r in report.records]
     assert records(differential_check(SMALL, range(1, 16))) == SMALL_RECORDS

@@ -43,7 +43,7 @@ def test_sources_parse_as_python_3_10():
 def test_src_line_budget():
     # The cap on the package's size, by ``wc -l src/stairpow/*.py``.
     lines = sum(len(path.read_bytes().splitlines()) for path in SRC.glob("*.py"))
-    assert lines <= 1875, f"src/stairpow has {lines} lines, over the 1875-line budget"
+    assert lines <= 1865, f"src/stairpow has {lines} lines, over the 1865-line budget"
 
 
 def _load_spans():
