@@ -223,6 +223,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.count < 1:  # an empty suite would pass vacuously
+        raise ParseError(f"--count must be at least 1, got {args.count}", 0)
     reports = check_corpus(count=args.count, seed=args.seed)
     for report in reports:
         for line in report.lines():

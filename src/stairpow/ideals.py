@@ -306,7 +306,7 @@ def _certified_level_power(
 
     With ``stop`` the kernel calls ``stop(j, m, levels)`` from m on with the
     staircase of ``I^j`` at each level ``j >= 1``: a true answer returns ``(j,
-    I^j, m)``; I^n is then None where the kernel does not run."""
+    I^j, m)``; I^n is then None on a sparse span, where the kernel does not run."""
     x, y = ideal.xy
     rise = y - y[-1]
     span = int(rise[0])
@@ -317,7 +317,7 @@ def _certified_level_power(
         raise ValueError(f"the reduction {tuple(reduction)} misses an extreme generator of {ideal}")
     certified = 0 if len(chosen) in (0, ideal.mu) else None  # 0: P is G(I)
     if n < 2 or span > _BUCKET_SPAN_FACTOR * ideal.mu:
-        return n, None if stop else naive_power(ideal, n), certified
+        return n, None if stop and n >= 2 else naive_power(ideal, n), certified
     # The largest exponents of I^n, checked before any int64 add.
     _check_exponents(n * lowest, n * int(y[0]))
     levels = np.full(span + 1, _NO_POINT, dtype=np.int64)

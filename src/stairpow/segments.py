@@ -118,30 +118,14 @@ class GluedComponents:
     link_points: tuple[Monomial, ...]
 
 
-@dataclass(frozen=True)
-class SegmentTriple(GluedComponents):
-    """The glued components of one pair ``y^v, x^u``: the r-segments A, H, B
-    of ``(x^u, y^v)^(r+1) J`` and their pivot ``x^alpha y^beta``, the link point."""
-
-    A = property(lambda self: self.components[0])
-    H = property(lambda self: self.middles[0])
-    B = property(lambda self: self.components[1])
-    alpha = property(lambda self: self.link_points[0][0])
-    beta = property(lambda self: self.link_points[0][1])
-
-
-def r_segments(u: int, v: int, j_ideal: MonomialIdeal, r: int) -> SegmentTriple:
-    """The r-segments of ``(x^u, y^v)^(r+1) J``, for ``r >= ceil(dist_y(J) / v)``."""
-    return SegmentTriple(**vars(glued_components(((0, v), (u, 0)), j_ideal, r)))
-
-
 def glued_components(gs: Sequence[Monomial], j_ideal: MonomialIdeal, r: int) -> GluedComponents:
     """Split one explicitly computed base power into its repeating components.
 
     ``gs`` are boundary generators g_1..g_{k+1} of an anchored ideal in
     descending y-order.  :func:`staircase_sum` builds the summed power S,
     and :func:`glued_cut` reads the components off S directly; the
-    per-summand r-segments are never formed.
+    per-summand r-segments are never formed.  For ``gs = ((0, v), (u, 0))`` the paper's
+    A, H, B and pivot (alpha, beta) are components[0], middles[0], components[1], link_points[0].
     """
     boundary = MonomialIdeal(gs)  # raises unless they descend in y and ascend in x
     if boundary.mu < 2 or boundary.gcd() != (0, 0):
@@ -237,7 +221,3 @@ def glued_power(glued: GluedComponents, ell: int) -> MonomialIdeal:
     if ell < 0:
         raise ValueError("ell must be non-negative")
     return link_blocks(glued_blocks(glued.components, glued.middles, ell))
-
-
-#: ``(x^u, y^v)^(r+1+ell) J`` from the r-segments, assembled as A . H^ell . B.
-one_segment_power = glued_power

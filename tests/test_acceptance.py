@@ -18,7 +18,7 @@ from stairpow.engine import (
 )
 from stairpow.links import link, link_many, unlink
 from stairpow.oracle import RandomIdealSpec, check_corpus, random_ideal
-from stairpow.segments import r_segments, one_segment_power
+from stairpow.segments import glued_components, glued_power
 
 SMALL = MonomialIdeal(((0, 2), (2, 1), (3, 0)))
 BIG = MonomialIdeal.of((0, 10), (1, 9), (2, 5), (4, 4), (5, 3), (6, 2), (12, 1), (15, 0))
@@ -93,18 +93,19 @@ def test_criterion_5_segment_bands():
         J = random_ideal(RandomIdealSpec(5, 8, seed=20_000 + trial)).anchor()[0]
         u, v = rng.randint(1, 4), rng.randint(1, 4)
         r = max(1, -(-J.dist(Axis.Y) // v)) + rng.randint(0, 1)
-        tr = r_segments(u, v, J, r)
-        base = one_segment_power(tr, 0)
-        L = [f for f in base.gens if f[1] >= tr.beta]
-        M = [f for f in base.gens if tr.beta <= f[1] < tr.beta + v]
-        R = [f for f in base.gens if f[1] < tr.beta]
+        tr = glued_components(((0, v), (u, 0)), J, r)
+        ((_, beta),) = tr.link_points
+        base = glued_power(tr, 0)
+        L = [f for f in base.gens if f[1] >= beta]
+        M = [f for f in base.gens if beta <= f[1] < beta + v]
+        R = [f for f in base.gens if f[1] < beta]
         for ell in range(5):
             expected = {(f[0], f[1] + v * ell) for f in L}
             for j in range(1, ell + 1):
                 expected |= {(f[0] + u * j, f[1] + v * (ell - j)) for f in M}
             expected |= {(f[0] + u * ell, f[1]) for f in R}
             assert set(pair_oracle(u, v, J, r + 1 + ell).gens) == expected
-            assert one_segment_power(tr, ell).gens == pair_oracle(u, v, J, r + 1 + ell).gens
+            assert glued_power(tr, ell).gens == pair_oracle(u, v, J, r + 1 + ell).gens
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
     print(f"ACCEPTANCE 5 PASS — segment bands: L/M/R partition reproduces 100 powers, l<=4 ({elapsed:.1f} s)")

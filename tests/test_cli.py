@@ -428,6 +428,17 @@ def test_check_suite(capsys):
     assert "0 mismatches" in out
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_check_refuses_an_empty_suite(capsys, monkeypatch, count):
+    # No ideal to compare would pass vacuously: a usage error before any is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("suite ran")
+
+    monkeypatch.setattr(cli, "check_corpus", refuse)
+    code, out, err = run(capsys, "check", "--count", count)
+    assert (code, out) == (1, "") and err.startswith("error: "), err
+
+
 def test_check_prints_a_failure(capsys, monkeypatch):
     # Assembly drops a generator at s = 663 of the first corpus ideal, whose
     # 77 records compare with the staircase expansion or repeated

@@ -670,11 +670,14 @@ def _kernel_runs(kernels):
 def test_stable_decomposition_runs_the_kernel_once(monkeypatch):
     # BIG certifies its onset at 1: the one search stops there and builds no
     # other power.  Seed 23 certifies none: its search gives up at 13, and
-    # I^D_P = I^68 is one level_power call with P.
+    # I^D_P = I^68 is one level_power call with P.  (x^2, y^3) has D_P = 0:
+    # the kernel hands back I^0 itself and no level_power call follows.
     kernels = _count_calls(monkeypatch, engine, "_certified_level_power")
     levels = _count_calls(monkeypatch, engine, "level_power")
     seed23 = random_ideal(RandomIdealSpec(8, 20, seed=23))
-    for ideal, built in [(BIG, []), (seed23, [(seed23, 68, persistence_profile(seed23).chosen)])]:
+    cases = [(BIG, []), (seed23, [(seed23, 68, persistence_profile(seed23).chosen)])]
+    cases.append((MonomialIdeal(((0, 3), (2, 0))), []))
+    for ideal, built in cases:
         kernels.clear()
         levels.clear()
         dec, profile = stable_decomposition(ideal), persistence_profile(ideal)

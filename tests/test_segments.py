@@ -19,8 +19,6 @@ from stairpow.oracle import RandomIdealSpec, random_ideal
 from stairpow.segments import (
     glued_components,
     glued_power,
-    one_segment_power,
-    r_segments,
     staircase_sum,
     staircase_times,
 )
@@ -226,8 +224,9 @@ def test_unit_symmetric_segments():
 
 
 def test_small_example_segments():
-    gl, _, _ = one_pair(3, 2, SMALL, 1)
+    gl, alpha, beta = one_pair(3, 2, SMALL, 1)
     (A, B), (H,) = gl.components, gl.middles
+    assert (alpha, beta) == (6, 2)
     assert A.gens == ((0, 4), (2, 3), (3, 2), (5, 1), (6, 0))
     assert H.gens == SMALL.gens
     assert B.gens == SMALL.gens
@@ -306,17 +305,6 @@ def test_y_sections_divisibility():
                 assert f[1] >= v * (j - r)
 
 
-def test_glued_small_reduces_to_segments():
-    gl = glued_components(((0, 2), (3, 0)), SMALL, 1)
-    tr = r_segments(3, 2, SMALL, 1)
-    assert gl.components[0].gens == tr.A.gens
-    assert gl.middles[0].gens == tr.H.gens
-    assert gl.components[1].gens == tr.B.gens
-    assert gl.link_points == ((6, 2),) == ((tr.alpha, tr.beta),)
-    for ell in range(3):
-        assert one_segment_power(tr, ell) == glued_power(gl, ell)
-
-
 def test_glued_power_vs_sum_oracle():
     for trial in range(12):
         I = random_ideal(RandomIdealSpec(6, 10, seed=4000 + trial)).anchor()[0]
@@ -352,9 +340,7 @@ def test_glued_validation():
 
 def test_refusals_of_the_segment_powers():
     with pytest.raises(ValueError):
-        r_segments(0, 2, SMALL, 1)
-    with pytest.raises(ValueError):
-        one_segment_power(r_segments(3, 2, SMALL, 1), -1)
+        glued_components(((0, 2), (0, 0)), SMALL, 1)  # u = 0
     with pytest.raises(ValueError):
         glued_power(glued_components(((0, 2), (3, 0)), SMALL, 1), -1)
 
