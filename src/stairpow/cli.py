@@ -158,9 +158,9 @@ def _parse_power_token(token: str, s: int) -> int:
     try:
         value = decimal.Decimal(text)
     except decimal.InvalidOperation:
-        raise ParseError(f"malformed power {token!r}", 0) from None
+        raise ParseError(f"malformed power {token!r}") from None
     if not value.is_finite() or value != value.to_integral_value():
-        raise ParseError(f"power {token!r} is not an integer", 0)
+        raise ParseError(f"power {token!r} is not an integer")
     if not -EXP_LIMIT < value < EXP_LIMIT:  # before int() expands an exponent like 1e999999999
         raise ExponentOverflowError(f"power {token!r} is beyond the exponent limit 2^63")
     return base + int(value)
@@ -177,7 +177,7 @@ def _read_bench_ideals(path: str) -> list[tuple[str, MonomialIdeal]]:
             label, _, text = line.rpartition(":")
             out.append((label.strip() or f"I_{len(out) + 1}", parse_ideal(text)))
     if not out:
-        raise ParseError("no ideals found in benchmark file", 0)
+        raise ParseError("no ideals found in benchmark file")
     return out
 
 
@@ -186,12 +186,12 @@ def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     tokens = [tok for tok in args.powers.split(",") if tok.strip()]
     if not methods or not tokens:
-        raise ParseError("bench needs at least one method and one power", 0)
+        raise ParseError("bench needs at least one method and one power")
     for m in methods:
         if m not in BENCH_METHODS:
-            raise ParseError(f"unknown method {m!r}", 0)
+            raise ParseError(f"unknown method {m!r}")
     if not 0 < args.timeout <= BENCH_TIMEOUT_MAX:  # false for nan too
-        raise ParseError(f"--timeout must be positive and at most {BENCH_TIMEOUT_MAX} s, got {args.timeout}", 0)
+        raise ParseError(f"--timeout must be positive and at most {BENCH_TIMEOUT_MAX} s, got {args.timeout}")
     jobs = []
     for label, ideal in ideals:
         # s from the profile alone, as ``power`` finds it; cells out of their
@@ -224,7 +224,7 @@ def cmd_bench(args) -> int:
 
 def cmd_check(args) -> int:
     if args.count < 1:  # an empty suite would pass vacuously
-        raise ParseError(f"--count must be at least 1, got {args.count}", 0)
+        raise ParseError(f"--count must be at least 1, got {args.count}")
     reports = check_corpus(count=args.count, seed=args.seed)
     for report in reports:
         for line in report.lines():

@@ -137,16 +137,18 @@ def _decompose(plan: _Plan, level: int, r: int, axis: Axis) -> StableDecompositi
     onset), whose ``(r, axis)`` is ``profile.radius(level)``, from its ``I^s``
     for ``s = level + r + 1``.
 
-    The one place that re-orients: P holds both extreme generators of the
-    ideal, so the gcd of the ideal is also that of P, and ``gcd^s`` that of I^s.
+    The one place that re-orients, and only P and the plan's ``I^m``: P
+    holds both extreme generators of the ideal, so the gcd of the ideal is
+    also that of P, and ``gcd^m`` that of I^m.  I^s is then summed in the
+    working orientation as ``staircase_sum(P', s - m, I^m')``; ``s > m``.
     """
-    profile, shift = plan.profile, plan.ideal.gcd()
+    profile, shift, m = plan.profile, plan.ideal.gcd(), plan.onset[0]
     chosen = MonomialIdeal(profile.chosen).shift((-shift[0], -shift[1]))
-    g = mon_pow(shift, level + r + 1)
-    power = plan.power(level + r + 1).shift((-g[0], -g[1]))
+    g = mon_pow(shift, m)
+    base = plan.base.shift((-g[0], -g[1]))
     if axis is Axis.X:
-        chosen, power = chosen.transpose(), power.transpose()
-    glued = glued_cut(chosen, power, r)
+        chosen, base = chosen.transpose(), base.transpose()
+    glued = glued_cut(chosen, staircase_sum(chosen.gens, level + r + 1 - m, base), r)
     return StableDecomposition(
         **vars(glued), gcd_shift=shift, profile=profile, reduction_number=plan.onset[2], D=level, r=r, axis=axis
     )
@@ -193,12 +195,6 @@ class _Plan:
     @cached_property
     def s(self) -> int:
         return self.onset[0] + self.radius[0] + 1
-
-    def power(self, n: int) -> MonomialIdeal:
-        """``I^n = staircase_sum(P, n - m, I^m)`` for ``n >= m``: by (A) and
-        (E*) at a certified m, by the paper at D_P."""
-        level = self.onset[0]
-        return staircase_sum(self.profile.chosen, n - level, self.base) if n > level else self.base
 
     @cached_property
     def decomposition(self) -> StableDecomposition:
@@ -257,10 +253,11 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     if ideal.is_principal:
         return MonomialIdeal((mon_pow(ideal.gcd(), n),))
     plan = _plan(ideal)
-    if n < plan.onset[0]:
+    level = plan.onset[0]
+    if n < level:
         return level_power(ideal, n)
-    if n < plan.s:
-        return plan.power(n)
+    if n < plan.s:  # I^n = staircase_sum(P, n - m, I^m): by (A) and (E*), or the paper at D_P
+        return staircase_sum(plan.profile.chosen, n - level, plan.base) if n > level else plan.base
     return assemble_power(plan.decomposition, n)
 
 

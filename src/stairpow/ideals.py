@@ -65,14 +65,17 @@ def mon_divides(m: Monomial, n: Monomial) -> bool:
 
 
 def _columns(points: Iterable[Monomial]) -> np.ndarray:
-    """The ``(2, N)`` int64 columns of exponent pairs."""
-    try:
-        arr = np.array(list(points), dtype=np.int64)
-    except OverflowError:
-        raise ExponentOverflowError("exponent out of the int64 range") from None
+    """The ``(2, N)`` int64 columns of exponent pairs of Python or numpy integers."""
+    arr = np.array(list(points), dtype=object)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("monomials must be a non-empty sequence of exponent pairs")
-    return arr.T
+    for kind in set(map(type, arr.flat)):
+        if kind is bool or not issubclass(kind, (int, np.integer)):
+            raise ValueError(f"an exponent of type {kind.__name__} is not an integer")
+    try:
+        return arr.astype(np.int64).T
+    except OverflowError:
+        raise ExponentOverflowError("exponent out of the int64 range") from None
 
 
 def _minimalize_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -365,8 +368,8 @@ def pair_power(g: Monomial, h: Monomial, n: int) -> MonomialIdeal:
     """
     if mon_divides(g, h) or mon_divides(h, g):
         raise ValueError(f"{g} and {h} are comparable; staircase power undefined")
-    if n == 0:
-        return UNIT
+    if n < 0:
+        raise ValueError(f"power must be non-negative, got {n}")
     if g[0] > h[0]:
         g, h = h, g
     # g now has the smaller x-exponent (larger y); walk from h^n up to g^n.

@@ -35,26 +35,25 @@ def staircase_sum(gs: Sequence[Monomial], n: int, j_ideal: MonomialIdeal) -> Mon
     """``sum_i (g_i, g_(i+1))^n * J`` over consecutive pairs of ``gs``, each
     pair in either order, in work proportional to its y-span.
 
-    Every pair's window table (see :func:`_pair_levels`) is min-ed into one
-    level array spanning the union of their levels, which one sweep turns
-    into the minimal generators.  A single pair needs no shared array.  If
-    a pair's table would be larger than its ``(n+1) * mu(J)`` candidates,
-    or beyond int64, that pair is the product of those candidates and the
-    per-pair ideals are summed.
+    Every pair's window table (see :func:`_pair_levels`), a lone pair's
+    too, is min-ed into one level array spanning the union of their levels,
+    which one sweep turns into the minimal generators.  A pair whose table
+    would be larger than its ``(n+1) * mu(J)`` candidates, or beyond int64,
+    is the product of those candidates instead, and one :func:`ideal_sum`
+    joins those products to the swept array.
     """
     pairs = list(zip(gs, gs[1:]))
     tables = [_pair_levels(g, h, n, j_ideal) for g, h in pairs]
-    if len(tables) == 1 or any(table is None for table in tables):
-        return ideal_sum([
-            pair_power(g, h, n) * j_ideal if table is None else MonomialIdeal(_level_staircase(*table))
-            for (g, h), table in zip(pairs, tables)
-        ])
-    low = min(bottom for _, bottom in tables)
-    levels = np.full(max(bottom + len(t) for t, bottom in tables) - low, _NO_POINT, dtype=np.int64)
-    for table, bottom in tables:
-        view = levels[bottom - low : bottom - low + len(table)]
-        np.minimum(view, table, out=view)
-    return MonomialIdeal(_level_staircase(levels, low))
+    ideals = [pair_power(g, h, n) * j_ideal for (g, h), table in zip(pairs, tables) if table is None]
+    tables = [table for table in tables if table is not None]
+    if tables:
+        low = min(bottom for _, bottom in tables)
+        levels = np.full(max(bottom + len(t) for t, bottom in tables) - low, _NO_POINT, dtype=np.int64)
+        for table, bottom in tables:
+            view = levels[bottom - low : bottom - low + len(table)]
+            np.minimum(view, table, out=view)
+        ideals.append(MonomialIdeal(_level_staircase(levels, low)))
+    return ideal_sum(ideals)
 
 
 def _pair_levels(

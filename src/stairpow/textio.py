@@ -7,7 +7,7 @@ Two input forms are accepted:
 * compact pair lists -- ``[(3, 2), (0, 5)]``.
 
 Serialization always emits the canonical sorted pair list.  Parse errors
-carry the character position of the offending input.
+carry the character position of the offending input where there is one.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from .ideals import Monomial, MonomialIdeal, minimalize
 
 
 class ParseError(ValueError):
-    """Invalid ideal text; ``position`` is the 0-based character offset."""
+    """Invalid ideal text; ``position`` is the 0-based character offset or None."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
 
 
@@ -60,10 +60,10 @@ def _parse_pair_list(text: str) -> MonomialIdeal:
     try:
         value = ast.literal_eval(text.strip())
     except (SyntaxError, ValueError) as exc:
-        pos = getattr(exc, "offset", None) or 0
-        raise ParseError("malformed pair list", max(pos - 1, 0)) from None
+        pos = getattr(exc, "offset", None)  # a ValueError has none
+        raise ParseError("malformed pair list", None if pos is None else max(pos - 1, 0)) from None
     if not isinstance(value, (list, tuple)) or not value:
-        raise ParseError("pair list must be a non-empty sequence", 0)
+        raise ParseError("pair list must be a non-empty sequence")
     pairs = []
     for item in value:
         if (
@@ -71,7 +71,7 @@ def _parse_pair_list(text: str) -> MonomialIdeal:
             or len(item) != 2
             or not all(type(c) is int and c >= 0 for c in item)  # no bool
         ):
-            raise ParseError(f"invalid exponent pair {item!r}", 0)
+            raise ParseError(f"invalid exponent pair {item!r}")
         pairs.append((item[0], item[1]))
     return minimalize(pairs)
 
@@ -80,7 +80,7 @@ def parse_ideal(text: str) -> MonomialIdeal:
     """Parse either accepted text form into a canonical ideal."""
     stripped = text.strip()
     if not stripped:
-        raise ParseError("empty ideal text", 0)
+        raise ParseError("empty ideal text")
     if stripped.lstrip().startswith(("[", "(")):
         return _parse_pair_list(stripped)
     terms: list[Monomial] = []
@@ -92,7 +92,7 @@ def parse_ideal(text: str) -> MonomialIdeal:
             terms.append(_parse_term(piece, offset_piece))
         offset += len(chunk)
     if not terms:
-        raise ParseError("no monomials found", 0)
+        raise ParseError("no monomials found")
     return minimalize(terms)
 
 

@@ -487,6 +487,22 @@ def test_onset_of_the_fixed_ideals():
     assert got == {"I1": (1, 5), "I2": (1, 7), "I3": (1, 14), "I4": (3, 28)}
 
 
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("label", ["I1", "I2", "I3", "I4", "seed 23"])
+def test_decomposition_reorients_only_p_and_the_base(monkeypatch, label, transposed):
+    # I^s is summed in the working orientation from P and I^m: no ideal
+    # larger than I^m, such as the whole I^s, is shifted or transposed.
+    # Seed 23 certifies no onset, so its I^m is I^D_P.
+    ideal = random_ideal(RandomIdealSpec(8, 20, seed=23)) if label == "seed 23" else _fixed_ideals()[label]
+    ideal = ideal.transpose() if transposed else ideal
+    limit = engine._Plan(ideal).base.mu
+    calls = [_count_calls(monkeypatch, MonomialIdeal, name) for name in ("shift", "transpose")]
+    for decompose in (lambda: stable_decomposition(ideal), lambda: engine._Plan(ideal).decomposition):
+        decompose()
+        sizes = [args[0].mu for found in calls for args in found]
+        assert sizes and max(sizes) <= limit, (sizes, limit)
+
+
 def test_onset_on_the_corpus():
     # Of the seeds 0-199 of RandomIdealSpec(8, 20) with D_P > 0, 157 of 168
     # certify an onset; their s sum to 2734, against 48295 for the paper's.

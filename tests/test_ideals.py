@@ -235,6 +235,23 @@ def test_minimalize_rejects_negative_exponents():
         minimalize([(-EXP_LIMIT - 1, 0)])
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [((0, 2.5), (1.5, 0)), ((0.9, 1), (1, 0)), (("1", 0),), ((True, 0),), ((0, 2), (np.float64(1), 0))],
+)
+def test_non_integer_exponents_refused(pairs):
+    # A float, a string or a bool is no exponent: refused, never truncated to one.
+    for build in (lambda: MonomialIdeal.of(*pairs), lambda: minimalize(pairs), lambda: MonomialIdeal(pairs)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            build()
+
+
+def test_numpy_integer_exponents_accepted():
+    assert MonomialIdeal.of((np.int32(0), np.uint8(3)), (np.int64(2), 0)).gens == ((0, 3), (2, 0))
+    with pytest.raises(ExponentOverflowError):
+        MonomialIdeal.of((np.uint64(EXP_LIMIT), 0))
+
+
 points = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=60)
 
 
@@ -279,6 +296,13 @@ def test_pair_power_staircase():
     assert P.gens == naive_power(MonomialIdeal(((0, 2), (3, 0))), 4).gens
     with pytest.raises(ValueError):
         pair_power((0, 0), (1, 1), 2)
+    assert pair_power((0, 2), (3, 0), 0) == UNIT
+
+
+def test_pair_power_refuses_a_negative_power():
+    # A usage error, not an exponent pair out of range.
+    with pytest.raises(ValueError, match="power must be non-negative, got -1"):
+        pair_power((0, 2), (3, 0), -1)
 
 
 def test_ideal_sum_helper():

@@ -39,8 +39,24 @@ def test_parse_errors_positioned():
         parse_ideal("[(1, -2)]")
     with pytest.raises(ParseError, match=r"^malformed pair list \(at position 0\)$"):
         parse_ideal("[(1, 2),")
-    with pytest.raises(ParseError, match=r"^no monomials found \(at position 0\)$"):
+    with pytest.raises(ParseError, match=r"^no monomials found$"):
         parse_ideal("+ ;")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty ideal text"),
+        ("[]", "pair list must be a non-empty sequence"),
+        ("[(0, 5), (1, -1)]", "invalid exponent pair (1, -1)"),
+        ("[x]", "malformed pair list"),
+    ],
+)
+def test_parse_errors_without_a_position(text, message):
+    # No one character is at fault, so none is named: no fake "position 0".
+    with pytest.raises(ParseError) as err:
+        parse_ideal(text)
+    assert (str(err.value), err.value.position) == (message, None)
 
 
 @pytest.mark.parametrize("text", ["[(True, 2), (0, 5), (3, False)]", "[(0, 1), (2, True)]"])
