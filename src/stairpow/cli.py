@@ -52,7 +52,7 @@ def cmd_analyze(args) -> int:
     # One plan and its one decomposition, at the onset power() serves from:
     # the paper's constants come from the profile, mu(I^s) from the polynomial.
     plan = _Plan(ideal, weakly_persistent_generators(ideal) if args.weakly else None)
-    profile, (onset, _, reduction) = plan.profile, plan.onset
+    profile, reduction = plan.profile, plan.reduction_number
     poly, s = plan.polynomial, profile.s
     print(f"ideal              {serialize(ideal)}")
     print(f"mu                 {ideal.mu}")
@@ -69,7 +69,7 @@ def cmd_analyze(args) -> int:
     print(f"axis               {profile.axis.value}")
     print(f"r                  {profile.r}")
     print(f"s                  {s}")
-    onset_m, onset_s = (onset, plan.s) if onset < profile.D_P else ("none", "none")
+    onset_m, onset_s = (plan.m, plan.s) if plan.m < profile.D_P else ("none", "none")
     print(f"onset m            {onset_m}")
     print(f"onset s            {onset_s}")
     print(f"mu(I^s)            {poly(s)}")

@@ -13,6 +13,7 @@ pure exponent shifting in time proportional to its own generator count,
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -33,10 +34,6 @@ from .segments import (
 
 #: How many ideals' plans :func:`power` and :func:`mu_polynomial` keep.
 _PLAN_CACHE_SIZE = 16
-
-#: How many levels above the reduction number the onset search tries (E*)
-#: at: on the corpus seeds 0-199 every certificate is within 6, none in 7-40.
-_ONSET_TRIES = 10
 
 
 def require_power(n: int, profile: PersistenceProfile, method: str) -> None:
@@ -142,7 +139,7 @@ def _decompose(plan: _Plan, level: int, r: int, axis: Axis) -> StableDecompositi
     also that of P, and ``gcd^m`` that of I^m.  I^s is then summed in the
     working orientation as ``staircase_sum(P', s - m, I^m')``; ``s > m``.
     """
-    profile, shift, m = plan.profile, plan.ideal.gcd(), plan.onset[0]
+    profile, shift, m = plan.profile, plan.ideal.gcd(), plan.m
     chosen = MonomialIdeal(profile.chosen).shift((-shift[0], -shift[1]))
     g = mon_pow(shift, m)
     base = plan.base.shift((-g[0], -g[1]))
@@ -150,55 +147,43 @@ def _decompose(plan: _Plan, level: int, r: int, axis: Axis) -> StableDecompositi
         chosen, base = chosen.transpose(), base.transpose()
     glued = glued_cut(chosen, staircase_sum(chosen.gens, level + r + 1 - m, base), r)
     return StableDecomposition(
-        **vars(glued), gcd_shift=shift, profile=profile, reduction_number=plan.onset[2], D=level, r=r, axis=axis
+        **vars(glued), gcd_shift=shift, profile=profile, reduction_number=plan.reduction_number, D=level, r=r, axis=axis
     )
 
 
 class _Plan:
-    """The profile of a non-principal ideal, its onset level m (certified
-    before D_P, else D_P) and what is built from there on first use: I^m is
-    the onset search's, or else one fresh kernel run's from I."""
+    """The profile of a non-principal ideal, its onset m and what is built
+    from there on first use.  m is the first level from the reduction number
+    that (E*) certifies in the level kernel's run to D_P, else D_P; ``m +
+    r(m)`` grows with m, so an onset's s comes first.  ``searched`` is that
+    run's I^m, None after a give-up, on a sparse span or past int64."""
 
     def __init__(self, ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None) -> None:
         self.ideal, self.profile = ideal, persistence_profile(ideal, chosen)
-
-    @cached_property
-    def onset(self) -> tuple[int, MonomialIdeal | None, int | None]:
-        """``(m, I^m, reduction number)``: the level kernel stops at the least
-        level from the reduction number, at most ``_ONSET_TRIES`` above it,
-        where (E*) holds, or gives up past that; ``m + r(m)`` grows with m, so
-        an onset's s comes first.  Else m is D_P, and I^m None unless the kernel ran to it."""
-        ideal, chosen, d = self.ideal, self.profile.chosen, self.profile.D_P
-
-        def stop(level: int, reduction: int, staircase) -> bool:
-            return level > reduction + _ONSET_TRIES or _pairs_covered(chosen, staircase)
-
+        d, gs = self.profile.D_P, self.profile.chosen
         try:
-            level, power, reduction = _certified_level_power(ideal, d, chosen, stop)
+            found = _certified_level_power(ideal, d, gs, lambda levels: _pairs_covered(gs, levels))
         except ExponentOverflowError:  # I^D_P leaves int64: the powers below D_P need no onset
-            return d, None, None
-        if level == d or level <= reduction + _ONSET_TRIES:
-            return level, power, reduction
-        return d, None, reduction
+            found = d, None, None
+        self.m, self.searched, self.reduction_number = found
 
     @cached_property
     def base(self) -> MonomialIdeal:
         """I^m: the search's, or else I^D_P by the level kernel with P."""
-        level, power, _ = self.onset
-        return power or level_power(self.ideal, level, self.profile.chosen)
+        return self.searched or level_power(self.ideal, self.m, self.profile.chosen)
 
     @cached_property
     def radius(self) -> tuple[int, Axis]:
         """``(r, axis)`` at the onset level."""
-        return self.profile.radius(self.onset[0])
+        return self.profile.radius(self.m)
 
     @cached_property
     def s(self) -> int:
-        return self.onset[0] + self.radius[0] + 1
+        return self.m + self.radius[0] + 1
 
     @cached_property
     def decomposition(self) -> StableDecomposition:
-        return _decompose(self, self.onset[0], *self.radius)
+        return _decompose(self, self.m, *self.radius)
 
     @property
     def polynomial(self) -> MuPolynomial:
@@ -214,7 +199,7 @@ def _plan(ideal: MonomialIdeal) -> _Plan:
 
 
 def _emit(dec: StableDecomposition, ell: int) -> tuple[MonomialIdeal, int]:
-    """Emit G(I^(s+ell)) in original coordinates; returns (ideal, additions)."""
+    """Emit G(I^(s+ell)) in original coordinates; returns (ideal, generators emitted)."""
     blocks = glued_blocks(dec.components, dec.middles, ell)
     if dec.axis is Axis.X:
         # The transpose of a y-link is the y-link of the transposed parts in
@@ -225,8 +210,9 @@ def _emit(dec: StableDecomposition, ell: int) -> tuple[MonomialIdeal, int]:
 
 
 def assemble_power_counted(dec: StableDecomposition, n: int) -> tuple[MonomialIdeal, int]:
-    """Like :func:`assemble_power` but also reports the number of exponent
-    additions spent emitting generators."""
+    """Like :func:`assemble_power` but also reports the number of generators
+    emitted, which the mu polynomial predicts."""
+    n = operator.index(n)
     if n < dec.s:  # s >= 1
         raise ValueError(f"assembled power needs n >= s = {dec.s}, got {n}")
     return _emit(dec, n - dec.s)
@@ -248,16 +234,16 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     ideals are kept for later calls, shared by equal ideals; ``G(I^n)``
     itself is emitted afresh by every call.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
     if ideal.is_principal:
         return MonomialIdeal((mon_pow(ideal.gcd(), n),))
     plan = _plan(ideal)
-    level = plan.onset[0]
-    if n < level:
+    if n < plan.m:
         return level_power(ideal, n)
     if n < plan.s:  # I^n = staircase_sum(P, n - m, I^m): by (A) and (E*), or the paper at D_P
-        return staircase_sum(plan.profile.chosen, n - level, plan.base) if n > level else plan.base
+        return staircase_sum(plan.profile.chosen, n - plan.m, plan.base) if n > plan.m else plan.base
     return assemble_power(plan.decomposition, n)
 
 
@@ -271,6 +257,7 @@ class MuPolynomial:
     slope: int
 
     def __call__(self, n: int) -> int:
+        n = operator.index(n)
         if n < self.s:
             raise ValueError(f"mu polynomial only valid for n >= {self.s}")
         return self.intercept + (n - self.s) * self.slope

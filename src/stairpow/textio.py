@@ -61,7 +61,10 @@ def _parse_pair_list(text: str) -> MonomialIdeal:
         value = ast.literal_eval(text.strip())
     except (SyntaxError, ValueError) as exc:
         pos = getattr(exc, "offset", None)  # a ValueError has none
-        raise ParseError("malformed pair list", None if pos is None else max(pos - 1, 0)) from None
+        if pos is not None:  # from the error's line and column to an offset into the text as given
+            lines = re.findall(r"[^\r\n]*(?:\r\n|\r|\n)", text.lstrip())[: exc.lineno - 1]
+            pos = len(text) - len(text.lstrip()) + sum(map(len, lines)) + max(pos - 1, 0)
+        raise ParseError("malformed pair list", pos) from None
     if not isinstance(value, (list, tuple)) or not value:
         raise ParseError("pair list must be a non-empty sequence")
     pairs = []
@@ -81,8 +84,8 @@ def parse_ideal(text: str) -> MonomialIdeal:
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty ideal text")
-    if stripped.lstrip().startswith(("[", "(")):
-        return _parse_pair_list(stripped)
+    if stripped.startswith(("[", "(")):
+        return _parse_pair_list(text)
     terms: list[Monomial] = []
     offset = 0
     for chunk in re.split(r"(?=[+;\n])", text):

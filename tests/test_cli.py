@@ -94,6 +94,11 @@ def test_analyze_parse_error_exit_1(capsys):
     assert "position" in err
 
 
+def test_pair_list_parse_error_position(capsys):
+    code, out, err = run(capsys, "analyze", "  [(0,2),\n (3,0)+]")
+    assert (code, out, err) == (1, "", "error: malformed pair list (at position 17)\n")
+
+
 def test_invalid_pair_names_no_position(capsys):
     # Only a parse error at a known offset names a position.
     code, out, err = run(capsys, "power", "[(0,5),(1,-1)]", "2")

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import brute
 from stairpow import engine, geometry, segments
+from stairpow import ideals as ideals_module
 from stairpow.ideals import (
     Axis,
     ExponentOverflowError,
@@ -132,6 +133,21 @@ def test_assemble_overflow_checked():
         assemble_power(dec, 256)
 
 
+def test_numpy_integer_powers_are_read_exactly():
+    # n is read once as a Python int, so a numpy integer cannot wrap in an
+    # int64 product before the range check; a float is no power.
+    with pytest.raises(ExponentOverflowError):
+        power(MonomialIdeal.of((4, 0)), np.int64(2**62))
+    poly = mu_polynomial(SMALL)
+    assert poly(np.int64(2**62)) == poly(2**62) == 7 + (2**62 - 3) * 2 == 2**63 + 1
+    dec = stable_decomposition(SMALL)
+    for n in (dec.s, dec.s + 1, dec.s + 40):
+        assert assemble_power(dec, np.int64(n)) == assemble_power(dec, n)
+    for call in (lambda: poly(3.5), lambda: power(SMALL, 3.0), lambda: assemble_power(dec, float(dec.s))):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_power_dispatcher_boundaries():
     dec = stable_decomposition(SMALL)
     for n in [max(1, dec.D - 1), dec.D, dec.s - 1, dec.s, dec.s + 3]:
@@ -174,7 +190,7 @@ def test_power_decomposes_only_from_s(monkeypatch, ideal):
     # else from D_P (SMALL, and seed 23: D_P = 68, s = 324) -- power builds
     # no decomposition; at s it builds the one it keeps.
     plan = engine._plan(ideal)
-    level, s = plan.onset[0], plan.s
+    level, s = plan.m, plan.s
     calls = _count_calls(monkeypatch, engine, "_decompose")
     for n in sorted({level, s - 1} - {0}):
         assert power(ideal, n) == naive_power(ideal, n), n
@@ -415,7 +431,7 @@ def test_plan_builds_each_stage_once(monkeypatch, ideal):
         poly = mu_polynomial(ideal)
         assert poly(profile.s + 5) == expected[profile.s + 5].mu
     assert (len(profiles), len(kernels), len(decompositions)) == (1, 1, 1)
-    assert engine._plan(ideal).onset[0] == 1 and engine._plan(ideal).s == 7
+    assert engine._plan(ideal).m == 1 and engine._plan(ideal).s == 7
     assert engine._plan.cache_info().currsize == 1
 
 
@@ -480,10 +496,15 @@ def _fixed_ideals():
     )
 
 
+def _onset(plan):
+    """The plan's onset m, the search's I^m and the reduction number."""
+    return plan.m, plan.searched, plan.reduction_number
+
+
 def test_onset_of_the_fixed_ideals():
     # I1-I4 certify at m = 1, 1, 1 and 3: s drops from 61, 241, 989 and 2377
     # to 5, 7, 14 and 28.
-    got = {label: (engine._plan(I).onset[0], engine._plan(I).s) for label, I in _fixed_ideals().items()}
+    got = {label: (engine._plan(I).m, engine._plan(I).s) for label, I in _fixed_ideals().items()}
     assert got == {"I1": (1, 5), "I2": (1, 7), "I3": (1, 14), "I4": (3, 28)}
 
 
@@ -511,7 +532,7 @@ def test_onset_on_the_corpus():
         plan = engine._Plan(random_ideal(RandomIdealSpec(8, 20, seed=seed)))
         if plan.profile.D_P == 0:
             continue
-        if plan.onset[0] < plan.profile.D_P:
+        if plan.m < plan.profile.D_P:
             certified, onset_s, paper_s = certified + 1, onset_s + plan.s, paper_s + plan.profile.s
         else:
             missed.append(seed)
@@ -533,8 +554,8 @@ def test_uncertified_seeds_keep_the_paper_route(seed):
     I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
     plan = engine._plan(I)
     d, s = plan.profile.D_P, plan.profile.s
-    assert (plan.onset[0], plan.s) == (d, s)
-    assert (plan.onset[1] is None and plan.onset[2] is not None) == (seed in GIVE_UP)
+    assert (plan.m, plan.s) == (d, s)
+    assert (plan.searched is None and plan.reduction_number is not None) == (seed in GIVE_UP)
     current, at = I, 1
     for n in sorted({max(d - 1, 1), d, (d + s) // 2, s - 1, s, s + 3}):
         for _ in range(at, n):
@@ -554,7 +575,7 @@ def test_uncertified_plan_stops_its_search(monkeypatch):
     levels = _count_calls(monkeypatch, engine, "level_power")
     assert power(I, 13) == naive_power(I, 13)
     assert power(I, 67) == naive_power(I, 67)
-    assert engine._plan(I).onset == (68, None, 2)
+    assert _onset(engine._plan(I)) == (68, None, 2)
     assert not hasattr(engine._plan(I), "stopped")
     assert _kernel_runs(kernels) == [68] and levels == [(I, 13), (I, 67)]
     for n, ideal_n in expected.items():
@@ -568,7 +589,7 @@ def test_sparse_ideal_below_d_builds_no_i_d(monkeypatch):
     I = MonomialIdeal(((0, 900), (2, 500), (7, 200), (300, 0)))
     levels = _count_calls(monkeypatch, engine, "level_power")
     assert power(I, 3) == naive_power(I, 3)
-    assert engine._plan(I).onset[:2] == (1192, None) and levels == [(I, 3)]
+    assert _onset(engine._plan(I))[:2] == (1192, None) and levels == [(I, 3)]
 
 
 @pytest.mark.parametrize("seed, reduction, onset", [(11, 1, 5), (15, 0, 2), (19, 1, 3)])
@@ -583,7 +604,7 @@ def test_onset_refuses_every_level_below_it(seed, reduction, onset):
         assert not segments._pairs_covered(gs, brute.staircase(powers[m])), m
         assert any(segments.staircase_sum(gs, j, powers[m]) != powers[m + j] for j in range(2, 31)), m
     assert segments._pairs_covered(gs, brute.staircase(powers[onset]))
-    assert engine._plan(I).onset == (onset, powers[onset], reduction)
+    assert _onset(engine._plan(I)) == (onset, powers[onset], reduction)
 
 
 def test_onset_gives_up_past_its_tries(monkeypatch):
@@ -591,13 +612,26 @@ def test_onset_gives_up_past_its_tries(monkeypatch):
     # the search finds that onset, with 3 it gives up at 5 and the plan keeps
     # D_P = 53, built afresh by level_power.
     I = random_ideal(RandomIdealSpec(8, 20, seed=11))
-    monkeypatch.setattr(engine, "_ONSET_TRIES", 4)
+    monkeypatch.setattr(ideals_module, "_ONSET_TRIES", 4)
     plan = engine._Plan(I)
-    assert plan.onset == (5, naive_power(I, 5), 1) and plan.s == 39
-    monkeypatch.setattr(engine, "_ONSET_TRIES", 3)
+    assert _onset(plan) == (5, naive_power(I, 5), 1) and plan.s == 39
+    monkeypatch.setattr(ideals_module, "_ONSET_TRIES", 3)
     plan = engine._Plan(I)
-    assert plan.onset == (53, None, 1) and plan.s == 399
+    assert _onset(plan) == (53, None, 1) and plan.s == 399
     assert plan.base == naive_power(I, 53)
+
+
+def test_onset_search_sweeps_no_power_it_gives_up(monkeypatch):
+    # Seed 23 gives up at level 13 (D_P = 68): the kernel returns without
+    # sweeping an I^13 that the plan would discard.  BIG certifies at m = 1
+    # and sweeps that one I^1.  The onset is read by name, not as a triple.
+    seed23 = random_ideal(RandomIdealSpec(8, 20, seed=23))
+    sweeps = _count_calls(monkeypatch, ideals_module, "_level_staircase")
+    for ideal, onset, s, swept in ((seed23, (68, None, 2), 324, 0), (BIG, (1, BIG, 1), 7, 1)):
+        sweeps.clear()
+        plan = engine._Plan(ideal)
+        assert (plan.s, len(sweeps)) == (s, swept)
+        assert _onset(plan) == onset and not hasattr(plan, "onset")
 
 
 def _radius_grows(ideal, chosen=None):
@@ -728,7 +762,7 @@ def test_stable_decomposition_is_the_paper_route():
                 **vars(paper), "gcd_shift": shift, "profile": profile, "reduction_number": reduction,
                 "D": profile.D_P, "r": profile.r, "axis": profile.axis,
             }, seed
-            cases[engine._Plan(J, P).onset[0] < profile.D_P] += 1
+            cases[engine._Plan(J, P).m < profile.D_P] += 1
     assert cases == {True: 346, False: 100}
 
 

@@ -59,6 +59,25 @@ def test_parse_errors_without_a_position(text, message):
     assert (str(err.value), err.value.position) == (message, None)
 
 
+@pytest.mark.parametrize(
+    "text, position, char",
+    [
+        ("   [1+]", 6, "]"),
+        ("[(0,2),\n (3,0)+]", 15, "]"),
+        ("[(0,2),\r\n (3,0)+]", 16, "]"),
+        ("[(0,2),\r (3,0)+]", 15, "]"),
+        ("\n\n[(0,2),(3,0)) ]", 14, ")"),
+        ("   x + q", 7, "q"),
+    ],
+)
+def test_parse_error_positions_count_from_the_text_as_given(text, position, char):
+    # Pair-list positions count the leading whitespace and the lines above
+    # the error line, each ended by \n, \r\n or \r, as term positions do.
+    with pytest.raises(ParseError) as err:
+        parse_ideal(text)
+    assert (err.value.position, text[position]) == (position, char)
+
+
 @pytest.mark.parametrize("text", ["[(True, 2), (0, 5), (3, False)]", "[(0, 1), (2, True)]"])
 def test_parse_pair_list_rejects_bools(text):
     # bool is a subclass of int, but True is no exponent.
