@@ -26,7 +26,7 @@ from .ideals import (
     level_power, mon_pow, naive_power,
 )
 from .geometry import PersistenceProfile, persistence_profile, stabilization_radius
-from .links import boundary_points, link_blocks
+from .links import _link_counted, boundary_points
 from .segments import (
     GluedComponents, _pairs_covered, glued_blocks, glued_components, glued_cut, staircase_sum,
     staircase_times,
@@ -199,19 +199,18 @@ def _plan(ideal: MonomialIdeal) -> _Plan:
 
 
 def _emit(dec: StableDecomposition, ell: int) -> tuple[MonomialIdeal, int]:
-    """Emit G(I^(s+ell)) in original coordinates; returns (ideal, generators emitted)."""
+    """Emit G(I^(s+ell)) in original coordinates; returns (ideal, generators written)."""
     blocks = glued_blocks(dec.components, dec.middles, ell)
     if dec.axis is Axis.X:
         # The transpose of a y-link is the y-link of the transposed parts in
         # reverse order, so only the 2k+1 small parts are re-oriented.
         blocks = [(part.transpose(), reps) for part, reps in reversed(blocks)]
-    ideal = link_blocks(blocks, mon_pow(dec.gcd_shift, dec.s + ell))
-    return ideal, ideal.mu
+    return _link_counted(blocks, mon_pow(dec.gcd_shift, dec.s + ell))
 
 
 def assemble_power_counted(dec: StableDecomposition, n: int) -> tuple[MonomialIdeal, int]:
     """Like :func:`assemble_power` but also reports the number of generators
-    emitted, which the mu polynomial predicts."""
+    the link kernel wrote, which the mu polynomial predicts."""
     n = operator.index(n)
     if n < dec.s:  # s >= 1
         raise ValueError(f"assembled power needs n >= s = {dec.s}, got {n}")

@@ -8,6 +8,12 @@ divisibility antichain, so the canonical order doubles as a validity check.
 The generators are stored as one read-only ``(2, mu)`` int64 array of x and
 y columns; the tuple of exponent pairs is a view derived on demand.
 
+Ideals have two constructors.  ``MonomialIdeal(xy)`` checks shape, dtype,
+order and signs, for all outside input and :func:`minimalize`.
+``MonomialIdeal._canonical(xy)`` checks only the dtype: code whose output is
+canonical by construction (from ideals, or inputs passing an O(1) range
+check) may call it, saying why.  The tests fully check every array it gets.
+
 Exponents are restricted to the non-negative int64 range ``[0, 2**63)``.
 Any operation that would leave it raises :class:`ExponentOverflowError`
 instead of producing an out-of-range value.
@@ -106,7 +112,8 @@ def _level_staircase(x_by_y: np.ndarray, levels: int | np.ndarray) -> np.ndarray
     """The minimal generators of the points ``(x_by_y[i], levels + i)``, or
     ``(x_by_y[i], levels[i])`` for an ascending array ``levels``, as columns:
     one sweep keeps each level whose x undercuts every level below it.  An
-    empty level holds ``_NO_POINT``; the first is never empty."""
+    empty level holds ``_NO_POINT``; the first is never empty.  Non-negative
+    points give canonical columns, fit for :meth:`MonomialIdeal._canonical`."""
     below = np.minimum.accumulate(x_by_y)[:-1]
     keep = np.flatnonzero(np.concatenate(([True], x_by_y[1:] < below)))[::-1]
     ys = levels[keep] if isinstance(levels, np.ndarray) else keep + levels
@@ -131,6 +138,8 @@ class MonomialIdeal:
     in canonical order instead; an array is adopted as is and made
     read-only, so ideals may share it.  Do not construct directly from
     unsorted data; use :func:`minimalize` or :meth:`MonomialIdeal.of`.
+    The kernels build their results with :meth:`_canonical`, which skips
+    the checks (see the module docstring for who may call it).
     """
 
     xy: np.ndarray
@@ -149,6 +158,18 @@ class MonomialIdeal:
         if xy[0, 0] < 0 or xy[1, -1] < 0:
             raise ExponentOverflowError(f"negative exponent in {xy.T.tolist()}")
         xy.flags.writeable = False
+
+    @classmethod
+    def _canonical(cls, xy: np.ndarray) -> "MonomialIdeal":
+        """The ideal on ``xy``, a ``(2, mu)`` int64 array in canonical order
+        with non-negative ends, made read-only without any O(mu) check.  Only
+        the dtype is checked, so a non-integer exponent (a float shift) fails."""
+        if xy.dtype != np.int64:
+            raise ValueError(f"a monomial ideal needs an int64 array, not {xy.dtype}")
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "xy", xy)
+        xy.flags.writeable = False
+        return ideal
 
     def __reduce__(self):
         # Through the constructor, so unpickled and copied ideals are read-only.
@@ -212,21 +233,23 @@ class MonomialIdeal:
         xy = np.empty((2, a.shape[1], b.shape[1]), dtype=np.int64)
         for i in (0, 1):
             np.add.outer(a[i], b[i], out=xy[i])
-        return MonomialIdeal(_minimalize_array(*xy.reshape(2, -1)))
+        return MonomialIdeal._canonical(_minimalize_array(*xy.reshape(2, -1)))
 
     def shift(self, m: Monomial) -> "MonomialIdeal":
-        """Multiply by the monomial ``m``."""
+        """Multiply by the monomial ``m``: a constant shift keeps the order,
+        and both ends are range-checked first."""
         if m[0] == 0 and m[1] == 0:
             return self
         _check_exponents(int(self.xy[0, -1]) + m[0], int(self.xy[1, 0]) + m[1])
-        return MonomialIdeal(self.xy + ((m[0],), (m[1],)))
+        _check_exponents(int(self.xy[0, 0]) + m[0], int(self.xy[1, -1]) + m[1])
+        return MonomialIdeal._canonical(self.xy + ((m[0],), (m[1],)))
 
     def colon(self, m: Monomial) -> "MonomialIdeal":
         """The colon ideal ``I : m`` for a monomial ``m = (u, v)``.
 
         Generators with ``a <= u`` collapse onto the last of them, those with
         ``b <= v`` onto the first of them; two searches find both runs, and
-        clamping the differences at zero maps the two ends.
+        clamping the differences at zero maps the two ends: a canonical result.
         """
         x, y = self.xy
         # Past the largest exponent the quotient no longer depends on m.
@@ -236,7 +259,7 @@ class MonomialIdeal:
         j = len(x) - int(y[::-1].searchsorted(v, "right"))  # y[j:] <= v
         if i > j:
             return UNIT  # generators j .. i-1 divide m
-        return MonomialIdeal(np.maximum(self.xy[:, max(i - 1, 0) : j + 1] - ((u,), (v,)), 0))
+        return MonomialIdeal._canonical(np.maximum(self.xy[:, max(i - 1, 0) : j + 1] - ((u,), (v,)), 0))
 
     def anchor(self) -> tuple["MonomialIdeal", Monomial]:
         """Split off the gcd: returns ``(I : gcd(I), gcd(I))``."""
@@ -244,8 +267,8 @@ class MonomialIdeal:
         return self.shift((-g[0], -g[1])), g
 
     def transpose(self) -> "MonomialIdeal":
-        """Swap the roles of x and y."""
-        return MonomialIdeal(self.xy[::-1, ::-1])
+        """Swap the roles of x and y; the reversed columns are canonical."""
+        return MonomialIdeal._canonical(self.xy[::-1, ::-1])
 
     def __str__(self) -> str:
         return "[" + ", ".join(f"({a}, {b})" for a, b in self.gens) + "]"
@@ -259,7 +282,7 @@ def ideal_sum(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
         raise ValueError("empty sum of ideals")
     if len(ideals) == 1:
         return ideals[0]
-    return MonomialIdeal(_minimalize_array(*np.concatenate([ideal.xy for ideal in ideals], axis=1)))
+    return MonomialIdeal._canonical(_minimalize_array(*np.concatenate([ideal.xy for ideal in ideals], axis=1)))
 
 
 def naive_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
@@ -364,16 +387,17 @@ def _certified_level_power(
             if j > certified + _ONSET_TRIES:
                 return n, None, certified
             if onset(levels):  # levels is still I^j
-                return j, MonomialIdeal(_level_staircase(levels, j * int(y[-1]))), certified
+                return j, MonomialIdeal._canonical(_level_staircase(levels, j * int(y[-1]))), certified
         levels = stepped
-    return n, MonomialIdeal(_level_staircase(levels, n * int(y[-1]))), certified
+    return n, MonomialIdeal._canonical(_level_staircase(levels, n * int(y[-1]))), certified
 
 
 def pair_power(g: Monomial, h: Monomial, n: int) -> MonomialIdeal:
     """``(g, h)^n`` as the explicit staircase ``{g^j h^(n-j)}``.
 
     Requires ``g`` and ``h`` to be incomparable; the staircase is then
-    already an antichain, so no minimalization is needed.
+    already an antichain in canonical order, so no minimalization or
+    check beyond the range of its four end exponents is needed.
     """
     if mon_divides(g, h) or mon_divides(h, g):
         raise ValueError(f"{g} and {h} are comparable; staircase power undefined")
@@ -383,5 +407,6 @@ def pair_power(g: Monomial, h: Monomial, n: int) -> MonomialIdeal:
         g, h = h, g
     # g now has the smaller x-exponent (larger y); walk from h^n up to g^n.
     _check_exponents(h[0] * n, g[1] * n)
+    _check_exponents(g[0] * n, h[1] * n)
     j = np.arange(n, -1, -1)
-    return MonomialIdeal(np.outer(g, j) + np.outer(h, j[::-1]))
+    return MonomialIdeal._canonical(np.outer(g, j) + np.outer(h, j[::-1]))

@@ -26,11 +26,21 @@ def link_blocks(
     """The y-link of anchored parts, each linked ``reps`` times.
 
     ``blocks`` are ``(part, reps)`` pairs in link order; the result is
-    multiplied by the monomial ``origin``.  The full span is range-checked
-    before anything is emitted.  Copies ``[c, 2c)`` of a part are copies
-    ``[0, c)`` shifted by ``(c*dx, -c*dy)``: ``ceil(log2 reps) + 1`` numpy adds
-    per block, and exactly one exponent-pair addition per emitted generator.
+    multiplied by the monomial ``origin``.  The parts must be anchored (else
+    ValueError), and the origin and the full span are range-checked before
+    anything is emitted, so the staircase is canonical by construction.
+    Copies ``[c, 2c)`` of a part are copies ``[0, c)`` shifted by ``(c*dx,
+    -c*dy)``: ``ceil(log2 reps) + 1`` numpy adds per block, and exactly one
+    exponent-pair addition per emitted generator.
     """
+    return _link_counted(blocks, origin)[0]
+
+
+def _link_counted(blocks: Sequence[tuple[MonomialIdeal, int]], origin: Monomial) -> tuple[MonomialIdeal, int]:
+    """:func:`link_blocks` and the number of generators its writes filled."""
+    if any(part.gcd() != (0, 0) for part, _ in blocks):
+        raise ValueError("link_blocks expects anchored parts")
+    _check_exponents(*origin)
     spans = [(part.dist(Axis.X), part.dist(Axis.Y)) for part, _ in blocks]
     total_x = origin[0] + sum(dx * reps for (dx, _), (_, reps) in zip(spans, blocks))
     total_y = origin[1] + sum(dy * reps for (_, dy), (_, reps) in zip(spans, blocks))
@@ -42,17 +52,19 @@ def link_blocks(
     sizes = [reps * (part.mu - 1) for part, reps in blocks]
     xy = np.empty((2, 1 + sum(sizes)), dtype=np.int64)
     xy[:, 0] = origin[0], total_y
-    x, y, start = origin[0], total_y, 1
+    x, y, start, written = origin[0], total_y, 1, 1
     for (part, reps), (dx, dy), size in zip(blocks, spans, sizes):
         if size:  # out[:, c*h + j] is generator j + 1 of copy c
             out, h, c = xy[:, start : start + size], part.mu - 1, 1
             np.add(part.xy[:, 1:], ((x,), (y - dy,)), out=out[:, :h])
+            written += h
             while c < reps:
                 n = min(c, reps - c) * h
                 np.add(out[:, :n], ((c * dx,), (-c * dy,)), out=out[:, c * h : c * h + n])
+                written += n
                 c *= 2
         x, y, start = x + dx * reps, y - dy * reps, start + size
-    return MonomialIdeal(xy)
+    return MonomialIdeal._canonical(xy), written
 
 
 def link_point(left: MonomialIdeal, right: MonomialIdeal) -> Monomial:
@@ -111,7 +123,7 @@ def unlink(ideal: MonomialIdeal, link_points: Sequence[Monomial]) -> list[Monomi
     Part i is the slice of generators a..b from link point i to link point
     i+1 (the first and the last generator at the ends) less its corner
     ``(x_a, y_b)``: exactly the colon of the ideal by the gcd of the two
-    boundary points around it.
+    boundary points around it, and canonical by construction.
     """
     if ideal.gcd() != (0, 0):
         raise ValueError("unlink expects an anchored ideal")
@@ -125,4 +137,4 @@ def unlink(ideal: MonomialIdeal, link_points: Sequence[Monomial]) -> list[Monomi
         if i == ideal.mu or (x[i], y[i]) != p:
             raise ValueError(f"link point {p} is not a generator of the ideal")
     ends = [0, *cuts, ideal.mu - 1]
-    return [MonomialIdeal(ideal.xy[:, a : b + 1] - ((x[a],), (y[b],))) for a, b in zip(ends, ends[1:])]
+    return [MonomialIdeal._canonical(ideal.xy[:, a : b + 1] - ((x[a],), (y[b],))) for a, b in zip(ends, ends[1:])]

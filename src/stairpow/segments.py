@@ -52,7 +52,7 @@ def staircase_sum(gs: Sequence[Monomial], n: int, j_ideal: MonomialIdeal) -> Mon
         for table, bottom in tables:
             view = levels[bottom - low : bottom - low + len(table)]
             np.minimum(view, table, out=view)
-        ideals.append(MonomialIdeal(_level_staircase(levels, low)))
+        ideals.append(MonomialIdeal._canonical(_level_staircase(levels, low)))
     return ideal_sum(ideals)
 
 

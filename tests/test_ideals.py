@@ -88,6 +88,15 @@ def test_constructor_rejects_other_arrays():
         MonomialIdeal(np.array([[0, 2], [1, 1], [2, 0]], dtype=np.int64))
 
 
+def test_canonical_is_fully_checked_under_the_suite():
+    # The suite's fixture validates every array handed to the unchecked
+    # constructor; without it these would pass as ideals.
+    with pytest.raises(ValueError, match="canonical antichain order"):
+        MonomialIdeal._canonical(np.array([[2, 0], [0, 2]], dtype=np.int64))
+    with pytest.raises(ExponentOverflowError, match="negative exponent"):
+        MonomialIdeal._canonical(np.array([[0, 2], [3, -1]], dtype=np.int64))
+
+
 def test_multiply_small_example_square():
     I = MonomialIdeal(((0, 2), (2, 1), (3, 0)))
     assert (I * I).gens == ((0, 4), (2, 3), (3, 2), (5, 1), (6, 0))
@@ -194,8 +203,9 @@ def test_overflow_checked():
     huge = MonomialIdeal(((0, EXP_LIMIT - 1), (1, 0)))
     with pytest.raises(ExponentOverflowError):
         huge * huge
-    with pytest.raises(ExponentOverflowError):
-        huge.shift((0, 1))
+    for m in ((0, 1), (-1, 0), (0, -1)):
+        with pytest.raises(ExponentOverflowError):
+            huge.shift(m)
 
 
 def test_constructor_rejects_out_of_range_exponents():
@@ -297,6 +307,10 @@ def test_pair_power_staircase():
     with pytest.raises(ValueError):
         pair_power((0, 0), (1, 1), 2)
     assert pair_power((0, 2), (3, 0), 0) == UNIT
+    with pytest.raises(ExponentOverflowError):
+        pair_power((-1, 2), (3, 0), 2)
+    with pytest.raises(ValueError):
+        pair_power((0.5, 2), (3, 0), 2)
 
 
 def test_pair_power_refuses_a_negative_power():

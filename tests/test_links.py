@@ -165,6 +165,16 @@ def test_link_blocks_reaches_the_exponent_limit():
         link_blocks([(part, 7)], (origin[0] + 1, 0))
 
 
+def test_link_blocks_refuses_a_negative_origin_and_unanchored_parts():
+    for origin in ((-1, 0), (0, -1)):
+        with pytest.raises(ExponentOverflowError):
+            link_blocks([(FIG_I, 2), (FIG_J, 1)], origin)
+    with pytest.raises(ValueError, match="anchored"):
+        link_blocks([(FIG_I, 2), (FIG_J.shift((1, 0)), 1)])
+    with pytest.raises(ValueError, match="anchored"):
+        link_blocks([(FIG_I.shift((0, 1)), 1)], (3, 3))
+
+
 def test_no_numpy_scalars_escape():
     chain = link_many([FIG_I, FIG_J.shift((1, 2)), FIG_I])
     dec = stable_decomposition(MonomialIdeal(((0, 3), (2, 1), (5, 0))).shift((1, 1)))
