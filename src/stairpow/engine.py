@@ -26,9 +26,9 @@ from .ideals import (
     level_power, mon_pow, naive_power,
 )
 from .geometry import PersistenceProfile, persistence_profile, stabilization_radius
-from .links import _link_counted, boundary_points
+from .links import boundary_points
 from .segments import (
-    GluedComponents, _pairs_covered, glued_blocks, glued_components, glued_cut, staircase_sum,
+    GluedComponents, LinkTemplates, _pairs_covered, glued_components, glued_cut, staircase_sum,
     staircase_times,
 )
 
@@ -104,6 +104,16 @@ class StableDecomposition(GluedComponents):
     @property
     def slope(self) -> int:
         return sum(h.mu - 1 for h in self.middles)
+
+    @cached_property
+    def emission_templates(self) -> LinkTemplates:
+        """The link templates of :func:`_emit`, in the ideal's own orientation:
+        on axis X those of the transposed parts in reverse order, since the
+        transpose of a y-link is the y-link of the transposed parts reversed."""
+        parts = (self.components, self.middles)
+        if self.axis is Axis.X:
+            parts = (tuple(p.transpose() for p in reversed(ps)) for ps in parts)
+        return LinkTemplates(*parts)
 
     def oriented(self, ideal: MonomialIdeal, n: int) -> MonomialIdeal:
         """Map I^n from original coordinates into the working orientation."""
@@ -199,13 +209,14 @@ def _plan(ideal: MonomialIdeal) -> _Plan:
 
 
 def _emit(dec: StableDecomposition, ell: int) -> tuple[MonomialIdeal, int]:
-    """Emit G(I^(s+ell)) in original coordinates; returns (ideal, generators written)."""
-    blocks = glued_blocks(dec.components, dec.middles, ell)
-    if dec.axis is Axis.X:
-        # The transpose of a y-link is the y-link of the transposed parts in
-        # reverse order, so only the 2k+1 small parts are re-oriented.
-        blocks = [(part.transpose(), reps) for part, reps in reversed(blocks)]
-    return _link_counted(blocks, mon_pow(dec.gcd_shift, dec.s + ell))
+    """Emit G(I^(s+ell)) in original coordinates; returns (ideal, generators written).
+
+    One link of the decomposition's :class:`LinkTemplates`, times ``gcd^(s+ell)``:
+    about ``2k + 1 + sum_i (ceil(log2 q_i) + 1)`` numpy adds for ``q_i = ell // c_i``
+    once the templates have grown.  The first emission links plain copies and
+    leaves the templates behind, cut from its output.
+    """
+    return dec.emission_templates.link(ell, mon_pow(dec.gcd_shift, dec.s + ell))
 
 
 def assemble_power_counted(dec: StableDecomposition, n: int) -> tuple[MonomialIdeal, int]:

@@ -26,18 +26,22 @@ def link_blocks(
     """The y-link of anchored parts, each linked ``reps`` times.
 
     ``blocks`` are ``(part, reps)`` pairs in link order; the result is
-    multiplied by the monomial ``origin``.  The parts must be anchored (else
-    ValueError), and the origin and the full span are range-checked before
-    anything is emitted, so the staircase is canonical by construction.
-    Copies ``[c, 2c)`` of a part are copies ``[0, c)`` shifted by ``(c*dx,
-    -c*dy)``: ``ceil(log2 reps) + 1`` numpy adds per block, and exactly one
-    exponent-pair addition per emitted generator.
+    multiplied by the monomial ``origin``.  The parts must be anchored and
+    each ``reps`` a non-negative integer (else ValueError), and the origin
+    and the full span are range-checked before anything is allocated, so
+    the staircase is canonical by construction.  Copies ``[c, 2c)`` of a
+    part are copies ``[0, c)`` shifted by ``(c*dx, -c*dy)``: ``ceil(log2
+    reps) + 1`` numpy adds per block, and exactly one exponent-pair addition
+    per emitted generator.  Emission passes many copies of a middle as fewer
+    copies of a template (see ``segments.LinkTemplates``).
     """
     return _link_counted(blocks, origin)[0]
 
 
 def _link_counted(blocks: Sequence[tuple[MonomialIdeal, int]], origin: Monomial) -> tuple[MonomialIdeal, int]:
     """:func:`link_blocks` and the number of generators its writes filled."""
+    if any(not isinstance(reps, (int, np.integer)) or reps < 0 for _, reps in blocks):
+        raise ValueError("link_blocks expects a non-negative integer number of copies per part")
     if any(part.gcd() != (0, 0) for part, _ in blocks):
         raise ValueError("link_blocks expects anchored parts")
     _check_exponents(*origin)

@@ -12,7 +12,7 @@ checks the pair condition (E*) under which such a sum over ``J = I^m`` is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .ideals import (
 )
 # ``link_many`` is unused here but stays importable as ``segments.link_many``:
 # the benchmark's span tracer patches that name.
-from .links import link_blocks, link_many, unlink
+from .links import _link_counted, link_many, unlink
 
 
 def staircase_times(pair_g: Monomial, pair_h: Monomial, n: int, j_ideal: MonomialIdeal) -> MonomialIdeal:
@@ -205,18 +205,59 @@ def _pairs_covered(gs: Sequence[Monomial], staircase: np.ndarray) -> bool:
     return True
 
 
-def glued_blocks(
-    components: Sequence[MonomialIdeal], middles: Sequence[MonomialIdeal], ell: int
-) -> list[tuple[MonomialIdeal, int]]:
-    """The link blocks ``C_0 . H_1^ell . C_1 ... H_k^ell . C_k``."""
-    blocks = [(components[0], 1)]
-    for middle, component in zip(middles, components[1:]):
-        blocks += [(middle, ell), (component, 1)]
-    return blocks
+#: The most generators a link template adds to its middle's first one:
+#: with that one, 1025 int64 pairs, about 16 KB per middle.
+_TEMPLATE_GENS = 1024
+
+
+@dataclass(frozen=True)
+class LinkTemplates:
+    """The link of ``C_0 . H_1^ell . C_1 ... H_k^ell . C_k`` for any ell.
+
+    ``components`` and ``middles`` are the anchored parts in link order.  The
+    template of a middle H is its c-fold self-link ``link_blocks([(H, c)])``
+    for a power of two c with ``c (mu(H) - 1) <= 1024``, so at most 16 KB;
+    before H has one, H itself serves with ``c = 1``.  A run ``H^ell`` is q
+    copies of the template and, if r > 0, H's r-fold link (``ell = q c +
+    r``), which is the template's first ``r (mu(H) - 1) + 1`` generators less
+    ``(0, (c - r) dist_y(H))``.  After each link a run whose ell reaches a
+    larger such power of two leaves that many of its first copies, less
+    their gcd, as H's new template in ``built``: one subtraction, no link of
+    its own, so a first emission pays only that.  Templates and prefixes
+    are anchored and canonical by construction, and the link kernel spends
+    ``ceil(log2 q) + 2`` adds or fewer on a run rather than ``ceil(log2 ell)
+    + 1``.
+    """
+
+    components: tuple[MonomialIdeal, ...]
+    middles: tuple[MonomialIdeal, ...]
+    built: dict[int, tuple[MonomialIdeal, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def link(self, ell: int, origin: Monomial = (0, 0)) -> tuple[MonomialIdeal, int]:
+        """The link for this ``ell`` times ``origin``, and the number of generators
+        its writes filled (see :func:`link_blocks`)."""
+        blocks, due = [(self.components[0], 1)], {}
+        for i, (middle, component) in enumerate(zip(self.middles, self.components[1:])):
+            h, (template, c) = middle.mu - 1, self.built.get(i, (middle, 1))
+            want = 1 << max(0, int(min(ell, _TEMPLATE_GENS // h)).bit_length() - 1)
+            if want > c:  # the run's first generator and its first `want` copies
+                start = sum(reps * (part.mu - 1) for part, reps in blocks)
+                due[i] = (slice(start, start + want * h + 1), want)
+            q, r = divmod(ell, c)
+            blocks.append((template, q))
+            if r:
+                prefix = template.xy[:, : r * h + 1] - ((0,), ((c - r) * middle.dist(Axis.Y),))
+                blocks.append((MonomialIdeal._canonical(prefix), 1))
+            blocks.append((component, 1))
+        ideal, written = _link_counted(blocks, origin)
+        for i, (run, c) in due.items():
+            copies = ideal.xy[:, run]
+            self.built[i] = (MonomialIdeal._canonical(copies - ((copies[0, 0],), (copies[1, -1],))), c)
+        return ideal, written
 
 
 def glued_power(glued: GluedComponents, ell: int) -> MonomialIdeal:
     """``sum_i (g_i, g_{i+1})^(r+1+ell) J`` assembled by linking."""
     if ell < 0:
         raise ValueError("ell must be non-negative")
-    return link_blocks(glued_blocks(glued.components, glued.middles, ell))
+    return LinkTemplates(glued.components, glued.middles).link(ell)[0]

@@ -94,10 +94,11 @@ def link_blocks(blocks, origin: Monomial = (0, 0)) -> tuple[Monomial, ...]:
     x = origin[0]
     y = origin[1] + sum(part.dist(Axis.Y) * reps for part, reps in blocks)
     for part, reps in blocks:
+        dx, dy, part_gens = part.dist(Axis.X), part.dist(Axis.Y), part.gens
         for _ in range(reps):
-            y -= part.dist(Axis.Y)
-            gens.extend((a + x, b + y) for a, b in (part.gens[1:] if gens else part.gens))
-            x += part.dist(Axis.X)
+            y -= dy
+            gens.extend((a + x, b + y) for a, b in (part_gens[1:] if gens else part_gens))
+            x += dx
     return tuple(gens)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import brute
-from stairpow import engine, geometry, segments
+from stairpow import engine, geometry, links, segments
 from stairpow import ideals as ideals_module
 from stairpow.ideals import (
     Axis,
@@ -825,3 +826,105 @@ def test_powers_below_an_overflowing_d(ideal):
         power(ideal, d)
     with pytest.raises(ExponentOverflowError):
         mu_polynomial(ideal)
+
+
+# -- link templates --------------------------------------------------------
+
+
+def _template_free_blocks(glued, ell):
+    """``C_0, (H_1, ell), C_1, ..., (H_k, ell), C_k``, the blocks before templates."""
+    blocks = [(glued.components[0], 1)]
+    for middle, component in zip(glued.middles, glued.components[1:]):
+        blocks += [(middle, ell), (component, 1)]
+    return blocks
+
+
+def _template_copies(middle, longest=10**9):
+    """The largest power of two c with ``c (mu - 1) <= 1024`` and ``c <= longest``, or 1."""
+    c = 1
+    while 2 * c * (middle.mu - 1) <= 1024 and 2 * c <= longest:
+        c *= 2
+    return c
+
+
+def _template_cases():
+    fixed = _fixed_ideals()
+    cases = [(label, fixed[label]) for label in ("I1", "I2", "I3", "I4")]
+    cases += [("I2^T", fixed["I2"].transpose()), ("I1*x^3y^2", fixed["I1"].shift((3, 2)))]
+    for seed in range(50):
+        ideal = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+        if not ideal.is_principal:
+            cases += [(f"seed {seed}", ideal), (f"seed {seed}^T", ideal.transpose())]
+    return cases
+
+
+TEMPLATE_CASES = _template_cases()
+
+
+@pytest.mark.parametrize("ideal", [ideal for _, ideal in TEMPLATE_CASES], ids=[label for label, _ in TEMPLATE_CASES])
+def test_emission_at_template_boundaries(ideal):
+    # ell = q c + r around the edges of q and r for each middle's largest
+    # template of c copies, against the per-generator link of ell plain
+    # copies in the working orientation, which emission transposes on axis X
+    # and shifts.  Rising ells meet growing templates, falling ones the
+    # largest, with q = 0 below c.
+    dec = engine._plan(ideal).decomposition
+    counts = {_template_copies(middle) for middle in dec.middles}
+    ells = sorted({ell for c in counts for ell in (0, 1, c - 1, c, c + 1, 2 * c - 1, 2 * c, 5 * c + 3)})
+    for ell in ells + ells[::-1]:
+        gens = brute.link_blocks(_template_free_blocks(dec, ell))
+        n, expected = dec.s + ell, np.fromiter(chain.from_iterable(gens), np.int64, 2 * len(gens)).reshape(-1, 2).T
+        assert np.array_equal(segments.glued_power(dec, ell).xy, expected), ell
+        result, written = assemble_power_counted(dec, n)
+        assert written == result.mu == mu_polynomial(ideal)(n), ell
+        oriented = expected if dec.axis is Axis.Y else expected[::-1, ::-1]
+        assert np.array_equal(result.xy, oriented + np.reshape(ideals_module.mon_pow(dec.gcd_shift, n), (2, 1))), ell
+
+
+@pytest.mark.parametrize("ideal", [BIG, BIG.transpose().shift((2, 1))])
+def test_templates_grow_with_the_runs_they_serve(monkeypatch, ideal):
+    # Every emission is one link call.  After it, a middle's template holds
+    # the largest power of two of copies within 1024 generators past its
+    # first and within the longest run emitted so far, if that is 2 or more.
+    # It is cut from an emission's output and replaced only by a longer one.
+    # BIG's middles have 3, 4 and 3 generators, so at most 512, 256 and 512.
+    calls, real = [], links._link_counted
+    monkeypatch.setattr(segments, "_link_counted", lambda blocks, origin: calls.append(blocks) or real(blocks, origin))
+    dec = stable_decomposition(ideal)
+    assert dec.axis is (Axis.Y if ideal == BIG else Axis.X)
+    templates, kept, longest = dec.emission_templates, {}, 0
+    assert sorted(_template_copies(middle) for middle in templates.middles) == [256, 512, 512]
+    for ell in (0, 1, 0, 3, 2, 255, 1, 256, 300, 511, 512, 10**4, 0, 512, 5000):
+        calls.clear()
+        assemble_power(dec, dec.s + ell)
+        assert len(calls) == 1, ell
+        longest = max(longest, ell)
+        for i, middle in enumerate(templates.middles):
+            c = _template_copies(middle, longest)
+            if c == 1:
+                assert i not in templates.built, ell
+                continue
+            template, copies = templates.built[i]
+            assert copies == c, ell
+            if i in kept and kept[i][1] == c:
+                assert template is kept[i][0], ell
+            else:
+                assert template.gens == brute.link_blocks([(middle, c)]), ell
+            kept[i] = template, c
+    assert sorted(c for _, c in kept.values()) == [256, 512, 512]
+
+
+@pytest.mark.parametrize("gens", [((0, 1), (2**57, 0)), ((0, 3), (2, 1), (2**57, 0)), ((0, 2**57), (1, 1), (3, 0))])
+def test_emission_with_a_middle_near_the_exponent_limit(gens):
+    # A middle spanning about 2**57 would need about 2**67 for its template
+    # of 1024 copies; runs of fewer copies fit and link plain ones, and an
+    # emission out of range raises whichever path it takes.
+    ideal = MonomialIdeal(gens)
+    dec = stable_decomposition(ideal)
+    assert any(_template_copies(h) * max(h.dist(Axis.X), h.dist(Axis.Y)) >= 2**63 for h in dec.middles)
+    for ell in range(1, 6):
+        expected = naive_power(ideal, dec.s + ell)
+        assert assemble_power(dec, dec.s + ell) == expected == power(ideal, dec.s + ell), ell
+    for ell in (64, 1024):
+        with pytest.raises(ExponentOverflowError):
+            assemble_power(dec, dec.s + ell)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 import brute
+from stairpow import links
 from stairpow.engine import assemble_power, stable_decomposition
 from stairpow.ideals import UNIT, Axis, ExponentOverflowError, MonomialIdeal, naive_power
 from stairpow.links import link, link_blocks, link_many, link_point, unlink
@@ -173,6 +174,16 @@ def test_link_blocks_refuses_a_negative_origin_and_unanchored_parts():
         link_blocks([(FIG_I, 2), (FIG_J.shift((1, 0)), 1)])
     with pytest.raises(ValueError, match="anchored"):
         link_blocks([(FIG_I.shift((0, 1)), 1)], (3, 3))
+
+
+@pytest.mark.parametrize("blocks", [[("Q", -1), ("P", 1)], [("P", -1)], [("P", 2), ("Q", -1)], [("P", 1.0)]])
+def test_link_blocks_refuses_a_count_that_is_not_a_non_negative_integer(monkeypatch, blocks):
+    # Before anything is allocated: the first case once came out as the
+    # wrong ideal [(4, 5), (6, 4)], the next two as numpy shape errors.
+    parts = {"Q": MonomialIdeal(((0, 1), (1, 0))), "P": MonomialIdeal(((0, 2), (1, 1), (3, 0)))}
+    monkeypatch.setattr(links.np, "empty", lambda *a, **k: pytest.fail("allocated before the check"))
+    with pytest.raises(ValueError, match="non-negative integer"):
+        link_blocks([(parts[name], reps) for name, reps in blocks], (4, 4))
 
 
 def test_no_numpy_scalars_escape():

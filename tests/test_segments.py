@@ -17,6 +17,7 @@ from stairpow.ideals import (
 from stairpow.geometry import persistence_profile
 from stairpow.oracle import RandomIdealSpec, random_ideal
 from stairpow.segments import (
+    LinkTemplates,
     glued_components,
     glued_power,
     staircase_sum,
@@ -320,6 +321,36 @@ def test_glued_power_vs_sum_oracle():
                 [staircase_times(g, h, r + 1 + ell, J) for g, h in zip(gs, gs[1:])]
             )
             assert glued_power(gl, ell).gens == ref.gens, (trial, ell)
+
+
+@pytest.mark.parametrize("d, copies", [(512, 2), (1024, 1), (1025, 1)])
+def test_glued_power_at_the_template_budget(d, copies):
+    # J = (x, y)^d gives a middle of d + 1 generators, so its template is
+    # the largest power of two of copies within 1024 generators past the
+    # first and within the longest run, 5; a middle with no room for two
+    # copies gets none.
+    J = MonomialIdeal(tuple((t, d - t) for t in range(d + 1)))
+    gl = glued_components(((0, d), (d, 0)), J, 1)
+    templates = LinkTemplates(gl.components, gl.middles)
+    assert gl.middles[0].mu == d + 1
+    for ell in (0, 1, 2, 3, 5):
+        blocks = [(gl.components[0], 1), (gl.middles[0], ell), (gl.components[1], 1)]
+        assert glued_power(gl, ell).gens == templates.link(ell)[0].gens == brute.link_blocks(blocks), ell
+    expected = [(brute.link_blocks([(gl.middles[0], copies)]), copies)] if copies > 1 else []
+    assert [(template.gens, c) for template, c in templates.built.values()] == expected
+
+
+def test_glued_power_with_a_middle_near_the_exponent_limit():
+    # The middle spans 2**57, so its template of 1024 copies would span
+    # 2**67; runs of fewer copies link plain ones and stay in range.
+    gl = glued_components(((0, 1), (2**57, 0)), MonomialIdeal(((0, 1), (1, 0))), 1)
+    assert [(h.mu, h.dist(Axis.X)) for h in gl.middles] == [(2, 2**57)]
+    for ell in range(1, 6):
+        blocks = [(gl.components[0], 1), (gl.middles[0], ell), (gl.components[1], 1)]
+        assert glued_power(gl, ell).gens == brute.link_blocks(blocks), ell
+    for ell in (64, 1024):
+        with pytest.raises(ExponentOverflowError):
+            glued_power(gl, ell)
 
 
 def test_glued_mu_identity():
