@@ -17,7 +17,7 @@ import os
 import sys
 import time
 
-from .ideals import EXP_LIMIT, ExponentOverflowError, MonomialIdeal, PrincipalIdealError, level_power, naive_power
+from .ideals import EXP_LIMIT, ExponentOverflowError, MonomialIdeal, _count, level_power, naive_power
 from .engine import (
     _Plan, _plan, assemble_power, decomposed_power, mu_polynomial, power, require_power, stable_decomposition,
 )
@@ -85,9 +85,7 @@ def cmd_power(args) -> int:
 
 def cmd_mu(args) -> int:
     ideal = parse_ideal(args.ideal)
-    n = args.n
-    if n is not None and n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
+    n = None if args.n is None else _count(args.n, 1, "power must be >= 1")
     if ideal.is_principal:
         print("mu(I^n) = 1 for all n >= 1 (principal ideal)" if n is None else f"mu(I^{n}) = 1")
         return EXIT_OK
@@ -294,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     except ExponentOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
-    except (PrincipalIdealError, ValueError) as exc:
+    except ValueError as exc:  # a PrincipalIdealError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except MemoryError as exc:  # numpy's message, when there is one, names the size

@@ -13,7 +13,6 @@ pure exponent shifting in time proportional to its own generator count,
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -22,7 +21,7 @@ from typing import Sequence
 # and ``staircase_times`` are unused here but stay importable from ``engine``:
 # the benchmark's span tracer patches those names.
 from .ideals import (
-    Axis, ExponentOverflowError, Monomial, MonomialIdeal, _certified_level_power, ideal_sum,
+    Axis, ExponentOverflowError, Monomial, MonomialIdeal, _certified_level_power, _count, ideal_sum,
     level_power, mon_pow, naive_power,
 )
 from .geometry import PersistenceProfile, persistence_profile, stabilization_radius
@@ -36,16 +35,15 @@ from .segments import (
 _PLAN_CACHE_SIZE = 16
 
 
-def require_power(n: int, profile: PersistenceProfile, method: str) -> None:
-    """Refuse ``n < 1`` for every method, and ``n`` below ``D_P`` for
-    ``"decomposed"`` or below ``s`` for ``"assembled"``."""
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
-    if method == "naive":
-        return
-    name, least = ("D_P", profile.D_P) if method == "decomposed" else ("s", profile.s)
-    if n < least:
-        raise ValueError(f"{method} power needs n >= {name} = {least}, got {n}")
+def require_power(n: int, profile: PersistenceProfile, method: str) -> int:
+    """``n`` read by ``ideals._count``, refusing ``n < 1`` for every method,
+    and ``n`` below ``D_P`` for ``"decomposed"`` or below ``s`` for ``"assembled"``."""
+    n = _count(n, 1, "power must be >= 1")
+    if method != "naive":
+        name, least = ("D_P", profile.D_P) if method == "decomposed" else ("s", profile.s)
+        if n < least:
+            raise ValueError(f"{method} power needs n >= {name} = {least}, got {n}")
+    return n
 
 
 def decomposed_power(
@@ -59,7 +57,7 @@ def decomposed_power(
     candidate products.  ``base`` may supply a precomputed ``I^D``; by
     default :func:`level_power` builds it with every generator of I.
     """
-    require_power(n, profile, "decomposed")
+    n = require_power(n, profile, "decomposed")
     d = profile.D_P
     base = level_power(ideal, d) if base is None else base
     return staircase_sum(profile.chosen, n - d, base) if n > d else base
@@ -222,10 +220,7 @@ def _emit(dec: StableDecomposition, ell: int) -> tuple[MonomialIdeal, int]:
 def assemble_power_counted(dec: StableDecomposition, n: int) -> tuple[MonomialIdeal, int]:
     """Like :func:`assemble_power` but also reports the number of generators
     the link kernel wrote, which the mu polynomial predicts."""
-    n = operator.index(n)
-    if n < dec.s:  # s >= 1
-        raise ValueError(f"assembled power needs n >= s = {dec.s}, got {n}")
-    return _emit(dec, n - dec.s)
+    return _emit(dec, _count(n, dec.s, f"assembled power needs n >= s = {dec.s}") - dec.s)
 
 
 def assemble_power(dec: StableDecomposition, n: int) -> MonomialIdeal:
@@ -244,9 +239,7 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     ideals are kept for later calls, shared by equal ideals; ``G(I^n)``
     itself is emitted afresh by every call.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
+    n = _count(n, 1, "power must be >= 1")
     if ideal.is_principal:
         return MonomialIdeal((mon_pow(ideal.gcd(), n),))
     plan = _plan(ideal)
@@ -267,9 +260,7 @@ class MuPolynomial:
     slope: int
 
     def __call__(self, n: int) -> int:
-        n = operator.index(n)
-        if n < self.s:
-            raise ValueError(f"mu polynomial only valid for n >= {self.s}")
+        n = _count(n, self.s, f"mu polynomial only valid for n >= {self.s}")
         return self.intercept + (n - self.s) * self.slope
 
 

@@ -21,6 +21,7 @@ instead of producing an out-of-range value.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -62,6 +63,14 @@ class Axis(Enum):
 def _check_exponents(a: int, b: int) -> None:
     if a < 0 or b < 0 or a >= EXP_LIMIT or b >= EXP_LIMIT:
         raise ExponentOverflowError(f"exponent pair ({a}, {b}) out of range")
+
+
+def _count(n: int, least: int, message: str) -> int:
+    """The one reader of a public count, where it enters: ``n`` as an exact Python int, at least ``least``."""
+    n = operator.index(n)
+    if n < least:
+        raise ValueError(f"{message}, got {n}")
+    return n
 
 
 def mon_pow(m: Monomial, n: int) -> Monomial:
@@ -291,10 +300,10 @@ def naive_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     Deliberately shortcut-free; this is the reference oracle the fast paths
     are tested against.
     """
-    if n < 0:
-        raise ValueError(f"power must be non-negative, got {n}")
+    n = _count(n, 0, "power must be non-negative")
     if n == 0:
         return UNIT
+    _check_exponents(n * int(ideal.xy[0, -1]), n * int(ideal.xy[1, 0]))  # I^n's largest, before the loop
     result = ideal
     for _ in range(n - 1):
         result = result * ideal
@@ -325,7 +334,7 @@ def level_power(ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial] = ()
     Below ``n = 2``, or for a y-span beyond ``_BUCKET_SPAN_FACTOR * mu(I)``,
     :func:`naive_power` runs instead.
     """
-    return _certified_level_power(ideal, n, reduction)[1]
+    return _certified_level_power(ideal, _count(n, 0, "power must be non-negative"), reduction)[1]
 
 
 def _certified_level_power(
@@ -401,8 +410,7 @@ def pair_power(g: Monomial, h: Monomial, n: int) -> MonomialIdeal:
     """
     if mon_divides(g, h) or mon_divides(h, g):
         raise ValueError(f"{g} and {h} are comparable; staircase power undefined")
-    if n < 0:
-        raise ValueError(f"power must be non-negative, got {n}")
+    n = _count(n, 0, "power must be non-negative")
     if g[0] > h[0]:
         g, h = h, g
     # g now has the smaller x-exponent (larger y); walk from h^n up to g^n.

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ideals import Axis, Monomial, MonomialIdeal, _check_exponents
+from .ideals import Axis, Monomial, MonomialIdeal, _check_exponents, _count
 
 
 def link_blocks(
@@ -26,8 +26,8 @@ def link_blocks(
     """The y-link of anchored parts, each linked ``reps`` times.
 
     ``blocks`` are ``(part, reps)`` pairs in link order; the result is
-    multiplied by the monomial ``origin``.  The parts must be anchored and
-    each ``reps`` a non-negative integer (else ValueError), and the origin
+    multiplied by the monomial ``origin``.  The parts must be anchored (else
+    ValueError), each ``reps`` is read by ``ideals._count``, and the origin
     and the full span are range-checked before anything is allocated, so
     the staircase is canonical by construction.  Copies ``[c, 2c)`` of a
     part are copies ``[0, c)`` shifted by ``(c*dx, -c*dy)``: ``ceil(log2
@@ -35,15 +35,15 @@ def link_blocks(
     per emitted generator.  Emission passes many copies of a middle as fewer
     copies of a template (see ``segments.LinkTemplates``).
     """
+    blocks = [(part, _count(reps, 0, "link_blocks expects a non-negative integer number of copies per part"))
+              for part, reps in blocks]
+    if any(part.gcd() != (0, 0) for part, _ in blocks):
+        raise ValueError("link_blocks expects anchored parts")
     return _link_counted(blocks, origin)[0]
 
 
 def _link_counted(blocks: Sequence[tuple[MonomialIdeal, int]], origin: Monomial) -> tuple[MonomialIdeal, int]:
-    """:func:`link_blocks` and the number of generators its writes filled."""
-    if any(not isinstance(reps, (int, np.integer)) or reps < 0 for _, reps in blocks):
-        raise ValueError("link_blocks expects a non-negative integer number of copies per part")
-    if any(part.gcd() != (0, 0) for part, _ in blocks):
-        raise ValueError("link_blocks expects anchored parts")
+    """:func:`link_blocks`, on parts and counts its callers checked, and the number of generators its writes filled."""
     _check_exponents(*origin)
     spans = [(part.dist(Axis.X), part.dist(Axis.Y)) for part, _ in blocks]
     total_x = origin[0] + sum(dx * reps for (dx, _), (_, reps) in zip(spans, blocks))

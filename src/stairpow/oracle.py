@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ideals import Axis, MonomialIdeal, PrincipalIdealError, _check_exponents, naive_power
+from .ideals import Axis, MonomialIdeal, PrincipalIdealError, _check_exponents, _count, naive_power
 from .engine import StableDecomposition, assemble_power, decomposed_power, power, stable_decomposition
 
 #: Largest power for which repeated multiplication is used as the reference.
@@ -101,8 +101,7 @@ def shift_generators(dec: StableDecomposition, gens_n: MonomialIdeal, n: int) ->
 
     ``n`` must be at least s and ``gens_n`` must equal G(I^n).
     """
-    if n < dec.s:
-        raise ValueError(f"generator shifting needs n >= s = {dec.s}")
+    n = _count(n, dec.s, f"generator shifting needs n >= s = {dec.s}")
     oriented = dec.oriented(gens_n, n)
     x, y = oriented.xy
     _check_exponents(int(x[-1]) + dec.gs[-1][0], int(y[0]) + dec.gs[0][1])

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .ideals import (
-    _NO_POINT, EXP_LIMIT, Axis, Monomial, MonomialIdeal, _check_exponents, _level_staircase,
+    _NO_POINT, EXP_LIMIT, Axis, Monomial, MonomialIdeal, _check_exponents, _count, _level_staircase,
     ideal_sum, mon_divides, pair_power,
 )
 # ``link_many`` is unused here but stays importable as ``segments.link_many``:
@@ -42,6 +42,7 @@ def staircase_sum(gs: Sequence[Monomial], n: int, j_ideal: MonomialIdeal) -> Mon
     is the product of those candidates instead, and one :func:`ideal_sum`
     joins those products to the swept array.
     """
+    n = _count(n, 0, "power must be non-negative")
     pairs = list(zip(gs, gs[1:]))
     tables = [_pair_levels(g, h, n, j_ideal) for g, h in pairs]
     ideals = [pair_power(g, h, n) * j_ideal for (g, h), table in zip(pairs, tables) if table is None]
@@ -132,8 +133,7 @@ def glued_components(gs: Sequence[Monomial], j_ideal: MonomialIdeal, r: int) -> 
     if j_ideal.gcd() != (0, 0):
         raise ValueError("J must be anchored")
     needed = max(-(-j_ideal.dist(Axis.Y) // v) for v in (boundary.xy[1, :-1] - boundary.xy[1, 1:]).tolist())
-    if r < needed:
-        raise ValueError(f"r={r} below the stabilization bound {needed}")
+    r = _count(r, needed, f"r={r} below the stabilization bound {needed}")
     return glued_cut(boundary, staircase_sum(boundary.gens, r + 1, j_ideal), r)
 
 
@@ -223,23 +223,28 @@ class LinkTemplates:
     ``(0, (c - r) dist_y(H))``.  After each link a run whose ell reaches a
     larger such power of two leaves that many of its first copies, less
     their gcd, as H's new template in ``built``: one subtraction, no link of
-    its own, so a first emission pays only that.  Templates and prefixes
-    are anchored and canonical by construction, and the link kernel spends
-    ``ceil(log2 q) + 2`` adds or fewer on a run rather than ``ceil(log2 ell)
-    + 1``.
+    its own, so a first emission pays only that.  Unanchored parts are
+    refused once, when the templates are built (a ValueError); templates and
+    prefixes are anchored and canonical by construction, and the link kernel
+    spends ``ceil(log2 q) + 2`` adds or fewer on a run, not ``ceil(log2 ell) + 1``.
     """
 
     components: tuple[MonomialIdeal, ...]
     middles: tuple[MonomialIdeal, ...]
     built: dict[int, tuple[MonomialIdeal, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if any(part.gcd() != (0, 0) for part in (*self.components, *self.middles)):
+            raise ValueError("link templates need anchored parts")
+
     def link(self, ell: int, origin: Monomial = (0, 0)) -> tuple[MonomialIdeal, int]:
         """The link for this ``ell`` times ``origin``, and the number of generators
         its writes filled (see :func:`link_blocks`)."""
+        ell = _count(ell, 0, "ell must be non-negative")
         blocks, due = [(self.components[0], 1)], {}
         for i, (middle, component) in enumerate(zip(self.middles, self.components[1:])):
             h, (template, c) = middle.mu - 1, self.built.get(i, (middle, 1))
-            want = 1 << max(0, int(min(ell, _TEMPLATE_GENS // h)).bit_length() - 1)
+            want = 1 << max(0, min(ell, _TEMPLATE_GENS // h).bit_length() - 1)
             if want > c:  # the run's first generator and its first `want` copies
                 start = sum(reps * (part.mu - 1) for part, reps in blocks)
                 due[i] = (slice(start, start + want * h + 1), want)
@@ -258,6 +263,4 @@ class LinkTemplates:
 
 def glued_power(glued: GluedComponents, ell: int) -> MonomialIdeal:
     """``sum_i (g_i, g_{i+1})^(r+1+ell) J`` assembled by linking."""
-    if ell < 0:
-        raise ValueError("ell must be non-negative")
     return LinkTemplates(glued.components, glued.middles).link(ell)[0]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -147,6 +148,44 @@ def test_numpy_integer_powers_are_read_exactly():
     for call in (lambda: poly(3.5), lambda: power(SMALL, 3.0), lambda: assemble_power(dec, float(dec.s))):
         with pytest.raises(TypeError):
             call()
+
+
+#: At this count every entry point's output leaves int64: an int64 product
+#: of it wraps, so it must be read as a Python int before any arithmetic.
+HUGE = np.int64(2**62 + 1)
+
+#: Entry points that take a count, each as ``count -> call``.
+COUNTED = {
+    "level_power": lambda n: ideals_module.level_power(SMALL, n),
+    "pair_power": lambda n: ideals_module.pair_power((0, 2), (3, 0), n),
+    "staircase_sum": lambda n: segments.staircase_sum(((0, 2), (3, 0)), n, SMALL),
+    "decomposed_power": lambda n: decomposed_power(SMALL, persistence_profile(SMALL), n),
+    "link_blocks": lambda n: links.link_blocks([(SMALL, n)]),
+    "glued_power": lambda n: segments.glued_power(glued_components(((0, 2), (3, 0)), SMALL, 1), n),
+}
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_numpy_integer_counts_are_read_exactly_at_every_entry(name):
+    # The error names the exponents of the true count, as a Python int gets
+    # it; no int64 product wraps first (a RuntimeWarning, then a wrong error).
+    errors = []
+    for n in (HUGE, int(HUGE)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExponentOverflowError) as caught:
+                COUNTED[name](n)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1] and "-" not in errors[0], errors
+
+
+@pytest.mark.parametrize("name", ["glued_power", "link_blocks", "shift_generators"])
+@pytest.mark.parametrize("count", [2.0, 2.5])
+def test_a_float_count_is_a_type_error(name, count):
+    dec = stable_decomposition(SMALL)
+    calls = {**COUNTED, "shift_generators": lambda n: shift_generators(dec, assemble_power(dec, dec.s), n)}
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        calls[name](count)
 
 
 def test_power_dispatcher_boundaries():

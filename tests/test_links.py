@@ -179,10 +179,14 @@ def test_link_blocks_refuses_a_negative_origin_and_unanchored_parts():
 @pytest.mark.parametrize("blocks", [[("Q", -1), ("P", 1)], [("P", -1)], [("P", 2), ("Q", -1)], [("P", 1.0)]])
 def test_link_blocks_refuses_a_count_that_is_not_a_non_negative_integer(monkeypatch, blocks):
     # Before anything is allocated: the first case once came out as the
-    # wrong ideal [(4, 5), (6, 4)], the next two as numpy shape errors.
+    # wrong ideal [(4, 5), (6, 4)], the next two as numpy shape errors.  A
+    # float is no count at all: a TypeError, as at every entry point.
     parts = {"Q": MonomialIdeal(((0, 1), (1, 0))), "P": MonomialIdeal(((0, 2), (1, 1), (3, 0)))}
     monkeypatch.setattr(links.np, "empty", lambda *a, **k: pytest.fail("allocated before the check"))
-    with pytest.raises(ValueError, match="non-negative integer"):
+    error, match = (ValueError, "non-negative integer")
+    if blocks == [("P", 1.0)]:
+        error, match = (TypeError, "interpreted as an integer")
+    with pytest.raises(error, match=match):
         link_blocks([(parts[name], reps) for name, reps in blocks], (4, 4))
 
 

@@ -1,10 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 import brute
-from stairpow import segments
+from stairpow import links, segments
 from stairpow.ideals import (
     UNIT,
     Axis,
@@ -369,6 +370,22 @@ def test_glued_validation():
         glued_components(((0, 2), (3, 0)), SMALL.shift((1, 0)), 1)
     with pytest.raises(ValueError):
         glued_components(((1, 2), (3, 0)), SMALL, 1)
+
+
+def test_unanchored_parts_are_refused_where_they_enter(monkeypatch):
+    # Once, before anything is allocated: by link_blocks for its blocks, and
+    # by LinkTemplates when it is built, so glued_power on a hand-built
+    # GluedComponents raises too; the link kernel itself trusts its callers.
+    gl = glued_components(((0, 2), (3, 0)), SMALL, 1)
+    shifted = SMALL.shift((0, 1))
+    monkeypatch.setattr(links.np, "empty", lambda *a, **k: pytest.fail("allocated before the check"))
+    with pytest.raises(ValueError, match="anchored"):
+        links.link_blocks([(SMALL, 2), (shifted, 1)])
+    for components, middles in ((gl.components, (shifted,)), ((gl.components[0], shifted), gl.middles)):
+        with pytest.raises(ValueError, match="anchored"):
+            LinkTemplates(components, middles)
+        with pytest.raises(ValueError, match="anchored"):
+            glued_power(dataclasses.replace(gl, components=components, middles=middles), 3)
 
 
 def test_refusals_of_the_segment_powers():

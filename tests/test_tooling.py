@@ -43,7 +43,33 @@ def test_sources_parse_as_python_3_10():
 def test_src_line_budget():
     # The cap on the package's size, by ``wc -l src/stairpow/*.py``.
     lines = sum(len(path.read_bytes().splitlines()) for path in SRC.glob("*.py"))
-    assert lines <= 1937, f"src/stairpow has {lines} lines, over the 1937-line budget"
+    assert lines <= 1936, f"src/stairpow has {lines} lines, over the 1936-line budget"
+
+
+def _index_calls(tree):
+    """The lines of the ``operator.index(...)`` calls under an AST node."""
+    return {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "index"
+        and getattr(node.func.value, "id", None) == "operator"
+    }
+
+
+def test_counts_have_one_reader():
+    # ideals._count is the one caller of operator.index: every public count
+    # is read there, exactly, where it enters.
+    calls, reader = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(n, ast.ImportFrom) and n.module == "operator" for n in ast.walk(tree)), path.name
+        calls |= {(path.name, line) for line in _index_calls(tree)}
+        if path.name == "ideals.py":
+            (count,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_count"]
+            reader = {(path.name, line) for line in _index_calls(count)}
+    assert reader and calls == reader, sorted(calls - reader)
 
 
 def _load_spans():
@@ -152,12 +178,12 @@ def test_demos_run(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def _python(*args):
+def _python(*args, timeout=120):
     proc = subprocess.run(
         [sys.executable, *args],
         env=_env(),
         capture_output=True,
-        timeout=120,
+        timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -197,15 +223,21 @@ def test_power_under_optimize():
 #: Prints the name of the error each call raises, or ``none``; it exits at
 #: once unless ``-O`` stripped the asserts.  The child runs without the
 #: suite's check of ``MonomialIdeal._canonical``, so only the O(1) checks
-#: of ``shift``, ``pair_power``, ``link_blocks`` and ``_canonical``'s dtype
-#: check can raise.
+#: of ``shift``, ``pair_power``, ``link_blocks``, ``_canonical``'s dtype
+#: check and the range checks behind a numpy integer count can raise; a
+#: RuntimeWarning (an int64 product that wrapped) is raised as an error.
 _RANGE_CASES = """
-import sys
-from stairpow.ideals import MonomialIdeal, pair_power
+import sys, warnings
+import numpy as np
+from stairpow.engine import decomposed_power
+from stairpow.geometry import persistence_profile
+from stairpow.ideals import MonomialIdeal, level_power, pair_power
 from stairpow.links import link_blocks
+from stairpow.segments import glued_components, glued_power, staircase_sum
 if __debug__:
     sys.exit("run me under -O")
-part = MonomialIdeal(((0, 2), (3, 0)))
+warnings.simplefilter("error")
+part, huge = MonomialIdeal(((0, 2), (3, 0))), np.int64(2**62 + 1)
 for call in (
     lambda: part.shift((-1, 0)),
     lambda: part.shift((0, -1)),
@@ -216,6 +248,12 @@ for call in (
     lambda: link_blocks([(part, 2)], (0, -1)),
     lambda: link_blocks([(part.shift((1, 0)), 2)]),
     lambda: link_blocks([(MonomialIdeal(((0, 1), (1, 0))), -1), (MonomialIdeal(((0, 2), (1, 1), (3, 0))), 1)], (4, 4)),
+    lambda: level_power(part, huge),
+    lambda: pair_power((0, 2), (3, 0), huge),
+    lambda: staircase_sum(((0, 2), (3, 0)), huge, part),
+    lambda: decomposed_power(part, persistence_profile(part), huge),
+    lambda: link_blocks([(part, huge)]),
+    lambda: glued_power(glued_components(((0, 2), (3, 0)), part, 1), huge),
 ):
     try:
         call()
@@ -229,8 +267,43 @@ def test_range_checks_under_optimize():
     names = _python("-O", "-c", _RANGE_CASES).decode().split()
     overflow = "ExponentOverflowError"
     assert names == [
-        overflow, overflow, "ValueError", overflow, "ValueError", overflow, overflow, "ValueError", "ValueError"
+        overflow, overflow, "ValueError", overflow, "ValueError", overflow, overflow, "ValueError", "ValueError",
+        *[overflow] * 6,
     ], names
+
+
+#: Prints the name of the error each call raises, or ``none``: powers whose
+#: repeated multiplication would run practically forever, run in a child
+#: with a timeout so that a hang fails instead of blocking the suite.
+_HUGE_POWERS = """
+from stairpow.ideals import MonomialIdeal, level_power, naive_power
+for call in (
+    lambda: naive_power(MonomialIdeal(((0, 2), (2, 1), (3, 0))), 2**62 + 1),
+    # A sparse span, so level_power hands it to naive_power.
+    lambda: level_power(MonomialIdeal(((0, 900), (2, 500), (7, 200), (300, 0))), 2**62),
+):
+    try:
+        call()
+        print("none")
+    except Exception as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_huge_powers_are_refused_at_once():
+    names = _python("-c", _HUGE_POWERS, timeout=60).decode().split()
+    assert names == ["ExponentOverflowError"] * 2, names
+
+
+def test_readme_library_tour():
+    # The README's tour runs as written, and its comments state true values.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(tour, "README.md", "exec"), scope)
+    dec, poly = scope["dec"], scope["poly"]
+    assert (dec.D, dec.r, dec.s) == (1, 1, 3)
+    assert poly(10**9) == 7 + 2 * (10**9 - 3)
 
 
 def test_check_under_optimize():
