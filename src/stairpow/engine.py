@@ -210,9 +210,10 @@ def _emit(dec: StableDecomposition, ell: int) -> tuple[MonomialIdeal, int]:
     """Emit G(I^(s+ell)) in original coordinates; returns (ideal, generators written).
 
     One link of the decomposition's :class:`LinkTemplates`, times ``gcd^(s+ell)``:
-    about ``2k + 1 + sum_i (ceil(log2 q_i) + 1)`` numpy adds for ``q_i = ell // c_i``
-    once the templates have grown.  The first emission links plain copies and
-    leaves the templates behind, cut from its output.
+    one ``np.empty``, one conversion of every offset, then at most ``2k + 1 +
+    sum_i (ceil(log2 q_i) + 1)`` numpy adds for ``q_i = ell // c_i``, prefixes
+    included, once the templates have grown.  The first emission links plain
+    copies and leaves the templates behind, cut from its output.
     """
     return dec.emission_templates.link(ell, mon_pow(dec.gcd_shift, dec.s + ell))
 

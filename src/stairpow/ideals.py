@@ -73,10 +73,15 @@ def _count(n: int, least: int, message: str) -> int:
     return n
 
 
+def _monomial(m: Monomial) -> Monomial:
+    """A monomial argument read by :func:`_count`, down to the most negative shift ``anchor`` makes."""
+    return _count(m[0], 1 - EXP_LIMIT, "exponent out of range"), _count(m[1], 1 - EXP_LIMIT, "exponent out of range")
+
+
 def mon_pow(m: Monomial, n: int) -> Monomial:
-    a, b = m[0] * n, m[1] * n
-    _check_exponents(a, b)
-    return (a, b)
+    a, b = _monomial(m)
+    _check_exponents(a * n, b * n)
+    return (a * n, b * n)
 
 
 def mon_divides(m: Monomial, n: Monomial) -> bool:
@@ -247,6 +252,7 @@ class MonomialIdeal:
     def shift(self, m: Monomial) -> "MonomialIdeal":
         """Multiply by the monomial ``m``: a constant shift keeps the order,
         and both ends are range-checked first."""
+        m = _monomial(m)
         if m[0] == 0 and m[1] == 0:
             return self
         _check_exponents(int(self.xy[0, -1]) + m[0], int(self.xy[1, 0]) + m[1])
@@ -303,6 +309,8 @@ def naive_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     n = _count(n, 0, "power must be non-negative")
     if n == 0:
         return UNIT
+    if ideal.is_principal:  # I^n is its generator's n-th power, at once
+        return MonomialIdeal((mon_pow(ideal.gcd(), n),))
     _check_exponents(n * int(ideal.xy[0, -1]), n * int(ideal.xy[1, 0]))  # I^n's largest, before the loop
     result = ideal
     for _ in range(n - 1):
@@ -331,8 +339,8 @@ def level_power(ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial] = ()
     the slices of P alone.  With no ``reduction`` every step takes the
     slices of every generator.
 
-    Below ``n = 2``, or for a y-span beyond ``_BUCKET_SPAN_FACTOR * mu(I)``,
-    :func:`naive_power` runs instead.
+    Below ``n = 2``, for a principal ideal or for a y-span beyond
+    ``_BUCKET_SPAN_FACTOR * mu(I)``, :func:`naive_power` runs instead.
     """
     return _certified_level_power(ideal, _count(n, 0, "power must be non-negative"), reduction)[1]
 
@@ -357,7 +365,7 @@ def _certified_level_power(
     if chosen and (lowest not in chosen or int(x[0]) not in chosen):
         raise ValueError(f"the reduction {tuple(reduction)} misses an extreme generator of {ideal}")
     certified = 0 if len(chosen) in (0, ideal.mu) else None  # 0: P is G(I)
-    if n < 2 or span > _BUCKET_SPAN_FACTOR * ideal.mu:
+    if n < 2 or not 0 < span <= _BUCKET_SPAN_FACTOR * ideal.mu:  # span 0: principal
         return n, None if onset and n >= 2 else naive_power(ideal, n), certified
     # The largest exponents of I^n, checked before any int64 add.
     _check_exponents(n * lowest, n * int(y[0]))
@@ -408,6 +416,7 @@ def pair_power(g: Monomial, h: Monomial, n: int) -> MonomialIdeal:
     already an antichain in canonical order, so no minimalization or
     check beyond the range of its four end exponents is needed.
     """
+    g, h = _monomial(g), _monomial(h)
     if mon_divides(g, h) or mon_divides(h, g):
         raise ValueError(f"{g} and {h} are comparable; staircase power undefined")
     n = _count(n, 0, "power must be non-negative")

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ideals import Axis, Monomial, MonomialIdeal, _check_exponents, _count
+from .ideals import Axis, Monomial, MonomialIdeal, _check_exponents, _count, _monomial
 
 
 def link_blocks(
@@ -39,35 +39,51 @@ def link_blocks(
               for part, reps in blocks]
     if any(part.gcd() != (0, 0) for part, _ in blocks):
         raise ValueError("link_blocks expects anchored parts")
-    return _link_counted(blocks, origin)[0]
+    return _link_counted([_run(part, reps) for part, reps in blocks], origin)[0]
 
 
-def _link_counted(blocks: Sequence[tuple[MonomialIdeal, int]], origin: Monomial) -> tuple[MonomialIdeal, int]:
-    """:func:`link_blocks`, on parts and counts its callers checked, and the number of generators its writes filled."""
-    _check_exponents(*origin)
-    spans = [(part.dist(Axis.X), part.dist(Axis.Y)) for part, _ in blocks]
-    total_x = origin[0] + sum(dx * reps for (dx, _), (_, reps) in zip(spans, blocks))
-    total_y = origin[1] + sum(dy * reps for (_, dy), (_, reps) in zip(spans, blocks))
+def _run(part: MonomialIdeal, reps: int) -> tuple[np.ndarray, int, int, int, int, int]:
+    """The record of ``reps`` linked copies of an anchored part for :func:`_link_counted`."""
+    dy = part.dist(Axis.Y)
+    return part.xy[:, 1:], part.mu - 1, dy, part.dist(Axis.X), dy, reps
+
+
+def _link_counted(runs: Sequence[tuple], origin: Monomial) -> tuple[MonomialIdeal, int]:
+    """:func:`link_blocks` on runs its callers checked, and the number of generators its writes filled.
+
+    A run ``(rest, h, top, dx, dy, reps)`` is ``reps`` linked copies of a
+    block spanning ``(dx, dy)`` whose generators after its first, ``(0,
+    top)``, are the ``(2, h)`` array ``rest`` (``top`` is ``dy`` but for a
+    template's prefix).  Every write is planned in Python ints, and one
+    conversion makes all offsets the int64 array whose views the adds take.
+    """
+    x, y = _monomial(origin)
+    _check_exponents(x, y)
+    size, total_x, total_y = 1, x, y
+    for _, h, _, dx, dy, reps in runs:
+        size, total_x, total_y = size + h * reps, total_x + dx * reps, total_y + dy * reps
     _check_exponents(total_x, total_y)
 
-    # Each copy of a part drops its top generator, which coincides with the
-    # previous copy's bottom one (the link point); the parts are anchored, so
-    # the top generator of the very first copy is (origin_x, total_y).
-    sizes = [reps * (part.mu - 1) for part, reps in blocks]
-    xy = np.empty((2, 1 + sum(sizes)), dtype=np.int64)
-    xy[:, 0] = origin[0], total_y
-    x, y, start, written = origin[0], total_y, 1, 1
-    for (part, reps), (dx, dy), size in zip(blocks, spans, sizes):
-        if size:  # out[:, c*h + j] is generator j + 1 of copy c
-            out, h, c = xy[:, start : start + size], part.mu - 1, 1
-            np.add(part.xy[:, 1:], ((x,), (y - dy,)), out=out[:, :h])
-            written += h
+    # Each copy of a block drops its top generator, which coincides with the
+    # previous copy's bottom one (the link point); the blocks are anchored,
+    # so the top generator of the very first copy is (origin_x, total_y).
+    xy = np.empty((2, size), dtype=np.int64)
+    writes, offsets, y, start, written = [], [(x, total_y)], total_y, 1, 1
+    for rest, h, top, dx, dy, reps in runs:
+        if reps and h:  # out[:, c*h + j] is column j of rest in copy c
+            writes.append((rest, xy[:, start : start + h]))
+            offsets.append((x, y - top))
+            c = 1
             while c < reps:
                 n = min(c, reps - c) * h
-                np.add(out[:, :n], ((c * dx,), (-c * dy,)), out=out[:, c * h : c * h + n])
-                written += n
+                writes.append((xy[:, start : start + n], xy[:, start + c * h : start + c * h + n]))
+                offsets.append((c * dx, -c * dy))
                 c *= 2
-        x, y, start = x + dx * reps, y - dy * reps, start + size
+        x, y, start = x + dx * reps, y - dy * reps, start + h * reps
+    shifts = np.array(offsets, dtype=np.int64)[:, :, None]
+    xy[:, :1] = shifts[0]
+    for (source, out), shift in zip(writes, shifts[1:]):
+        written += np.add(source, shift, out=out).shape[1]
     return MonomialIdeal._canonical(xy), written
 
 

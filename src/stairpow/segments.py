@@ -23,7 +23,7 @@ from .ideals import (
 )
 # ``link_many`` is unused here but stays importable as ``segments.link_many``:
 # the benchmark's span tracer patches that name.
-from .links import _link_counted, link_many, unlink
+from .links import _link_counted, _run, link_many, unlink
 
 
 def staircase_times(pair_g: Monomial, pair_h: Monomial, n: int, j_ideal: MonomialIdeal) -> MonomialIdeal:
@@ -219,42 +219,48 @@ class LinkTemplates:
     for a power of two c with ``c (mu(H) - 1) <= 1024``, so at most 16 KB;
     before H has one, H itself serves with ``c = 1``.  A run ``H^ell`` is q
     copies of the template and, if r > 0, H's r-fold link (``ell = q c +
-    r``), which is the template's first ``r (mu(H) - 1) + 1`` generators less
-    ``(0, (c - r) dist_y(H))``.  After each link a run whose ell reaches a
-    larger such power of two leaves that many of its first copies, less
-    their gcd, as H's new template in ``built``: one subtraction, no link of
-    its own, so a first emission pays only that.  Unanchored parts are
-    refused once, when the templates are built (a ValueError); templates and
-    prefixes are anchored and canonical by construction, and the link kernel
-    spends ``ceil(log2 q) + 2`` adds or fewer on a run, not ``ceil(log2 ell) + 1``.
+    r``): a view of the template's first ``r (mu(H) - 1) + 1`` generators,
+    written with the template's top, so lowered by ``(c - r) dist_y(H)``.
+    After each link a run whose ell reaches a larger such power of two
+    leaves that many of its first copies, less their gcd, as H's new
+    template in ``built``: one subtraction, no link of its own, so a first
+    emission pays only that.  Unanchored parts are refused once, when the
+    templates are built (a ValueError), and every part's spans are read
+    there as Python ints; a link reads no numpy scalar, and the kernel
+    spends ``ceil(log2 q) + 2`` adds or fewer on a run, not ``ceil(log2
+    ell) + 1``.
     """
 
     components: tuple[MonomialIdeal, ...]
     middles: tuple[MonomialIdeal, ...]
     built: dict[int, tuple[MonomialIdeal, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ends: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+    _steps: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(part.gcd() != (0, 0) for part in (*self.components, *self.middles)):
             raise ValueError("link templates need anchored parts")
+        object.__setattr__(self, "_ends", tuple(_run(part, 1) for part in self.components))
+        object.__setattr__(self, "_steps", tuple((m.mu - 1, m.dist(Axis.X), m.dist(Axis.Y)) for m in self.middles))
 
     def link(self, ell: int, origin: Monomial = (0, 0)) -> tuple[MonomialIdeal, int]:
         """The link for this ``ell`` times ``origin``, and the number of generators
         its writes filled (see :func:`link_blocks`)."""
         ell = _count(ell, 0, "ell must be non-negative")
-        blocks, due = [(self.components[0], 1)], {}
-        for i, (middle, component) in enumerate(zip(self.middles, self.components[1:])):
-            h, (template, c) = middle.mu - 1, self.built.get(i, (middle, 1))
+        runs, due = [self._ends[0]], {}
+        for i, ((h, dx, dy), end) in enumerate(zip(self._steps, self._ends[1:])):
+            template, c = self.built.get(i, (self.middles[i], 1))
             want = 1 << max(0, min(ell, _TEMPLATE_GENS // h).bit_length() - 1)
             if want > c:  # the run's first generator and its first `want` copies
-                start = sum(reps * (part.mu - 1) for part, reps in blocks)
+                start = sum(run[1] * run[5] for run in runs)
                 due[i] = (slice(start, start + want * h + 1), want)
             q, r = divmod(ell, c)
-            blocks.append((template, q))
+            rest = template.xy[:, 1:]
+            runs.append((rest, c * h, c * dy, c * dx, c * dy, q))
             if r:
-                prefix = template.xy[:, : r * h + 1] - ((0,), ((c - r) * middle.dist(Axis.Y),))
-                blocks.append((MonomialIdeal._canonical(prefix), 1))
-            blocks.append((component, 1))
-        ideal, written = _link_counted(blocks, origin)
+                runs.append((rest[:, : r * h], r * h, c * dy, r * dx, r * dy, 1))
+            runs.append(end)
+        ideal, written = _link_counted(runs, origin)
         for i, (run, c) in due.items():
             copies = ideal.xy[:, run]
             self.built[i] = (MonomialIdeal._canonical(copies - ((copies[0, 0],), (copies[1, -1],))), c)

@@ -309,7 +309,7 @@ def test_pair_power_staircase():
     assert pair_power((0, 2), (3, 0), 0) == UNIT
     with pytest.raises(ExponentOverflowError):
         pair_power((-1, 2), (3, 0), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # a float exponent is no integer, as for every count
         pair_power((0.5, 2), (3, 0), 2)
 
 

@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import brute
 from stairpow import links, segments
@@ -339,6 +339,48 @@ def test_glued_power_at_the_template_budget(d, copies):
         assert glued_power(gl, ell).gens == templates.link(ell)[0].gens == brute.link_blocks(blocks), ell
     expected = [(brute.link_blocks([(gl.middles[0], copies)]), copies)] if copies > 1 else []
     assert [(template.gens, c) for template, c in templates.built.values()] == expected
+
+
+@st.composite
+def _anchored(draw, least):
+    """An anchored part of ``least`` to 6 generators with exponents up to 30."""
+    mu = draw(st.integers(least, 6))
+    coords = st.lists(st.integers(0, 30), min_size=mu, max_size=mu, unique=True)
+    xs, ys = sorted(draw(coords)), sorted(draw(coords), reverse=True)
+    return MonomialIdeal(tuple(zip(xs, ys))).anchor()[0]
+
+
+@st.composite
+def _template_chains(draw):
+    """Components C_0..C_k and middles H_1..H_k, k from 1 to 3."""
+    middles = draw(st.lists(_anchored(2), min_size=1, max_size=3))
+    return draw(st.lists(_anchored(1), min_size=len(middles) + 1, max_size=len(middles) + 1)), middles
+
+
+_LINE = MonomialIdeal(((0, 1), (1, 0)))  # h = 1: templates of up to 1024 copies
+
+
+@settings(deadline=None)
+@given(_template_chains(), st.tuples(st.integers(0, 50), st.integers(0, 50)), st.lists(st.integers(0, 1100), max_size=6))
+# Templates of 2, 4, ..., 1024 copies, each met by ells with q = 0, r = 0 and r = c - 1.
+@example(([UNIT, SMALL], [_LINE]), (3, 1), [1, 2, 3, 7, 64, 1023, 1024, 1025, 2047, 1100, 511, 0])
+@example(([SMALL, UNIT, FIG3_J], [SMALL, _LINE]), (0, 7), [300, 2, 255, 256, 257, 1030, 513, 1])
+def test_link_templates_match_plain_copies(chain, origin, ells):
+    # Every link, as its templates grow and as ell falls again below them,
+    # equals the per-generator link of ell plain copies of each middle, and
+    # its writes fill each generator once.  Every template is the c-fold
+    # self-link of its middle.
+    components, middles = chain
+    templates = LinkTemplates(tuple(components), tuple(middles))
+    for ell in ells:
+        blocks = [(components[0], 1)]
+        for middle, component in zip(middles, components[1:]):
+            blocks += [(middle, ell), (component, 1)]
+        ideal, written = templates.link(ell, origin)
+        assert ideal.gens == brute.link_blocks(blocks, origin), ell
+        assert written == ideal.mu, ell
+    for i, (template, c) in templates.built.items():
+        assert template.gens == brute.link_blocks([(middles[i], c)]), i
 
 
 def test_glued_power_with_a_middle_near_the_exponent_limit():

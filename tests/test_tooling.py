@@ -43,7 +43,7 @@ def test_sources_parse_as_python_3_10():
 def test_src_line_budget():
     # The cap on the package's size, by ``wc -l src/stairpow/*.py``.
     lines = sum(len(path.read_bytes().splitlines()) for path in SRC.glob("*.py"))
-    assert lines <= 1936, f"src/stairpow has {lines} lines, over the 1936-line budget"
+    assert lines <= 1968, f"src/stairpow has {lines} lines, over the 1968-line budget"
 
 
 def _index_calls(tree):
@@ -220,24 +220,25 @@ def test_power_under_optimize():
         assert json.loads(record) == [0, naive], (ideal, n)
 
 
-#: Prints the name of the error each call raises, or ``none``; it exits at
-#: once unless ``-O`` stripped the asserts.  The child runs without the
-#: suite's check of ``MonomialIdeal._canonical``, so only the O(1) checks
-#: of ``shift``, ``pair_power``, ``link_blocks``, ``_canonical``'s dtype
-#: check and the range checks behind a numpy integer count can raise; a
-#: RuntimeWarning (an int64 product that wrapped) is raised as an error.
+#: Prints a JSON ``[name, message]`` line for the error each call raises,
+#: or ``["none", ""]``; it exits at once unless ``-O`` stripped the asserts.
+#: The child runs without the suite's check of ``MonomialIdeal._canonical``,
+#: so only the O(1) checks of ``shift``, ``pair_power``, ``link_blocks``,
+#: ``_canonical``'s dtype check, the exact reads of numpy integer counts and
+#: monomials and the range checks behind them can raise; a RuntimeWarning
+#: (an int64 sum or product that wrapped) is raised as an error.
 _RANGE_CASES = """
-import sys, warnings
+import json, sys, warnings
 import numpy as np
 from stairpow.engine import decomposed_power
 from stairpow.geometry import persistence_profile
-from stairpow.ideals import MonomialIdeal, level_power, pair_power
+from stairpow.ideals import MonomialIdeal, level_power, mon_pow, pair_power
 from stairpow.links import link_blocks
 from stairpow.segments import glued_components, glued_power, staircase_sum
 if __debug__:
     sys.exit("run me under -O")
 warnings.simplefilter("error")
-part, huge = MonomialIdeal(((0, 2), (3, 0))), np.int64(2**62 + 1)
+part, huge, big = MonomialIdeal(((0, 2), (3, 0))), np.int64(2**62 + 1), np.int64(2**62)
 for call in (
     lambda: part.shift((-1, 0)),
     lambda: part.shift((0, -1)),
@@ -254,22 +255,32 @@ for call in (
     lambda: decomposed_power(part, persistence_profile(part), huge),
     lambda: link_blocks([(part, huge)]),
     lambda: glued_power(glued_components(((0, 2), (3, 0)), part, 1), huge),
+    # Numpy integer monomials, whose sums and products wrapped before any range check.
+    lambda: link_blocks([(part, 2)], (np.int64(2**63 - 2), 0)),
+    lambda: part.shift((np.int64(2**63 - 1), 0)),
+    lambda: pair_power((0, big), (big, 0), 2),
+    lambda: mon_pow((big, 1), 2),
 ):
     try:
         call()
-        print("none")
+        print(json.dumps(["none", ""]))
     except Exception as exc:
-        print(type(exc).__name__)
+        print(json.dumps([type(exc).__name__, str(exc)]))
 """
 
 
 def test_range_checks_under_optimize():
-    names = _python("-O", "-c", _RANGE_CASES).decode().split()
+    records = [json.loads(line) for line in _python("-O", "-c", _RANGE_CASES).decode().splitlines()]
     overflow = "ExponentOverflowError"
-    assert names == [
-        overflow, overflow, "ValueError", overflow, "ValueError", overflow, overflow, "ValueError", "ValueError",
-        *[overflow] * 6,
-    ], names
+    assert [name for name, _ in records] == [
+        overflow, overflow, "TypeError", overflow, "TypeError", overflow, overflow, "ValueError", "ValueError",
+        *[overflow] * 10,
+    ], records
+    # The numpy monomials are read exactly: each error names the true exponents.
+    assert [message for _, message in records[-4:]] == [
+        f"exponent pair ({pair}) out of range"
+        for pair in (f"{2**63 + 4}, 4", f"{2**63 + 2}, 2", f"{2**63}, {2**63}", f"{2**63}, 2")
+    ], records
 
 
 #: Prints the name of the error each call raises, or ``none``: powers whose
@@ -293,6 +304,26 @@ for call in (
 def test_huge_powers_are_refused_at_once():
     names = _python("-c", _HUGE_POWERS, timeout=60).decode().split()
     assert names == ["ExponentOverflowError"] * 2, names
+
+
+#: Prints the generators of principal ideals' powers: once computed by
+#: ``n - 1`` multiplications, so run in a child with a timeout, as above.
+_PRINCIPAL_POWERS = """
+from stairpow.ideals import ExponentOverflowError, MonomialIdeal, level_power, naive_power
+for power in (naive_power, level_power):
+    for gen, n in (((0, 0), 10**12), ((1, 2), 10**12), ((3, 0), 2**61), ((2, 1), 2**62)):
+        try:
+            print(power(MonomialIdeal((gen,)), n).gens)
+        except ExponentOverflowError as exc:
+            print(exc)
+"""
+
+
+def test_principal_powers_return_at_once():
+    lines = _python("-c", _PRINCIPAL_POWERS, timeout=60).decode().splitlines()
+    expected = [f"(({a}, {b}),)" for a, b in ((0, 0), (10**12, 2 * 10**12), (3 * 2**61, 0))]
+    expected.append(f"exponent pair ({2**63}, {2**62}) out of range")
+    assert lines == expected * 2, lines
 
 
 def test_readme_library_tour():
