@@ -265,11 +265,12 @@ class MonomialIdeal:
         Generators with ``a <= u`` collapse onto the last of them, those with
         ``b <= v`` onto the first of them; two searches find both runs, and
         clamping the differences at zero maps the two ends: a canonical result.
+        Both exponents are read by :func:`_count` and must be non-negative.
         """
         x, y = self.xy
         # Past the largest exponent the quotient no longer depends on m.
-        u, v = min(m[0], int(x[-1])), min(m[1], int(y[0]))
-        _check_exponents(int(x[-1]) - u, int(y[0]) - v)
+        u = min(_count(m[0], 0, "colon exponent must be non-negative"), int(x[-1]))
+        v = min(_count(m[1], 0, "colon exponent must be non-negative"), int(y[0]))
         i = int(x.searchsorted(u, "right"))  # x[:i] <= u
         j = len(x) - int(y[::-1].searchsorted(v, "right"))  # y[j:] <= v
         if i > j:

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .ideals import (
-    _NO_POINT, EXP_LIMIT, Axis, Monomial, MonomialIdeal, _check_exponents, _count, _level_staircase,
-    ideal_sum, mon_divides, pair_power,
+    _BUCKET_SPAN_FACTOR, _NO_POINT, EXP_LIMIT, Axis, Monomial, MonomialIdeal, _check_exponents, _count,
+    _level_staircase, ideal_sum, mon_divides, pair_power,
 )
 # ``link_many`` is unused here but stays importable as ``segments.link_many``:
 # the benchmark's span tracer patches that name.
@@ -33,27 +33,29 @@ def staircase_times(pair_g: Monomial, pair_h: Monomial, n: int, j_ideal: Monomia
 
 def staircase_sum(gs: Sequence[Monomial], n: int, j_ideal: MonomialIdeal) -> MonomialIdeal:
     """``sum_i (g_i, g_(i+1))^n * J`` over consecutive pairs of ``gs``, each
-    pair in either order, in work proportional to its y-span.
+    pair in either order, at about one write per level of its y-span.
 
-    Every pair's window table (see :func:`_pair_levels`), a lone pair's
-    too, is min-ed into one level array spanning the union of their levels,
-    which one sweep turns into the minimal generators.  A pair whose table
-    would be larger than its ``(n+1) * mu(J)`` candidates, or beyond int64,
-    is the product of those candidates instead, and one :func:`ideal_sum`
-    joins those products to the swept array.
+    Every pair's window table (see :func:`_pair_levels`: O(top * v) window
+    work, ``top = ceil(dist_y(J) / v)``, and one write per level) is min-ed
+    into one level array spanning the union of their levels, a lone pair's
+    table being that array, which one sweep turns into the minimal
+    generators.  A pair with more than ``_BUCKET_SPAN_FACTOR`` levels per
+    ``(n+1) * mu(J)`` candidate, or beyond int64, is the product of those
+    candidates instead, and one :func:`ideal_sum` joins them to the sweep.
     """
     n = _count(n, 0, "power must be non-negative")
     pairs = list(zip(gs, gs[1:]))
     tables = [_pair_levels(g, h, n, j_ideal) for g, h in pairs]
     ideals = [pair_power(g, h, n) * j_ideal for (g, h), table in zip(pairs, tables) if table is None]
     tables = [table for table in tables if table is not None]
-    if tables:
+    if len(tables) > 1:
         low = min(bottom for _, bottom in tables)
         levels = np.full(max(bottom + len(t) for t, bottom in tables) - low, _NO_POINT, dtype=np.int64)
         for table, bottom in tables:
             view = levels[bottom - low : bottom - low + len(table)]
             np.minimum(view, table, out=view)
-        ideals.append(MonomialIdeal._canonical(_level_staircase(levels, low)))
+        tables = [(levels, low)]
+    ideals += [MonomialIdeal._canonical(_level_staircase(levels, low)) for levels, low in tables]
     return ideal_sum(ideals)
 
 
@@ -66,9 +68,16 @@ def _pair_levels(
     With g the pair member of smaller x, ``u = h_x - g_x``, ``v = g_y - h_y``
     and ``F(t)`` the least x of G(J) at most t above its lowest generator,
     the staircase at height ``n*h_y + c + q*v`` (``0 <= c < v``) is
-    ``n*h_x - q*u + min(F(c + t*v) + t*u for t in [q - n, q])``, a sliding
-    window minimum (van Herk 1992; Gil and Werman 1993).  None when that
-    table is larger than the ``(n+1) * mu(J)`` candidates or beyond int64.
+    ``n*h_x - q*u`` plus the least row t of the table ``F(c + t*v) + t*u``
+    over ``t in [q - n, q]``, ``t >= 0``: a sliding window minimum (van Herk
+    1992; Gil and Werman 1993).  F is least from ``t*v >= dist_y(J)`` on, so
+    every row past ``top = ceil(dist_y(J) / v)`` is dominated by row top,
+    which each window holds once q reaches it (``q - n <= top`` for every
+    output row).  So the window of row q is ``[max(0, q - n), min(q, top)]``
+    over the top + 1 head rows alone, at most ``min(n, top) + 1`` wide, and
+    rows top to n all take the head's full minimum.  None past
+    ``_BUCKET_SPAN_FACTOR`` levels per candidate, up to which the candidate
+    product sweeps them densely too, or beyond int64.
     """
     if mon_divides(pair_g, pair_h) or mon_divides(pair_h, pair_g):
         raise ValueError(f"{pair_g} and {pair_h} are comparable; staircase power undefined")
@@ -78,29 +87,32 @@ def _pair_levels(
     # The largest product exponents, checked in Python ints before any int64 add.
     _check_exponents(n * h[0] + x1, n * g[1] + y1)
     u, v = h[0] - g[0], g[1] - h[1]
-    rows = n + 1 - (y0 - y1) // v  # F is constant from row ceil(dist_y / v) on
-    # The window kernel sweeps about 2 * rows * v levels, the product the
-    # (n+1) * mu(J) candidates: measured, they break even at about equal sizes.
-    if rows * v > (n + 1) * j_ideal.mu or rows * u + x1 - x0 >= EXP_LIMIT:
+    top = (y1 - y0 + v - 1) // v
+    rows = n + 1 + top
+    if rows * v > _BUCKET_SPAN_FACTOR * (n + 1) * j_ideal.mu or rows * u + x1 - x0 >= EXP_LIMIT:
         return None
-    # Pad n rows in front and cut blocks of n + 1 rows: the window [q - n, q]
-    # is a block suffix from row q plus a block prefix up to row q + n.
-    blocks = -(-(n + rows) // (n + 1))
-    padded = np.full((blocks * (n + 1), v), _NO_POINT, dtype=np.int64)
-    table = padded[n : n + rows]  # row t, column c: F(c + t*v) - x0
-    levels = table.reshape(-1)
+    # Pad w rows in front and cut blocks of w + 1 rows: the head window
+    # [p - w, p] is a block suffix from row p plus a block prefix up to p + w.
+    w = min(n, top)
+    blocks = -(-(2 * w + top + 1) // (w + 1))
+    padded = np.full((blocks * (w + 1), v), _NO_POINT, dtype=np.int64)
+    head = padded[w : w + top + 1]  # row t, column c: F(c + t*v) - x0
+    levels = head.reshape(-1)
     levels[y - y0] = x - x0
     np.minimum.accumulate(levels, out=levels)
-    steps = (np.arange(rows, dtype=np.int64) * u)[:, None]
-    table += steps
-    padded = padded.reshape(blocks, n + 1, v)
+    head += np.arange(0, (top + 1) * u, u, dtype=np.int64)[:, None]
+    padded = padded.reshape(blocks, w + 1, v)
     suffix = np.empty_like(padded)
     np.minimum.accumulate(padded[:, ::-1], axis=1, out=suffix[:, ::-1])
     np.minimum.accumulate(padded, axis=1, out=padded)
-    window = np.minimum(suffix.reshape(-1, v)[:rows], padded.reshape(-1, v)[n : n + rows])
-    window -= steps
-    window += n * h[0] + x0
-    return window.reshape(-1), n * h[1] + y0
+    window = np.minimum(suffix.reshape(-1, v)[: w + top + 1], padded.reshape(-1, v)[w : 2 * w + top + 1])
+    # Output row q is window row q below w, row w up to n and q - n + w past n.
+    steps = np.arange(-n * h[0] - x0, rows * u - n * h[0] - x0, u, dtype=np.int64)[:, None]
+    table = np.empty((rows, v), dtype=np.int64)
+    np.subtract(window[:w], steps[:w], out=table[:w])
+    np.subtract(window[w], steps[w : n + 1], out=table[w : n + 1])
+    np.subtract(window[w + 1 :], steps[n + 1 :], out=table[n + 1 :])
+    return table.reshape(-1), n * h[1] + y0
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,19 @@ def test_colon_examples():
     assert I.colon((2, 1)).gens == ((0, 0),)
 
 
+def test_colon_reads_its_monomial_exactly():
+    # Numpy integers are read exactly; a negative exponent is refused, not
+    # taken as a multiplication, and a float is a TypeError, as in ``shift``.
+    I = MonomialIdeal(((0, 2), (3, 0)))
+    assert I.colon((np.int64(1), np.uint64(1))).gens == I.colon((1, 1)).gens == ((0, 1), (2, 0))
+    assert I.colon((np.int64(2**63 - 1), 0)).gens == ((0, 0),)
+    for m in ((-1, 0), (0, -1), (np.int64(-2**63), 0), (np.int64(-2**62), 0)):
+        with pytest.raises(ValueError, match="colon exponent must be non-negative"):
+            I.colon(m)
+    with pytest.raises(TypeError):
+        I.colon((0.5, 0))
+
+
 def test_gcd_and_anchor():
     assert MonomialIdeal(((0, 2), (2, 1), (3, 0))).gcd() == (0, 0)
     assert MonomialIdeal(((2, 3), (5, 1))).gcd() == (2, 1)

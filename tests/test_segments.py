@@ -71,6 +71,11 @@ def test_staircase_times_near_int64(monkeypatch):
     assert staircase_times(g, h, 1, J).gens == brute.staircase_times(g, h, 1, J)
     assert staircase_times(h, g, 1, J).gens == brute.staircase_times(g, h, 1, J)
     assert len(calls) == 2
+    # n * h_x + 9 is far inside int64, but the table's 12 rows of u = 2^60
+    # are not (top = 10 over FIG3_J), so this takes the candidate product too.
+    g, h = (0, 1), (2**60, 0)
+    assert staircase_times(g, h, 1, FIG3_J).gens == brute.staircase_times(g, h, 1, FIG3_J)
+    assert len(calls) == 3
 
 
 def test_staircase_times_sparse_span(monkeypatch):
@@ -161,6 +166,13 @@ def chain_and_ideal(draw):
 @example((((0, 4), (3, 1), (5, 0)), FIG3_J.shift((2, 3))), 6)  # unanchored
 @example((((5, 0), (3, 1), (0, 4)), FIG3_J), 2)  # reversed, n < dist_y(J) / v
 @example((((0, 2**40 + 4), (3, 4), (5, 0)), FIG3_J), 5)  # one sparse pair
+# dist_y(J) = 10 is five steps v = 2, so top = 5: n below, at, just past and far past it.
+@example((((0, 4), (3, 2), (4, 0)), FIG3_J), 3)
+@example((((0, 4), (3, 2), (4, 0)), FIG3_J), 5)
+@example((((4, 0), (3, 2), (0, 4)), FIG3_J.shift((2, 3))), 6)
+@example((((0, 4), (3, 2), (4, 0)), FIG3_J), 60)
+# rows * u leaves int64 while n * h_x does not: the candidate product.
+@example((((0, 1), (2**60, 0)), FIG3_J), 1)
 def test_staircase_sum_matches_candidate_products(case, n):
     gs, J = case
     assert staircase_sum(gs, n, J).gens == brute.staircase_sum(gs, n, J)
@@ -168,14 +180,19 @@ def test_staircase_sum_matches_candidate_products(case, n):
 
 def test_staircase_sum_is_one_level_array(monkeypatch):
     # Dense pairs share one level array, swept once: no candidate product,
-    # and ideal_sum gets that one ideal.  One sparse pair is the only
-    # product, and ideal_sum joins it to the array of the other two pairs.
+    # and ideal_sum gets that one ideal, a lone pair's table included.  One
+    # sparse pair is the only product, and ideal_sum joins it to the array
+    # of the other two pairs.
     calls = counted_pair_power(monkeypatch)
     sums = []
     monkeypatch.setattr(segments, "ideal_sum", lambda ideals: sums.append(len(ideals)) or ideal_sum(ideals))
     dense = ((0, 9), (1, 6), (3, 2), (7, 0))
     for gs in (dense, dense[::-1]):
         assert staircase_sum(gs, 20, FIG3_J).gens == brute.staircase_sum(gs, 20, FIG3_J)
+    # Up to _BUCKET_SPAN_FACTOR = 16 levels per candidate, the table: this
+    # pair has (2 + 1 + 1) * 30 levels for (2 + 1) * 6 candidates, 6.7 each.
+    between = ((0, 30), (3, 0))
+    assert staircase_sum(between, 2, FIG3_J).gens == brute.staircase_sum(between, 2, FIG3_J)
     assert calls == [] and max(sums, default=0) <= 1
     sums.clear()
     sparse = ((0, 2**40 + 6),) + dense[1:]
