@@ -147,8 +147,11 @@ def _decompose(plan: _Plan, level: int, r: int, axis: Axis) -> StableDecompositi
     also that of P, and ``gcd^m`` that of I^m.  I^s is then summed in the
     working orientation as ``staircase_sum(P', s - m, I^m')``; ``s > m``.
     """
-    profile, shift, m = plan.profile, plan.ideal.gcd(), plan.m
-    chosen = MonomialIdeal(profile.chosen).shift((-shift[0], -shift[1]))
+    profile, shift, m, xy = plan.profile, plan.ideal.gcd(), plan.m, plan.ideal.xy
+    # P is an ordered subsequence of G(I), so its columns, found by one
+    # search of the x column, are canonical, and non-negative less gcd(I).
+    columns = xy[:, xy[0].searchsorted([g[0] for g in profile.chosen])]
+    chosen = MonomialIdeal._canonical(columns - ((shift[0],), (shift[1],)))
     g = mon_pow(shift, m)
     base = plan.base.shift((-g[0], -g[1]))
     if axis is Axis.X:
@@ -234,7 +237,9 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
 
     Principal ideals short-circuit to the single-generator power.  Below
     the onset m (D_P unless certified earlier) :func:`level_power` runs;
-    from m the staircase expansion of ``I^m``; from its ``s = m + r + 1``
+    from m the staircase expansion ``Q_(n-m) I^m``, by one slice per
+    generator of ``Q_(n-m)`` for small ``n - m`` and by window tables
+    above (see :func:`staircase_sum`); from its ``s = m + r + 1``
     the stable-component assembly, the only route that builds a
     decomposition.  The profile, onset and decomposition of the last 16
     ideals are kept for later calls, shared by equal ideals; ``G(I^n)``

@@ -127,11 +127,20 @@ def _level_staircase(x_by_y: np.ndarray, levels: int | np.ndarray) -> np.ndarray
     ``(x_by_y[i], levels[i])`` for an ascending array ``levels``, as columns:
     one sweep keeps each level whose x undercuts every level below it.  An
     empty level holds ``_NO_POINT``; the first is never empty.  Non-negative
-    points give canonical columns, fit for :meth:`MonomialIdeal._canonical`."""
-    below = np.minimum.accumulate(x_by_y)[:-1]
-    keep = np.flatnonzero(np.concatenate(([True], x_by_y[1:] < below)))[::-1]
-    ys = levels[keep] if isinstance(levels, np.ndarray) else keep + levels
-    return np.stack((x_by_y[keep], ys))
+    points give canonical columns, fit for :meth:`MonomialIdeal._canonical`.
+    The kept columns are written straight into one ``(2, k)`` array; ``take``
+    with ``mode="clip"`` writes its ``out`` in place, where ``"raise"`` buffers it."""
+    keep = np.empty(len(x_by_y), dtype=bool)
+    keep[0] = True
+    np.less(x_by_y[1:], np.minimum.accumulate(x_by_y)[:-1], out=keep[1:])
+    kept = keep.nonzero()[0][::-1]
+    xy = np.empty((2, len(kept)), dtype=np.int64)
+    np.take(x_by_y, kept, out=xy[0], mode="clip")
+    if isinstance(levels, np.ndarray):
+        np.take(levels, kept, out=xy[1], mode="clip")
+    else:
+        np.add(kept, levels, out=xy[1])
+    return xy
 
 
 def minimalize(candidates: Iterable[Monomial]) -> "MonomialIdeal":

@@ -25,6 +25,12 @@ from .ideals import (
 # the benchmark's span tracer patches that name.
 from .links import _link_counted, _run, link_many, unlink
 
+#: The numpy calls that build and merge one pair's window table in
+#: :func:`_pair_levels`, slicing aside: five allocations, eleven ufunc
+#: calls, five reshapes and one write.  A slice of :func:`staircase_sum`
+#: makes two.
+_TABLE_CALLS = 22
+
 
 def staircase_times(pair_g: Monomial, pair_h: Monomial, n: int, j_ideal: MonomialIdeal) -> MonomialIdeal:
     """``(g, h)^n * J``, the one-pair case of :func:`staircase_sum`."""
@@ -33,24 +39,55 @@ def staircase_times(pair_g: Monomial, pair_h: Monomial, n: int, j_ideal: Monomia
 
 def staircase_sum(gs: Sequence[Monomial], n: int, j_ideal: MonomialIdeal) -> MonomialIdeal:
     """``sum_i (g_i, g_(i+1))^n * J`` over consecutive pairs of ``gs``, each
-    pair in either order, at about one write per level of its y-span.
+    pair in either order, on one level array swept once.
 
-    Every pair's window table (see :func:`_pair_levels`: O(top * v) window
-    work, ``top = ceil(dist_y(J) / v)``, and one write per level) is min-ed
-    into one level array spanning the union of their levels, a lone pair's
-    table being that array, which one sweep turns into the minimal
-    generators.  A pair with more than ``_BUCKET_SPAN_FACTOR`` levels per
-    ``(n+1) * mu(J)`` candidate, or beyond int64, is the product of those
-    candidates instead, and one :func:`ideal_sum` joins them to the sweep.
+    With F the least x of J per level from its lowest generator, each of
+    the ``k n + 1`` generators q of ``Q_n`` (k pairs, each shared end power
+    ``g_i^n`` once) is one slice ``F + q_x`` from level ``q_y`` on: two
+    numpy calls, against ``_TABLE_CALLS`` for a pair's window table, so
+    slices run while they are the fewer calls.  Each slice value is a point
+    of ``q J``, and each minimal generator ``q j`` lies in its own q's slice
+    at j's level, so the array is exact at every generator's level and
+    nowhere below the staircase, and one sweep gives the generators.
+
+    Else every pair's window table (see :func:`_pair_levels`: O(top * v)
+    window work, ``top = floor(dist_y(J) / v)``, and one write per level)
+    is min-ed into one level array spanning the union of their levels, a
+    lone pair's table being that array; tables whose union spans more than
+    ``_BUCKET_SPAN_FACTOR`` times their length are swept one by one.
+    Slices beyond that many levels per candidate fall back to the tables,
+    and a pair beyond it, or beyond int64, is the product of its ``(n+1) *
+    mu(J)`` candidates, which one :func:`ideal_sum` joins to the sweeps.
     """
     n = _count(n, 0, "power must be non-negative")
     pairs = list(zip(gs, gs[1:]))
+    for g, h in pairs:
+        if mon_divides(g, h) or mon_divides(h, g):
+            raise ValueError(f"{g} and {h} are comparable; staircase power undefined")
+    x, y = j_ideal.xy
+    y0, y1 = int(y[-1]), int(y[0])
+    low, high = n * min(g[1] for g in gs), n * max(g[1] for g in gs)
+    # The largest product exponents, checked in Python ints before any int64 add.
+    _check_exponents(n * max(g[0] for g in gs) + int(x[-1]), high + y1)
+    slices, size = len(pairs) * n + 1, high - low + y1 - y0 + 1
+    if 2 * slices < _TABLE_CALLS * len(pairs) and size <= _BUCKET_SPAN_FACTOR * slices * j_ideal.mu:
+        staircase = np.full(y1 - y0 + 1, _NO_POINT, dtype=np.int64)
+        staircase[y - y0] = x
+        np.minimum.accumulate(staircase, out=staircase)
+        levels = np.full(size, _NO_POINT, dtype=np.int64)
+        for i, (a, b) in enumerate(pairs):
+            for t in range(i > 0, n + 1):  # q = a^(n-t) b^t; a^n was the last pair's b^n
+                start = (n - t) * a[1] + t * b[1] - low
+                view = levels[start : start + y1 - y0 + 1]
+                np.minimum(view, staircase + ((n - t) * a[0] + t * b[0]), out=view)
+        return MonomialIdeal._canonical(_level_staircase(levels, low + y0))
     tables = [_pair_levels(g, h, n, j_ideal) for g, h in pairs]
     ideals = [pair_power(g, h, n) * j_ideal for (g, h), table in zip(pairs, tables) if table is None]
     tables = [table for table in tables if table is not None]
-    if len(tables) > 1:
-        low = min(bottom for _, bottom in tables)
-        levels = np.full(max(bottom + len(t) for t, bottom in tables) - low, _NO_POINT, dtype=np.int64)
+    low = min((bottom for _, bottom in tables), default=0)
+    size = max((bottom + len(t) for t, bottom in tables), default=0) - low
+    if len(tables) > 1 and size <= _BUCKET_SPAN_FACTOR * sum(len(t) for t, _ in tables):
+        levels = np.full(size, _NO_POINT, dtype=np.int64)
         for table, bottom in tables:
             view = levels[bottom - low : bottom - low + len(table)]
             np.minimum(view, table, out=view)
@@ -63,31 +100,29 @@ def _pair_levels(
     pair_g: Monomial, pair_h: Monomial, n: int, j_ideal: MonomialIdeal
 ) -> tuple[np.ndarray, int] | None:
     """The least x per y level of ``(g, h)^n * J`` from its lowest level on,
-    and that level; None where the candidate product is the cheaper route.
+    exact at every generator's level and nowhere below the staircase, and
+    that level; None where the candidate product is the cheaper route.  The
+    caller has checked the pair and the largest exponents.
 
     With g the pair member of smaller x, ``u = h_x - g_x``, ``v = g_y - h_y``
     and ``F(t)`` the least x of G(J) at most t above its lowest generator,
-    the staircase at height ``n*h_y + c + q*v`` (``0 <= c < v``) is
-    ``n*h_x - q*u`` plus the least row t of the table ``F(c + t*v) + t*u``
-    over ``t in [q - n, q]``, ``t >= 0``: a sliding window minimum (van Herk
-    1992; Gil and Werman 1993).  F is least from ``t*v >= dist_y(J)`` on, so
-    every row past ``top = ceil(dist_y(J) / v)`` is dominated by row top,
-    which each window holds once q reaches it (``q - n <= top`` for every
-    output row).  So the window of row q is ``[max(0, q - n), min(q, top)]``
-    over the top + 1 head rows alone, at most ``min(n, top) + 1`` wide, and
-    rows top to n all take the head's full minimum.  None past
-    ``_BUCKET_SPAN_FACTOR`` levels per candidate, up to which the candidate
-    product sweeps them densely too, or beyond int64.
+    the entry at height ``n*h_y + c + q*v`` (``0 <= c < v``) is ``n*h_x -
+    q*u`` plus the least row t of the table ``F(c + t*v) + t*u`` over the
+    window ``[max(0, q - n), min(q, top)]``, ``top = floor(dist_y(J) / v)``:
+    a sliding window minimum (van Herk 1992; Gil and Werman 1993) over the
+    top + 1 head rows alone, at most ``min(n, top) + 1`` wide, and rows top
+    to n all take the head's full minimum.  Row t of window q is a point of
+    ``g^(q-t) h^(n-q+t) J``, and a generator ``g^a h^(n-a) j`` is row
+    ``floor((j_y - y0) / v) <= top`` of its own level's window, so the entry
+    at every generator's level is exact.  None past ``_BUCKET_SPAN_FACTOR``
+    levels per candidate, up to which the candidate product sweeps them
+    densely too, or beyond int64.
     """
-    if mon_divides(pair_g, pair_h) or mon_divides(pair_h, pair_g):
-        raise ValueError(f"{pair_g} and {pair_h} are comparable; staircase power undefined")
     g, h = sorted((pair_g, pair_h))
     x, y = j_ideal.xy
     x0, x1, y0, y1 = int(x[0]), int(x[-1]), int(y[-1]), int(y[0])
-    # The largest product exponents, checked in Python ints before any int64 add.
-    _check_exponents(n * h[0] + x1, n * g[1] + y1)
     u, v = h[0] - g[0], g[1] - h[1]
-    top = (y1 - y0 + v - 1) // v
+    top = (y1 - y0) // v
     rows = n + 1 + top
     if rows * v > _BUCKET_SPAN_FACTOR * (n + 1) * j_ideal.mu or rows * u + x1 - x0 >= EXP_LIMIT:
         return None

@@ -752,6 +752,27 @@ def test_onset_route_matches_naive_for_more_pairs(ideal):
     _onset_route_matches_naive(ideal)
 
 
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("seed", [2, 9, 110, 115, 144])
+def test_powers_below_the_onset_s_on_both_sum_routes(monkeypatch, seed, transposed):
+    # On these seeds n - m runs past the slices' break-even below the onset's
+    # s, so power sums I^n by slices for small n - m and by window tables
+    # above; I^n is checked against repeated multiplication up to n = 30 and
+    # against decomposed_power past it (seed 115, D_P = 28, s = 55).
+    I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+    I = I.transpose() if transposed else I
+    plan = engine._plan(I)
+    tables = _count_calls(monkeypatch, segments, "_pair_levels")
+    routes, current = set(), naive_power(I, plan.m)
+    for n in range(plan.m, plan.s):
+        built = len(tables)
+        expected = current if n <= 30 else decomposed_power(I, plan.profile, n)
+        assert power(I, n) == expected, n
+        routes.add((n > plan.m) * (1 + (len(tables) > built)))  # 0: I^m, 1: slices, 2: tables
+        current = current * I if n < 30 else None
+    assert routes == {0, 1, 2}
+
+
 def _kernel_runs(kernels):
     """The ``n`` of each recorded call of the level kernel."""
     return [args[1] for args in kernels]

@@ -298,6 +298,33 @@ def test_minimalize_sparse_span_is_the_antichain(pts, lift):
     assert minimalize(pts).gens == brute.antichain(pts)
 
 
+@st.composite
+def level_arrays(draw):
+    """The least x per level of some points, with empty (``_NO_POINT``)
+    levels but never the first, from a lowest level or at ascending levels."""
+    empty = st.just(ideals_module._NO_POINT)
+    xs = draw(st.lists(st.one_of(st.integers(0, 50), empty), min_size=1, max_size=40))
+    xs[0] = draw(st.integers(0, 50))
+    if draw(st.booleans()):
+        return np.array(xs, dtype=np.int64), draw(st.integers(0, 2**40))
+    gaps = draw(st.lists(st.integers(1, 2**30), min_size=len(xs), max_size=len(xs)))
+    return np.array(xs, dtype=np.int64), np.cumsum(gaps)
+
+
+@given(level_arrays())
+@example((np.array([7]), 3))
+@example((np.array([7]), np.array([3])))
+@example((np.array([5, ideals_module._NO_POINT, 5, 4, ideals_module._NO_POINT, 0]), 0))
+def test_level_staircase_is_the_lexsort_sweep(case):
+    x_by_y, levels = case
+    ys = levels if isinstance(levels, np.ndarray) else levels + np.arange(len(x_by_y))
+    points = [(x, y) for x, y in zip(x_by_y.tolist(), ys.tolist()) if x != ideals_module._NO_POINT]
+    copy = x_by_y.copy()
+    xy = ideals_module._level_staircase(x_by_y, levels)
+    assert MonomialIdeal(xy).gens == brute.lexsort_minimal(points)
+    assert np.array_equal(x_by_y, copy)
+
+
 @given(ideals(), st.tuples(st.integers(0, 50), st.integers(0, 50)))
 @example(MonomialIdeal(((0, 4), (2, 1), (5, 0))), (2, 1))  # a generator: unit
 @example(MonomialIdeal(((0, 4), (2, 1), (5, 0))), (3, 2))  # inside the ideal

@@ -63,29 +63,30 @@ def counted_pair_power(monkeypatch):
 
 
 def test_staircase_times_near_int64(monkeypatch):
-    # x exponents near 2^62: every generator of the product is in range, but
-    # the window values are not, so both calls take the candidate product.
+    # At n = 16, above the slices' break-even, x exponents near 2^63: every
+    # generator of the product is in range, the largest 2^63 - 124, but the
+    # window values are not, so both calls take the candidate product.
     calls = counted_pair_power(monkeypatch)
     J = MonomialIdeal(tuple((i, 4 - i) for i in range(5)))
-    g, h = (0, 1), (2**62 - 8, 0)
-    assert staircase_times(g, h, 1, J).gens == brute.staircase_times(g, h, 1, J)
-    assert staircase_times(h, g, 1, J).gens == brute.staircase_times(g, h, 1, J)
+    g, h = (0, 1), (2**59 - 8, 0)
+    assert staircase_times(g, h, 16, J).gens == brute.staircase_times(g, h, 16, J)
+    assert staircase_times(h, g, 16, J).gens == brute.staircase_times(g, h, 16, J)
     assert len(calls) == 2
-    # n * h_x + 9 is far inside int64, but the table's 12 rows of u = 2^60
+    # n * h_x + 9 is far inside int64, but the table's 27 rows of u = 3 * 2^57
     # are not (top = 10 over FIG3_J), so this takes the candidate product too.
-    g, h = (0, 1), (2**60, 0)
-    assert staircase_times(g, h, 1, FIG3_J).gens == brute.staircase_times(g, h, 1, FIG3_J)
+    g, h = (0, 1), (3 << 57, 0)
+    assert staircase_times(g, h, 16, FIG3_J).gens == brute.staircase_times(g, h, 16, FIG3_J)
     assert len(calls) == 3
 
 
 def test_staircase_times_sparse_span(monkeypatch):
-    # A y-span far beyond the candidate count takes the candidate product, a
-    # dense one the window.
+    # Above the slices' break-even, a y-span far beyond the candidate count
+    # takes the candidate product, a dense one the window.
     calls = counted_pair_power(monkeypatch)
     g, h = (0, 2**40), (3, 0)
-    assert staircase_times(g, h, 4, FIG3_J).gens == brute.staircase_times(g, h, 4, FIG3_J)
+    assert staircase_times(g, h, 12, FIG3_J).gens == brute.staircase_times(g, h, 12, FIG3_J)
     g, h = (0, 3 << 36), (3, 0)
-    assert staircase_times(h, g, 2, FIG3_J).gens == brute.staircase_times(g, h, 2, FIG3_J)
+    assert staircase_times(h, g, 14, FIG3_J).gens == brute.staircase_times(g, h, 14, FIG3_J)
     assert len(calls) == 2
     assert staircase_times((0, 4), (3, 0), 20, FIG3_J).gens == oracle_power(3, 4, FIG3_J, 20).gens
     assert len(calls) == 2
@@ -109,6 +110,11 @@ def test_staircase_times_window_path(monkeypatch, g, h, J):
     assert not calls
 
 
+#: Powers on both sides of the slices' break-even: n <= 9 for one pair,
+#: n <= 10 for two or more.
+POWERS = st.one_of(st.integers(0, 10), st.integers(11, 25))
+
+
 @st.composite
 def pair_and_ideal(draw):
     """A staircase pair in either order, and a possibly unanchored J."""
@@ -127,7 +133,7 @@ def pair_and_ideal(draw):
     return g, h, MonomialIdeal(tuple(zip(xs, ys)))
 
 
-@given(pair_and_ideal(), st.integers(0, 25))
+@given(pair_and_ideal(), POWERS)
 @example(((0, 1), (1, 0), MonomialIdeal(((0, 2), (1, 1), (3, 0)))), 0)
 @example(((0, 1), (2, 0), FIG3_J), 2)  # n < dist_y(J) / v
 @example(((1, 0), (0, 2), FIG3_J.shift((2, 3))), 6)  # unanchored, pair reversed
@@ -162,27 +168,70 @@ def chain_and_ideal(draw):
     return tuple(gs), MonomialIdeal(tuple(zip(xs, ys)))
 
 
-@given(chain_and_ideal(), st.integers(0, 25))
+@given(chain_and_ideal(), POWERS)
 @example((((0, 4), (3, 1), (5, 0)), FIG3_J.shift((2, 3))), 6)  # unanchored
 @example((((5, 0), (3, 1), (0, 4)), FIG3_J), 2)  # reversed, n < dist_y(J) / v
 @example((((0, 2**40 + 4), (3, 4), (5, 0)), FIG3_J), 5)  # one sparse pair
+# A sparse pair between dense ones: their tables lie 2^36 levels apart.
+@example((((0, 2**36 + 3), (1, 2**36 + 2), (2, 2), (3, 1), (4, 0)), UNIT), 1)
 # dist_y(J) = 10 is five steps v = 2, so top = 5: n below, at, just past and far past it.
 @example((((0, 4), (3, 2), (4, 0)), FIG3_J), 3)
 @example((((0, 4), (3, 2), (4, 0)), FIG3_J), 5)
 @example((((4, 0), (3, 2), (0, 4)), FIG3_J.shift((2, 3))), 6)
 @example((((0, 4), (3, 2), (4, 0)), FIG3_J), 60)
 # rows * u leaves int64 while n * h_x does not: the candidate product.
-@example((((0, 1), (2**60, 0)), FIG3_J), 1)
+@example((((0, 1), (3 << 57, 0)), FIG3_J), 16)
 def test_staircase_sum_matches_candidate_products(case, n):
     gs, J = case
     assert staircase_sum(gs, n, J).gens == brute.staircase_sum(gs, n, J)
 
 
+def counted_pair_levels(monkeypatch):
+    """Count the window tables staircase_sum builds."""
+    calls, table = [], segments._pair_levels
+    monkeypatch.setattr(segments, "_pair_levels", lambda *args: calls.append(args) or table(*args))
+    return calls
+
+
+def test_small_sums_take_slices(monkeypatch):
+    # Q_n J is one slice per generator of Q_n, two numpy calls each, while
+    # that is fewer calls than _TABLE_CALLS per pair's window table: up to n
+    # = 9 for one pair and 10 for two or three, and no further.
+    tables = counted_pair_levels(monkeypatch)
+    chain = ((0, 9), (1, 6), (3, 2), (7, 0))
+    for k, last in ((1, 9), (2, 10), (3, 10)):
+        for n in range(last + 2):
+            for gs in (chain[: k + 1], chain[k::-1]):
+                assert staircase_sum(gs, n, FIG3_J).gens == brute.staircase_sum(gs, n, FIG3_J), (gs, n)
+            assert len(tables) == 2 * k * (n > last), (k, n)
+            tables.clear()
+
+
+def test_slices_keep_the_guards(monkeypatch):
+    # A comparable pair and an exponent past int64 raise before any slice or
+    # table, and a span past _BUCKET_SPAN_FACTOR levels per candidate goes to
+    # the pairs' own route: here the candidate product.
+    tables, products = counted_pair_levels(monkeypatch), counted_pair_power(monkeypatch)
+    with pytest.raises(ValueError, match="comparable"):
+        staircase_sum(((0, 4), (3, 0), (4, 1)), 2, FIG3_J)
+    gs = ((0, 1), (2**62 - 8, 0))
+    assert staircase_sum(gs, 2, FIG3_J).gens == brute.staircase_sum(gs, 2, FIG3_J)
+    for gs in (gs, ((0, 2**62 - 8), (1, 0))):
+        with pytest.raises(ExponentOverflowError):
+            staircase_sum(gs, 3, FIG3_J)  # 3 * (2^62 - 8) + 9 or + 10 >= 2^63
+    assert tables == products == []
+    # (v + 11) levels for 2 * 6 candidates: slices up to v = 16 * 12 - 11.
+    for v, routed in ((181, 0), (182, 1)):
+        gs = ((0, v), (3, 0))
+        assert staircase_sum(gs, 1, FIG3_J).gens == brute.staircase_sum(gs, 1, FIG3_J)
+        assert (len(tables), len(products)) == (routed, routed), v
+
+
 def test_staircase_sum_is_one_level_array(monkeypatch):
-    # Dense pairs share one level array, swept once: no candidate product,
-    # and ideal_sum gets that one ideal, a lone pair's table included.  One
-    # sparse pair is the only product, and ideal_sum joins it to the array
-    # of the other two pairs.
+    # Above the slices' break-even, dense pairs share one level array, swept
+    # once: no candidate product, and ideal_sum gets that one ideal, a lone
+    # pair's table included.  One sparse pair is the only product, and
+    # ideal_sum joins it to the array of the other two pairs.
     calls = counted_pair_power(monkeypatch)
     sums = []
     monkeypatch.setattr(segments, "ideal_sum", lambda ideals: sums.append(len(ideals)) or ideal_sum(ideals))
@@ -190,10 +239,10 @@ def test_staircase_sum_is_one_level_array(monkeypatch):
     for gs in (dense, dense[::-1]):
         assert staircase_sum(gs, 20, FIG3_J).gens == brute.staircase_sum(gs, 20, FIG3_J)
     # Up to _BUCKET_SPAN_FACTOR = 16 levels per candidate, the table: this
-    # pair has (2 + 1 + 1) * 30 levels for (2 + 1) * 6 candidates, 6.7 each.
+    # pair has (12 + 1 + 0) * 30 levels for (12 + 1) * 6 candidates, 5 each.
     between = ((0, 30), (3, 0))
-    assert staircase_sum(between, 2, FIG3_J).gens == brute.staircase_sum(between, 2, FIG3_J)
-    assert calls == [] and max(sums, default=0) <= 1
+    assert staircase_sum(between, 12, FIG3_J).gens == brute.staircase_sum(between, 12, FIG3_J)
+    assert calls == [] and max(sums, default=0) <= 1 and len(sums) == 3
     sums.clear()
     sparse = ((0, 2**40 + 6),) + dense[1:]
     assert staircase_sum(sparse, 20, FIG3_J).gens == brute.staircase_sum(sparse, 20, FIG3_J)
