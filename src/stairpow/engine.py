@@ -173,7 +173,7 @@ class _Plan:
         self.ideal, self.profile = ideal, persistence_profile(ideal, chosen)
         d, gs = self.profile.D_P, self.profile.chosen
         try:
-            found = _certified_level_power(ideal, d, gs, lambda levels: _pairs_covered(gs, levels))
+            found = _certified_level_power(ideal, d, gs, _pairs_covered(gs))
         except ExponentOverflowError:  # I^D_P leaves int64: the powers below D_P need no onset
             found = d, None, None
         self.m, self.searched, self.reduction_number = found

@@ -13,7 +13,8 @@ checks the pair condition (E*) under which such a sum over ``J = I^m`` is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .ideals import (
 )
 # ``link_many`` is unused here but stays importable as ``segments.link_many``:
 # the benchmark's span tracer patches that name.
-from .links import _link_counted, _run, link_many, unlink
+from .links import _link_counted, _run, link_many
 
 #: The numpy calls that build and merge one pair's window table in
 #: :func:`_pair_levels`, slicing aside: five allocations, eleven ufunc
@@ -185,34 +186,86 @@ def glued_components(gs: Sequence[Monomial], j_ideal: MonomialIdeal, r: int) -> 
 
 
 def glued_cut(boundary: MonomialIdeal, base: MonomialIdeal, r: int) -> GluedComponents:
-    """The glued components of ``base``, the S of :func:`glued_components`
-    for the ``gs`` that generate ``boundary``, however S was built."""
+    """The glued components of ``base``, the anchored S of
+    :func:`glued_components` for the ``gs`` that generate ``boundary``,
+    however S was built.
+
+    Link point i is the lowest generator at or above ``r v_i + (r + 1)
+    y(g_(i+1))``, a threshold that falls with i.  Component i is the part
+    :func:`unlink` gives from link point i to i + 1, and middle i is ``S :
+    (a - u_i, b)`` at link point (a, b): the run from the last generator with
+    ``x <= a - u_i`` to the point, less ``(a - u_i, b)``, its first x
+    clamped to 0.  Each part is one subtraction of its corner; a middle
+    spans u_i in x by construction, and must span v_i in y.
+    """
     gs = boundary.gens
-    us, vs = abs(boundary.xy[:, 1:] - boundary.xy[:, :-1]).tolist()
-    # Link point i is the lowest generator at or above its threshold.  y
-    # descends, so one search of the ascending reversed column counts them.
+    us, vs = [h[0] - g[0] for g, h in zip(gs, gs[1:])], [g[1] - h[1] for g, h in zip(gs, gs[1:])]
+    # y descends, so one search of the ascending reversed column counts the
+    # generators at or above each threshold; the first count is the least.
     x, y = base.xy
-    thresholds = [r * v + (r + 1) * g[1] for v, g in zip(vs, gs[1:])]
-    above = len(y) - y[::-1].searchsorted(thresholds)
-    if not above.all():
+    above = len(y) - y[::-1].searchsorted([r * v + (r + 1) * g[1] for v, g in zip(vs, gs[1:])])
+    if not above[0]:
         raise AssertionError("no generator above the link-point threshold")
-    points = tuple(zip(x[above - 1].tolist(), y[above - 1].tolist()))
-
-    components = tuple(unlink(base, points))
-    middles = tuple(base.colon((a - u, b)) for (a, b), u in zip(points, us))
-    for i, (middle, u, v) in enumerate(zip(middles, us, vs)):
-        if not (middle.dist(Axis.X) == u and middle.dist(Axis.Y) == v):
+    cuts = (above - 1).tolist()  # the link points' indices
+    xs, ys = base.xy[:, cuts].tolist()
+    # One past each middle's first generator; a middle that would start
+    # before the first generator reads the last one's y, 0, as its top.
+    lows = x.searchsorted([a - u for a, u in zip(xs, us)], "right")
+    for i, (top, b, v) in enumerate(zip(y[lows - 1].tolist(), ys, vs)):
+        if top - b != v:
             raise AssertionError(f"middle block {i + 1} does not span its staircase step")
-    return GluedComponents(gs, base, components, middles, points)
+    # Every part's corner in one int64 array: the components', then the middles'.
+    corners = [*zip([0, *xs], [*ys, 0]), *((a - u, b) for a, b, u in zip(xs, ys, us))]
+    corners = np.array(corners, dtype=np.int64)[:, :, None]
+    ends = [0, *cuts, len(y) - 1]
+    components = tuple(
+        MonomialIdeal._canonical(base.xy[:, i : j + 1] - corner) for i, j, corner in zip(ends, ends[1:], corners)
+    )
+    middles = []
+    for i, j, corner in zip(lows.tolist(), ends[1:], corners[len(ends) - 1 :]):
+        middle = base.xy[:, i - 1 : j + 1] - corner
+        middle[0, 0] = 0
+        middles.append(MonomialIdeal._canonical(middle))
+    return GluedComponents(gs, base, components, tuple(middles), tuple(zip(xs, ys)))
 
 
-def _pairs_covered(gs: Sequence[Monomial], staircase: np.ndarray) -> bool:
-    """(E*) for the boundary generators ``gs`` (descending y) over the ideal
-    J whose least x at each level from its lowest generator up is
-    ``staircase`` (as :func:`ideals.level_power` steps it): each
-    ``g_a g_b J`` with ``b - a >= 2`` lies in the sum of the ``g_p g_q J``,
-    ``a <= p <= q <= b``, other than ``(a, b)`` and one of ``(a, a)``,
-    ``(b, b)``, chosen per pair.  Vacuous for two generators.
+@lru_cache(maxsize=None)
+def _cover_products(size: int) -> tuple[np.ndarray, list[int]]:
+    """The ``(size, products)`` coefficients of every ``g_p + g_q``, ``p <=
+    q``, of ``size`` generators, width ``q - p`` by width and each width by
+    p, and each width's first product."""
+    pairs = [(p, p + w) for w in range(size) for p in range(size - w)]
+    widths = [w * size - w * (w - 1) // 2 for w in range(size + 1)]
+    return np.eye(size, dtype=np.int64)[:, pairs].sum(axis=2), widths
+
+
+@lru_cache(maxsize=None)
+def _cover_rows(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of (E*) for ``size`` generators, which depend on nothing
+    else: for each pair ``a, b`` with ``b - a >= 2`` and each square ``(e,
+    e)`` it keeps, e in ``{a, b}``, one group of the ``(p, q)``, ``a <= p <=
+    q <= b``, other than ``(a, b)`` and the square it leaves out.  As the
+    ``(size, rows)`` coefficients of ``g_a + g_b - g_p - g_q``, and each
+    group's first row."""
+    rows, starts = [], []
+    for a in range(size - 2):
+        for b in range(a + 2, size):
+            for e in (a, b):
+                starts.append(len(rows))
+                rows += [(a, b, p, q) for p in range(a, b + 1) for q in range(p, b + 1)
+                         if (p, q) != (a, b) and (p != q or p == e or p not in (a, b))]
+    a, b, p, q = np.eye(size, dtype=np.int64)[:, np.array(rows).T].transpose(1, 0, 2)
+    return a + b - p - q, np.array(starts)
+
+
+def _pairs_covered(gs: Sequence[Monomial]) -> Callable[[np.ndarray], bool]:
+    """(E*) for the boundary generators ``gs`` (descending y), planned once
+    for every J: the predicate that decides it over the ideal J whose least
+    x at each level from its lowest generator up is the staircase F it is
+    given (as :func:`ideals.level_power` steps it).  (E*): each ``g_a g_b J``
+    with ``b - a >= 2`` lies in the sum of the ``g_p g_q J``, ``a <= p <= q
+    <= b``, other than ``(a, b)`` and one of ``(a, a)``, ``(b, b)``, chosen
+    per pair.  Vacuous for two generators.
 
     With (A), ``I^(m+1) = (P) I^m``, it gives ``I^(m+j) = Q_j J`` for ``J =
     I^m`` and every j, where ``Q_j = sum_l (g_l, g_(l+1))^j``.  By (A),
@@ -226,29 +279,88 @@ def _pairs_covered(gs: Sequence[Monomial], staircase: np.ndarray) -> bool:
     lexicographic order, and the rewriting ends in ``Q_j J``.  With both
     squares allowed it could cycle: ``{a, b, b} -> {a, a, b} -> {a, b, b}``.
 
-    The staircase of ``g_p g_q J`` is a slice of J's, padded with its top value, plus
-    ``x(g_p g_q)``; containment is ``>=`` at each level.  Per a, ``cover`` grows with b.
+    (E*) at ``I^j`` for ``j >= m`` implies it at ``I^(j+1)``, with the same
+    e per pair: by (A), ``g_a g_b I^(j+1) = sum_l g_l g_a g_b I^j``, in
+    ``sum_l g_l sum g_p g_q I^j = sum g_p g_q (P) I^j = sum g_p g_q
+    I^(j+1)`` over the allowed (p, q).
+
+    A call takes whichever of two routes gathers fewer entries: by level
+    (see :func:`_covered_by_level`) or by generator, whose offsets are
+    planned at its first call, the products' here.  Staircases do not
+    increase, so ``g_a g_b J`` lies in a sum if and only if each ``g_a g_b
+    h`` does, h at level 0 or where F drops, and that lies in ``g_p g_q J``
+    if and only if ``F(h_y + rise) <= h_x + gap`` for ``rise = dy_a + dy_b
+    - dy_p - dy_q`` and ``gap = dx_a + dx_b - dx_p - dx_q``, F empty below
+    level 0 and constant above its top: one gather of ``mu(J)`` times the
+    rows of :func:`_cover_rows`, one compare, two reductions.  Nothing
+    is certified where ``g_last^2 J`` would leave int64 in x, or where
+    twice the y-span of ``gs`` would.
     """
-    if len(gs) < 3:
-        return True
+    k = len(gs)
+    if k < 3:
+        return lambda staircase: True
     dx, dy = [g[0] - gs[0][0] for g in gs], [g[1] - gs[-1][1] for g in gs]
-    top = 2 * dy[0] + len(staircase) - 1  # from here on every shift is at its top
-    if 2 * dx[-1] + int(staircase[0]) >= EXP_LIMIT:
-        return False  # beyond int64: not certified
-    padded = np.full(top + 1, staircase[-1], dtype=np.int64)
-    padded[: len(staircase)] = staircase
-    shifted = {}  # (p, q): the staircase of g_p g_q J
-    for p in range(len(gs)):
-        for q in range(p, len(gs)):
-            shifted[p, q] = np.full(top + 1, _NO_POINT, dtype=np.int64)
-            np.add(padded[: top + 1 - dy[p] - dy[q]], dx[p] + dx[q], out=shifted[p, q][dy[p] + dy[q] :])
-    for a in range(len(gs) - 2):
-        cover = np.full(top + 1, _NO_POINT, dtype=np.int64)  # the sum allowed for (a, b) but its squares
-        for b in range(a + 2, len(gs)):
-            for p, q in [(a, b - 1), (b - 1, b - 1)] + [(p, b) for p in range(a + 1, b)]:
-                np.minimum(cover, shifted[p, q], out=cover)
-            if not any((shifted[a, b] >= np.minimum(cover, shifted[e, e])).all() for e in (a, b)):
-                return False
+    if 2 * max(dx[-1], dy[0]) >= EXP_LIMIT:
+        return lambda staircase: False
+    products, widths = _cover_products(k)
+    low, lift = (np.array((dy, dx), dtype=np.int64) @ products).tolist()
+    # The rows of _cover_rows(k), O(k^4), planned at the first call by generator.
+    count, rows = sum(2 * (k - w) * ((w + 1) * (w + 2) // 2 - 2) for w in range(2, k)), []
+
+    def covered(staircase: np.ndarray) -> bool:
+        if 2 * dx[-1] + int(staircase[0]) >= EXP_LIMIT:
+            return False  # beyond int64: not certified
+        drops = np.empty(len(staircase), dtype=bool)
+        drops[0] = True
+        np.not_equal(staircase[1:], staircase[:-1], out=drops[1:])
+        gens = drops.nonzero()[0][:, None]  # the levels of J's generators, one per row
+        top = len(staircase) + 2 * dy[0]  # where every g_p g_q J's staircase is constant
+        if len(gens) * count > len(lift) * top:  # a row per generator, or a staircase per product
+            return _covered_by_level(staircase, top, low, lift, widths)
+        if not rows:
+            pattern, starts = _cover_rows(k)
+            rows.extend((*(np.array((dy, dx), dtype=np.int64) @ pattern), starts))
+        rise, gap, starts = rows
+        at = gens + rise  # each one's level in each row's shift of F, empty below 0
+        held = (staircase.take(at, mode="clip") <= staircase.take(gens) + gap) & (at >= 0)
+        # Per group: every generator held in some row.  Per pair: some e.
+        groups = np.logical_and.reduce(np.logical_or.reduceat(held, starts, axis=1))
+        return all(map(any, groups.reshape(-1, 2).tolist()))
+
+    return covered
+
+
+def _covered_by_level(staircase: np.ndarray, top: int, low: list[int], lift: list[int], widths: list[int]) -> bool:
+    """(E*) of :func:`_pairs_covered` at every level below ``top``, for the
+    products ``g_p g_q`` of :func:`_cover_products`, which lie ``low`` above
+    ``g_last^2`` and ``lift`` right of ``g_first^2``, width by width.
+
+    Write ``U(i, j)`` for the sum of the ``g_p g_q J``, ``i <= p <= q <=
+    j``.  Keeping ``(a, a)``, the allowed sum is ``U(a, b - 1)`` plus the
+    ``g_p g_b J``, ``a < p < b``; keeping ``(b, b)``, it is ``U(a + 1, b)``
+    plus the ``g_a g_q J``, ``a < q < b``.  One add writes each product's
+    staircase; then, width by width, each partial sum is the last one plus
+    one product, and containment is ``>=`` at each level.  A width that
+    fails ends the call; one that holds puts each ``g_a g_b J`` in one of
+    its allowed sums, both within ``U(a, b - 1) + U(a + 1, b)``, which is
+    then ``U(a, b)``: one minimum per staircase.
+    """
+    extended = np.empty(top, dtype=np.int64)  # F, constant above its top
+    extended[: len(staircase)], extended[len(staircase) :] = staircase, staircase[-1]
+    shifted = np.full((len(low), top), _NO_POINT, dtype=np.int64)  # empty below its lowest level
+    for row, y, x in zip(shifted, low, lift):
+        np.add(extended[: top - y], x, out=row[y:])
+    square, step, *wider = (shifted[widths[w] : widths[w + 1]] for w in range(len(widths) - 1))
+    union = np.minimum(np.minimum(square[:-1], square[1:]), step)  # U(a, a + 1)
+    with_b, with_a = step[1:], step[:-1]  # the g_p g_b J and the g_a g_q J of width 2
+    for target in wider:
+        kept = np.logical_and.reduce(target >= np.minimum(union[:-1], with_b), axis=1)
+        kept |= np.logical_and.reduce(target >= np.minimum(union[1:], with_a), axis=1)
+        if not kept.all():
+            return False
+        if len(target) > 1:
+            union = np.minimum(union[:-1], union[1:])
+            with_b, with_a = np.minimum(with_b[1:], target[1:]), np.minimum(with_a[:-1], target[:-1])
     return True
 
 

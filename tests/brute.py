@@ -8,7 +8,8 @@ library's kernels share, so the property tests compare against them.
 
 import numpy as np
 
-from stairpow.ideals import Axis, Monomial, MonomialIdeal, mon_divides, pair_power
+from stairpow.ideals import _NO_POINT, EXP_LIMIT, Axis, Monomial, MonomialIdeal, mon_divides, pair_power
+from stairpow.links import unlink
 
 
 def lexsort_minimal(points) -> tuple[Monomial, ...]:
@@ -183,6 +184,50 @@ def pairs_covered(gs, j_ideal: MonomialIdeal) -> bool:
             else:
                 return False
     return True
+
+
+def pairs_covered_on_levels(gs, staircase: np.ndarray) -> bool:
+    """(E*) on J's level array at every level: one padded shift of it per
+    pair ``(p, q)``, and per pair ``(a, b)`` the minimum of every allowed
+    shift, squares tried both ways; nothing certified past int64."""
+    if len(gs) < 3:
+        return True
+    dx, dy = [g[0] - gs[0][0] for g in gs], [g[1] - gs[-1][1] for g in gs]
+    top = 2 * dy[0] + len(staircase) - 1  # from here on every shift is at its top
+    if 2 * dx[-1] + int(staircase[0]) >= EXP_LIMIT:
+        return False
+    padded = np.full(top + 1, staircase[-1], dtype=np.int64)
+    padded[: len(staircase)] = staircase
+    shifted = {}  # (p, q): the staircase of g_p g_q J
+    for p in range(len(gs)):
+        for q in range(p, len(gs)):
+            shifted[p, q] = np.full(top + 1, _NO_POINT, dtype=np.int64)
+            np.add(padded[: top + 1 - dy[p] - dy[q]], dx[p] + dx[q], out=shifted[p, q][dy[p] + dy[q] :])
+    for a in range(len(gs) - 2):
+        cover = np.full(top + 1, _NO_POINT, dtype=np.int64)  # the sum allowed for (a, b) but its squares
+        for b in range(a + 2, len(gs)):
+            for p, q in [(a, b - 1), (b - 1, b - 1)] + [(p, b) for p in range(a + 1, b)]:
+                np.minimum(cover, shifted[p, q], out=cover)
+            if not any((shifted[a, b] >= np.minimum(cover, shifted[e, e])).all() for e in (a, b)):
+                return False
+    return True
+
+
+def glued_cut(boundary: MonomialIdeal, base: MonomialIdeal, r: int):
+    """``(components, middles, link_points)`` of an anchored S: each link
+    point found by a scan of every generator, :func:`stairpow.links.unlink`
+    at the points and :meth:`MonomialIdeal.colon` per middle, whose spans
+    must be the staircase steps."""
+    gs, gens = boundary.gens, base.gens
+    points = tuple(
+        min((p for p in gens if p[1] >= r * (g[1] - h[1]) + (r + 1) * h[1]), key=lambda p: p[1])
+        for g, h in zip(gs, gs[1:])
+    )
+    middles = tuple(base.colon((a - (h[0] - g[0]), b)) for (a, b), g, h in zip(points, gs, gs[1:]))
+    for middle, g, h in zip(middles, gs, gs[1:]):
+        if (middle.dist(Axis.X), middle.dist(Axis.Y)) != (h[0] - g[0], g[1] - h[1]):
+            raise AssertionError("a middle block does not span its staircase step")
+    return tuple(unlink(base, points)), middles, points
 
 
 def reduction_times(gs, j: int, j_ideal: MonomialIdeal) -> tuple[Monomial, ...]:

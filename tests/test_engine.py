@@ -17,6 +17,7 @@ from stairpow.ideals import (
     ExponentOverflowError,
     MonomialIdeal,
     PrincipalIdealError,
+    level_power,
     naive_power,
 )
 from stairpow.engine import (
@@ -640,10 +641,11 @@ def test_onset_refuses_every_level_below_it(seed, reduction, onset):
     gs = persistence_profile(I).chosen
     assert brute.reduction_number(I, gs, onset) == reduction
     powers = [naive_power(I, n) for n in range(onset + 31)]
+    covered = segments._pairs_covered(gs)
     for m in range(max(reduction, 1), onset):
-        assert not segments._pairs_covered(gs, brute.staircase(powers[m])), m
+        assert not covered(brute.staircase(powers[m])), m
         assert any(segments.staircase_sum(gs, j, powers[m]) != powers[m + j] for j in range(2, 31)), m
-    assert segments._pairs_covered(gs, brute.staircase(powers[onset]))
+    assert covered(brute.staircase(powers[onset]))
     assert _onset(engine._plan(I)) == (onset, powers[onset], reduction)
 
 
@@ -708,10 +710,10 @@ def test_rewriting_lemma_by_candidate_products():
     for seed in range(80):
         I = random_ideal(RandomIdealSpec(6, 10, seed=seed))
         gs = persistence_profile(I).chosen
-        J = I
+        covered, J = segments._pairs_covered(gs), I
         for m in range(1, 5):
             reduces = brute.reduction_times(gs, 1, J) == brute.product(I, J)
-            if reduces and segments._pairs_covered(gs, brute.staircase(J)):
+            if reduces and covered(brute.staircase(J)):
                 held[min(len(gs), 3)] += 1
                 for j in range(1, 7):
                     assert brute.reduction_times(gs, j, J) == brute.staircase_sum(gs, j, J), (seed, m, j)
@@ -728,6 +730,54 @@ def corpus_image(draw, pairs):
     if draw(st.booleans()):
         I = I.transpose()
     return I.shift((draw(st.integers(0, 4)), draw(st.integers(0, 4))))
+
+
+def _staircase(ideal):
+    """The least x of an ideal at each level from its lowest generator up."""
+    x, y = ideal.xy
+    levels = np.full(int(y[0] - y[-1]) + 1, ideals_module._NO_POINT, dtype=np.int64)
+    levels[y - y[-1]] = x
+    return np.minimum.accumulate(levels)
+
+
+def _corpus_and_fixed():
+    """Seeds 0-199, I1-I4 and their transposes, principal ideals left out."""
+    ideals = [random_ideal(RandomIdealSpec(8, 20, seed=seed)) for seed in range(200)]
+    ideals += _fixed_ideals().values()
+    return [J for I in ideals for J in (I, I.transpose()) if not J.is_principal]
+
+
+def test_pairs_covered_holds_on_from_the_onset():
+    # With (A), (E*) at I^j gives it at I^(j+1): at every certified onset m
+    # it holds at each level from m to m + 5, on 224 onsets with |P| >= 3
+    # and 170 with |P| = 2, where it is vacuous.
+    onsets = Counter()
+    for J in _corpus_and_fixed():
+        assert np.array_equal(_staircase(J), brute.staircase(J))
+        plan = engine._Plan(J)
+        if plan.searched is None:
+            continue
+        covered = segments._pairs_covered(plan.profile.chosen)
+        for j in range(plan.m, plan.m + 6):
+            assert covered(_staircase(level_power(J, j))), (J, plan.m, j)
+        onsets[len(plan.profile.chosen) > 2] += 1
+    assert onsets == {True: 224, False: 170}, onsets
+
+
+def test_glued_cut_is_unlink_and_colon(monkeypatch):
+    # Every cut of I^s that the decompositions make, at the paper's r and at
+    # the onset's, against the link points scanned from every generator,
+    # unlink at them and a colon per middle.
+    cuts, real = [], engine.glued_cut
+    monkeypatch.setattr(engine, "glued_cut", lambda gs, base, r: cuts.append((gs, base, r)) or real(gs, base, r))
+    ideals = _corpus_and_fixed()
+    for J in ideals:
+        stable_decomposition(J)
+        engine._Plan(J).decomposition
+    assert len(cuts) == 2 * len(ideals)
+    for boundary, base, r in cuts:
+        glued = real(boundary, base, r)
+        assert (glued.components, glued.middles, glued.link_points) == brute.glued_cut(boundary, base, r)
 
 
 def _onset_route_matches_naive(ideal):

@@ -1,6 +1,8 @@
 import dataclasses
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from stairpow.ideals import (
     ExponentOverflowError,
     MonomialIdeal,
     ideal_sum,
+    level_power,
     naive_power,
     pair_power,
 )
@@ -524,30 +527,124 @@ def test_glued_components_refuses_a_short_middle_block(monkeypatch):
         glued_components(((0, 2), (3, 0)), SMALL, 1)
 
 
-def test_pairs_covered_matches_containment():
+def test_glued_cut_clamps_a_middle_that_starts_left_of_its_step():
+    # The middle block S : (3, 2) of this S starts at (1, 4), left of x = 3:
+    # its first x clamps to 0, as the colon gives it.
+    boundary, base = MonomialIdeal(((0, 2), (3, 0))), MonomialIdeal(((0, 6), (1, 4), (6, 2), (9, 0)))
+    glued = segments.glued_cut(boundary, base, 1)
+    assert (glued.components, glued.middles, glued.link_points) == brute.glued_cut(boundary, base, 1)
+    assert glued.middles[0].gens == ((0, 2), (3, 0))
+
+
+def test_pairs_covered_matches_containment(monkeypatch):
     # (E*) on level arrays against the divisibility check of every generator,
     # on the corpus seeds 0-199 with |P| >= 3 at I^1 .. I^6; shifting J
-    # changes nothing.  Both verdicts occur.
-    verdicts = {True: 0, False: 0}
+    # changes nothing.  Both verdicts occur on both routes.
+    by_level, real = [], segments._covered_by_level
+    monkeypatch.setattr(segments, "_covered_by_level", lambda *args: by_level.append(args) or real(*args))
+    verdicts = Counter()
     for seed in range(200):
         I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
         gs = persistence_profile(I).chosen
         if len(gs) < 3:
             continue
-        J = I
+        covered, J = segments._pairs_covered(gs), I
         for m in range(1, 7):
-            got = segments._pairs_covered(gs, brute.staircase(J))
-            shifted = segments._pairs_covered(gs, brute.staircase(J.shift((3, 1))))
+            before = len(by_level)
+            got = covered(brute.staircase(J))
+            route = "level" if len(by_level) > before else "generator"
+            shifted = covered(brute.staircase(J.shift((3, 1))))
             assert got == brute.pairs_covered(gs, J) == shifted, (seed, m)
-            verdicts[got] += 1
+            verdicts[route, got] += 1
             J = J * I
-    assert min(verdicts.values()) >= 100, verdicts
+    assert verdicts == {("generator", True): 455, ("generator", False): 121, ("level", True): 88, ("level", False): 26}
+
+
+@st.composite
+def chain_and_staircase(draw):
+    """Two to seven boundary generators descending in y, possibly with one
+    step that brings ``g_last^2 J`` to within a few of int64 in x, on either
+    side of it, and a possibly shifted J: a random ideal or, to reach both
+    verdicts, a power of the chain's own ideal, its steps possibly sorted
+    by falling slope."""
+    k = draw(st.integers(1, 6))
+    steps = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=k, max_size=k))
+    near, power = draw(st.integers(0, 3)) == 0, draw(st.booleans())
+    if near:
+        i = draw(st.integers(0, k - 1))
+        steps[i] = (steps[i][0] + 2**62 - 24, steps[i][1])  # 2 dx_last within 48 of 2^63
+    elif power and draw(st.booleans()):
+        steps.sort(key=lambda step: -step[1] / step[0])
+    x, y = draw(st.integers(0, 5)), draw(st.integers(0, 5)) + sum(v for _, v in steps)
+    gs = [(x, y)]
+    for u, v in steps:
+        x, y = x + u, y - v
+        gs.append((x, y))
+    if power and not near:
+        J = level_power(MonomialIdeal(tuple(gs)), draw(st.integers(1, 8)))
+    else:
+        mu = draw(st.integers(1, 12))
+        coords = st.lists(st.integers(0, 2 * mu), min_size=mu, max_size=mu, unique=True)
+        xs, ys = sorted(draw(coords)), sorted(draw(coords), reverse=True)
+        J = MonomialIdeal(tuple(zip(xs, ys)))
+    return tuple(gs), J.shift((draw(st.integers(0, 30)), draw(st.integers(0, 5))))
+
+
+def covered_by_level(gs, staircase):
+    """The by-level route of (E*) on its own, planned as ``_pairs_covered``
+    plans it, whichever route the predicate would take."""
+    products, widths = segments._cover_products(len(gs))
+    dx, dy = [g[0] - gs[0][0] for g in gs], [g[1] - gs[-1][1] for g in gs]
+    low, lift = (np.array((dy, dx), dtype=np.int64) @ products).tolist()
+    return segments._covered_by_level(staircase, len(staircase) + 2 * dy[0], low, lift, widths)
+
+
+@given(chain_and_staircase())
+@example((((0, 4), (2, 2), (5, 0)), FIG3_J))
+@example((((0, 9), (1, 5), (3, 3), (6, 2), (10, 1), (15, 0)), SMALL.shift((4, 2))))
+@example((((0, 4), (1, 1), (2**62, 0)), SMALL))  # g_last^2 J at x = 2^63 + 3: no certificate
+@example((((0, 4), (1, 1), (2**62 - 1, 0)), MonomialIdeal(((0, 1), (2, 0)))))  # at 2^63 exactly
+# Certified by level only with the g_p g_b J and the g_a g_q J each in their
+# own sum, with both halves in each U, and with F constant above its top.
+@example((((0, 10), (6, 6), (9, 4), (15, 0)), MonomialIdeal(((0, 10), (6, 6), (9, 4), (15, 0)))))
+@example(((FIVE := ((0, 11), (3, 7), (5, 5), (10, 1), (16, 0))), level_power(MonomialIdeal(FIVE), 2)))
+@example(((SIX := ((0, 12), (1, 10), (2, 8), (7, 2), (12, 1), (18, 0))), MonomialIdeal(SIX)))
+@example(((STEEP := ((0, 17), (1, 13), (4, 7), (8, 2), (12, 0))), MonomialIdeal(STEEP)))
+def test_pairs_covered_matches_the_level_loop(case):
+    # The planned predicate, and its by-level route on every draw, against
+    # the loop over every level of one padded shift per pair, and, inside
+    # int64, against divisibility of every generator; past int64 neither
+    # certifies.
+    gs, J = case
+    staircase = brute.staircase(J)
+    got = segments._pairs_covered(gs)(staircase)
+    assert got == brute.pairs_covered_on_levels(gs, staircase)
+    dx = gs[-1][0] - gs[0][0]
+    if 2 * dx + int(J.xy[0, -1]) >= 2**63:
+        assert got == (len(gs) < 3)  # vacuous for one pair
+        return
+    if len(gs) > 2:
+        assert covered_by_level(gs, staircase) == got
+    if dx < 2**62 - 24:
+        assert got == brute.pairs_covered(gs, J)
+
+
+def test_pairs_covered_plans_no_rows_for_a_long_chain():
+    # Thirty-one generators on a convex chain over their own ideal: the rows
+    # by generator would number 90,770, so the predicate decides by level
+    # and never builds them.
+    gs = tuple((i * (i + 1) // 2, (30 - i) * (31 - i) // 2) for i in range(31))
+    staircase = brute.staircase(MonomialIdeal(gs))
+    segments._cover_rows.cache_clear()
+    assert segments._pairs_covered(gs)(staircase) == brute.pairs_covered_on_levels(gs, staircase)
+    assert segments._cover_rows.cache_info().currsize == 0
 
 
 def test_pairs_covered_is_vacuous_for_one_pair():
-    assert segments._pairs_covered(((0, 5), (7, 0)), brute.staircase(FIG3_J))
+    assert segments._pairs_covered(((0, 5), (7, 0)))(brute.staircase(FIG3_J))
 
 
 def test_pairs_covered_certifies_nothing_beyond_int64():
     # g_2^2 J would reach x = 2^63: no certificate, rather than a wrapped add.
-    assert not segments._pairs_covered(((0, 4), (1, 1), (2**62, 0)), brute.staircase(SMALL))
+    assert not segments._pairs_covered(((0, 4), (1, 1), (2**62, 0)))(brute.staircase(SMALL))
+    assert not segments._pairs_covered(((0, 4), (1, 1), (2**63 - 1, 0)))(brute.staircase(SMALL))
