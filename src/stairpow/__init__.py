@@ -17,7 +17,7 @@ from .geometry import (
 from .links import LinkChain, link, link_many, link_point, unlink
 from .segments import GluedComponents, glued_components, glued_power
 from .engine import (
-    MuPolynomial, StableDecomposition, assemble_power, assemble_power_counted, decomposed_power,
+    MuPolynomial, Plan, StableDecomposition, assemble_power, assemble_power_counted, decomposed_power,
     mu_polynomial, power, stable_decomposition,
 )
 from .oracle import (
@@ -30,7 +30,7 @@ __version__ = "1.0.0"
 __all__ = [
     "EXP_LIMIT", "UNIT", "Axis", "DifferentialReport", "ExponentOverflowError", "GluedComponents",
     "LinkChain", "Monomial", "MonomialIdeal", "MuPolynomial", "ParseError", "PersistenceProfile",
-    "PrincipalIdealError", "RandomIdealSpec", "StableDecomposition", "assemble_power",
+    "Plan", "PrincipalIdealError", "RandomIdealSpec", "StableDecomposition", "assemble_power",
     "assemble_power_counted", "check_corpus", "decomposed_power", "differential_check", "format_term",
     "glued_components", "glued_power", "ideal_sum", "link", "link_many", "link_point", "minimalize",
     "mu_polynomial", "naive_power", "pair_power", "parse_ideal", "persistence_profile",

@@ -19,7 +19,7 @@ import time
 
 from .ideals import EXP_LIMIT, ExponentOverflowError, MonomialIdeal, _count, level_power, naive_power
 from .engine import (
-    _Plan, _plan, assemble_power, decomposed_power, mu_polynomial, power, require_power, stable_decomposition,
+    Plan, assemble_power, cached_plan, decomposed_power, mu_polynomial, power, stable_decomposition,
 )
 from .geometry import persistence_profile, weakly_persistent_generators
 from .oracle import check_corpus
@@ -51,7 +51,7 @@ def cmd_analyze(args) -> int:
     ideal = parse_ideal(args.ideal)
     # One plan and its one decomposition, at the onset power() serves from:
     # the paper's constants come from the profile, mu(I^s) from the polynomial.
-    plan = _Plan(ideal, weakly_persistent_generators(ideal) if args.weakly else None)
+    plan = Plan(ideal, weakly_persistent_generators(ideal) if args.weakly else None)
     profile, reduction = plan.profile, plan.reduction_number
     poly, s = plan.polynomial, profile.s
     print(f"ideal              {serialize(ideal)}")
@@ -90,7 +90,7 @@ def cmd_mu(args) -> int:
         print("mu(I^n) = 1 for all n >= 1 (principal ideal)" if n is None else f"mu(I^{n}) = 1")
         return EXIT_OK
     # The plan's s needs no decomposition; power() and mu_polynomial() reuse the plan.
-    s = _plan(ideal).s
+    s = cached_plan(ideal).s
     if n is not None and n < s:
         print(f"mu(I^{n}) = {power(ideal, n).mu}  (pre-stable: n < s = {s})")
         return EXIT_OK
@@ -195,10 +195,12 @@ def cmd_bench(args) -> int:
         # s from the profile alone, as ``power`` finds it; cells out of their
         # method's range are refused here, before any worker is forked.
         profile = persistence_profile(ideal)  # raises on a principal ideal
-        powers = [_parse_power_token(tok, profile.s) for tok in tokens]
-        for n in powers:
+        least = {"naive": ("n", 1), "decomposed": ("D_P", profile.D_P), "assembled": ("s", profile.s)}
+        for n in [_parse_power_token(tok, profile.s) for tok in tokens]:
+            _count(n, 1, "power must be >= 1")
             for method in methods:
-                require_power(n, profile, method)
+                name, floor = least[method]
+                _count(n, floor, f"{method} power needs n >= {name} = {floor}")
                 jobs.append((label, ideal, n, method))
 
     table = [["ideal", "method", "n", "preprocess_ms", "compute_ms", "mu"]]

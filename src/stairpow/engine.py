@@ -7,8 +7,9 @@ staircase-pair powers ``(g_i, g_(i+1))^j I^m`` (see
 ``segments._pairs_covered``), else up to D; expand to I^s as that sum, cut
 I^s into its stable components, and from then on assemble any I^(s+l) by
 pure exponent shifting in time proportional to its own generator count,
-``mu(I^s) + l * slope``.  :func:`stable_decomposition` cuts at the paper's
-``s = D + r + 1``; :func:`power` and :func:`mu_polynomial` at the onset's.
+``mu(I^s) + l * slope``.  A :class:`Plan` holds these constants:
+:func:`stable_decomposition` is its cut at the paper's ``s = D + r + 1``;
+:func:`power` and :func:`mu_polynomial` use its cut at the onset's.
 """
 
 from __future__ import annotations
@@ -35,17 +36,6 @@ from .segments import (
 _PLAN_CACHE_SIZE = 16
 
 
-def require_power(n: int, profile: PersistenceProfile, method: str) -> int:
-    """``n`` read by ``ideals._count``, refusing ``n < 1`` for every method,
-    and ``n`` below ``D_P`` for ``"decomposed"`` or below ``s`` for ``"assembled"``."""
-    n = _count(n, 1, "power must be >= 1")
-    if method != "naive":
-        name, least = ("D_P", profile.D_P) if method == "decomposed" else ("s", profile.s)
-        if n < least:
-            raise ValueError(f"{method} power needs n >= {name} = {least}, got {n}")
-    return n
-
-
 def decomposed_power(
     ideal: MonomialIdeal, profile: PersistenceProfile, n: int, base: MonomialIdeal | None = None
 ) -> MonomialIdeal:
@@ -57,8 +47,8 @@ def decomposed_power(
     candidate products.  ``base`` may supply a precomputed ``I^D``; by
     default :func:`level_power` builds it with every generator of I.
     """
-    n = require_power(n, profile, "decomposed")
     d = profile.D_P
+    n = _count(_count(n, 1, "power must be >= 1"), d, f"decomposed power needs n >= D_P = {d}")
     base = level_power(ideal, d) if base is None else base
     return staircase_sum(profile.chosen, n - d, base) if n > d else base
 
@@ -133,41 +123,22 @@ def stable_decomposition(
     persistent and the weakly persistent generators); ``D``, ``r`` and ``s``
     follow from its persistence profile.  I^s is built from the onset m.
     """
-    plan = _Plan(ideal, chosen)
-    return _decompose(plan, plan.profile.D_P, plan.profile.r, plan.profile.axis)
+    plan = Plan(ideal, chosen)
+    return plan.cut(plan.profile.D_P)
 
 
-def _decompose(plan: _Plan, level: int, r: int, axis: Axis) -> StableDecomposition:
-    """The stable components of the plan's ideal cut at ``level`` (D_P or the
-    onset), whose ``(r, axis)`` is ``profile.radius(level)``, from its ``I^s``
-    for ``s = level + r + 1``.
+class Plan:
+    """The constants of a non-principal ideal, built once per plan.
 
-    The one place that re-orients, and only P and the plan's ``I^m``: P
-    holds both extreme generators of the ideal, so the gcd of the ideal is
-    also that of P, and ``gcd^m`` that of I^m.  I^s is then summed in the
-    working orientation as ``staircase_sum(P', s - m, I^m')``; ``s > m``.
+    ``profile`` is the persistence profile for ``chosen`` P; ``m`` the onset,
+    the first level from the ``reduction_number`` (the least level with
+    ``I^(m+1) = (P) I^m``: 0 when P is all of G(I), None when there is none
+    below ``D_P``) that (E*) certifies in the level kernel's run to D_P, else
+    D_P.  Built on first use: ``base``, I^m; ``s = m + r(m) + 1``, which
+    comes before the paper's since ``m + r(m)`` grows with m; the
+    ``decomposition`` cut at m and its mu ``polynomial``.  ``searched`` is
+    the run's I^m, None after a give-up, on a sparse span or past int64.
     """
-    profile, shift, m, xy = plan.profile, plan.ideal.gcd(), plan.m, plan.ideal.xy
-    # P is an ordered subsequence of G(I), so its columns, found by one
-    # search of the x column, are canonical, and non-negative less gcd(I).
-    columns = xy[:, xy[0].searchsorted([g[0] for g in profile.chosen])]
-    chosen = MonomialIdeal._canonical(columns - ((shift[0],), (shift[1],)))
-    g = mon_pow(shift, m)
-    base = plan.base.shift((-g[0], -g[1]))
-    if axis is Axis.X:
-        chosen, base = chosen.transpose(), base.transpose()
-    glued = glued_cut(chosen, staircase_sum(chosen.gens, level + r + 1 - m, base), r)
-    return StableDecomposition(
-        **vars(glued), gcd_shift=shift, profile=profile, reduction_number=plan.reduction_number, D=level, r=r, axis=axis
-    )
-
-
-class _Plan:
-    """The profile of a non-principal ideal, its onset m and what is built
-    from there on first use.  m is the first level from the reduction number
-    that (E*) certifies in the level kernel's run to D_P, else D_P; ``m +
-    r(m)`` grows with m, so an onset's s comes first.  ``searched`` is that
-    run's I^m, None after a give-up, on a sparse span or past int64."""
 
     def __init__(self, ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None) -> None:
         self.ideal, self.profile = ideal, persistence_profile(ideal, chosen)
@@ -184,17 +155,12 @@ class _Plan:
         return self.searched or level_power(self.ideal, self.m, self.profile.chosen)
 
     @cached_property
-    def radius(self) -> tuple[int, Axis]:
-        """``(r, axis)`` at the onset level."""
-        return self.profile.radius(self.m)
-
-    @cached_property
     def s(self) -> int:
-        return self.m + self.radius[0] + 1
+        return self.m + self.profile.radius(self.m)[0] + 1
 
     @cached_property
     def decomposition(self) -> StableDecomposition:
-        return _decompose(self, self.m, *self.radius)
+        return self.cut(self.m)
 
     @property
     def polynomial(self) -> MuPolynomial:
@@ -202,11 +168,40 @@ class _Plan:
         dec = self.decomposition
         return MuPolynomial(s=dec.s, intercept=dec.base_power.mu, slope=dec.slope)
 
+    def cut(self, level: int) -> StableDecomposition:
+        """The stable components of the ideal cut at ``level``, whose ``(r,
+        axis)`` is ``profile.radius(level)``, from its ``I^s`` for ``s = level +
+        r + 1``: the onset's at m, the paper's at D_P.  Any level from m on
+        cuts exactly, since ``I^(L+j) = Q_j I^L`` for L >= m: ``I^(L+j) =
+        Q_(L-m+j) I^m`` and ``Q_(L-m+j)`` lies in ``Q_j Q_(L-m)``.
+
+        The one place that re-orients, and only P and the plan's ``I^m``: P
+        holds both extreme generators of the ideal, so the gcd of the ideal is
+        also that of P, and ``gcd^m`` that of I^m.  I^s is then summed in the
+        working orientation as ``staircase_sum(P', s - m, I^m')``; ``s > m``.
+        """
+        level = _count(level, self.m, f"a cut needs level >= m = {self.m}")
+        profile, shift, m, xy = self.profile, self.ideal.gcd(), self.m, self.ideal.xy
+        r, axis = profile.radius(level)
+        # P is an ordered subsequence of G(I), so its columns, found by one
+        # search of the x column, are canonical, and non-negative less gcd(I).
+        columns = xy[:, xy[0].searchsorted([g[0] for g in profile.chosen])]
+        chosen = MonomialIdeal._canonical(columns - ((shift[0],), (shift[1],)))
+        g = mon_pow(shift, m)
+        base = self.base.shift((-g[0], -g[1]))
+        if axis is Axis.X:
+            chosen, base = chosen.transpose(), base.transpose()
+        glued = glued_cut(chosen, staircase_sum(chosen.gens, level + r + 1 - m, base), r)
+        return StableDecomposition(
+            **vars(glued), gcd_shift=shift, profile=profile, reduction_number=self.reduction_number,
+            D=level, r=r, axis=axis,
+        )
+
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(ideal: MonomialIdeal) -> _Plan:
-    """The plan :func:`power` and :func:`mu_polynomial` share for equal ideals."""
-    return _Plan(ideal)
+def cached_plan(ideal: MonomialIdeal) -> Plan:
+    """The plan :func:`power`, :func:`mu_polynomial` and ``stairpow mu`` share for equal ideals."""
+    return Plan(ideal)
 
 
 def _emit(dec: StableDecomposition, ell: int) -> tuple[MonomialIdeal, int]:
@@ -248,7 +243,7 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     n = _count(n, 1, "power must be >= 1")
     if ideal.is_principal:
         return MonomialIdeal((mon_pow(ideal.gcd(), n),))
-    plan = _plan(ideal)
+    plan = cached_plan(ideal)
     if n < plan.m:
         return level_power(ideal, n)
     if n < plan.s:  # I^n = staircase_sum(P, n - m, I^m): by (A) and (E*), or the paper at D_P
@@ -273,5 +268,5 @@ class MuPolynomial:
 def mu_polynomial(ideal: MonomialIdeal) -> MuPolynomial:
     """The generator-count polynomial of a non-principal ``ideal``, valid from
     the onset's s on: that of the decomposition :func:`power` keeps for it."""
-    return _plan(ideal).polynomial
+    return cached_plan(ideal).polynomial
 

@@ -110,10 +110,10 @@ def persistence_profile(
         chosen = persistent
     else:
         chosen = tuple(chosen)
-        weakly_set = set(weakly)
-        if not set(persistent) <= set(chosen) <= weakly_set:
+        members = set(chosen)
+        if not set(persistent) <= members <= set(weakly):
             raise ValueError("chosen P must satisfy P(I) <= P <= P*(I)")
-        if list(chosen) != [g for g in ideal.gens if g in set(chosen)]:
+        if list(chosen) != [g for g in ideal.gens if g in members]:
             raise ValueError("chosen P must be ordered by descending y-degree")
 
     delta = max(

@@ -236,3 +236,10 @@ def reduction_times(gs, j: int, j_ideal: MonomialIdeal) -> tuple[Monomial, ...]:
     for _ in range(j):
         power = MonomialIdeal(product(MonomialIdeal(tuple(sorted(gs))), power))
     return power.gens
+
+
+def ord(ideal: MonomialIdeal) -> int:
+    """The order of ``I′``, the ideal with its gcd divided out: the least
+    ``a + b`` over the generators of ``I′``."""
+    gx, gy = min(a for a, _ in ideal.gens), min(b for _, b in ideal.gens)
+    return min(a - gx + b - gy for a, b in ideal.gens)

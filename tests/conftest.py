@@ -54,6 +54,6 @@ def _validated_canonical():
 
 @pytest.fixture(autouse=True)
 def _empty_plan_memo():
-    engine._plan.cache_clear()
+    engine.cached_plan.cache_clear()
     yield
-    engine._plan.cache_clear()
+    engine.cached_plan.cache_clear()

@@ -54,8 +54,8 @@ def test_analyze_big(capsys):
 def test_analyze_cuts_one_decomposition(capsys, monkeypatch, text, level):
     # The plan's one decomposition, at the onset (BIG: m = 1) or, where none
     # is certified (seed 23), at D_P = 68: no power at the paper's s is built.
-    levels, real = [], engine._decompose
-    monkeypatch.setattr(engine, "_decompose", lambda plan, *a: levels.append(a[0]) or real(plan, *a))
+    levels, real = [], engine.Plan.cut
+    monkeypatch.setattr(engine.Plan, "cut", lambda plan, level: levels.append(level) or real(plan, level))
     code, _, err = run(capsys, "analyze", text)
     assert (code, levels) == (0, [level]), err
 
@@ -143,7 +143,7 @@ def test_power_decomposed_builds_no_decomposition(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("decomposition built")
 
-    monkeypatch.setattr(engine, "_decompose", refuse)
+    monkeypatch.setattr(engine.Plan, "cut", refuse)
     shifted, uncertified = BIG.shift((2, 3)), random_ideal(RandomIdealSpec(8, 20, seed=23))
     for ideal, n in ((shifted, 1), (shifted, 5), (shifted, 6), (uncertified, 67), (uncertified, 200)):
         code, out, err = run(capsys, "power", str(ideal), str(n))
@@ -424,13 +424,13 @@ def test_mu_builds_one_profile(capsys, monkeypatch, argv, decompositions):
     # s, the count below it and the polynomial from s on share one plan.
     # Below the onset's s = 7 the count needs no decomposition; from it on,
     # below the paper's s = 241 too, the count is the polynomial's.
-    calls = {"persistence_profile": [], "_decompose": []}
-    for owner, name in ((engine, "persistence_profile"), (cli, "persistence_profile"), (engine, "_decompose")):
+    calls = {"persistence_profile": [], "cut": []}
+    for owner, name in ((engine, "persistence_profile"), (cli, "persistence_profile"), (engine.Plan, "cut")):
         real, seen = getattr(owner, name), calls[name]
         monkeypatch.setattr(owner, name, lambda *a, seen=seen, real=real: seen.append(a) or real(*a))
     code, out, err = run(capsys, "mu", str(BIG), *argv)
     assert code == 0, err
-    assert (len(calls["persistence_profile"]), len(calls["_decompose"])) == (1, decompositions)
+    assert (len(calls["persistence_profile"]), len(calls["cut"])) == (1, decompositions)
 
 
 def test_check_suite(capsys):

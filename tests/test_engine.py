@@ -230,9 +230,9 @@ def test_power_decomposes_only_from_s(monkeypatch, ideal):
     # Below the plan's s -- from the certified onset (BIG: m = 1, s = 7) or
     # else from D_P (SMALL, and seed 23: D_P = 68, s = 324) -- power builds
     # no decomposition; at s it builds the one it keeps.
-    plan = engine._plan(ideal)
+    plan = engine.cached_plan(ideal)
     level, s = plan.m, plan.s
-    calls = _count_calls(monkeypatch, engine, "_decompose")
+    calls = _count_calls(monkeypatch, engine.Plan, "cut")
     for n in sorted({level, s - 1} - {0}):
         assert power(ideal, n) == naive_power(ideal, n), n
         assert calls == []
@@ -465,24 +465,24 @@ def test_plan_builds_each_stage_once(monkeypatch, ideal):
     expected[profile.s + 5] = decomposed_power(ideal, profile, profile.s + 5)
     profiles = _count_calls(monkeypatch, engine, "persistence_profile")
     kernels = _count_calls(monkeypatch, engine, "_certified_level_power")
-    decompositions = _count_calls(monkeypatch, engine, "_decompose")
+    decompositions = _count_calls(monkeypatch, engine.Plan, "cut")
     for _ in range(2):
         for n, ideal_n in expected.items():
             assert power(ideal, n) == ideal_n, n
         poly = mu_polynomial(ideal)
         assert poly(profile.s + 5) == expected[profile.s + 5].mu
     assert (len(profiles), len(kernels), len(decompositions)) == (1, 1, 1)
-    assert engine._plan(ideal).m == 1 and engine._plan(ideal).s == 7
-    assert engine._plan.cache_info().currsize == 1
+    assert engine.cached_plan(ideal).m == 1 and engine.cached_plan(ideal).s == 7
+    assert engine.cached_plan.cache_info().currsize == 1
 
 
 def test_plan_shared_by_equal_ideals(monkeypatch):
-    decompositions = _count_calls(monkeypatch, engine, "_decompose")
+    decompositions = _count_calls(monkeypatch, engine.Plan, "cut")
     twin = MonomialIdeal(BIG.xy.copy())
     assert twin is not BIG and twin == BIG
     assert power(BIG, 241) == power(twin, 241)
     assert mu_polynomial(twin) == mu_polynomial(BIG)
-    info = engine._plan.cache_info()
+    info = engine.cached_plan.cache_info()
     assert (info.misses, info.hits, len(decompositions)) == (1, 3, 1)
 
 
@@ -498,21 +498,21 @@ def test_plan_images_are_misses(seed):
         for n in sorted({d, (d + s) // 2, s - 1, s, s + 7} - {0}):
             expected = naive_power(J, n)
             assert power(J, n) == expected and power(J, n) == expected, (seed, n)
-    assert engine._plan.cache_info().misses == len(images)
+    assert engine.cached_plan.cache_info().misses == len(images)
 
 
 def test_plan_memo_is_bounded():
-    info = engine._plan.cache_info()
+    info = engine.cached_plan.cache_info()
     assert info.maxsize == engine._PLAN_CACHE_SIZE == 16
     for j in range(info.maxsize + 5):
         assert power(SMALL.shift((j, 0)), 5).mu == 11
-        assert engine._plan.cache_info().currsize <= info.maxsize
-    assert engine._plan.cache_info().misses == info.maxsize + 5
+        assert engine.cached_plan.cache_info().currsize <= info.maxsize
+    assert engine.cached_plan.cache_info().misses == info.maxsize + 5
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_decompose_orients_the_given_base(monkeypatch, seed):
-    # _decompose anchors and orients the I^s it is given; the result is the
+    # Plan.cut anchors and orients the I^s it is given; the result is the
     # I^s of the anchored, oriented ideal, in every placement.
     bases, real = [], engine.glued_cut
     monkeypatch.setattr(engine, "glued_cut", lambda gs, base, r: bases.append(base) or real(gs, base, r))
@@ -545,7 +545,7 @@ def _onset(plan):
 def test_onset_of_the_fixed_ideals():
     # I1-I4 certify at m = 1, 1, 1 and 3: s drops from 61, 241, 989 and 2377
     # to 5, 7, 14 and 28.
-    got = {label: (engine._plan(I).m, engine._plan(I).s) for label, I in _fixed_ideals().items()}
+    got = {label: (engine.cached_plan(I).m, engine.cached_plan(I).s) for label, I in _fixed_ideals().items()}
     assert got == {"I1": (1, 5), "I2": (1, 7), "I3": (1, 14), "I4": (3, 28)}
 
 
@@ -557,9 +557,9 @@ def test_decomposition_reorients_only_p_and_the_base(monkeypatch, label, transpo
     # Seed 23 certifies no onset, so its I^m is I^D_P.
     ideal = random_ideal(RandomIdealSpec(8, 20, seed=23)) if label == "seed 23" else _fixed_ideals()[label]
     ideal = ideal.transpose() if transposed else ideal
-    limit = engine._Plan(ideal).base.mu
+    limit = engine.Plan(ideal).base.mu
     calls = [_count_calls(monkeypatch, MonomialIdeal, name) for name in ("shift", "transpose")]
-    for decompose in (lambda: stable_decomposition(ideal), lambda: engine._Plan(ideal).decomposition):
+    for decompose in (lambda: stable_decomposition(ideal), lambda: engine.Plan(ideal).decomposition):
         decompose()
         sizes = [args[0].mu for found in calls for args in found]
         assert sizes and max(sizes) <= limit, (sizes, limit)
@@ -570,7 +570,7 @@ def test_onset_on_the_corpus():
     # certify an onset; their s sum to 2734, against 48295 for the paper's.
     certified, onset_s, paper_s, missed = 0, 0, 0, []
     for seed in range(200):
-        plan = engine._Plan(random_ideal(RandomIdealSpec(8, 20, seed=seed)))
+        plan = engine.Plan(random_ideal(RandomIdealSpec(8, 20, seed=seed)))
         if plan.profile.D_P == 0:
             continue
         if plan.m < plan.profile.D_P:
@@ -593,7 +593,7 @@ GIVE_UP = [23, 41, 62, 88, 124, 133, 157]
 @pytest.mark.parametrize("seed", UNCERTIFIED)
 def test_uncertified_seeds_keep_the_paper_route(seed):
     I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
-    plan = engine._plan(I)
+    plan = engine.cached_plan(I)
     d, s = plan.profile.D_P, plan.profile.s
     assert (plan.m, plan.s) == (d, s)
     assert (plan.searched is None and plan.reduction_number is not None) == (seed in GIVE_UP)
@@ -616,8 +616,8 @@ def test_uncertified_plan_stops_its_search(monkeypatch):
     levels = _count_calls(monkeypatch, engine, "level_power")
     assert power(I, 13) == naive_power(I, 13)
     assert power(I, 67) == naive_power(I, 67)
-    assert _onset(engine._plan(I)) == (68, None, 2)
-    assert not hasattr(engine._plan(I), "stopped")
+    assert _onset(engine.cached_plan(I)) == (68, None, 2)
+    assert not hasattr(engine.cached_plan(I), "stopped")
     assert _kernel_runs(kernels) == [68] and levels == [(I, 13), (I, 67)]
     for n, ideal_n in expected.items():
         assert power(I, n) == ideal_n, n
@@ -630,7 +630,7 @@ def test_sparse_ideal_below_d_builds_no_i_d(monkeypatch):
     I = MonomialIdeal(((0, 900), (2, 500), (7, 200), (300, 0)))
     levels = _count_calls(monkeypatch, engine, "level_power")
     assert power(I, 3) == naive_power(I, 3)
-    assert _onset(engine._plan(I))[:2] == (1192, None) and levels == [(I, 3)]
+    assert _onset(engine.cached_plan(I))[:2] == (1192, None) and levels == [(I, 3)]
 
 
 @pytest.mark.parametrize("seed, reduction, onset", [(11, 1, 5), (15, 0, 2), (19, 1, 3)])
@@ -646,7 +646,7 @@ def test_onset_refuses_every_level_below_it(seed, reduction, onset):
         assert not covered(brute.staircase(powers[m])), m
         assert any(segments.staircase_sum(gs, j, powers[m]) != powers[m + j] for j in range(2, 31)), m
     assert covered(brute.staircase(powers[onset]))
-    assert _onset(engine._plan(I)) == (onset, powers[onset], reduction)
+    assert _onset(engine.cached_plan(I)) == (onset, powers[onset], reduction)
 
 
 def test_onset_gives_up_past_its_tries(monkeypatch):
@@ -655,10 +655,10 @@ def test_onset_gives_up_past_its_tries(monkeypatch):
     # D_P = 53, built afresh by level_power.
     I = random_ideal(RandomIdealSpec(8, 20, seed=11))
     monkeypatch.setattr(ideals_module, "_ONSET_TRIES", 4)
-    plan = engine._Plan(I)
+    plan = engine.Plan(I)
     assert _onset(plan) == (5, naive_power(I, 5), 1) and plan.s == 39
     monkeypatch.setattr(ideals_module, "_ONSET_TRIES", 3)
-    plan = engine._Plan(I)
+    plan = engine.Plan(I)
     assert _onset(plan) == (53, None, 1) and plan.s == 399
     assert plan.base == naive_power(I, 53)
 
@@ -671,7 +671,7 @@ def test_onset_search_sweeps_no_power_it_gives_up(monkeypatch):
     sweeps = _count_calls(monkeypatch, ideals_module, "_level_staircase")
     for ideal, onset, s, swept in ((seed23, (68, None, 2), 324, 0), (BIG, (1, BIG, 1), 7, 1)):
         sweeps.clear()
-        plan = engine._Plan(ideal)
+        plan = engine.Plan(ideal)
         assert (plan.s, len(sweeps)) == (s, swept)
         assert _onset(plan) == onset and not hasattr(plan, "onset")
 
@@ -754,7 +754,7 @@ def test_pairs_covered_holds_on_from_the_onset():
     onsets = Counter()
     for J in _corpus_and_fixed():
         assert np.array_equal(_staircase(J), brute.staircase(J))
-        plan = engine._Plan(J)
+        plan = engine.Plan(J)
         if plan.searched is None:
             continue
         covered = segments._pairs_covered(plan.profile.chosen)
@@ -773,7 +773,7 @@ def test_glued_cut_is_unlink_and_colon(monkeypatch):
     ideals = _corpus_and_fixed()
     for J in ideals:
         stable_decomposition(J)
-        engine._Plan(J).decomposition
+        engine.Plan(J).decomposition
     assert len(cuts) == 2 * len(ideals)
     for boundary, base, r in cuts:
         glued = real(boundary, base, r)
@@ -781,7 +781,7 @@ def test_glued_cut_is_unlink_and_colon(monkeypatch):
 
 
 def _onset_route_matches_naive(ideal):
-    plan = engine._plan(ideal)
+    plan = engine.cached_plan(ideal)
     assume(plan.s <= 150)  # bounds the repeated multiplication
     n = max(plan.s - 1, 1)
     current = naive_power(ideal, n)
@@ -811,7 +811,7 @@ def test_powers_below_the_onset_s_on_both_sum_routes(monkeypatch, seed, transpos
     # against decomposed_power past it (seed 115, D_P = 28, s = 55).
     I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
     I = I.transpose() if transposed else I
-    plan = engine._plan(I)
+    plan = engine.cached_plan(I)
     tables = _count_calls(monkeypatch, segments, "_pair_levels")
     routes, current = set(), naive_power(I, plan.m)
     for n in range(plan.m, plan.s):
@@ -873,7 +873,7 @@ def test_stable_decomposition_is_the_paper_route():
                 **vars(paper), "gcd_shift": shift, "profile": profile, "reduction_number": reduction,
                 "D": profile.D_P, "r": profile.r, "axis": profile.axis,
             }, seed
-            cases[engine._Plan(J, P).m < profile.D_P] += 1
+            cases[engine.Plan(J, P).m < profile.D_P] += 1
     assert cases == {True: 346, False: 100}
 
 
@@ -884,7 +884,7 @@ def test_mu_polynomial_from_the_onset(monkeypatch):
     expected = {"I1": (5, 21, 4), "I2": (7, 50, 7), "I3": (14, 127, 9), "I4": (28, 446, 16)}
     paper = {"I1": (61, 245), "I2": (241, 1688), "I3": (989, 8902), "I4": (2377, 38030)}
     kernels = _count_calls(monkeypatch, engine, "_certified_level_power")
-    levels = _count_calls(monkeypatch, engine, "_decompose")
+    levels = _count_calls(monkeypatch, engine.Plan, "cut")
     polys = {label: mu_polynomial(ideal) for label, ideal in _fixed_ideals().items()}
     assert {label: (poly.s, poly.intercept, poly.slope) for label, poly in polys.items()} == expected
     assert {label: (s, polys[label](s)) for label, (s, _) in paper.items()} == paper
@@ -901,7 +901,7 @@ def test_mu_polynomial_is_the_onset_route_on_the_corpus():
     for seed in range(200):
         I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
         for J in (I, I.transpose()):
-            poly, plan = mu_polynomial(J), engine._plan(J)
+            poly, plan = mu_polynomial(J), engine.cached_plan(J)
             assert poly.s == plan.s, seed
             for n in {plan.s, plan.s + 1, plan.s + 5, plan.profile.s, plan.profile.s + 7}:
                 assert poly(n) == power(J, n).mu, (seed, n)
@@ -909,15 +909,52 @@ def test_mu_polynomial_is_the_onset_route_on_the_corpus():
                 poly(plan.s - 1)
 
 
+def test_mu_polynomial_against_the_order():
+    # With its gcd divided out, I′ is (x, y)-primary.  The generators of
+    # I′^n left of one of least degree n·ord(I′) number at most its x, those
+    # right of it at most its y, so mu(I^n) <= n·ord(I′) + 1 and the slope is
+    # at most ord(I′).  Products of contracted ideals, mu(I′) = ord(I′) + 1,
+    # are contracted (Zariski), so there mu(I^n) = n·ord(I′) + 1 from n = 1.
+    equal = contracted = 0
+    for seed in range(200):
+        I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+        for J in (I, I.transpose(), I.shift((2, 5))):
+            order, slope = brute.ord(J), mu_polynomial(J).slope
+            assert slope <= order, seed
+            equal += slope == order
+            if J.mu == order + 1:
+                contracted += 1
+                assert slope == order, seed
+                assert [power(J, n).mu for n in range(1, 13)] == [n * order + 1 for n in range(1, 13)], seed
+    assert (equal, contracted) == (84, 21)
+
+
+@pytest.mark.parametrize("seed", [0, 8, 23, 41])
+def test_plan_cuts_at_every_level_from_m(seed):
+    # I^(L+j) = Q_j I^L from every level L >= m, so a cut there, with the
+    # radius at L, assembles every power from its s; below m it is refused.
+    I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+    for J in (I, I.transpose()):
+        plan = engine.Plan(J)
+        m, d = plan.m, plan.profile.D_P
+        for level in sorted({m, m + 1, (m + d) // 2, d, d + 2}):
+            dec = plan.cut(np.int64(level))
+            assert (type(dec.D), dec.D, (dec.r, dec.axis)) == (int, level, plan.profile.radius(level))
+            for n in (dec.s, dec.s + 3):
+                assert assemble_power(dec, n) == level_power(J, n), (seed, level, n)
+        with pytest.raises(ValueError, match=f"a cut needs level >= m = {m}, got {m - 1}"):
+            plan.cut(m - 1)
+
+
 def test_decomposition_reads_each_radius_once(monkeypatch):
-    # The profile computes r_x and r_y at D_P; stable_decomposition cuts with
-    # those, and the plan reads the radii at its onset once more.
+    # The profile computes r_x and r_y at D_P, and every cut reads both radii
+    # at its own level once: stable_decomposition's at D_P, the plan's at m.
     calls = _count_calls(monkeypatch, geometry, "_radius")
     for seed in range(20):
         I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
         calls.clear()
         stable_decomposition(I)
-        assert len(calls) == 2, seed
+        assert len(calls) == 4, seed
         calls.clear()
         assert mu_polynomial(I) == mu_polynomial(I)
         assert len(calls) == 4, seed
@@ -978,7 +1015,7 @@ def test_emission_at_template_boundaries(ideal):
     # copies in the working orientation, which emission transposes on axis X
     # and shifts.  Rising ells meet growing templates, falling ones the
     # largest, with q = 0 below c.
-    dec = engine._plan(ideal).decomposition
+    dec = engine.cached_plan(ideal).decomposition
     counts = {_template_copies(middle) for middle in dec.middles}
     ells = sorted({ell for c in counts for ell in (0, 1, c - 1, c, c + 1, 2 * c - 1, 2 * c, 5 * c + 3)})
     for ell in ells + ells[::-1]:

@@ -43,7 +43,25 @@ def test_sources_parse_as_python_3_10():
 def test_src_line_budget():
     # The cap on the package's size, by ``wc -l src/stairpow/*.py``.
     lines = sum(len(path.read_bytes().splitlines()) for path in SRC.glob("*.py"))
-    assert lines <= 2142, f"src/stairpow has {lines} lines, over the 2142-line budget"
+    assert lines <= 2139, f"src/stairpow has {lines} lines, over the 2139-line budget"
+
+
+def test_no_private_engine_names_outside_engine():
+    # The plan reaches every other module through its public names: no
+    # module imports an underscore name from ``engine`` or reads one off it.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "engine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").rsplit(".", 1)[-1] == "engine":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "engine":
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.startswith("_")]
+    assert not found, f"private engine names used outside engine: {found}"
 
 
 def _index_calls(tree):
@@ -198,7 +216,7 @@ from stairpow import cli, engine
 if __debug__:
     sys.exit("run me under -O")
 for ideal, n in json.loads(sys.argv[1]):
-    engine._plan.cache_clear()
+    engine.cached_plan.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(["power", ideal, str(n)])
     print(json.dumps([code, out.getvalue()]))
