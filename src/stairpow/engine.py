@@ -26,9 +26,9 @@ from .ideals import (
     level_power, mon_pow, naive_power,
 )
 from .geometry import PersistenceProfile, persistence_profile, stabilization_radius
-from .links import boundary_points
+from .links import LinkTemplates, boundary_points
 from .segments import (
-    GluedComponents, LinkTemplates, _pairs_covered, glued_components, glued_cut, staircase_sum,
+    GluedComponents, _pairs_covered, glued_components, glued_cut, staircase_sum,
     staircase_times,
 )
 
@@ -61,7 +61,8 @@ class StableDecomposition(GluedComponents):
 
     ``base_power`` is that I^s and ``boundary_points`` its h_0..h_{k+1}.
     ``profile`` is the persistence profile of the ideal as given.  ``D`` is the level of
-    the power cut, and ``r``, ``axis``, ``s = D + r + 1`` follow as the profile's at D_P.
+    the power cut, ``(r, axis)`` is ``profile.radius(D)`` and ``s = D + r + 1``: the
+    profile's own at ``D = D_P`` for :func:`stable_decomposition`, at ``D = m`` for the plan's onset.
     ``reduction_number`` is the least ``m`` with ``I^(m+1) = (P) I^m``: 0
     when P is all of G(I), None when there is none below ``D_P``.
     """

@@ -67,6 +67,8 @@ def _check_exponents(a: int, b: int) -> None:
 
 def _count(n: int, least: int, message: str) -> int:
     """The one reader of a public count, where it enters: ``n`` as an exact Python int, at least ``least``."""
+    if isinstance(n, bool):  # operator.index reads it as 0 or 1; the constructor refuses it too
+        raise TypeError("'bool' object cannot be interpreted as an integer")
     n = operator.index(n)
     if n < least:
         raise ValueError(f"{message}, got {n}")

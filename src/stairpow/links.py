@@ -6,40 +6,18 @@ y-span of the right one, the right ideal is shifted right by the x-span of
 the left one.  Generator counts therefore add minus one, and a linked ideal
 can be split back into its parts by colon ideals at the link points.  Links
 are taken along y only; the x-link of a sequence is the y-link of the
-reversed sequence.  Every linked staircase is emitted by :func:`link_blocks`.
+reversed sequence.  :func:`_link_counted` writes every linked staircase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .ideals import Axis, Monomial, MonomialIdeal, _check_exponents, _count, _monomial
-
-
-def link_blocks(
-    blocks: Sequence[tuple[MonomialIdeal, int]], origin: Monomial = (0, 0)
-) -> MonomialIdeal:
-    """The y-link of anchored parts, each linked ``reps`` times.
-
-    ``blocks`` are ``(part, reps)`` pairs in link order; the result is
-    multiplied by the monomial ``origin``.  The parts must be anchored (else
-    ValueError), each ``reps`` is read by ``ideals._count``, and the origin
-    and the full span are range-checked before anything is allocated, so
-    the staircase is canonical by construction.  Copies ``[c, 2c)`` of a
-    part are copies ``[0, c)`` shifted by ``(c*dx, -c*dy)``: ``ceil(log2
-    reps) + 1`` numpy adds per block, and exactly one exponent-pair addition
-    per emitted generator.  Emission passes many copies of a middle as fewer
-    copies of a template (see ``segments.LinkTemplates``).
-    """
-    blocks = [(part, _count(reps, 0, "link_blocks expects a non-negative integer number of copies per part"))
-              for part, reps in blocks]
-    if any(part.gcd() != (0, 0) for part, _ in blocks):
-        raise ValueError("link_blocks expects anchored parts")
-    return _link_counted([_run(part, reps) for part, reps in blocks], origin)[0]
 
 
 def _run(part: MonomialIdeal, reps: int) -> tuple[np.ndarray, int, int, int, int, int]:
@@ -49,12 +27,14 @@ def _run(part: MonomialIdeal, reps: int) -> tuple[np.ndarray, int, int, int, int
 
 
 def _link_counted(runs: Sequence[tuple], origin: Monomial) -> tuple[MonomialIdeal, int]:
-    """:func:`link_blocks` on runs its callers checked, and the number of generators its writes filled.
+    """The y-link of runs its callers checked, times ``origin``, and the number of generators its writes filled.
 
-    A run ``(rest, h, top, dx, dy, reps)`` is ``reps`` linked copies of a
-    block spanning ``(dx, dy)`` whose generators after its first, ``(0,
-    top)``, are the ``(2, h)`` array ``rest`` (``top`` is ``dy`` but for a
-    template's prefix).  Every write is planned in Python ints, and one
+    A run ``(rest, h, top, dx, dy, reps)`` is ``reps`` linked copies of an
+    anchored block spanning ``(dx, dy)`` whose generators after its first,
+    ``(0, top)``, are the ``(2, h)`` array ``rest`` (``top`` is ``dy`` but
+    for a template's prefix).  The origin and full span are range-checked
+    before any allocation; copies ``[c, 2c)`` are copies ``[0, c)`` shifted
+    by ``(c*dx, -c*dy)``.  Writes are planned in Python ints, and one
     conversion makes all offsets the int64 array whose views the adds take.
     """
     x, y = _monomial(origin)
@@ -85,6 +65,68 @@ def _link_counted(runs: Sequence[tuple], origin: Monomial) -> tuple[MonomialIdea
     for (source, out), shift in zip(writes, shifts[1:]):
         written += np.add(source, shift, out=out).shape[1]
     return MonomialIdeal._canonical(xy), written
+
+
+#: The most generators a link template adds to its middle's first one:
+#: with that one, 1025 int64 pairs, about 16 KB per middle.
+_TEMPLATE_GENS = 1024
+
+
+@dataclass(frozen=True)
+class LinkTemplates:
+    """The link of ``C_0 . H_1^ell . C_1 ... H_k^ell . C_k`` for any ell.
+
+    ``components`` and ``middles`` are the anchored parts in link order.  The
+    template of a middle H is its c-fold self-link, as :func:`_link_counted`
+    writes it, for a power of two c with ``c (mu(H) - 1) <= 1024``, so at
+    most 16 KB; before H has one, H itself serves with ``c = 1``.  A run
+    ``H^ell`` is q copies of the template and, if r > 0, H's r-fold link
+    (``ell = q c + r``): a view of the template's first ``r (mu(H) - 1) +
+    1`` generators, written with the template's top, so lowered by ``(c -
+    r) dist_y(H)``.  After each link a run whose ell reaches a larger such
+    power of two leaves that many of its first copies, less their gcd, as
+    H's new template in ``built``: one subtraction, no link of its own, so
+    a first emission pays only that.  Unanchored parts are refused once,
+    when the templates are built (a ValueError), and every part's spans are
+    read there as Python ints; a link reads ell through ``_count`` and no
+    numpy scalar, and the kernel spends ``ceil(log2 q) + 2`` adds or fewer
+    on a run, not ``ceil(log2 ell) + 1``.
+    """
+
+    components: tuple[MonomialIdeal, ...]
+    middles: tuple[MonomialIdeal, ...]
+    built: dict[int, tuple[MonomialIdeal, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ends: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+    _steps: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if any(part.gcd() != (0, 0) for part in (*self.components, *self.middles)):
+            raise ValueError("link templates need anchored parts")
+        object.__setattr__(self, "_ends", tuple(_run(part, 1) for part in self.components))
+        object.__setattr__(self, "_steps", tuple((m.mu - 1, m.dist(Axis.X), m.dist(Axis.Y)) for m in self.middles))
+
+    def link(self, ell: int, origin: Monomial = (0, 0)) -> tuple[MonomialIdeal, int]:
+        """The link for this ``ell`` times ``origin``, and the number of generators
+        its writes filled (see :func:`_link_counted`)."""
+        ell = _count(ell, 0, "ell must be non-negative")
+        runs, due = [self._ends[0]], {}
+        for i, ((h, dx, dy), end) in enumerate(zip(self._steps, self._ends[1:])):
+            template, c = self.built.get(i, (self.middles[i], 1))
+            want = 1 << max(0, min(ell, _TEMPLATE_GENS // h).bit_length() - 1)
+            if want > c:  # the run's first generator and its first `want` copies
+                start = sum(run[1] * run[5] for run in runs)
+                due[i] = (slice(start, start + want * h + 1), want)
+            q, r = divmod(ell, c)
+            rest = template.xy[:, 1:]
+            runs.append((rest, c * h, c * dy, c * dx, c * dy, q))
+            if r:
+                runs.append((rest[:, : r * h], r * h, c * dy, r * dx, r * dy, 1))
+            runs.append(end)
+        ideal, written = _link_counted(runs, origin)
+        for i, (run, c) in due.items():
+            copies = ideal.xy[:, run]
+            self.built[i] = (MonomialIdeal._canonical(copies - ((copies[0, 0],), (copies[1, -1],))), c)
+        return ideal, written
 
 
 def link_point(left: MonomialIdeal, right: MonomialIdeal) -> Monomial:
@@ -131,7 +173,7 @@ def link_many(parts: Sequence[MonomialIdeal]) -> LinkChain:
     ys = list(accumulate(p.dist(Axis.Y) for p in reversed(anchored)))[::-1]
     return LinkChain(
         parts=anchored,
-        ideal=link_blocks([(p, 1) for p in anchored]),
+        ideal=_link_counted([_run(p, 1) for p in anchored], (0, 0))[0],
         link_points=tuple(zip(xs, ys[1:])),
     )
 

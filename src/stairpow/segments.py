@@ -12,7 +12,7 @@ checks the pair condition (E*) under which such a sum over ``J = I^m`` is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -24,7 +24,7 @@ from .ideals import (
 )
 # ``link_many`` is unused here but stays importable as ``segments.link_many``:
 # the benchmark's span tracer patches that name.
-from .links import _link_counted, _run, link_many
+from .links import LinkTemplates, link_many
 
 #: The numpy calls that build and merge one pair's window table in
 #: :func:`_pair_levels`, slicing aside: five allocations, eleven ufunc
@@ -362,68 +362,6 @@ def _covered_by_level(staircase: np.ndarray, top: int, low: list[int], lift: lis
             union = np.minimum(union[:-1], union[1:])
             with_b, with_a = np.minimum(with_b[1:], target[1:]), np.minimum(with_a[:-1], target[:-1])
     return True
-
-
-#: The most generators a link template adds to its middle's first one:
-#: with that one, 1025 int64 pairs, about 16 KB per middle.
-_TEMPLATE_GENS = 1024
-
-
-@dataclass(frozen=True)
-class LinkTemplates:
-    """The link of ``C_0 . H_1^ell . C_1 ... H_k^ell . C_k`` for any ell.
-
-    ``components`` and ``middles`` are the anchored parts in link order.  The
-    template of a middle H is its c-fold self-link ``link_blocks([(H, c)])``
-    for a power of two c with ``c (mu(H) - 1) <= 1024``, so at most 16 KB;
-    before H has one, H itself serves with ``c = 1``.  A run ``H^ell`` is q
-    copies of the template and, if r > 0, H's r-fold link (``ell = q c +
-    r``): a view of the template's first ``r (mu(H) - 1) + 1`` generators,
-    written with the template's top, so lowered by ``(c - r) dist_y(H)``.
-    After each link a run whose ell reaches a larger such power of two
-    leaves that many of its first copies, less their gcd, as H's new
-    template in ``built``: one subtraction, no link of its own, so a first
-    emission pays only that.  Unanchored parts are refused once, when the
-    templates are built (a ValueError), and every part's spans are read
-    there as Python ints; a link reads no numpy scalar, and the kernel
-    spends ``ceil(log2 q) + 2`` adds or fewer on a run, not ``ceil(log2
-    ell) + 1``.
-    """
-
-    components: tuple[MonomialIdeal, ...]
-    middles: tuple[MonomialIdeal, ...]
-    built: dict[int, tuple[MonomialIdeal, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _ends: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
-    _steps: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if any(part.gcd() != (0, 0) for part in (*self.components, *self.middles)):
-            raise ValueError("link templates need anchored parts")
-        object.__setattr__(self, "_ends", tuple(_run(part, 1) for part in self.components))
-        object.__setattr__(self, "_steps", tuple((m.mu - 1, m.dist(Axis.X), m.dist(Axis.Y)) for m in self.middles))
-
-    def link(self, ell: int, origin: Monomial = (0, 0)) -> tuple[MonomialIdeal, int]:
-        """The link for this ``ell`` times ``origin``, and the number of generators
-        its writes filled (see :func:`link_blocks`)."""
-        ell = _count(ell, 0, "ell must be non-negative")
-        runs, due = [self._ends[0]], {}
-        for i, ((h, dx, dy), end) in enumerate(zip(self._steps, self._ends[1:])):
-            template, c = self.built.get(i, (self.middles[i], 1))
-            want = 1 << max(0, min(ell, _TEMPLATE_GENS // h).bit_length() - 1)
-            if want > c:  # the run's first generator and its first `want` copies
-                start = sum(run[1] * run[5] for run in runs)
-                due[i] = (slice(start, start + want * h + 1), want)
-            q, r = divmod(ell, c)
-            rest = template.xy[:, 1:]
-            runs.append((rest, c * h, c * dy, c * dx, c * dy, q))
-            if r:
-                runs.append((rest[:, : r * h], r * h, c * dy, r * dx, r * dy, 1))
-            runs.append(end)
-        ideal, written = _link_counted(runs, origin)
-        for i, (run, c) in due.items():
-            copies = ideal.xy[:, run]
-            self.built[i] = (MonomialIdeal._canonical(copies - ((copies[0, 0],), (copies[1, -1],))), c)
-        return ideal, written
 
 
 def glued_power(glued: GluedComponents, ell: int) -> MonomialIdeal:

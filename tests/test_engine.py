@@ -161,7 +161,6 @@ COUNTED = {
     "pair_power": lambda n: ideals_module.pair_power((0, 2), (3, 0), n),
     "staircase_sum": lambda n: segments.staircase_sum(((0, 2), (3, 0)), n, SMALL),
     "decomposed_power": lambda n: decomposed_power(SMALL, persistence_profile(SMALL), n),
-    "link_blocks": lambda n: links.link_blocks([(SMALL, n)]),
     "glued_power": lambda n: segments.glued_power(glued_components(((0, 2), (3, 0)), SMALL, 1), n),
 }
 
@@ -180,13 +179,44 @@ def test_numpy_integer_counts_are_read_exactly_at_every_entry(name):
     assert errors[0] == errors[1] and "-" not in errors[0], errors
 
 
-@pytest.mark.parametrize("name", ["glued_power", "link_blocks", "shift_generators"])
-@pytest.mark.parametrize("count", [2.0, 2.5])
+@pytest.mark.parametrize("name", ["glued_power", "shift_generators"])
+@pytest.mark.parametrize("count", [2.0, 2.5, True])
 def test_a_float_count_is_a_type_error(name, count):
     dec = stable_decomposition(SMALL)
     calls = {**COUNTED, "shift_generators": lambda n: shift_generators(dec, assemble_power(dec, dec.s), n)}
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         calls[name](count)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_no_count_at_any_entry(flag):
+    # operator.index reads a bool as 0 or 1; ideals._count, which reads every
+    # count and monomial exponent, refuses it as the constructor does.
+    dec = stable_decomposition(SMALL)
+    templates = links.LinkTemplates(dec.components, dec.middles)
+    calls = [
+        lambda b: power(SMALL, b),
+        lambda b: engine.Plan(SMALL).cut(b),
+        lambda b: naive_power(SMALL, b),
+        lambda b: level_power(SMALL, b),
+        lambda b: decomposed_power(SMALL, persistence_profile(SMALL), b),
+        lambda b: assemble_power(dec, b),
+        lambda b: mu_polynomial(SMALL)(b),
+        lambda b: shift_generators(dec, assemble_power(dec, dec.s), b),
+        lambda b: ideals_module.pair_power((0, 2), (3, 0), b),
+        lambda b: ideals_module.pair_power((0, b), (3, 0), 2),
+        lambda b: ideals_module.mon_pow((b, 1), 2),
+        lambda b: SMALL.shift((b, 0)),
+        lambda b: SMALL.colon((0, b)),
+        lambda b: segments.staircase_sum(((0, 2), (3, 0)), b, SMALL),
+        lambda b: glued_components(((0, 2), (3, 0)), SMALL, b),
+        lambda b: templates.link(b),
+        lambda b: templates.link(0, (b, 0)),
+    ]
+    for i, call in enumerate(calls):
+        with pytest.raises(TypeError, match="'bool' object cannot be interpreted as an integer"):
+            call(flag)
+            pytest.fail(f"call {i} took a bool")
 
 
 def test_power_dispatcher_boundaries():
@@ -1036,7 +1066,7 @@ def test_templates_grow_with_the_runs_they_serve(monkeypatch, ideal):
     # It is cut from an emission's output and replaced only by a longer one.
     # BIG's middles have 3, 4 and 3 generators, so at most 512, 256 and 512.
     calls, real = [], links._link_counted
-    monkeypatch.setattr(segments, "_link_counted", lambda blocks, origin: calls.append(blocks) or real(blocks, origin))
+    monkeypatch.setattr(links, "_link_counted", lambda blocks, origin: calls.append(blocks) or real(blocks, origin))
     dec = stable_decomposition(ideal)
     assert dec.axis is (Axis.Y if ideal == BIG else Axis.X)
     templates, kept, longest = dec.emission_templates, {}, 0

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import brute
 from stairpow import links
 from stairpow.engine import assemble_power, stable_decomposition
 from stairpow.ideals import UNIT, Axis, ExponentOverflowError, MonomialIdeal, naive_power
-from stairpow.links import link, link_blocks, link_many, link_point, unlink
+from stairpow.links import LinkTemplates, link, link_many, link_point, unlink
 from stairpow.oracle import RandomIdealSpec, random_ideal
 
 FIG_I = MonomialIdeal(((0, 3), (1, 1), (4, 0)))
@@ -117,32 +117,52 @@ def test_boundary_points_sentinels():
 
 
 @st.composite
-def anchored_parts(draw):
-    mu = draw(st.integers(1, 6))  # 1: the single-generator part (0, 0)
+def anchored_parts(draw, least=1):
+    mu = draw(st.integers(least, 6))  # 1: the single-generator part (0, 0)
     coords = st.lists(st.integers(0, 30), min_size=mu, max_size=mu, unique=True)
     xs, ys = sorted(draw(coords)), sorted(draw(coords), reverse=True)
     return MonomialIdeal(tuple(zip(xs, ys))).anchor()[0]
 
 
-blocks = st.lists(st.tuples(anchored_parts(), st.integers(0, 40)), min_size=1, max_size=5)
+#: Components C_0..C_k and middles H_1..H_k, k from 0 to 3.
+chains = st.integers(0, 3).flatmap(
+    lambda k: st.tuples(
+        st.lists(anchored_parts(), min_size=k + 1, max_size=k + 1),
+        st.lists(anchored_parts(2), min_size=k, max_size=k),
+    )
+)
 origins = st.tuples(st.integers(0, 50), st.integers(0, 50))
 
 
-@given(blocks, origins)
-@example([(FIG_I, 0), (FIG_J, 3), (UNIT, 2), (FIG_I, 1)], (7, 4))  # zero-rep first block
-@example([(UNIT, 4), (FIG_J, 1)], (0, 0))
-# Copies are written by doubling: reps at, just above and just below a power of two.
-@example([(FIG_I, 32), (FIG_J, 33), (FIG_I, 31)], (3, 1))
-@example([(FIG_J, 16), (FIG_I, 17), (FIG_J, 15)], (0, 9))
-@example([(FIG_I, 2), (UNIT, 7), (FIG_J, 3)], (1, 1))  # h = 0 between real parts
-@example([(FIG_J, 5), (FIG_I, 0), (FIG_J, 6)], (2, 0))  # zero-rep middle block
-def test_link_blocks_matches_per_generator_loop(blocks, origin):
-    assume(any(reps for _, reps in blocks))
-    assert link_blocks(blocks, origin).gens == brute.link_blocks(blocks, origin)
+def _blocks(components, middles, ell):
+    """The ``(part, reps)`` blocks of ``C_0 . H_1^ell . C_1 ... H_k^ell . C_k``."""
+    blocks = [(components[0], 1)]
+    for middle, component in zip(middles, components[1:]):
+        blocks += [(middle, ell), (component, 1)]
+    return blocks
+
+
+@given(chains, st.integers(0, 40), origins)
+@example(([UNIT, FIG_J, FIG_I], [FIG_J, FIG_I]), 0, (7, 4))  # no copies, a unit first part
+@example(([UNIT, FIG_J], [FIG_J]), 4, (0, 0))
+# Copies are written by doubling: ells at, just above and just below a power of two.
+@example(([FIG_I, FIG_J], [FIG_J]), 32, (3, 1))
+@example(([UNIT, FIG_I, UNIT], [FIG_I, FIG_J]), 33, (0, 9))
+@example(([FIG_J, UNIT], [FIG_I]), 31, (1, 1))
+@example(([FIG_J, UNIT, FIG_I], [FIG_J, FIG_I]), 15, (2, 0))  # h = 0 between real parts
+@example(([FIG_I, FIG_J, FIG_I], [FIG_I, FIG_J]), 16, (5, 5))
+@example(([FIG_I, FIG_J, FIG_I], [FIG_I, FIG_J]), 17, (5, 5))
+def test_link_blocks_matches_per_generator_loop(chain, ell, origin):
+    # Fresh templates are the middles themselves, so one link writes ell
+    # plain copies of each by doubling, and fills each generator once.
+    components, middles = chain
+    ideal, written = LinkTemplates(tuple(components), tuple(middles)).link(ell, origin)
+    assert ideal.gens == brute.link_blocks(_blocks(components, middles, ell), origin)
+    assert written == ideal.mu
 
 
 def test_link_blocks_without_copies_is_the_origin():
-    assert link_blocks([(FIG_I, 0), (FIG_J, 0)], (2, 3)).gens == ((2, 3),)
+    assert LinkTemplates((UNIT,) * 3, (FIG_I, FIG_J)).link(0, (2, 3))[0].gens == ((2, 3),)
 
 
 def test_link_blocks_many_copies_match_the_closed_form():
@@ -153,41 +173,46 @@ def test_link_blocks_many_copies_match_the_closed_form():
     xs = x0 + copy * dx + part.xy[0, 1:]
     ys = top - (copy + 1) * dy + part.xy[1, 1:]
     expected = np.stack(([x0, *xs.ravel()], [top, *ys.ravel()]))
-    assert np.array_equal(link_blocks([(part, reps)], (x0, y0)).xy, expected)
+    assert np.array_equal(LinkTemplates((UNIT, UNIT), (part,)).link(reps, (x0, y0))[0].xy, expected)
 
 
 def test_link_blocks_reaches_the_exponent_limit():
     part = MonomialIdeal(((0, 2), (1, 1), (2**60, 0)))
     origin = (2**63 - 1 - 7 * 2**60, 0)
-    linked = link_blocks([(part, 7)], origin)
+    linked = LinkTemplates((UNIT, UNIT), (part,)).link(7, origin)[0]
     assert linked.gens == brute.link_blocks([(part, 7)], origin)
     assert linked.gens[-1] == (2**63 - 1, 0)
     with pytest.raises(ExponentOverflowError):
-        link_blocks([(part, 7)], (origin[0] + 1, 0))
+        LinkTemplates((UNIT, UNIT), (part,)).link(7, (origin[0] + 1, 0))
 
 
-def test_link_blocks_refuses_a_negative_origin_and_unanchored_parts():
+def test_link_blocks_refuses_a_negative_origin_and_unanchored_parts(monkeypatch):
+    # Each before anything is allocated: the origin by the kernel, the parts
+    # once, when their templates are built.
+    shifted_i, shifted_j = FIG_I.shift((0, 1)), FIG_J.shift((1, 0))
+    templates = LinkTemplates((FIG_I, UNIT), (FIG_J,))
+    monkeypatch.setattr(links.np, "empty", lambda *a, **k: pytest.fail("allocated before the check"))
     for origin in ((-1, 0), (0, -1)):
         with pytest.raises(ExponentOverflowError):
-            link_blocks([(FIG_I, 2), (FIG_J, 1)], origin)
+            templates.link(2, origin)
     with pytest.raises(ValueError, match="anchored"):
-        link_blocks([(FIG_I, 2), (FIG_J.shift((1, 0)), 1)])
+        LinkTemplates((FIG_I, shifted_j), (FIG_J,))
     with pytest.raises(ValueError, match="anchored"):
-        link_blocks([(FIG_I.shift((0, 1)), 1)], (3, 3))
+        LinkTemplates((UNIT, UNIT), (shifted_i,))
 
 
-@pytest.mark.parametrize("blocks", [[("Q", -1), ("P", 1)], [("P", -1)], [("P", 2), ("Q", -1)], [("P", 1.0)]])
+@pytest.mark.parametrize("blocks", [("Q", -1), ("P", -1), ("PQ", -1), ("P", 1.0), ("P", True)])
 def test_link_blocks_refuses_a_count_that_is_not_a_non_negative_integer(monkeypatch, blocks):
-    # Before anything is allocated: the first case once came out as the
-    # wrong ideal [(4, 5), (6, 4)], the next two as numpy shape errors.  A
-    # float is no count at all: a TypeError, as at every entry point.
+    # The middles by name and the count of each, refused before anything is
+    # allocated.  A float or a bool is no count at all: a TypeError, as at
+    # every entry point.
     parts = {"Q": MonomialIdeal(((0, 1), (1, 0))), "P": MonomialIdeal(((0, 2), (1, 1), (3, 0)))}
+    names, ell = blocks
+    templates = LinkTemplates((UNIT,) * (len(names) + 1), tuple(parts[name] for name in names))
     monkeypatch.setattr(links.np, "empty", lambda *a, **k: pytest.fail("allocated before the check"))
-    error, match = (ValueError, "non-negative integer")
-    if blocks == [("P", 1.0)]:
-        error, match = (TypeError, "interpreted as an integer")
+    error, match = (ValueError, "non-negative") if ell == -1 else (TypeError, "interpreted as an integer")
     with pytest.raises(error, match=match):
-        link_blocks([(parts[name], reps) for name, reps in blocks], (4, 4))
+        templates.link(ell, (4, 4))
 
 
 def test_no_numpy_scalars_escape():

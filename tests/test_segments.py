@@ -20,8 +20,8 @@ from stairpow.ideals import (
 )
 from stairpow.geometry import persistence_profile
 from stairpow.oracle import RandomIdealSpec, random_ideal
+from stairpow.links import LinkTemplates
 from stairpow.segments import (
-    LinkTemplates,
     glued_components,
     glued_power,
     staircase_sum,
@@ -484,14 +484,12 @@ def test_glued_validation():
 
 
 def test_unanchored_parts_are_refused_where_they_enter(monkeypatch):
-    # Once, before anything is allocated: by link_blocks for its blocks, and
-    # by LinkTemplates when it is built, so glued_power on a hand-built
-    # GluedComponents raises too; the link kernel itself trusts its callers.
+    # Once, before anything is allocated: by LinkTemplates when it is built,
+    # so glued_power on a hand-built GluedComponents raises too; the link
+    # kernel itself trusts its callers.
     gl = glued_components(((0, 2), (3, 0)), SMALL, 1)
     shifted = SMALL.shift((0, 1))
     monkeypatch.setattr(links.np, "empty", lambda *a, **k: pytest.fail("allocated before the check"))
-    with pytest.raises(ValueError, match="anchored"):
-        links.link_blocks([(SMALL, 2), (shifted, 1)])
     for components, middles in ((gl.components, (shifted,)), ((gl.components[0], shifted), gl.middles)):
         with pytest.raises(ValueError, match="anchored"):
             LinkTemplates(components, middles)

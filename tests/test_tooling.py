@@ -43,25 +43,38 @@ def test_sources_parse_as_python_3_10():
 def test_src_line_budget():
     # The cap on the package's size, by ``wc -l src/stairpow/*.py``.
     lines = sum(len(path.read_bytes().splitlines()) for path in SRC.glob("*.py"))
-    assert lines <= 2139, f"src/stairpow has {lines} lines, over the 2139-line budget"
+    assert lines <= 2122, f"src/stairpow has {lines} lines, over the 2122-line budget"
 
 
-def test_no_private_engine_names_outside_engine():
-    # The plan reaches every other module through its public names: no
-    # module imports an underscore name from ``engine`` or reads one off it.
+def _private_names_outside(module):
+    """Where a ``src/`` module other than ``module`` imports an underscore
+    name from it or reads one off it."""
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "engine.py":
+        if path.stem == module:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").rsplit(".", 1)[-1] == "engine":
+            if isinstance(node, ast.ImportFrom) and (node.module or "").rsplit(".", 1)[-1] == module:
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "engine":
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == module:
                 names = [node.attr]
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name.startswith("_")]
+    return found
+
+
+def test_no_private_engine_names_outside_engine():
+    # The plan reaches every other module through its public names.
+    found = _private_names_outside("engine")
     assert not found, f"private engine names used outside engine: {found}"
+
+
+def test_no_private_link_names_outside_links():
+    # The link kernel and its run record are decisions of ``links`` alone:
+    # every other module links through ``link_many`` or ``LinkTemplates``.
+    found = _private_names_outside("links")
+    assert not found, f"private links names used outside links: {found}"
 
 
 def _index_calls(tree):
@@ -241,7 +254,7 @@ def test_power_under_optimize():
 #: Prints a JSON ``[name, message]`` line for the error each call raises,
 #: or ``["none", ""]``; it exits at once unless ``-O`` stripped the asserts.
 #: The child runs without the suite's check of ``MonomialIdeal._canonical``,
-#: so only the O(1) checks of ``shift``, ``colon``, ``pair_power``, ``link_blocks``,
+#: so only the O(1) checks of ``shift``, ``colon``, ``pair_power``, ``LinkTemplates``,
 #: ``_canonical``'s dtype check, the exact reads of numpy integer counts and
 #: monomials, the range checks behind them and ``glued_cut``'s two checks of
 #: the cut (each an AssertionError that ``-O`` keeps) can raise; a RuntimeWarning
@@ -251,28 +264,33 @@ import json, sys, warnings
 import numpy as np
 from stairpow.engine import decomposed_power
 from stairpow.geometry import persistence_profile
-from stairpow.ideals import MonomialIdeal, level_power, mon_pow, pair_power
-from stairpow.links import link_blocks
+from stairpow.ideals import UNIT, MonomialIdeal, level_power, mon_pow, pair_power
+from stairpow.links import LinkTemplates
 from stairpow.segments import glued_components, glued_cut, glued_power, staircase_sum
 if __debug__:
     sys.exit("run me under -O")
 warnings.simplefilter("error")
 part, huge, big = MonomialIdeal(((0, 2), (3, 0))), np.int64(2**62 + 1), np.int64(2**62)
+one = LinkTemplates((UNIT, UNIT), (part,))
 for call in (
     lambda: part.shift((-1, 0)),
     lambda: part.shift((0, -1)),
     lambda: part.shift((0.5, 0)),
     lambda: pair_power((-1, 2), (3, 0), 2),
     lambda: pair_power((0.5, 2), (3, 0), 2),
-    lambda: link_blocks([(part, 2)], (-1, 0)),
-    lambda: link_blocks([(part, 2)], (0, -1)),
-    lambda: link_blocks([(part.shift((1, 0)), 2)]),
-    lambda: link_blocks([(MonomialIdeal(((0, 1), (1, 0))), -1), (MonomialIdeal(((0, 2), (1, 1), (3, 0))), 1)], (4, 4)),
+    # A bool is no exponent and no count, as the constructor refuses it.
+    lambda: part.shift((True, 0)),
+    lambda: pair_power((0, True), (3, 0), 2),
+    lambda: pair_power((0, 2), (3, 0), True),
+    lambda: one.link(2, (-1, 0)),
+    lambda: one.link(2, (0, -1)),
+    lambda: LinkTemplates((UNIT, UNIT), (part.shift((1, 0)),)),
+    lambda: one.link(-1, (4, 4)),
     lambda: level_power(part, huge),
     lambda: pair_power((0, 2), (3, 0), huge),
     lambda: staircase_sum(((0, 2), (3, 0)), huge, part),
     lambda: decomposed_power(part, persistence_profile(part), huge),
-    lambda: link_blocks([(part, huge)]),
+    lambda: one.link(huge),
     lambda: glued_power(glued_components(((0, 2), (3, 0)), part, 1), huge),
     # A colon reads its monomial exactly and refuses a negative exponent.
     lambda: part.colon((-1, 0)),
@@ -283,7 +301,7 @@ for call in (
     lambda: glued_cut(part, MonomialIdeal(((0, 1), (9, 0))), 1),
     lambda: glued_cut(part, MonomialIdeal(((0, 6), (2, 5), (5, 3), (6, 2), (8, 1), (9, 0))), 1),
     # Numpy integer monomials, whose sums and products wrapped before any range check.
-    lambda: link_blocks([(part, 2)], (np.int64(2**63 - 2), 0)),
+    lambda: one.link(2, (np.int64(2**63 - 2), 0)),
     lambda: part.shift((np.int64(2**63 - 1), 0)),
     lambda: pair_power((0, big), (big, 0), 2),
     lambda: mon_pow((big, 1), 2),
@@ -300,14 +318,16 @@ def test_range_checks_under_optimize():
     records = [json.loads(line) for line in _python("-O", "-c", _RANGE_CASES).decode().splitlines()]
     overflow = "ExponentOverflowError"
     assert [name for name, _ in records] == [
-        overflow, overflow, "TypeError", overflow, "TypeError", overflow, overflow, "ValueError", "ValueError",
+        overflow, overflow, "TypeError", overflow, "TypeError", *["TypeError"] * 3,
+        overflow, overflow, "ValueError", "ValueError",
         *[overflow] * 6, "ValueError", "ValueError", "TypeError", "AssertionError", "AssertionError",
         *[overflow] * 4,
     ], records
-    assert [message for _, message in records[15:17]] == [
+    assert [message for _, message in records[5:8]] == ["'bool' object cannot be interpreted as an integer"] * 3, records
+    assert [message for _, message in records[18:20]] == [
         f"colon exponent must be non-negative, got {m}" for m in (-1, -2**63)
     ], records
-    assert [message for _, message in records[18:20]] == [
+    assert [message for _, message in records[21:23]] == [
         "no generator above the link-point threshold", "middle block 1 does not span its staircase step"
     ], records
     # The numpy monomials are read exactly: each error names the true exponents.
