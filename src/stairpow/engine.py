@@ -135,9 +135,9 @@ class Plan:
     the first level from the ``reduction_number`` (the least level with
     ``I^(m+1) = (P) I^m``: 0 when P is all of G(I), None when there is none
     below ``D_P``) that (E*) certifies in the level kernel's run to D_P, else
-    D_P.  Built on first use: ``base``, I^m; ``s = m + r(m) + 1``, which
-    comes before the paper's since ``m + r(m)`` grows with m; the
-    ``decomposition`` cut at m and its mu ``polynomial``.  ``searched`` is
+    D_P.  Built on first use: ``base``, I^m; ``radius = profile.radius(m)``, read
+    once for ``s = m + r(m) + 1`` (before the paper's, as ``m + r(m)`` grows
+    with m) and the ``decomposition`` cut at m; and its mu ``polynomial``.  ``searched`` is
     the run's I^m, None after a give-up, on a sparse span or past int64.
     """
 
@@ -156,14 +156,18 @@ class Plan:
         return self.searched or level_power(self.ideal, self.m, self.profile.chosen)
 
     @cached_property
+    def radius(self) -> tuple[int, Axis]:
+        return self.profile.radius(self.m)
+
+    @property
     def s(self) -> int:
-        return self.m + self.profile.radius(self.m)[0] + 1
+        return self.m + self.radius[0] + 1
 
     @cached_property
     def decomposition(self) -> StableDecomposition:
         return self.cut(self.m)
 
-    @property
+    @cached_property
     def polynomial(self) -> MuPolynomial:
         """``mu(I^n)`` from the onset's s on, read off its decomposition."""
         dec = self.decomposition
@@ -183,7 +187,7 @@ class Plan:
         """
         level = _count(level, self.m, f"a cut needs level >= m = {self.m}")
         profile, shift, m, xy = self.profile, self.ideal.gcd(), self.m, self.ideal.xy
-        r, axis = profile.radius(level)
+        r, axis = self.radius if level == m else profile.radius(level)
         # P is an ordered subsequence of G(I), so its columns, found by one
         # search of the x column, are canonical, and non-negative less gcd(I).
         columns = xy[:, xy[0].searchsorted([g[0] for g in profile.chosen])]
@@ -208,13 +212,14 @@ def cached_plan(ideal: MonomialIdeal) -> Plan:
 def _emit(dec: StableDecomposition, ell: int) -> tuple[MonomialIdeal, int]:
     """Emit G(I^(s+ell)) in original coordinates; returns (ideal, generators written).
 
-    One link of the decomposition's :class:`LinkTemplates`, times ``gcd^(s+ell)``:
-    one ``np.empty``, one conversion of every offset, then at most ``2k + 1 +
-    sum_i (ceil(log2 q_i) + 1)`` numpy adds for ``q_i = ell // c_i``, prefixes
-    included, once the templates have grown.  The first emission links plain
-    copies and leaves the templates behind, cut from its output.
+    One link of the decomposition's :class:`LinkTemplates`, times ``gcd^(s+ell)`` in
+    Python ints (the kernel range-checks it): one ``np.empty``, then at most ``2k
+    + 1 + sum_i (ceil(log2 q_i) + 1)`` writes of two 1-D adds for ``q_i = ell //
+    c_i``, prefixes included, once the templates have grown.  The first emission
+    links plain copies and leaves the templates behind, cut from its output.
     """
-    return dec.emission_templates.link(ell, mon_pow(dec.gcd_shift, dec.s + ell))
+    (gx, gy), n = dec.gcd_shift, dec.s + ell
+    return dec.emission_templates.link(ell, (gx * n, gy * n))
 
 
 def assemble_power_counted(dec: StableDecomposition, n: int) -> tuple[MonomialIdeal, int]:
@@ -249,7 +254,7 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
         return level_power(ideal, n)
     if n < plan.s:  # I^n = staircase_sum(P, n - m, I^m): by (A) and (E*), or the paper at D_P
         return staircase_sum(plan.profile.chosen, n - plan.m, plan.base) if n > plan.m else plan.base
-    return assemble_power(plan.decomposition, n)
+    return _emit(plan.decomposition, n - plan.s)[0]
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,7 @@ def mon_divides(m: Monomial, n: Monomial) -> bool:
 
 
 def _columns(points: Iterable[Monomial]) -> np.ndarray:
-    """The ``(2, N)`` int64 columns of exponent pairs of Python or numpy integers."""
+    """The C-contiguous ``(2, N)`` int64 columns of exponent pairs of Python or numpy integers."""
     arr = np.array(list(points), dtype=object)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("monomials must be a non-empty sequence of exponent pairs")
@@ -99,7 +99,7 @@ def _columns(points: Iterable[Monomial]) -> np.ndarray:
         if kind is bool or not issubclass(kind, (int, np.integer)):
             raise ValueError(f"an exponent of type {kind.__name__} is not an integer")
     try:
-        return arr.astype(np.int64).T
+        return arr.T.astype(np.int64, order="C")
     except OverflowError:
         raise ExponentOverflowError("exponent out of the int64 range") from None
 
@@ -182,7 +182,7 @@ class MonomialIdeal:
             raise ValueError(f"generators not in canonical antichain order: {xy.T.tolist()}")
         if xy[0, 0] < 0 or xy[1, -1] < 0:
             raise ExponentOverflowError(f"negative exponent in {xy.T.tolist()}")
-        xy.flags.writeable = False
+        xy.setflags(write=False)
 
     @classmethod
     def _canonical(cls, xy: np.ndarray) -> "MonomialIdeal":
@@ -193,7 +193,7 @@ class MonomialIdeal:
             raise ValueError(f"a monomial ideal needs an int64 array, not {xy.dtype}")
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "xy", xy)
-        xy.flags.writeable = False
+        xy.setflags(write=False)
         return ideal
 
     def __reduce__(self):
@@ -215,6 +215,10 @@ class MonomialIdeal:
         return np.array_equal(self.xy, other.xy)
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:  # taken once, as gens is: the array is read-only
         return hash(self.xy.tobytes())
 
     # -- basic queries ----------------------------------------------------
@@ -294,8 +298,8 @@ class MonomialIdeal:
         return self.shift((-g[0], -g[1])), g
 
     def transpose(self) -> "MonomialIdeal":
-        """Swap the roles of x and y; the reversed columns are canonical."""
-        return MonomialIdeal._canonical(self.xy[::-1, ::-1])
+        """Swap the roles of x and y; the reversed columns, copied in C order, are canonical."""
+        return MonomialIdeal._canonical(np.ascontiguousarray(self.xy[::-1, ::-1]))
 
     def __str__(self) -> str:
         return "[" + ", ".join(f"({a}, {b})" for a, b in self.gens) + "]"

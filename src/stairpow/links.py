@@ -32,12 +32,12 @@ def _link_counted(runs: Sequence[tuple], origin: Monomial) -> tuple[MonomialIdea
     A run ``(rest, h, top, dx, dy, reps)`` is ``reps`` linked copies of an
     anchored block spanning ``(dx, dy)`` whose generators after its first,
     ``(0, top)``, are the ``(2, h)`` array ``rest`` (``top`` is ``dy`` but
-    for a template's prefix).  The origin and full span are range-checked
-    before any allocation; copies ``[c, 2c)`` are copies ``[0, c)`` shifted
-    by ``(c*dx, -c*dy)``.  Writes are planned in Python ints, and one
-    conversion makes all offsets the int64 array whose views the adds take.
+    for a template's prefix).  The origin, Python ints its caller read, and
+    the full span are range-checked before any allocation; copies ``[c, 2c)``
+    are copies ``[0, c)`` shifted by ``(c*dx, -c*dy)``.  A write is one 1-D
+    add to the x row and one to the y row, each with a Python-int offset.
     """
-    x, y = _monomial(origin)
+    x, y = origin
     _check_exponents(x, y)
     size, total_x, total_y = 1, x, y
     for _, h, _, dx, dy, reps in runs:
@@ -48,22 +48,19 @@ def _link_counted(runs: Sequence[tuple], origin: Monomial) -> tuple[MonomialIdea
     # previous copy's bottom one (the link point); the blocks are anchored,
     # so the top generator of the very first copy is (origin_x, total_y).
     xy = np.empty((2, size), dtype=np.int64)
-    writes, offsets, y, start, written = [], [(x, total_y)], total_y, 1, 1
+    xs, ys = xy[0], xy[1]  # by index: unpacking iterates the array, dearer on a cold cache
+    xs[0], ys[0], y, start, written = x, total_y, total_y, 1, 1
     for rest, h, top, dx, dy, reps in runs:
         if reps and h:  # out[:, c*h + j] is column j of rest in copy c
-            writes.append((rest, xy[:, start : start + h]))
-            offsets.append((x, y - top))
+            np.add(rest[0], x, out=xs[start : start + h])
+            written += np.add(rest[1], y - top, out=ys[start : start + h]).shape[0]
             c = 1
             while c < reps:
-                n = min(c, reps - c) * h
-                writes.append((xy[:, start : start + n], xy[:, start + c * h : start + c * h + n]))
-                offsets.append((c * dx, -c * dy))
+                n, at = min(c, reps - c) * h, start + c * h
+                np.add(xs[start : start + n], c * dx, out=xs[at : at + n])
+                written += np.add(ys[start : start + n], -c * dy, out=ys[at : at + n]).shape[0]
                 c *= 2
         x, y, start = x + dx * reps, y - dy * reps, start + h * reps
-    shifts = np.array(offsets, dtype=np.int64)[:, :, None]
-    xy[:, :1] = shifts[0]
-    for (source, out), shift in zip(writes, shifts[1:]):
-        written += np.add(source, shift, out=out).shape[1]
     return MonomialIdeal._canonical(xy), written
 
 
@@ -86,11 +83,11 @@ class LinkTemplates:
     r) dist_y(H)``.  After each link a run whose ell reaches a larger such
     power of two leaves that many of its first copies, less their gcd, as
     H's new template in ``built``: one subtraction, no link of its own, so
-    a first emission pays only that.  Unanchored parts are refused once,
-    when the templates are built (a ValueError), and every part's spans are
-    read there as Python ints; a link reads ell through ``_count`` and no
-    numpy scalar, and the kernel spends ``ceil(log2 q) + 2`` adds or fewer
-    on a run, not ``ceil(log2 ell) + 1``.
+    a first emission pays only that.  Unanchored parts and one-generator
+    middles are refused once, when the templates are built (a ValueError),
+    and every part's spans are read there as Python ints; a link reads ell
+    and the origin once, at its entry, and the kernel spends ``ceil(log2 q)
+    + 2`` writes or fewer on a run, not ``ceil(log2 ell) + 1``.
     """
 
     components: tuple[MonomialIdeal, ...]
@@ -102,13 +99,15 @@ class LinkTemplates:
     def __post_init__(self) -> None:
         if any(part.gcd() != (0, 0) for part in (*self.components, *self.middles)):
             raise ValueError("link templates need anchored parts")
+        if any(middle.mu < 2 for middle in self.middles):
+            raise ValueError("a link template's middle needs two generators or more")
         object.__setattr__(self, "_ends", tuple(_run(part, 1) for part in self.components))
         object.__setattr__(self, "_steps", tuple((m.mu - 1, m.dist(Axis.X), m.dist(Axis.Y)) for m in self.middles))
 
     def link(self, ell: int, origin: Monomial = (0, 0)) -> tuple[MonomialIdeal, int]:
-        """The link for this ``ell`` times ``origin``, and the number of generators
-        its writes filled (see :func:`_link_counted`)."""
-        ell = _count(ell, 0, "ell must be non-negative")
+        """The link for this ``ell`` times ``origin``, and the number of generators its
+        writes filled (see :func:`_link_counted`); both are read once, here, for the kernel."""
+        ell, origin = _count(ell, 0, "ell must be non-negative"), _monomial(origin)
         runs, due = [self._ends[0]], {}
         for i, ((h, dx, dy), end) in enumerate(zip(self._steps, self._ends[1:])):
             template, c = self.built.get(i, (self.middles[i], 1))

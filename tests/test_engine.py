@@ -511,9 +511,11 @@ def test_plan_shared_by_equal_ideals(monkeypatch):
     twin = MonomialIdeal(BIG.xy.copy())
     assert twin is not BIG and twin == BIG
     assert power(BIG, 241) == power(twin, 241)
-    assert mu_polynomial(twin) == mu_polynomial(BIG)
+    assert mu_polynomial(twin) is mu_polynomial(BIG)  # one plan, whose polynomial is built once
     info = engine.cached_plan.cache_info()
     assert (info.misses, info.hits, len(decompositions)) == (1, 3, 1)
+    # Each ideal hashes its read-only array once, and equal arrays hash alike.
+    assert vars(twin)["_hash"] == vars(BIG)["_hash"] == hash(BIG.xy.tobytes())
 
 
 @pytest.mark.parametrize("seed", [4, 8, 12, 14, 22])
@@ -979,6 +981,8 @@ def test_plan_cuts_at_every_level_from_m(seed):
 def test_decomposition_reads_each_radius_once(monkeypatch):
     # The profile computes r_x and r_y at D_P, and every cut reads both radii
     # at its own level once: stable_decomposition's at D_P, the plan's at m.
+    # The plan's s and its cut at m share that one read at m, so the first
+    # power past s on an empty memo reads four radii, not six.
     calls = _count_calls(monkeypatch, geometry, "_radius")
     for seed in range(20):
         I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
@@ -987,6 +991,11 @@ def test_decomposition_reads_each_radius_once(monkeypatch):
         assert len(calls) == 4, seed
         calls.clear()
         assert mu_polynomial(I) == mu_polynomial(I)
+        assert len(calls) == 4, seed
+        s = mu_polynomial(I).s
+        engine.cached_plan.cache_clear()
+        calls.clear()
+        assert power(I, s + 3).mu == mu_polynomial(I)(s + 3), seed
         assert len(calls) == 4, seed
 
 
@@ -1056,6 +1065,75 @@ def test_emission_at_template_boundaries(ideal):
         assert written == result.mu == mu_polynomial(ideal)(n), ell
         oriented = expected if dec.axis is Axis.Y else expected[::-1, ::-1]
         assert np.array_equal(result.xy, oriented + np.reshape(ideals_module.mon_pow(dec.gcd_shift, n), (2, 1))), ell
+
+
+def _filled_columns(monkeypatch):
+    """Record the ``(row, start, stop)`` of every ``np.add`` the link kernel writes, by offset into its array."""
+    filled = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def add(self, a, b, out):
+            start, size = (out.ctypes.data - out.base.ctypes.data) // 8, out.base.shape[1]
+            filled.append((start // size, start % size, start % size + out.shape[0]))
+            return np.add(a, b, out=out)
+
+    monkeypatch.setattr(links, "np", Numpy())
+    return filled
+
+
+@pytest.mark.parametrize("label", ["I1", "I2", "I3"])
+def test_the_written_count_is_what_the_writes_filled(monkeypatch, label):
+    # At ell = c - 1, c, c + 1, 2c - 1, 2c and 2c + 1 for every template size
+    # c that a middle of the decomposition grows through, rising, each link's
+    # 1-D adds fill every column but the first once in the x row and once in
+    # the y row, its written count is the y row's filled columns plus that
+    # first one, and its output is the per-generator link of ell copies.
+    dec = engine.cached_plan(_fixed_ideals()[label]).decomposition
+    templates, filled = links.LinkTemplates(dec.components, dec.middles), _filled_columns(monkeypatch)
+    sizes = {c for middle in dec.middles for c in (1 << i for i in range(11)) if c <= _template_copies(middle)}
+    assert max(sizes) == max(_template_copies(middle) for middle in dec.middles) >= 64
+    for ell in sorted({ell for c in sizes for ell in (c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1)}):
+        filled.clear()
+        ideal, written = templates.link(ell)
+        assert ideal.gens == brute.link_blocks(_template_free_blocks(dec, ell)), ell
+        for row in (0, 1):
+            counts = np.zeros(ideal.mu, dtype=int)
+            for start, stop in [(a, b) for r, a, b in filled if r == row]:
+                counts[start:stop] += 1
+            assert counts[0] == 0 and (counts[1:] == 1).all(), (ell, row)
+        assert written == 1 + sum(b - a for r, a, b in filled if r == 1) == ideal.mu, ell
+    assert {i: c for i, (_, c) in templates.built.items()} == {
+        i: _template_copies(middle) for i, middle in enumerate(dec.middles) if _template_copies(middle) > 1
+    }
+
+
+def _assert_fresh_array(ideal, label):
+    """``ideal.xy`` is a read-only, C-contiguous ``(2, mu)`` int64 array."""
+    xy = ideal.xy
+    layout = (xy.dtype, xy.shape, xy.flags.c_contiguous, xy.flags.writeable)
+    assert layout == (np.int64, (2, ideal.mu), True, False), label
+
+
+@pytest.mark.parametrize("label", ["I1", "I4", "seed 3"])
+@pytest.mark.parametrize("form", ["given", "transposed", "shifted", "pairs"])
+def test_every_route_returns_a_read_only_c_contiguous_array(label, form):
+    # Below m (I4's m is 3, so power(I, 1) is I itself), from m to s and
+    # from s on, assembled, on ideals built every way the library builds one:
+    # parsed or drawn, transposed, shifted and from exponent pairs.
+    ideal = random_ideal(RandomIdealSpec(8, 20, seed=3)) if label == "seed 3" else _fixed_ideals()[label]
+    forms = {"given": ideal, "transposed": ideal.transpose(), "shifted": ideal.shift((1, 2))}
+    ideal = forms.get(form) or MonomialIdeal(ideal.transpose().gens)
+    plan = engine.cached_plan(ideal)
+    levels = {1, 2, plan.m, plan.m + 1, plan.s - 1, plan.s, plan.s + 1, plan.s + 1025}
+    routes = {n: power(ideal, n) for n in sorted(levels)}
+    assert any(n < plan.m for n in routes) == (label == "I4")
+    routes["assemble_power"] = assemble_power(plan.decomposition, plan.s + 7)
+    routes["link_many"] = links.link_many([ideal, ideal.transpose(), SMALL]).ideal
+    for n, result in routes.items():
+        _assert_fresh_array(result, (label, n))
 
 
 @pytest.mark.parametrize("ideal", [BIG, BIG.transpose().shift((2, 1))])

@@ -497,6 +497,21 @@ def test_unanchored_parts_are_refused_where_they_enter(monkeypatch):
             glued_power(dataclasses.replace(gl, components=components, middles=middles), 3)
 
 
+def test_a_one_generator_middle_is_refused_where_it_enters(monkeypatch):
+    # A middle of one generator spans nothing, so no copy of it lengthens a
+    # run: LinkTemplates refuses it when it is built, a ValueError and not a
+    # division by its mu - 1 = 0 in a link, and so does glued_power on a
+    # hand-built GluedComponents.  glued_components never makes one.
+    gl = glued_components(((0, 2), (3, 0)), SMALL, 1)
+    monkeypatch.setattr(links.np, "empty", lambda *a, **k: pytest.fail("allocated before the check"))
+    for components, middles in (((UNIT, UNIT), (UNIT,)), (gl.components, (UNIT,)), ((UNIT,) * 3, (SMALL, UNIT))):
+        with pytest.raises(ValueError, match="two generators or more"):
+            LinkTemplates(components, middles)
+        for ell in (0, 3):
+            with pytest.raises(ValueError, match="two generators or more"):
+                glued_power(dataclasses.replace(gl, components=components, middles=middles), ell)
+
+
 def test_refusals_of_the_segment_powers():
     with pytest.raises(ValueError):
         glued_components(((0, 2), (0, 0)), SMALL, 1)  # u = 0
