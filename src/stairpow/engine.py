@@ -238,9 +238,9 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
 
     Principal ideals short-circuit to the single-generator power.  Below
     the onset m (D_P unless certified earlier) :func:`level_power` runs;
-    from m the staircase expansion ``Q_(n-m) I^m``, by one slice per
-    generator of ``Q_(n-m)`` for small ``n - m`` and by window tables
-    above (see :func:`staircase_sum`); from its ``s = m + r + 1``
+    from m the staircase expansion ``Q_(n-m) I^m`` (see :func:`staircase_sum`),
+    by slices of I^m's cached staircase for small ``n - m`` and by window
+    tables taking their head rows from it above; from its ``s = m + r + 1``
     the stable-component assembly, the only route that builds a
     decomposition.  The profile, onset and decomposition of the last 16
     ideals are kept for later calls, shared by equal ideals; ``G(I^n)``

@@ -104,23 +104,24 @@ def _columns(points: Iterable[Monomial]) -> np.ndarray:
         raise ExponentOverflowError("exponent out of the int64 range") from None
 
 
-def _minimalize_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The minimal generators of the int64 points ``(x[i], y[i])``, as columns.
+def _minimalize_array(xy: np.ndarray) -> np.ndarray:
+    """The minimal generators of the int64 points in the columns ``xy``, as columns.
 
     Buckets the least x per y level, in O(N + y-span), then sweeps the levels
     once with :func:`_level_staircase`.  A y-span beyond
     ``_BUCKET_SPAN_FACTOR * N`` is compressed to the occurring levels.
     """
-    y0 = int(y.min())
-    span = int(y.max()) - y0 + 1
-    dense = span <= _BUCKET_SPAN_FACTOR * len(x)
+    y0 = int(np.minimum.reduce(xy[1]))
+    span = int(np.maximum.reduce(xy[1])) - y0 + 1
+    dense = span <= _BUCKET_SPAN_FACTOR * xy.shape[1]
     if dense:
-        y = y - y0
+        y = xy[1] - y0
     else:
-        levels, y = np.unique(y, return_inverse=True)
+        levels, y = np.unique(xy[1], return_inverse=True)
         span = len(levels)
-    x_by_y = np.full(span, _NO_POINT, dtype=np.int64)
-    np.minimum.at(x_by_y, y, x)
+    x_by_y = np.empty(span, dtype=np.int64)
+    x_by_y.fill(_NO_POINT)
+    np.minimum.at(x_by_y, y, xy[0])
     return _level_staircase(x_by_y, y0 if dense else levels)
 
 
@@ -130,6 +131,7 @@ def _level_staircase(x_by_y: np.ndarray, levels: int | np.ndarray) -> np.ndarray
     one sweep keeps each level whose x undercuts every level below it.  An
     empty level holds ``_NO_POINT``; the first is never empty.  Non-negative
     points give canonical columns, fit for :meth:`MonomialIdeal._canonical`.
+    ``x_by_y`` may be an ideal's read-only :attr:`MonomialIdeal.staircase`.
     The kept columns are written straight into one ``(2, k)`` array; ``take``
     with ``mode="clip"`` writes its ``out`` in place, where ``"raise"`` buffers it."""
     keep = np.empty(len(x_by_y), dtype=bool)
@@ -137,9 +139,9 @@ def _level_staircase(x_by_y: np.ndarray, levels: int | np.ndarray) -> np.ndarray
     np.less(x_by_y[1:], np.minimum.accumulate(x_by_y)[:-1], out=keep[1:])
     kept = keep.nonzero()[0][::-1]
     xy = np.empty((2, len(kept)), dtype=np.int64)
-    np.take(x_by_y, kept, out=xy[0], mode="clip")
+    x_by_y.take(kept, out=xy[0], mode="clip")
     if isinstance(levels, np.ndarray):
-        np.take(levels, kept, out=xy[1], mode="clip")
+        levels.take(kept, out=xy[1], mode="clip")
     else:
         np.add(kept, levels, out=xy[1])
     return xy
@@ -151,7 +153,7 @@ def minimalize(candidates: Iterable[Monomial]) -> "MonomialIdeal":
     Keeps exactly the divisibility antichain: a candidate survives iff no
     other candidate divides it.
     """
-    return MonomialIdeal(_minimalize_array(*_columns(candidates)))
+    return MonomialIdeal(_minimalize_array(_columns(candidates)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,9 +178,8 @@ class MonomialIdeal:
             object.__setattr__(self, "xy", xy)
         if xy.dtype != np.int64 or xy.ndim != 2 or len(xy) != 2 or not xy.shape[1]:
             raise ValueError("a monomial ideal needs a (2, mu) int64 array, mu >= 1")
-        # count_nonzero: the Python-level wrapper of ndarray.all costs more here.
-        steps = np.count_nonzero(xy[0, 1:] > xy[0, :-1]) + np.count_nonzero(xy[1, :-1] > xy[1, 1:])
-        if steps != 2 * xy.shape[1] - 2:
+        # Ufunc reductions: ndarray.all and np.count_nonzero each run a Python-level wrapper.
+        if not (np.logical_and.reduce(xy[0, 1:] > xy[0, :-1]) and np.logical_and.reduce(xy[1, :-1] > xy[1, 1:])):
             raise ValueError(f"generators not in canonical antichain order: {xy.T.tolist()}")
         if xy[0, 0] < 0 or xy[1, -1] < 0:
             raise ExponentOverflowError(f"negative exponent in {xy.T.tolist()}")
@@ -221,6 +222,18 @@ class MonomialIdeal:
     def _hash(self) -> int:  # taken once, as gens is: the array is read-only
         return hash(self.xy.tobytes())
 
+    @cached_property
+    def staircase(self) -> np.ndarray:
+        """The least x at each of the ``dist_y + 1`` levels from the lowest generator up, read-only:
+        built on first read, as ``gens`` and the hash are, by kernels behind their dense-span guards."""
+        x, y = self.xy[0], self.xy[1]
+        levels = np.empty(int(y[0]) - int(y[-1]) + 1, dtype=np.int64)
+        levels.fill(_NO_POINT)
+        levels[y - y[-1]] = x
+        np.minimum.accumulate(levels, out=levels)  # the lowest generator fills level 0
+        levels.setflags(write=False)
+        return levels
+
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -236,7 +249,9 @@ class MonomialIdeal:
         return self.mu == 1 and not self.xy.any()
 
     def contains(self, m: Monomial) -> bool:
-        return bool(((self.xy[0] <= m[0]) & (self.xy[1] <= m[1])).any())
+        """Whether the monomial ``m``, read by :func:`_monomial`, lies in the ideal."""
+        a, b = _monomial(m)
+        return bool(((self.xy[0] <= a) & (self.xy[1] <= b)).any())
 
     def gcd(self) -> Monomial:
         return (int(self.xy[0, 0]), int(self.xy[1, -1]))
@@ -262,7 +277,7 @@ class MonomialIdeal:
         xy = np.empty((2, a.shape[1], b.shape[1]), dtype=np.int64)
         for i in (0, 1):
             np.add.outer(a[i], b[i], out=xy[i])
-        return MonomialIdeal._canonical(_minimalize_array(*xy.reshape(2, -1)))
+        return MonomialIdeal._canonical(_minimalize_array(xy.reshape(2, -1)))
 
     def shift(self, m: Monomial) -> "MonomialIdeal":
         """Multiply by the monomial ``m``: a constant shift keeps the order,
@@ -282,7 +297,7 @@ class MonomialIdeal:
         clamping the differences at zero maps the two ends: a canonical result.
         Both exponents are read by :func:`_count` and must be non-negative.
         """
-        x, y = self.xy
+        x, y = self.xy[0], self.xy[1]
         # Past the largest exponent the quotient no longer depends on m.
         u = min(_count(m[0], 0, "colon exponent must be non-negative"), int(x[-1]))
         v = min(_count(m[1], 0, "colon exponent must be non-negative"), int(y[0]))
@@ -313,7 +328,7 @@ def ideal_sum(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
         raise ValueError("empty sum of ideals")
     if len(ideals) == 1:
         return ideals[0]
-    return MonomialIdeal._canonical(_minimalize_array(*np.concatenate([ideal.xy for ideal in ideals], axis=1)))
+    return MonomialIdeal._canonical(_minimalize_array(np.concatenate([ideal.xy for ideal in ideals], axis=1)))
 
 
 def naive_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
@@ -338,7 +353,8 @@ def level_power(ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial] = ()
     """``I^n`` on one dense array of x values per y level.
 
     Entry t for ``I^j`` is the least x of ``I^j`` at most t above its lowest
-    generator: the staircase of ``I^j``.  Entry t for ``I^(j+1)`` is the
+    generator: the staircase of ``I^j``, for ``j = 1`` the ideal's cached
+    :attr:`MonomialIdeal.staircase`.  Entry t for ``I^(j+1)`` is the
     minimum over the generators g of entry ``t - g_y`` plus ``g_x``: one
     slice minimum per generator, no candidate products.  Slices end at the
     top of ``I^j``, where the slice of the highest generator has already
@@ -372,25 +388,23 @@ def _certified_level_power(
     first true answer it returns ``(j, I^j, m)``, past those levels ``(n,
     None, m)`` without sweeping ``I^j``.  I^n is also None on a sparse span,
     where the kernel does not run."""
-    x, y = ideal.xy
-    rise = y - y[-1]
-    span = int(rise[0])
+    gens = ideal.gens  # Python ints, cached on the ideal once a profile has read them
+    y0 = gens[-1][1]
+    span = gens[0][1] - y0
     # The lowest generator's slice starts at level 0; the others follow it.
-    lowest, steps = int(x[-1]), list(zip(x[:-1].tolist(), rise[:-1].tolist()))
+    lowest, steps = gens[-1][0], [(a, b - y0) for a, b in gens[:-1]]
     chosen = dict(reduction)  # generators of I differ in x
-    if chosen and (lowest not in chosen or int(x[0]) not in chosen):
+    if chosen and (lowest not in chosen or gens[0][0] not in chosen):
         raise ValueError(f"the reduction {tuple(reduction)} misses an extreme generator of {ideal}")
     certified = 0 if len(chosen) in (0, ideal.mu) else None  # 0: P is G(I)
     if n < 2 or not 0 < span <= _BUCKET_SPAN_FACTOR * ideal.mu:  # span 0: principal
         return n, None if onset and n >= 2 else naive_power(ideal, n), certified
     # The largest exponents of I^n, checked before any int64 add.
-    _check_exponents(n * lowest, n * int(y[0]))
-    levels = np.full(span + 1, _NO_POINT, dtype=np.int64)
-    levels[rise] = x
-    # Level 0 holds a generator, so no _NO_POINT is left to add to.  From
-    # then on the slices of the lowest and the highest generator, both in P,
-    # cover every level, so none comes back.
-    np.minimum.accumulate(levels, out=levels)
+    _check_exponents(n * lowest, n * gens[0][1])
+    # I's staircase, read only: level 0 holds a generator, so no _NO_POINT
+    # is left to add to.  From then on the slices of the lowest and the
+    # highest generator, both in P, cover every level, so none comes back.
+    levels = ideal.staircase
     # P's steps reduce every step, the others until a step certifies.
     reducing, others = [], []
     for step in steps:
@@ -412,7 +426,7 @@ def _certified_level_power(
         for a, b in others:
             window = stepped[b : b + len(levels)]
             np.add(levels, a, out=shifted)
-            certifies = certifies and not (shifted < window).any()
+            certifies = certifies and not np.logical_or.reduce(shifted < window)
             np.minimum(window, shifted, out=window)
         if certifies and others:
             certified, others = j, []
@@ -420,9 +434,9 @@ def _certified_level_power(
             if j > certified + _ONSET_TRIES:
                 return n, None, certified
             if onset(levels):  # levels is still I^j
-                return j, MonomialIdeal._canonical(_level_staircase(levels, j * int(y[-1]))), certified
+                return j, MonomialIdeal._canonical(_level_staircase(levels, j * y0)), certified
         levels = stepped
-    return n, MonomialIdeal._canonical(_level_staircase(levels, n * int(y[-1]))), certified
+    return n, MonomialIdeal._canonical(_level_staircase(levels, n * y0)), certified
 
 
 def pair_power(g: Monomial, h: Monomial, n: int) -> MonomialIdeal:
@@ -442,4 +456,4 @@ def pair_power(g: Monomial, h: Monomial, n: int) -> MonomialIdeal:
     _check_exponents(h[0] * n, g[1] * n)
     _check_exponents(g[0] * n, h[1] * n)
     j = np.arange(n, -1, -1)
-    return MonomialIdeal._canonical(np.outer(g, j) + np.outer(h, j[::-1]))
+    return MonomialIdeal._canonical(np.multiply.outer(g, j) + np.multiply.outer(h, j[::-1]))

@@ -42,11 +42,11 @@ def staircase_sum(gs: Sequence[Monomial], n: int, j_ideal: MonomialIdeal) -> Mon
     """``sum_i (g_i, g_(i+1))^n * J`` over consecutive pairs of ``gs``, each
     pair in either order, on one level array swept once.
 
-    With F the least x of J per level from its lowest generator, each of
-    the ``k n + 1`` generators q of ``Q_n`` (k pairs, each shared end power
-    ``g_i^n`` once) is one slice ``F + q_x`` from level ``q_y`` on: two
-    numpy calls, against ``_TABLE_CALLS`` for a pair's window table, so
-    slices run while they are the fewer calls.  Each slice value is a point
+    With F the cached staircase of J, its least x per level from its lowest
+    generator up, each of the ``k n + 1`` generators q of ``Q_n`` (k pairs,
+    each shared end power ``g_i^n`` once) is one slice ``F + q_x`` from level
+    ``q_y`` on: two numpy calls, against ``_TABLE_CALLS`` for a pair's window
+    table, so slices run while they are the fewer calls.  Each slice value is a point
     of ``q J``, and each minimal generator ``q j`` lies in its own q's slice
     at j's level, so the array is exact at every generator's level and
     nowhere below the staircase, and one sweep gives the generators.
@@ -65,17 +65,15 @@ def staircase_sum(gs: Sequence[Monomial], n: int, j_ideal: MonomialIdeal) -> Mon
     for g, h in pairs:
         if mon_divides(g, h) or mon_divides(h, g):
             raise ValueError(f"{g} and {h} are comparable; staircase power undefined")
-    x, y = j_ideal.xy
-    y0, y1 = int(y[-1]), int(y[0])
+    x1, y0, y1 = int(j_ideal.xy[0, -1]), int(j_ideal.xy[1, -1]), int(j_ideal.xy[1, 0])
     low, high = n * min(g[1] for g in gs), n * max(g[1] for g in gs)
     # The largest product exponents, checked in Python ints before any int64 add.
-    _check_exponents(n * max(g[0] for g in gs) + int(x[-1]), high + y1)
+    _check_exponents(n * max(g[0] for g in gs) + x1, high + y1)
     slices, size = len(pairs) * n + 1, high - low + y1 - y0 + 1
     if 2 * slices < _TABLE_CALLS * len(pairs) and size <= _BUCKET_SPAN_FACTOR * slices * j_ideal.mu:
-        staircase = np.full(y1 - y0 + 1, _NO_POINT, dtype=np.int64)
-        staircase[y - y0] = x
-        np.minimum.accumulate(staircase, out=staircase)
-        levels = np.full(size, _NO_POINT, dtype=np.int64)
+        staircase = j_ideal.staircase
+        levels = np.empty(size, dtype=np.int64)
+        levels.fill(_NO_POINT)
         for i, (a, b) in enumerate(pairs):
             for t in range(i > 0, n + 1):  # q = a^(n-t) b^t; a^n was the last pair's b^n
                 start = (n - t) * a[1] + t * b[1] - low
@@ -88,7 +86,8 @@ def staircase_sum(gs: Sequence[Monomial], n: int, j_ideal: MonomialIdeal) -> Mon
     low = min((bottom for _, bottom in tables), default=0)
     size = max((bottom + len(t) for t, bottom in tables), default=0) - low
     if len(tables) > 1 and size <= _BUCKET_SPAN_FACTOR * sum(len(t) for t, _ in tables):
-        levels = np.full(size, _NO_POINT, dtype=np.int64)
+        levels = np.empty(size, dtype=np.int64)
+        levels.fill(_NO_POINT)
         for table, bottom in tables:
             view = levels[bottom - low : bottom - low + len(table)]
             np.minimum(view, table, out=view)
@@ -106,7 +105,8 @@ def _pair_levels(
     caller has checked the pair and the largest exponents.
 
     With g the pair member of smaller x, ``u = h_x - g_x``, ``v = g_y - h_y``
-    and ``F(t)`` the least x of G(J) at most t above its lowest generator,
+    and ``F(t)`` the least x of G(J) at most t above its lowest generator
+    (J's cached :attr:`~ideals.MonomialIdeal.staircase` up to J's top, x0 above),
     the entry at height ``n*h_y + c + q*v`` (``0 <= c < v``) is ``n*h_x -
     q*u`` plus the least row t of the table ``F(c + t*v) + t*u`` over the
     window ``[max(0, q - n), min(q, top)]``, ``top = floor(dist_y(J) / v)``:
@@ -120,8 +120,7 @@ def _pair_levels(
     densely too, or beyond int64.
     """
     g, h = sorted((pair_g, pair_h))
-    x, y = j_ideal.xy
-    x0, x1, y0, y1 = int(x[0]), int(x[-1]), int(y[-1]), int(y[0])
+    x0, x1, y0, y1 = int(j_ideal.xy[0, 0]), int(j_ideal.xy[0, -1]), int(j_ideal.xy[1, -1]), int(j_ideal.xy[1, 0])
     u, v = h[0] - g[0], g[1] - h[1]
     top = (y1 - y0) // v
     rows = n + 1 + top
@@ -131,14 +130,15 @@ def _pair_levels(
     # [p - w, p] is a block suffix from row p plus a block prefix up to p + w.
     w = min(n, top)
     blocks = -(-(2 * w + top + 1) // (w + 1))
-    padded = np.full((blocks * (w + 1), v), _NO_POINT, dtype=np.int64)
+    padded = np.empty((blocks * (w + 1), v), dtype=np.int64)
+    padded.fill(_NO_POINT)
     head = padded[w : w + top + 1]  # row t, column c: F(c + t*v) - x0
     levels = head.reshape(-1)
-    levels[y - y0] = x - x0
-    np.minimum.accumulate(levels, out=levels)
+    np.subtract(j_ideal.staircase, x0, out=levels[: y1 - y0 + 1])
+    levels[y1 - y0 + 1 :] = 0
     head += np.arange(0, (top + 1) * u, u, dtype=np.int64)[:, None]
     padded = padded.reshape(blocks, w + 1, v)
-    suffix = np.empty_like(padded)
+    suffix = np.empty(padded.shape, dtype=np.int64)
     np.minimum.accumulate(padded[:, ::-1], axis=1, out=suffix[:, ::-1])
     np.minimum.accumulate(padded, axis=1, out=padded)
     window = np.minimum(suffix.reshape(-1, v)[: w + top + 1], padded.reshape(-1, v)[w : 2 * w + top + 1])
@@ -202,7 +202,7 @@ def glued_cut(boundary: MonomialIdeal, base: MonomialIdeal, r: int) -> GluedComp
     us, vs = [h[0] - g[0] for g, h in zip(gs, gs[1:])], [g[1] - h[1] for g, h in zip(gs, gs[1:])]
     # y descends, so one search of the ascending reversed column counts the
     # generators at or above each threshold; the first count is the least.
-    x, y = base.xy
+    x, y = base.xy[0], base.xy[1]
     above = len(y) - y[::-1].searchsorted([r * v + (r + 1) * g[1] for v, g in zip(vs, gs[1:])])
     if not above[0]:
         raise AssertionError("no generator above the link-point threshold")
@@ -347,7 +347,8 @@ def _covered_by_level(staircase: np.ndarray, top: int, low: list[int], lift: lis
     """
     extended = np.empty(top, dtype=np.int64)  # F, constant above its top
     extended[: len(staircase)], extended[len(staircase) :] = staircase, staircase[-1]
-    shifted = np.full((len(low), top), _NO_POINT, dtype=np.int64)  # empty below its lowest level
+    shifted = np.empty((len(low), top), dtype=np.int64)
+    shifted.fill(_NO_POINT)  # empty below its lowest level
     for row, y, x in zip(shifted, low, lift):
         np.add(extended[: top - y], x, out=row[y:])
     square, step, *wider = (shifted[widths[w] : widths[w + 1]] for w in range(len(widths) - 1))
@@ -356,7 +357,7 @@ def _covered_by_level(staircase: np.ndarray, top: int, low: list[int], lift: lis
     for target in wider:
         kept = np.logical_and.reduce(target >= np.minimum(union[:-1], with_b), axis=1)
         kept |= np.logical_and.reduce(target >= np.minimum(union[1:], with_a), axis=1)
-        if not kept.all():
+        if not np.logical_and.reduce(kept):
             return False
         if len(target) > 1:
             union = np.minimum(union[:-1], union[1:])

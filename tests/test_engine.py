@@ -38,7 +38,7 @@ from stairpow.geometry import (
 )
 from stairpow.oracle import RandomIdealSpec, random_ideal, shift_generators
 from stairpow.textio import parse_ideal
-from test_ideals import ideals
+from test_ideals import fixed_ideals, ideals
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCES = ROOT / "stairbench" / "references.json"
@@ -179,11 +179,17 @@ def test_numpy_integer_counts_are_read_exactly_at_every_entry(name):
     assert errors[0] == errors[1] and "-" not in errors[0], errors
 
 
-@pytest.mark.parametrize("name", ["glued_power", "shift_generators"])
+@pytest.mark.parametrize("name", ["glued_power", "shift_generators", "contains"])
 @pytest.mark.parametrize("count", [2.0, 2.5, True])
 def test_a_float_count_is_a_type_error(name, count):
+    # contains reads its monomial as shift and colon do: (2.5, 1) is no
+    # monomial, not one that (2, 1) divides.
     dec = stable_decomposition(SMALL)
-    calls = {**COUNTED, "shift_generators": lambda n: shift_generators(dec, assemble_power(dec, dec.s), n)}
+    calls = {
+        **COUNTED,
+        "shift_generators": lambda n: shift_generators(dec, assemble_power(dec, dec.s), n),
+        "contains": lambda n: SMALL.contains((n, 1)),
+    }
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         calls[name](count)
 
@@ -208,6 +214,8 @@ def test_a_bool_is_no_count_at_any_entry(flag):
         lambda b: ideals_module.mon_pow((b, 1), 2),
         lambda b: SMALL.shift((b, 0)),
         lambda b: SMALL.colon((0, b)),
+        lambda b: SMALL.contains((b, 0)),
+        lambda b: SMALL.contains((3, b)),
         lambda b: segments.staircase_sum(((0, 2), (3, 0)), b, SMALL),
         lambda b: glued_components(((0, 2), (3, 0)), SMALL, b),
         lambda b: templates.link(b),
@@ -561,14 +569,6 @@ def test_decompose_orients_the_given_base(monkeypatch, seed):
 # -- the certified onset ---------------------------------------------------
 
 
-def _fixed_ideals():
-    lines = (ROOT / "benchmarks" / "ideals.txt").read_text(encoding="utf-8").splitlines()
-    return dict(
-        (label.strip(), parse_ideal(text))
-        for label, text in (line.split(":", 1) for line in lines if line and not line.startswith("#"))
-    )
-
-
 def _onset(plan):
     """The plan's onset m, the search's I^m and the reduction number."""
     return plan.m, plan.searched, plan.reduction_number
@@ -577,7 +577,7 @@ def _onset(plan):
 def test_onset_of_the_fixed_ideals():
     # I1-I4 certify at m = 1, 1, 1 and 3: s drops from 61, 241, 989 and 2377
     # to 5, 7, 14 and 28.
-    got = {label: (engine.cached_plan(I).m, engine.cached_plan(I).s) for label, I in _fixed_ideals().items()}
+    got = {label: (engine.cached_plan(I).m, engine.cached_plan(I).s) for label, I in fixed_ideals().items()}
     assert got == {"I1": (1, 5), "I2": (1, 7), "I3": (1, 14), "I4": (3, 28)}
 
 
@@ -587,7 +587,7 @@ def test_decomposition_reorients_only_p_and_the_base(monkeypatch, label, transpo
     # I^s is summed in the working orientation from P and I^m: no ideal
     # larger than I^m, such as the whole I^s, is shifted or transposed.
     # Seed 23 certifies no onset, so its I^m is I^D_P.
-    ideal = random_ideal(RandomIdealSpec(8, 20, seed=23)) if label == "seed 23" else _fixed_ideals()[label]
+    ideal = random_ideal(RandomIdealSpec(8, 20, seed=23)) if label == "seed 23" else fixed_ideals()[label]
     ideal = ideal.transpose() if transposed else ideal
     limit = engine.Plan(ideal).base.mu
     calls = [_count_calls(monkeypatch, MonomialIdeal, name) for name in ("shift", "transpose")]
@@ -764,18 +764,10 @@ def corpus_image(draw, pairs):
     return I.shift((draw(st.integers(0, 4)), draw(st.integers(0, 4))))
 
 
-def _staircase(ideal):
-    """The least x of an ideal at each level from its lowest generator up."""
-    x, y = ideal.xy
-    levels = np.full(int(y[0] - y[-1]) + 1, ideals_module._NO_POINT, dtype=np.int64)
-    levels[y - y[-1]] = x
-    return np.minimum.accumulate(levels)
-
-
 def _corpus_and_fixed():
     """Seeds 0-199, I1-I4 and their transposes, principal ideals left out."""
     ideals = [random_ideal(RandomIdealSpec(8, 20, seed=seed)) for seed in range(200)]
-    ideals += _fixed_ideals().values()
+    ideals += fixed_ideals().values()
     return [J for I in ideals for J in (I, I.transpose()) if not J.is_principal]
 
 
@@ -785,13 +777,12 @@ def test_pairs_covered_holds_on_from_the_onset():
     # and 170 with |P| = 2, where it is vacuous.
     onsets = Counter()
     for J in _corpus_and_fixed():
-        assert np.array_equal(_staircase(J), brute.staircase(J))
         plan = engine.Plan(J)
         if plan.searched is None:
             continue
         covered = segments._pairs_covered(plan.profile.chosen)
         for j in range(plan.m, plan.m + 6):
-            assert covered(_staircase(level_power(J, j))), (J, plan.m, j)
+            assert covered(level_power(J, j).staircase), (J, plan.m, j)
         onsets[len(plan.profile.chosen) > 2] += 1
     assert onsets == {True: 224, False: 170}, onsets
 
@@ -917,12 +908,12 @@ def test_mu_polynomial_from_the_onset(monkeypatch):
     paper = {"I1": (61, 245), "I2": (241, 1688), "I3": (989, 8902), "I4": (2377, 38030)}
     kernels = _count_calls(monkeypatch, engine, "_certified_level_power")
     levels = _count_calls(monkeypatch, engine.Plan, "cut")
-    polys = {label: mu_polynomial(ideal) for label, ideal in _fixed_ideals().items()}
+    polys = {label: mu_polynomial(ideal) for label, ideal in fixed_ideals().items()}
     assert {label: (poly.s, poly.intercept, poly.slope) for label, poly in polys.items()} == expected
     assert {label: (s, polys[label](s)) for label, (s, _) in paper.items()} == paper
     assert [n for _, n, *rest in kernels] == [18, 40, 76, 264]  # each D_P, stopped at m
     assert [level for _, level, *rest in levels] == [1, 1, 1, 3]
-    dec = stable_decomposition(_fixed_ideals()["I1"])
+    dec = stable_decomposition(fixed_ideals()["I1"])
     assert (dec.s, dec.base_power.mu, dec.slope) == (61, 245, 4)
 
 
@@ -1034,7 +1025,7 @@ def _template_copies(middle, longest=10**9):
 
 
 def _template_cases():
-    fixed = _fixed_ideals()
+    fixed = fixed_ideals()
     cases = [(label, fixed[label]) for label in ("I1", "I2", "I3", "I4")]
     cases += [("I2^T", fixed["I2"].transpose()), ("I1*x^3y^2", fixed["I1"].shift((3, 2)))]
     for seed in range(50):
@@ -1091,7 +1082,7 @@ def test_the_written_count_is_what_the_writes_filled(monkeypatch, label):
     # 1-D adds fill every column but the first once in the x row and once in
     # the y row, its written count is the y row's filled columns plus that
     # first one, and its output is the per-generator link of ell copies.
-    dec = engine.cached_plan(_fixed_ideals()[label]).decomposition
+    dec = engine.cached_plan(fixed_ideals()[label]).decomposition
     templates, filled = links.LinkTemplates(dec.components, dec.middles), _filled_columns(monkeypatch)
     sizes = {c for middle in dec.middles for c in (1 << i for i in range(11)) if c <= _template_copies(middle)}
     assert max(sizes) == max(_template_copies(middle) for middle in dec.middles) >= 64
@@ -1123,7 +1114,7 @@ def test_every_route_returns_a_read_only_c_contiguous_array(label, form):
     # Below m (I4's m is 3, so power(I, 1) is I itself), from m to s and
     # from s on, assembled, on ideals built every way the library builds one:
     # parsed or drawn, transposed, shifted and from exponent pairs.
-    ideal = random_ideal(RandomIdealSpec(8, 20, seed=3)) if label == "seed 3" else _fixed_ideals()[label]
+    ideal = random_ideal(RandomIdealSpec(8, 20, seed=3)) if label == "seed 3" else fixed_ideals()[label]
     forms = {"given": ideal, "transposed": ideal.transpose(), "shifted": ideal.shift((1, 2))}
     ideal = forms.get(form) or MonomialIdeal(ideal.transpose().gens)
     plan = engine.cached_plan(ideal)

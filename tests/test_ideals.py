@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,18 @@ from stairpow.ideals import (
     pair_power,
 )
 from stairpow.oracle import RandomIdealSpec, random_ideal
+from stairpow.textio import parse_ideal
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def fixed_ideals():
+    """The labelled ideals I1-I4 of ``benchmarks/ideals.txt``."""
+    lines = (ROOT / "benchmarks" / "ideals.txt").read_text(encoding="utf-8").splitlines()
+    return dict(
+        (label.strip(), parse_ideal(text))
+        for label, text in (line.split(":", 1) for line in lines if line and not line.startswith("#"))
+    )
 
 
 def test_minimalize_divisor_wins():
@@ -323,6 +336,20 @@ def test_level_staircase_is_the_lexsort_sweep(case):
     xy = ideals_module._level_staircase(x_by_y, levels)
     assert MonomialIdeal(xy).gens == brute.lexsort_minimal(points)
     assert np.array_equal(x_by_y, copy)
+
+
+def test_the_cached_staircase_is_the_least_x_per_level():
+    # Built on first read and kept, read-only, on every form of the corpus
+    # and the fixed ideals: the least x of the generators at or below each
+    # level, one level at a time.
+    given = [random_ideal(RandomIdealSpec(8, 20, seed=seed)) for seed in range(200)] + [*fixed_ideals().values()]
+    for ideal in (form for I in given for form in (I, I.transpose(), I.shift((3, 2)))):
+        assert "staircase" not in vars(ideal)
+        staircase = ideal.staircase
+        assert vars(ideal)["staircase"] is staircase is ideal.staircase
+        assert staircase.dtype == np.int64 and np.array_equal(staircase, brute.staircase(ideal)), ideal
+        with pytest.raises(ValueError, match="read-only"):
+            staircase[-1] = 0
 
 
 @given(ideals(), st.tuples(st.integers(0, 50), st.integers(0, 50)))

@@ -252,6 +252,35 @@ def test_staircase_sum_is_one_level_array(monkeypatch):
     assert (len(calls), sums) == (1, [2])
 
 
+def test_a_sparse_span_builds_no_staircase(monkeypatch):
+    # J's staircase would hold 2^40 + 1 levels: past the dense-span guards,
+    # the level kernel and staircase_sum's candidate route never read it.
+    products = counted_pair_power(monkeypatch)
+    J = MonomialIdeal(((0, 2**40), (1, 5), (3, 0)))
+    assert level_power(J, 3) == naive_power(J, 3)
+    for n in (1, 12):  # either side of the slices' break-even
+        assert staircase_sum(((0, 1), (1, 0)), n, J).gens == brute.staircase_sum(((0, 1), (1, 0)), n, J)
+    assert len(products) == 2 and "staircase" not in vars(J)
+
+
+def test_staircase_sum_reads_a_cached_staircase_as_a_fresh_one(monkeypatch):
+    # The slices and the window tables give the same bytes whether J builds
+    # its staircase in the call or had it cached before.
+    tables = counted_pair_levels(monkeypatch)
+    chain = ((0, 9), (1, 6), (3, 2), (7, 0))
+    given = [FIG3_J, FIG3_J.shift((2, 3)), SMALL] + [random_ideal(RandomIdealSpec(8, 20, seed=s)) for s in range(20)]
+    for J in given:
+        cached = MonomialIdeal(J.xy.copy())
+        cached.staircase
+        for gs in (chain[:2], chain, chain[::-1]):
+            for n in (*range(13), 20, 40):
+                fresh = MonomialIdeal(J.xy.copy())
+                got, again = staircase_sum(gs, n, fresh).xy, staircase_sum(gs, n, cached).xy
+                assert got.shape == again.shape and got.tobytes() == again.tobytes(), (J, gs, n)
+                assert "staircase" in vars(fresh)
+    assert tables  # both routes ran
+
+
 @st.composite
 def segment_case(draw):
     """An anchored J (the unit ideal included), a step (u, v) and an r from
