@@ -175,28 +175,26 @@ class Plan:
 
     def cut(self, level: int) -> StableDecomposition:
         """The stable components of the ideal cut at ``level``, whose ``(r,
-        axis)`` is ``profile.radius(level)``, from its ``I^s`` for ``s = level +
-        r + 1``: the onset's at m, the paper's at D_P.  Any level from m on
-        cuts exactly, since ``I^(L+j) = Q_j I^L`` for L >= m: ``I^(L+j) =
-        Q_(L-m+j) I^m`` and ``Q_(L-m+j)`` lies in ``Q_j Q_(L-m)``.
+        axis)`` is ``profile.radius(level)`` (at D_P the profile's own), from
+        its ``I^s``, ``s = level + r + 1``: the onset's at m, the paper's at D_P.
+        Any level from m on cuts exactly, since ``I^(L+j) = Q_j I^L`` for L >= m:
+        ``I^(L+j) = Q_(L-m+j) I^m`` and ``Q_(L-m+j)`` lies in ``Q_j Q_(L-m)``.
 
         The one place that re-orients, and only P and the plan's ``I^m``: P
         holds both extreme generators of the ideal, so the gcd of the ideal is
-        also that of P, and ``gcd^m`` that of I^m.  I^s is then summed in the
-        working orientation as ``staircase_sum(P', s - m, I^m')``; ``s > m``.
+        that of P, and ``gcd^m`` that of I^m.  P' is P less it in Python ints,
+        reversed and swapped on axis X, and I^m' keeps I^m's staircase on axis
+        Y; I^s is summed in that orientation as ``staircase_sum(P', s - m, I^m')``.
         """
         level = _count(level, self.m, f"a cut needs level >= m = {self.m}")
-        profile, shift, m, xy = self.profile, self.ideal.gcd(), self.m, self.ideal.xy
+        profile, m = self.profile, self.m
         r, axis = self.radius if level == m else profile.radius(level)
-        # P is an ordered subsequence of G(I), so its columns, found by one
-        # search of the x column, are canonical, and non-negative less gcd(I).
-        columns = xy[:, xy[0].searchsorted([g[0] for g in profile.chosen])]
-        chosen = MonomialIdeal._canonical(columns - ((shift[0],), (shift[1],)))
-        g = mon_pow(shift, m)
-        base = self.base.shift((-g[0], -g[1]))
+        gx, gy = shift = profile.chosen[0][0], profile.chosen[-1][1]
+        chosen = tuple((a - gx, b - gy) for a, b in profile.chosen)
+        base = self.base.shift((-gx * m, -gy * m))
         if axis is Axis.X:
-            chosen, base = chosen.transpose(), base.transpose()
-        glued = glued_cut(chosen, staircase_sum(chosen.gens, level + r + 1 - m, base), r)
+            chosen, base = tuple((b, a) for a, b in reversed(chosen)), base.transpose()
+        glued = glued_cut(chosen, staircase_sum(chosen, level + r + 1 - m, base), r)
         return StableDecomposition(
             **vars(glued), gcd_shift=shift, profile=profile, reduction_number=self.reduction_number,
             D=level, r=r, axis=axis,

@@ -14,30 +14,24 @@ from dataclasses import dataclass
 from .ideals import Axis, Monomial, MonomialIdeal, PrincipalIdealError
 
 
-def pair_dist(g: Monomial, h: Monomial, axis: Axis) -> int:
-    i = 0 if axis is Axis.X else 1
-    return abs(g[i] - h[i])
-
-
-def _lower_hull(ideal: MonomialIdeal, collinear: bool) -> tuple[Monomial, ...]:
+def _boundary(ideal: MonomialIdeal) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]]:
     """The generators on the compact boundary of the Newton polyhedron, in
-    descending y-order: its corners, and with ``collinear`` also the
-    generators inside its edges."""
+    descending y-order, from one walk: its corners, and also those inside its edges."""
     if ideal.is_principal:
         raise PrincipalIdealError("persistent generators need a non-principal ideal")
     hull: list[Monomial] = []
     # The generators ascend in x, so this is Andrew's monotone chain: pop the
-    # last point while it lies above the segment from its predecessor to p,
-    # or on it unless ``collinear``.
+    # last point while it lies above the segment from its predecessor to p.
     for p in ideal.gens:
         while len(hull) >= 2:
             (ox, oy), (ax, ay) = hull[-2], hull[-1]
-            cross = (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox)
-            if cross > 0 or (cross == 0 and collinear):
+            if (ax - ox) * (p[1] - oy) >= (ay - oy) * (p[0] - ox):
                 break
             hull.pop()
         hull.append(p)
-    return tuple(hull)
+    inner = zip(hull, hull[1:], hull[2:])  # a corner is on no segment between its neighbours
+    corners = [b for a, b, c in inner if (b[0] - a[0]) * (c[1] - a[1]) != (b[1] - a[1]) * (c[0] - a[0])]
+    return (hull[0], *corners, hull[-1]), tuple(hull)
 
 
 def persistent_generators(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
@@ -46,12 +40,12 @@ def persistent_generators(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
     Always contains the generators of maximal x- and maximal y-degree.
     Shift-invariant, so the ideal need not be anchored.
     """
-    return _lower_hull(ideal, collinear=False)
+    return _boundary(ideal)[0]
 
 
 def weakly_persistent_generators(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
     """Corners plus generators sitting exactly on a boundary edge."""
-    return _lower_hull(ideal, collinear=True)
+    return _boundary(ideal)[1]
 
 
 @dataclass(frozen=True)
@@ -86,8 +80,10 @@ class PersistenceProfile:
         return self.D_P + self.r + 1
 
     def radius(self, level: int) -> tuple[int, Axis]:
-        """``(r, axis)`` for cutting ``I^level``: the smaller of the two radii at ``level``."""
-        return _smaller(*(_radius(self.chosen, level, axis) for axis in (Axis.X, Axis.Y)))
+        """``(r, axis)`` for cutting ``I^level``: the smaller of the two radii at ``level`` (at D_P the stored)."""
+        if level == self.D_P:
+            return _smaller(self.r_x, self.r_y)
+        return _smaller(_radius(self.chosen, level, Axis.X), _radius(self.chosen, level, Axis.Y))
 
 
 def _smaller(r_x: int, r_y: int) -> tuple[int, Axis]:
@@ -102,10 +98,9 @@ def persistence_profile(
 
     ``chosen`` may be any subsequence of the generators sandwiched between
     the persistent and the weakly persistent set, in descending y-order;
-    the default is the persistent set itself.
+    the default is the persistent set itself.  Both sets come from one walk.
     """
-    persistent = persistent_generators(ideal)
-    weakly = weakly_persistent_generators(ideal)
+    persistent, weakly = _boundary(ideal)
     if chosen is None:
         chosen = persistent
     else:
@@ -116,12 +111,9 @@ def persistence_profile(
         if list(chosen) != [g for g in ideal.gens if g in members]:
             raise ValueError("chosen P must be ordered by descending y-degree")
 
-    delta = max(
-        min(pair_dist(g, h, Axis.X), pair_dist(g, h, Axis.Y)) - 1
-        for g, h in zip(chosen, chosen[1:])
-    )
+    delta = max(min(h[0] - g[0], g[1] - h[1]) for g, h in zip(chosen, chosen[1:])) - 1
     if len(chosen) > 2:
-        d_p = min(ideal.dist(Axis.X), ideal.dist(Axis.Y)) - 2
+        d_p = min(chosen[-1][0] - chosen[0][0], chosen[0][1] - chosen[-1][1]) - 2
     else:
         d_p = 0
     D = (ideal.mu - len(chosen)) * delta + len(chosen) * d_p
@@ -138,9 +130,9 @@ def persistence_profile(
 
 
 def _radius(chosen: tuple[Monomial, ...], D: int, axis: Axis) -> int:
-    # P holds both extreme generators, so its span on ``axis`` is dist(I).
-    min_pair = min(pair_dist(g, h, axis) for g, h in zip(chosen, chosen[1:]))
-    return -(-D * pair_dist(chosen[0], chosen[-1], axis) // min_pair)
+    # P descends in y and holds both extreme generators, so its spans are those of I, as in d_P.
+    i = 0 if axis is Axis.X else 1
+    return -(-D * abs(chosen[-1][i] - chosen[0][i]) // min(abs(g[i] - h[i]) for g, h in zip(chosen, chosen[1:])))
 
 
 def stabilization_radius(ideal: MonomialIdeal, profile: PersistenceProfile, D: int, axis: Axis) -> int:

@@ -22,6 +22,7 @@ instead of producing an out-of-range value.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -186,15 +187,19 @@ class MonomialIdeal:
         xy.setflags(write=False)
 
     @classmethod
-    def _canonical(cls, xy: np.ndarray) -> "MonomialIdeal":
+    def _canonical(cls, xy: np.ndarray, staircase: np.ndarray | None = None) -> "MonomialIdeal":
         """The ideal on ``xy``, a ``(2, mu)`` int64 array in canonical order
-        with non-negative ends, made read-only without any O(mu) check.  Only
-        the dtype is checked, so a non-integer exponent (a float shift) fails."""
+        with non-negative ends, made read-only without any O(mu) check, as is
+        a ``staircase`` built for it alone, kept as its own.  Only the dtype
+        is checked, so a non-integer exponent (a float shift) fails."""
         if xy.dtype != np.int64:
             raise ValueError(f"a monomial ideal needs an int64 array, not {xy.dtype}")
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "xy", xy)
         xy.setflags(write=False)
+        if staircase is not None:
+            staircase.setflags(write=False)
+            vars(ideal)["staircase"] = staircase
         return ideal
 
     def __reduce__(self):
@@ -224,13 +229,13 @@ class MonomialIdeal:
 
     @cached_property
     def staircase(self) -> np.ndarray:
-        """The least x at each of the ``dist_y + 1`` levels from the lowest generator up, read-only:
-        built on first read, as ``gens`` and the hash are, by kernels behind their dense-span guards."""
-        x, y = self.xy[0], self.xy[1]
-        levels = np.empty(int(y[0]) - int(y[-1]) + 1, dtype=np.int64)
-        levels.fill(_NO_POINT)
-        levels[y - y[-1]] = x
-        np.minimum.accumulate(levels, out=levels)  # the lowest generator fills level 0
+        """The least x at each of the ``dist_y + 1`` levels from the lowest generator up, read-only: kept from
+        the level kernel or a shift, or else each x repeated up to the next y on first read, as ``gens`` is."""
+        y = self.xy[1, ::-1]
+        steps = np.empty(len(y), dtype=np.int64)
+        np.subtract(y[1:], y[:-1], out=steps[:-1])
+        steps[-1] = 1
+        levels = self.xy[0, ::-1].repeat(steps)
         levels.setflags(write=False)
         return levels
 
@@ -285,9 +290,10 @@ class MonomialIdeal:
         m = _monomial(m)
         if m[0] == 0 and m[1] == 0:
             return self
-        _check_exponents(int(self.xy[0, -1]) + m[0], int(self.xy[1, 0]) + m[1])
-        _check_exponents(int(self.xy[0, 0]) + m[0], int(self.xy[1, -1]) + m[1])
-        return MonomialIdeal._canonical(self.xy + ((m[0],), (m[1],)))
+        _check_exponents(self.xy.item(0, -1) + m[0], self.xy.item(1, 0) + m[1])
+        _check_exponents(self.xy.item(0, 0) + m[0], self.xy.item(1, -1) + m[1])
+        staircase = self.staircase + m[0] if "staircase" in vars(self) else None  # a cached one moves too
+        return MonomialIdeal._canonical(self.xy + ((m[0],), (m[1],)), staircase)
 
     def colon(self, m: Monomial) -> "MonomialIdeal":
         """The colon ideal ``I : m`` for a monomial ``m = (u, v)``.
@@ -384,10 +390,11 @@ def _certified_level_power(
     = (P) I^m``, 0 when P is all of G(I), None when no step below n certifies.
 
     With ``onset`` the kernel asks ``onset(levels)`` with the staircase of
-    ``I^j`` at each level ``j >= 1`` from m to ``m + _ONSET_TRIES``: at the
-    first true answer it returns ``(j, I^j, m)``, past those levels ``(n,
-    None, m)`` without sweeping ``I^j``.  I^n is also None on a sparse span,
-    where the kernel does not run."""
+    ``I^j``, ``j >= 1``, at m, 1, 3 and 7 above it and ``m + _ONSET_TRIES``:
+    (E*) holds on from its first level (see ``segments._pairs_covered``), so
+    after a true answer a bisection of the levels since the last false one
+    finds the first true.  It returns ``(j, I^j, m)``, past those levels
+    ``(n, None, m)``, and None for I^n on a sparse span; an I^j keeps its staircase."""
     gens = ideal.gens  # Python ints, cached on the ideal once a profile has read them
     y0 = gens[-1][1]
     span = gens[0][1] - y0
@@ -413,6 +420,7 @@ def _certified_level_power(
     # the shifted copies: no allocation per step.
     size = n * span + 1
     buffers, lowered = np.empty((2, size), dtype=np.int64), np.empty(size, dtype=np.int64)
+    tried = []  # I^j's staircases since the last (E*) check that failed
     for j in range(1, n):
         stepped = buffers[j % 2, : len(levels) + span]
         np.add(levels, lowest, out=stepped[: len(levels)])
@@ -430,13 +438,18 @@ def _certified_level_power(
             np.minimum(window, shifted, out=window)
         if certifies and others:
             certified, others = j, []
-        if onset and certified is not None:
-            if j > certified + _ONSET_TRIES:
-                return n, None, certified
-            if onset(levels):  # levels is still I^j
-                return j, MonomialIdeal._canonical(_level_staircase(levels, j * y0)), certified
+        if onset and certified is not None:  # levels is still I^j
+            tried.append(levels.copy())  # kept until a check fails
+            if not (j - certified) & (j - certified + 1) or j == min(certified + _ONSET_TRIES, n - 1):
+                if onset(levels):
+                    low = bisect_left(tried, True, hi=len(tried) - 1, key=onset)
+                    j, levels = j + 1 - len(tried) + low, tried[low]
+                    return j, MonomialIdeal._canonical(_level_staircase(levels, j * y0), levels), certified
+                if j == certified + _ONSET_TRIES < n - 1:  # give up before the next step
+                    return n, None, certified
+                tried = []  # every level up to j fails too
         levels = stepped
-    return n, MonomialIdeal._canonical(_level_staircase(levels, n * y0)), certified
+    return n, MonomialIdeal._canonical(_level_staircase(levels, n * y0), levels.copy()), certified
 
 
 def pair_power(g: Monomial, h: Monomial, n: int) -> MonomialIdeal:

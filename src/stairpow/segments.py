@@ -65,7 +65,7 @@ def staircase_sum(gs: Sequence[Monomial], n: int, j_ideal: MonomialIdeal) -> Mon
     for g, h in pairs:
         if mon_divides(g, h) or mon_divides(h, g):
             raise ValueError(f"{g} and {h} are comparable; staircase power undefined")
-    x1, y0, y1 = int(j_ideal.xy[0, -1]), int(j_ideal.xy[1, -1]), int(j_ideal.xy[1, 0])
+    x1, y0, y1 = j_ideal.xy.item(0, -1), j_ideal.xy.item(1, -1), j_ideal.xy.item(1, 0)
     low, high = n * min(g[1] for g in gs), n * max(g[1] for g in gs)
     # The largest product exponents, checked in Python ints before any int64 add.
     _check_exponents(n * max(g[0] for g in gs) + x1, high + y1)
@@ -120,7 +120,7 @@ def _pair_levels(
     densely too, or beyond int64.
     """
     g, h = sorted((pair_g, pair_h))
-    x0, x1, y0, y1 = int(j_ideal.xy[0, 0]), int(j_ideal.xy[0, -1]), int(j_ideal.xy[1, -1]), int(j_ideal.xy[1, 0])
+    x0, x1, y0, y1 = j_ideal.xy.item(0, 0), j_ideal.xy.item(0, -1), j_ideal.xy.item(1, -1), j_ideal.xy.item(1, 0)
     u, v = h[0] - g[0], g[1] - h[1]
     top = (y1 - y0) // v
     rows = n + 1 + top
@@ -182,23 +182,22 @@ def glued_components(gs: Sequence[Monomial], j_ideal: MonomialIdeal, r: int) -> 
         raise ValueError("J must be anchored")
     needed = max(-(-j_ideal.dist(Axis.Y) // v) for v in (boundary.xy[1, :-1] - boundary.xy[1, 1:]).tolist())
     r = _count(r, needed, f"r={r} below the stabilization bound {needed}")
-    return glued_cut(boundary, staircase_sum(boundary.gens, r + 1, j_ideal), r)
+    return glued_cut(boundary.gens, staircase_sum(boundary.gens, r + 1, j_ideal), r)
 
 
-def glued_cut(boundary: MonomialIdeal, base: MonomialIdeal, r: int) -> GluedComponents:
+def glued_cut(gs: tuple[Monomial, ...], base: MonomialIdeal, r: int) -> GluedComponents:
     """The glued components of ``base``, the anchored S of
-    :func:`glued_components` for the ``gs`` that generate ``boundary``,
-    however S was built.
+    :func:`glued_components` for the boundary generators ``gs``, however S was built.
 
     Link point i is the lowest generator at or above ``r v_i + (r + 1)
     y(g_(i+1))``, a threshold that falls with i.  Component i is the part
     :func:`unlink` gives from link point i to i + 1, and middle i is ``S :
     (a - u_i, b)`` at link point (a, b): the run from the last generator with
     ``x <= a - u_i`` to the point, less ``(a - u_i, b)``, its first x
-    clamped to 0.  Each part is one subtraction of its corner; a middle
-    spans u_i in x by construction, and must span v_i in y.
+    clamped to 0.  Each part is one subtraction of its corner; a middle spans
+    u_i in x by construction, and must span v_i in y: its top and the points
+    are read as Python ints, one scalar at a time, not gathered.
     """
-    gs = boundary.gens
     us, vs = [h[0] - g[0] for g, h in zip(gs, gs[1:])], [g[1] - h[1] for g, h in zip(gs, gs[1:])]
     # y descends, so one search of the ascending reversed column counts the
     # generators at or above each threshold; the first count is the least.
@@ -207,36 +206,34 @@ def glued_cut(boundary: MonomialIdeal, base: MonomialIdeal, r: int) -> GluedComp
     if not above[0]:
         raise AssertionError("no generator above the link-point threshold")
     cuts = (above - 1).tolist()  # the link points' indices
-    xs, ys = base.xy[:, cuts].tolist()
+    xs, ys = [x.item(c) for c in cuts], [y.item(c) for c in cuts]
     # One past each middle's first generator; a middle that would start
     # before the first generator reads the last one's y, 0, as its top.
-    lows = x.searchsorted([a - u for a, u in zip(xs, us)], "right")
-    for i, (top, b, v) in enumerate(zip(y[lows - 1].tolist(), ys, vs)):
-        if top - b != v:
+    lows = x.searchsorted([a - u for a, u in zip(xs, us)], "right").tolist()
+    for i, (low, b, v) in enumerate(zip(lows, ys, vs)):
+        if y.item(low - 1) - b != v:
             raise AssertionError(f"middle block {i + 1} does not span its staircase step")
-    # Every part's corner in one int64 array: the components', then the middles'.
-    corners = [*zip([0, *xs], [*ys, 0]), *((a - u, b) for a, b, u in zip(xs, ys, us))]
-    corners = np.array(corners, dtype=np.int64)[:, :, None]
     ends = [0, *cuts, len(y) - 1]
     components = tuple(
-        MonomialIdeal._canonical(base.xy[:, i : j + 1] - corner) for i, j, corner in zip(ends, ends[1:], corners)
+        MonomialIdeal._canonical(base.xy[:, i : j + 1] - ((a,), (b,)))
+        for i, j, a, b in zip(ends, ends[1:], [0, *xs], [*ys, 0])
     )
     middles = []
-    for i, j, corner in zip(lows.tolist(), ends[1:], corners[len(ends) - 1 :]):
-        middle = base.xy[:, i - 1 : j + 1] - corner
+    for i, j, a, b, u in zip(lows, cuts, xs, ys, us):
+        middle = base.xy[:, i - 1 : j + 1] - ((a - u,), (b,))
         middle[0, 0] = 0
         middles.append(MonomialIdeal._canonical(middle))
     return GluedComponents(gs, base, components, tuple(middles), tuple(zip(xs, ys)))
 
 
 @lru_cache(maxsize=None)
-def _cover_products(size: int) -> tuple[np.ndarray, list[int]]:
-    """The ``(size, products)`` coefficients of every ``g_p + g_q``, ``p <=
-    q``, of ``size`` generators, width ``q - p`` by width and each width by
-    p, and each width's first product."""
+def _cover_products(size: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The index pairs ``(p, q)``, ``p <= q``, of every product ``g_p g_q``
+    of ``size`` generators, width ``q - p`` by width and each width by p,
+    and each width's first product."""
     pairs = [(p, p + w) for w in range(size) for p in range(size - w)]
     widths = [w * size - w * (w - 1) // 2 for w in range(size + 1)]
-    return np.eye(size, dtype=np.int64)[:, pairs].sum(axis=2), widths
+    return pairs, widths
 
 
 @lru_cache(maxsize=None)
@@ -303,12 +300,12 @@ def _pairs_covered(gs: Sequence[Monomial]) -> Callable[[np.ndarray], bool]:
     if 2 * max(dx[-1], dy[0]) >= EXP_LIMIT:
         return lambda staircase: False
     products, widths = _cover_products(k)
-    low, lift = (np.array((dy, dx), dtype=np.int64) @ products).tolist()
+    low, lift = [dy[p] + dy[q] for p, q in products], [dx[p] + dx[q] for p, q in products]
     # The rows of _cover_rows(k), O(k^4), planned at the first call by generator.
     count, rows = sum(2 * (k - w) * ((w + 1) * (w + 2) // 2 - 2) for w in range(2, k)), []
 
     def covered(staircase: np.ndarray) -> bool:
-        if 2 * dx[-1] + int(staircase[0]) >= EXP_LIMIT:
+        if 2 * dx[-1] + staircase.item(0) >= EXP_LIMIT:
             return False  # beyond int64: not certified
         drops = np.empty(len(staircase), dtype=bool)
         drops[0] = True

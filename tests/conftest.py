@@ -16,6 +16,7 @@ nothing, is validated in full for the whole session (see
 import shutil
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import configuration, settings
 
@@ -37,15 +38,19 @@ def pytest_unconfigure(config):
 def _validated_canonical():
     """Run the public constructor's full validation on every array given to
     ``MonomialIdeal._canonical``, so a kernel that emits a non-canonical
-    array fails the suite.  It raises rather than asserts, so it also holds
-    under ``python -O``.  Tests that run the package in a child process (the
-    CLI and ``-O`` runs) go without it; their outputs are compared with
-    ``naive_power`` or ``check`` instead."""
+    array fails the suite, and check a staircase handed over with it
+    against the one the ideal builds itself.  It raises rather than asserts,
+    so it also holds under ``python -O``.  Tests that run the package in a
+    child process (the CLI and ``-O`` runs) go without it; their outputs are
+    compared with ``naive_power`` or ``check`` instead."""
     trusted = MonomialIdeal.__dict__["_canonical"]
 
-    def checked(cls, xy):
-        MonomialIdeal(xy)  # raises ValueError or ExponentOverflowError
-        return trusted.__func__(cls, xy)
+    def checked(cls, xy, staircase=None):
+        ideal = MonomialIdeal(xy)  # raises ValueError or ExponentOverflowError
+        # By bytes: the numpy frame test of test_tooling runs under this check too.
+        if staircase is not None and (staircase.dtype, staircase.tobytes()) != (np.int64, ideal.staircase.tobytes()):
+            raise ValueError(f"a handed-over staircase is not that of {ideal}")
+        return trusted.__func__(cls, xy, staircase)
 
     MonomialIdeal._canonical = classmethod(checked)
     yield

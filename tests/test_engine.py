@@ -30,7 +30,6 @@ from stairpow.engine import (
 )
 from stairpow.segments import glued_components
 from stairpow.geometry import (
-    pair_dist,
     persistence_profile,
     persistent_generators,
     stabilization_radius,
@@ -639,8 +638,8 @@ def test_uncertified_seeds_keep_the_paper_route(seed):
 
 def test_uncertified_plan_stops_its_search(monkeypatch):
     # Seed 23 certifies (A) at 2 but (E*) at none of the levels 2-12, so its
-    # search stops at 13; I^D_P = I^68 is one level_power call with P, made
-    # only once a power from D_P on needs it.
+    # search stops at 12, after its last check; I^D_P = I^68 is one
+    # level_power call with P, made only once a power from D_P on needs it.
     I = random_ideal(RandomIdealSpec(8, 20, seed=23))
     profile = persistence_profile(I)
     expected = {n: decomposed_power(I, profile, n) for n in (100, 324, 330)}
@@ -696,8 +695,8 @@ def test_onset_gives_up_past_its_tries(monkeypatch):
 
 
 def test_onset_search_sweeps_no_power_it_gives_up(monkeypatch):
-    # Seed 23 gives up at level 13 (D_P = 68): the kernel returns without
-    # sweeping an I^13 that the plan would discard.  BIG certifies at m = 1
+    # Seed 23 gives up at level 12 (D_P = 68): the kernel returns without
+    # sweeping an I^12 that the plan would discard.  BIG certifies at m = 1
     # and sweeps that one I^1.  The onset is read by name, not as a triple.
     seed23 = random_ideal(RandomIdealSpec(8, 20, seed=23))
     sweeps = _count_calls(monkeypatch, ideals_module, "_level_staircase")
@@ -708,13 +707,72 @@ def test_onset_search_sweeps_no_power_it_gives_up(monkeypatch):
         assert _onset(plan) == onset and not hasattr(plan, "onset")
 
 
+def test_onset_search_checks_few_levels(monkeypatch):
+    # (E*) holds on from its first level, so the search checks at the first
+    # level, 1, 3 and 7 above it and at the last, and bisects the levels
+    # since the last failure after a check that holds: it finds the level a
+    # check at every level finds, and gives up after at most 5 checks, not 11.
+    checks, real = [], segments._pairs_covered
+
+    def counted(gs):
+        covered = real(gs)
+        return lambda staircase: checks.append(len(staircase)) or covered(staircase)
+
+    monkeypatch.setattr(engine, "_pairs_covered", counted)
+    gave_up = 0
+    for J in _corpus_and_fixed():
+        checks.clear()
+        plan = engine.Plan(J)
+        if plan.reduction_number is None:
+            assert not checks
+            continue
+        covered, first, d = real(plan.profile.chosen), max(plan.reduction_number, 1), plan.profile.D_P
+        tried = range(first, min(plan.reduction_number + ideals_module._ONSET_TRIES, d - 1) + 1)
+        linear = next((j for j in tried if covered(level_power(J, j).staircase)), None)
+        if linear is None:  # a give-up, unless the run reached D_P first
+            assert (plan.m, plan.searched) == (d, None if tried and d - 1 > tried[-1] else level_power(J, d)), J
+            gave_up += plan.searched is None
+            assert len(checks) <= 5, (J, checks)
+        else:
+            assert (plan.m, plan.searched) == (linear, level_power(J, linear)), J
+            assert len(checks) <= linear - first + 1 + 2, (J, checks)
+    assert gave_up == 2 * len(GIVE_UP), gave_up
+
+
+def test_the_kernel_hands_on_the_staircase_of_its_power(monkeypatch):
+    # The plan's I^m keeps the staircase its kernel run ended with, and the
+    # cut's anchored I^m a shift of it, which the staircase sum reads on
+    # axis Y (on axis X the base is transposed and builds its own; below 2
+    # an I^D_P is the unit ideal or I, which no kernel run built): each one
+    # the brute staircase, read-only, and no view of a kernel buffer.
+    bases, real = [], engine.staircase_sum
+    monkeypatch.setattr(engine, "staircase_sum", lambda gs, n, base: bases.append((base, "staircase" in vars(base)))
+                        or real(gs, n, base))
+    axes = Counter()
+    for J in _corpus_and_fixed()[::3]:
+        plan = engine.Plan(J)
+        bases.clear()
+        dec = stable_decomposition(J)
+        (base, kept), = bases
+        assert kept == (dec.axis is Axis.Y) or (plan.m < 2 and not kept), J
+        axes[dec.axis, kept] += 1
+        assert plan.m < 2 or "staircase" in vars(plan.base), J
+        for ideal in (plan.base, base):
+            if "staircase" in vars(ideal):
+                staircase = vars(ideal)["staircase"]
+                assert np.array_equal(staircase, brute.staircase(ideal)), J
+                assert staircase.base is None and staircase.flags.owndata and not staircase.flags.writeable
+    assert axes[Axis.X, False] and axes[Axis.Y, True] > 10 * axes[Axis.Y, False], axes
+
+
 def _radius_grows(ideal, chosen=None):
     # s_at(L) = L + r(L) + 1 strictly grows up to s_at(D_P), the paper's s, so
     # an onset below D_P always has the earlier s; r(L) is the smaller of
     # the per-axis ceil(L dist(I) / least step of P), y on a tie.
     profile = persistence_profile(ideal, chosen)
     d = profile.D_P
-    steps = {axis: min(pair_dist(g, h, axis) for g, h in zip(profile.chosen, profile.chosen[1:])) for axis in Axis}
+    chain = list(zip(profile.chosen, profile.chosen[1:]))
+    steps = {axis: min(abs(g[i] - h[i]) for g, h in chain) for i, axis in enumerate((Axis.X, Axis.Y))}
     s_at = [level + profile.radius(level)[0] + 1 for level in range(d + 1)]
     assert all(a < b for a, b in zip(s_at, s_at[1:])) and s_at[d] == profile.s
     for level in range(d + 1):
@@ -798,9 +856,9 @@ def test_glued_cut_is_unlink_and_colon(monkeypatch):
         stable_decomposition(J)
         engine.Plan(J).decomposition
     assert len(cuts) == 2 * len(ideals)
-    for boundary, base, r in cuts:
-        glued = real(boundary, base, r)
-        assert (glued.components, glued.middles, glued.link_points) == brute.glued_cut(boundary, base, r)
+    for gs, base, r in cuts:
+        glued = real(gs, base, r)
+        assert (glued.components, glued.middles, glued.link_points) == brute.glued_cut(MonomialIdeal(gs), base, r)
 
 
 def _onset_route_matches_naive(ideal):
@@ -853,7 +911,7 @@ def _kernel_runs(kernels):
 
 def test_stable_decomposition_runs_the_kernel_once(monkeypatch):
     # BIG certifies its onset at 1: the one search stops there and builds no
-    # other power.  Seed 23 certifies none: its search gives up at 13, and
+    # other power.  Seed 23 certifies none: its search gives up at 12, and
     # I^D_P = I^68 is one level_power call with P.  (x^2, y^3) has D_P = 0:
     # the kernel hands back I^0 itself and no level_power call follows.
     kernels = _count_calls(monkeypatch, engine, "_certified_level_power")
@@ -971,23 +1029,28 @@ def test_plan_cuts_at_every_level_from_m(seed):
 
 def test_decomposition_reads_each_radius_once(monkeypatch):
     # The profile computes r_x and r_y at D_P, and every cut reads both radii
-    # at its own level once: stable_decomposition's at D_P, the plan's at m.
-    # The plan's s and its cut at m share that one read at m, so the first
-    # power past s on an empty memo reads four radii, not six.
+    # at its own level once: the plan's at m, and stable_decomposition's at
+    # D_P are the profile's own, so it reads two radii, not four.  The plan's
+    # s and its cut at m share that one read at m, so the first power past s
+    # on an empty memo reads four radii, not six, and two where m is D_P.
     calls = _count_calls(monkeypatch, geometry, "_radius")
+    at_d = 0
     for seed in range(20):
         I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
         calls.clear()
         stable_decomposition(I)
-        assert len(calls) == 4, seed
+        assert len(calls) == 2, seed
+        expected = 2 if engine.Plan(I).m == persistence_profile(I).D_P else 4
+        at_d += expected == 2
         calls.clear()
         assert mu_polynomial(I) == mu_polynomial(I)
-        assert len(calls) == 4, seed
+        assert len(calls) == expected, seed
         s = mu_polynomial(I).s
         engine.cached_plan.cache_clear()
         calls.clear()
         assert power(I, s + 3).mu == mu_polynomial(I)(s + 3), seed
-        assert len(calls) == 4, seed
+        assert len(calls) == expected, seed
+    assert 0 < at_d < 20, at_d
 
 
 @pytest.mark.parametrize(

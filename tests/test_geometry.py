@@ -48,6 +48,30 @@ def test_weakly_persistent_equals_closure_filter():
     assert differ >= 20  # the sample exercises edges with interior generators
 
 
+#: Ideals with many generators on one hull edge: all of them, the two ends
+#: of a steep and a flat run, and runs on both sides of a corner.
+ON_EDGES = [
+    MonomialIdeal(tuple((i, 10 - i) for i in range(11))),
+    MonomialIdeal(tuple((i, 24 - 3 * i) for i in range(9))),
+    MonomialIdeal(tuple((3 * i, 8 - i) for i in range(9))),
+    MonomialIdeal(((0, 12), (1, 10), (2, 8), (3, 6), (4, 4), (6, 3), (8, 2), (10, 1), (12, 0))),
+    MonomialIdeal(((0, 9), (1, 7), (2, 6), (3, 5), (4, 4), (5, 3), (6, 2), (9, 0))),
+]
+
+
+def test_profile_walks_the_hull_once_for_both_sets():
+    # The profile's two sets, from one walk with the points inside edges
+    # kept, are the sets of the public functions and of the definitional
+    # filters, in every placement.
+    given = [random_ideal(RandomIdealSpec(8, 20, seed=seed)) for seed in range(200)] + ON_EDGES
+    for ideal in (form for I in given if not I.is_principal for form in (I, I.transpose(), I.shift((3, 2)))):
+        profile = persistence_profile(ideal)
+        assert profile.persistent == persistent_generators(ideal) == brute.persistent(ideal.gens), ideal
+        assert profile.weakly_persistent == weakly_persistent_generators(ideal) == brute.weakly_persistent(ideal.gens)
+    assert [len(persistent_generators(I)) for I in ON_EDGES] == [2, 2, 2, 3, 4]
+    assert [len(weakly_persistent_generators(I)) for I in ON_EDGES] == [11, 9, 9, 9, 8]
+
+
 def test_persistent_powers_stay_minimal():
     for seed in range(8):
         I = random_ideal(RandomIdealSpec(6, 10, seed=seed))

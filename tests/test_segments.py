@@ -573,7 +573,7 @@ def test_glued_cut_clamps_a_middle_that_starts_left_of_its_step():
     # The middle block S : (3, 2) of this S starts at (1, 4), left of x = 3:
     # its first x clamps to 0, as the colon gives it.
     boundary, base = MonomialIdeal(((0, 2), (3, 0))), MonomialIdeal(((0, 6), (1, 4), (6, 2), (9, 0)))
-    glued = segments.glued_cut(boundary, base, 1)
+    glued = segments.glued_cut(boundary.gens, base, 1)
     assert (glued.components, glued.middles, glued.link_points) == brute.glued_cut(boundary, base, 1)
     assert glued.middles[0].gens == ((0, 2), (3, 0))
 
@@ -637,7 +637,7 @@ def covered_by_level(gs, staircase):
     plans it, whichever route the predicate would take."""
     products, widths = segments._cover_products(len(gs))
     dx, dy = [g[0] - gs[0][0] for g in gs], [g[1] - gs[-1][1] for g in gs]
-    low, lift = (np.array((dy, dx), dtype=np.int64) @ products).tolist()
+    low, lift = [dy[p] + dy[q] for p, q in products], [dx[p] + dx[q] for p, q in products]
     return segments._covered_by_level(staircase, len(staircase) + 2 * dy[0], low, lift, widths)
 
 

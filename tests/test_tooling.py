@@ -301,8 +301,8 @@ for call in (
     lambda: part.colon((0.5, 0)),
     # Cuts of the pair y^2, x^3 at r = 1 without a link point, and with a
     # middle block one too high (see test_segments).
-    lambda: glued_cut(part, MonomialIdeal(((0, 1), (9, 0))), 1),
-    lambda: glued_cut(part, MonomialIdeal(((0, 6), (2, 5), (5, 3), (6, 2), (8, 1), (9, 0))), 1),
+    lambda: glued_cut(part.gens, MonomialIdeal(((0, 1), (9, 0))), 1),
+    lambda: glued_cut(part.gens, MonomialIdeal(((0, 6), (2, 5), (5, 3), (6, 2), (8, 1), (9, 0))), 1),
     # Numpy integer monomials, whose sums and products wrapped before any range check.
     lambda: one.link(2, (np.int64(2**63 - 2), 0)),
     lambda: part.shift((np.int64(2**63 - 1), 0)),
@@ -408,6 +408,33 @@ def test_no_numpy_python_frame_on_the_routes_of_power():
         finally:
             sys.setprofile(None)
         assert not found, (str(ideal), powers, found)
+
+
+def test_no_numpy_python_frame_in_stable_decomposition():
+    # The paper cut of a fresh ideal, as the decompose benchmark runs it on
+    # each ideal transposed or not and shifted by (xy)^j, reaches numpy by
+    # its C entry points alone.  One plan per ideal is built first, so that
+    # the (E*) patterns of every |P|, cached per size, exist.
+    numpy_dir = str(Path(np.__file__).parent) + os.sep
+    given = [*fixed_ideals().values(), *(random_ideal(RandomIdealSpec(8, 20, seed=seed)) for seed in range(50))]
+    given = [form for ideal in given if not ideal.is_principal for form in (ideal, ideal.transpose())]
+    found = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            found.append(f"{frame.f_code.co_name} from {frame.f_back.f_code.co_name}")
+
+    for ideal in given:
+        engine.Plan(ideal)
+    for j in (1, 2, 3):  # each shift a new ideal, with nothing cached
+        for ideal in given:
+            shifted = ideal.shift((j, j))
+            sys.setprofile(profile)
+            try:
+                engine.stable_decomposition(shifted)
+            finally:
+                sys.setprofile(None)
+            assert not found, (str(shifted), found)
 
 
 def test_readme_library_tour():
