@@ -22,7 +22,6 @@ instead of producing an out-of-range value.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -42,6 +41,9 @@ _BUCKET_SPAN_FACTOR = 16
 
 #: Marks an empty level in a dense array of the least x per y level.
 _NO_POINT = np.iinfo(np.int64).max
+
+#: The most columns of a ``(2, size)`` int64 array; numpy refuses more.
+_MAX_COLUMNS = np.iinfo(np.intp).max // 16
 
 #: How many levels above the reduction number the level kernel tries (E*)
 #: at: on the corpus seeds 0-199 every certificate is within 6, none in 7-40.
@@ -390,11 +392,10 @@ def _certified_level_power(
     = (P) I^m``, 0 when P is all of G(I), None when no step below n certifies.
 
     With ``onset`` the kernel asks ``onset(levels)`` with the staircase of
-    ``I^j``, ``j >= 1``, at m, 1, 3 and 7 above it and ``m + _ONSET_TRIES``:
-    (E*) holds on from its first level (see ``segments._pairs_covered``), so
-    after a true answer a bisection of the levels since the last false one
-    finds the first true.  It returns ``(j, I^j, m)``, past those levels
-    ``(n, None, m)``, and None for I^n on a sparse span; an I^j keeps its staircase."""
+    ``I^j`` at each level ``j >= 1`` from m to ``m + _ONSET_TRIES``: at the
+    first true answer it returns ``(j, I^j, m)``, the least such j, and past
+    the last of them, if below ``n - 1``, ``(n, None, m)`` without taking the
+    next step.  I^n is also None on a sparse span; an I^j keeps its staircase."""
     gens = ideal.gens  # Python ints, cached on the ideal once a profile has read them
     y0 = gens[-1][1]
     span = gens[0][1] - y0
@@ -419,8 +420,9 @@ def _certified_level_power(
     # Two level arrays of the final length take turns, and one buffer takes
     # the shifted copies: no allocation per step.
     size = n * span + 1
+    if size > _MAX_COLUMNS:  # before numpy's ValueError
+        raise MemoryError(f"up to {size} generators, over the {_MAX_COLUMNS} one array holds")
     buffers, lowered = np.empty((2, size), dtype=np.int64), np.empty(size, dtype=np.int64)
-    tried = []  # I^j's staircases since the last (E*) check that failed
     for j in range(1, n):
         stepped = buffers[j % 2, : len(levels) + span]
         np.add(levels, lowest, out=stepped[: len(levels)])
@@ -439,15 +441,10 @@ def _certified_level_power(
         if certifies and others:
             certified, others = j, []
         if onset and certified is not None:  # levels is still I^j
-            tried.append(levels.copy())  # kept until a check fails
-            if not (j - certified) & (j - certified + 1) or j == min(certified + _ONSET_TRIES, n - 1):
-                if onset(levels):
-                    low = bisect_left(tried, True, hi=len(tried) - 1, key=onset)
-                    j, levels = j + 1 - len(tried) + low, tried[low]
-                    return j, MonomialIdeal._canonical(_level_staircase(levels, j * y0), levels), certified
-                if j == certified + _ONSET_TRIES < n - 1:  # give up before the next step
-                    return n, None, certified
-                tried = []  # every level up to j fails too
+            if onset(levels):
+                return j, MonomialIdeal._canonical(_level_staircase(levels, j * y0), levels.copy()), certified
+            if j == certified + _ONSET_TRIES < n - 1:  # give up before the next step
+                return n, None, certified
         levels = stepped
     return n, MonomialIdeal._canonical(_level_staircase(levels, n * y0), levels.copy()), certified
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ideals import Axis, Monomial, MonomialIdeal, _check_exponents, _count, _monomial
+from .ideals import Axis, Monomial, MonomialIdeal, _check_exponents, _count, _MAX_COLUMNS, _monomial
 
 
 def _run(part: MonomialIdeal, reps: int) -> tuple[np.ndarray, int, int, int, int, int]:
@@ -32,10 +32,10 @@ def _link_counted(runs: Sequence[tuple], origin: Monomial) -> tuple[MonomialIdea
     A run ``(rest, h, top, dx, dy, reps)`` is ``reps`` linked copies of an
     anchored block spanning ``(dx, dy)`` whose generators after its first,
     ``(0, top)``, are the ``(2, h)`` array ``rest`` (``top`` is ``dy`` but
-    for a template's prefix).  The origin, Python ints its caller read, and
-    the full span are range-checked before any allocation; copies ``[c, 2c)``
-    are copies ``[0, c)`` shifted by ``(c*dx, -c*dy)``.  A write is one 1-D
-    add to the x row and one to the y row, each with a Python-int offset.
+    for a template's prefix).  The origin, Python ints its caller read, the
+    full span and the size are checked before any allocation; copies ``[c,
+    2c)`` are copies ``[0, c)`` shifted by ``(c*dx, -c*dy)``.  A write is one
+    1-D add to the x row and one to the y row, each with a Python-int offset.
     """
     x, y = origin
     _check_exponents(x, y)
@@ -43,6 +43,8 @@ def _link_counted(runs: Sequence[tuple], origin: Monomial) -> tuple[MonomialIdea
     for _, h, _, dx, dy, reps in runs:
         size, total_x, total_y = size + h * reps, total_x + dx * reps, total_y + dy * reps
     _check_exponents(total_x, total_y)
+    if size > _MAX_COLUMNS:  # before numpy's ValueError
+        raise MemoryError(f"{size} generators, over the {_MAX_COLUMNS} one array holds")
 
     # Each copy of a block drops its top generator, which coincides with the
     # previous copy's bottom one (the link point); the blocks are anchored,

@@ -13,7 +13,6 @@ checks the pair condition (E*) under which such a sum over ``J = I^m`` is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -226,35 +225,6 @@ def glued_cut(gs: tuple[Monomial, ...], base: MonomialIdeal, r: int) -> GluedCom
     return GluedComponents(gs, base, components, tuple(middles), tuple(zip(xs, ys)))
 
 
-@lru_cache(maxsize=None)
-def _cover_products(size: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """The index pairs ``(p, q)``, ``p <= q``, of every product ``g_p g_q``
-    of ``size`` generators, width ``q - p`` by width and each width by p,
-    and each width's first product."""
-    pairs = [(p, p + w) for w in range(size) for p in range(size - w)]
-    widths = [w * size - w * (w - 1) // 2 for w in range(size + 1)]
-    return pairs, widths
-
-
-@lru_cache(maxsize=None)
-def _cover_rows(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of (E*) for ``size`` generators, which depend on nothing
-    else: for each pair ``a, b`` with ``b - a >= 2`` and each square ``(e,
-    e)`` it keeps, e in ``{a, b}``, one group of the ``(p, q)``, ``a <= p <=
-    q <= b``, other than ``(a, b)`` and the square it leaves out.  As the
-    ``(size, rows)`` coefficients of ``g_a + g_b - g_p - g_q``, and each
-    group's first row."""
-    rows, starts = [], []
-    for a in range(size - 2):
-        for b in range(a + 2, size):
-            for e in (a, b):
-                starts.append(len(rows))
-                rows += [(a, b, p, q) for p in range(a, b + 1) for q in range(p, b + 1)
-                         if (p, q) != (a, b) and (p != q or p == e or p not in (a, b))]
-    a, b, p, q = np.eye(size, dtype=np.int64)[:, np.array(rows).T].transpose(1, 0, 2)
-    return a + b - p - q, np.array(starts)
-
-
 def _pairs_covered(gs: Sequence[Monomial]) -> Callable[[np.ndarray], bool]:
     """(E*) for the boundary generators ``gs`` (descending y), planned once
     for every J: the predicate that decides it over the ideal J whose least
@@ -281,17 +251,12 @@ def _pairs_covered(gs: Sequence[Monomial]) -> Callable[[np.ndarray], bool]:
     ``sum_l g_l sum g_p g_q I^j = sum g_p g_q (P) I^j = sum g_p g_q
     I^(j+1)`` over the allowed (p, q).
 
-    A call takes whichever of two routes gathers fewer entries: by level
-    (see :func:`_covered_by_level`) or by generator, whose offsets are
-    planned at its first call, the products' here.  Staircases do not
-    increase, so ``g_a g_b J`` lies in a sum if and only if each ``g_a g_b
-    h`` does, h at level 0 or where F drops, and that lies in ``g_p g_q J``
-    if and only if ``F(h_y + rise) <= h_x + gap`` for ``rise = dy_a + dy_b
-    - dy_p - dy_q`` and ``gap = dx_a + dx_b - dx_p - dx_q``, F empty below
-    level 0 and constant above its top: one gather of ``mu(J)`` times the
-    rows of :func:`_cover_rows`, one compare, two reductions.  Nothing
-    is certified where ``g_last^2 J`` would leave int64 in x, or where
-    twice the y-span of ``gs`` would.
+    Each call decides (E*) by level (see :func:`_covered_by_level`), from
+    the products' offsets planned here, in ``products * top`` int64 entries:
+    ``top = (j + 2) dist_y(I) + 1`` for ``J = I^j``, as P holds I's extreme
+    generators, and the level kernel asks only on spans within
+    ``_BUCKET_SPAN_FACTOR * mu(I)``.  Nothing is certified where ``g_last^2
+    J`` would leave int64 in x, or where twice the y-span of ``gs`` would.
     """
     k = len(gs)
     if k < 3:
@@ -299,37 +264,23 @@ def _pairs_covered(gs: Sequence[Monomial]) -> Callable[[np.ndarray], bool]:
     dx, dy = [g[0] - gs[0][0] for g in gs], [g[1] - gs[-1][1] for g in gs]
     if 2 * max(dx[-1], dy[0]) >= EXP_LIMIT:
         return lambda staircase: False
-    products, widths = _cover_products(k)
+    # The products g_p g_q, width q - p by width and each width by p, and each width's first.
+    products = [(p, p + w) for w in range(k) for p in range(k - w)]
+    widths = [w * k - w * (w - 1) // 2 for w in range(k + 1)]
     low, lift = [dy[p] + dy[q] for p, q in products], [dx[p] + dx[q] for p, q in products]
-    # The rows of _cover_rows(k), O(k^4), planned at the first call by generator.
-    count, rows = sum(2 * (k - w) * ((w + 1) * (w + 2) // 2 - 2) for w in range(2, k)), []
 
     def covered(staircase: np.ndarray) -> bool:
         if 2 * dx[-1] + staircase.item(0) >= EXP_LIMIT:
             return False  # beyond int64: not certified
-        drops = np.empty(len(staircase), dtype=bool)
-        drops[0] = True
-        np.not_equal(staircase[1:], staircase[:-1], out=drops[1:])
-        gens = drops.nonzero()[0][:, None]  # the levels of J's generators, one per row
-        top = len(staircase) + 2 * dy[0]  # where every g_p g_q J's staircase is constant
-        if len(gens) * count > len(lift) * top:  # a row per generator, or a staircase per product
-            return _covered_by_level(staircase, top, low, lift, widths)
-        if not rows:
-            pattern, starts = _cover_rows(k)
-            rows.extend((*(np.array((dy, dx), dtype=np.int64) @ pattern), starts))
-        rise, gap, starts = rows
-        at = gens + rise  # each one's level in each row's shift of F, empty below 0
-        held = (staircase.take(at, mode="clip") <= staircase.take(gens) + gap) & (at >= 0)
-        # Per group: every generator held in some row.  Per pair: some e.
-        groups = np.logical_and.reduce(np.logical_or.reduceat(held, starts, axis=1))
-        return all(map(any, groups.reshape(-1, 2).tolist()))
+        # From its top on, every g_p g_q J's staircase is constant.
+        return _covered_by_level(staircase, len(staircase) + 2 * dy[0], low, lift, widths)
 
     return covered
 
 
 def _covered_by_level(staircase: np.ndarray, top: int, low: list[int], lift: list[int], widths: list[int]) -> bool:
     """(E*) of :func:`_pairs_covered` at every level below ``top``, for the
-    products ``g_p g_q`` of :func:`_cover_products`, which lie ``low`` above
+    products ``g_p g_q`` of :func:`_pairs_covered`, which lie ``low`` above
     ``g_last^2`` and ``lift`` right of ``g_first^2``, width by width.
 
     Write ``U(i, j)`` for the sum of the ``g_p g_q J``, ``i <= p <= q <=

@@ -521,6 +521,13 @@ def test_memory_error_exit_2(capsys, monkeypatch, exc, message):
     assert (code, out, err) == (2, "", f"error: output too large to allocate{message}\n")
 
 
+def test_output_past_one_array_exit_2(capsys):
+    # 2^63 generators fit no numpy array: refused before any allocation.
+    code, out, err = run(capsys, "power", "[(0,1),(1,0)]", str(2**63 - 1))
+    message = f"{2**63} generators, over the {2**59 - 1} one array holds"
+    assert (code, out, err) == (2, "", f"error: output too large to allocate: {message}\n")
+
+
 def test_overflow_exit_3(capsys):
     huge = 1 << 62
     code, _, err = run(capsys, "power", f"[({huge}, 0), (0, {huge})]", "4")

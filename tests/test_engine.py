@@ -135,6 +135,24 @@ def test_assemble_overflow_checked():
         assemble_power(dec, 256)
 
 
+def test_outputs_past_one_array_raise_memory_error():
+    # An output that no (2, size) int64 array can hold is refused in Python
+    # ints, naming its generator count, before numpy's own ValueError; the
+    # limit is numpy's, and nothing near it is allocated.
+    limit = ideals_module._MAX_COLUMNS
+    with pytest.raises(ValueError):
+        np.empty((2, limit + 1), dtype=np.int64)
+    I = MonomialIdeal(((0, 1), (1, 0)))
+    dec = stable_decomposition(MonomialIdeal(((0, 3), (1, 1), (3, 0))))
+    for call, size in (
+        (lambda: power(I, 2**59), f"{2**59 + 1} generators"),
+        (lambda: level_power(I, 2**60), f"up to {2**60 + 1} generators"),
+        (lambda: assemble_power(dec, 2**61), f"{2**62 + 1} generators"),
+    ):
+        with pytest.raises(MemoryError, match=f"^{size}, over the {limit} one array holds$"):
+            call()
+
+
 def test_numpy_integer_powers_are_read_exactly():
     # n is read once as a Python int, so a numpy integer cannot wrap in an
     # int64 product before the range check; a float is no power.
@@ -708,10 +726,11 @@ def test_onset_search_sweeps_no_power_it_gives_up(monkeypatch):
 
 
 def test_onset_search_checks_few_levels(monkeypatch):
-    # (E*) holds on from its first level, so the search checks at the first
-    # level, 1, 3 and 7 above it and at the last, and bisects the levels
-    # since the last failure after a check that holds: it finds the level a
-    # check at every level finds, and gives up after at most 5 checks, not 11.
+    # The search checks (E*) once per level, on that level's staircase,
+    # from the first level that shows (A) up: a found onset costs one check
+    # per level up to it, and a give-up one per level tried, at most 11.
+    # m and searched are what a check of level_power's I^j at every level
+    # finds.
     checks, real = [], segments._pairs_covered
 
     def counted(gs):
@@ -719,7 +738,7 @@ def test_onset_search_checks_few_levels(monkeypatch):
         return lambda staircase: checks.append(len(staircase)) or covered(staircase)
 
     monkeypatch.setattr(engine, "_pairs_covered", counted)
-    gave_up = 0
+    searches = Counter()
     for J in _corpus_and_fixed():
         checks.clear()
         plan = engine.Plan(J)
@@ -731,12 +750,14 @@ def test_onset_search_checks_few_levels(monkeypatch):
         linear = next((j for j in tried if covered(level_power(J, j).staircase)), None)
         if linear is None:  # a give-up, unless the run reached D_P first
             assert (plan.m, plan.searched) == (d, None if tried and d - 1 > tried[-1] else level_power(J, d)), J
-            gave_up += plan.searched is None
-            assert len(checks) <= 5, (J, checks)
+            assert len(checks) == len(tried) <= ideals_module._ONSET_TRIES + 1, (J, checks)
+            searches["gave up" if plan.searched is None else "reached D_P"] += 1
         else:
             assert (plan.m, plan.searched) == (linear, level_power(J, linear)), J
-            assert len(checks) <= linear - first + 1 + 2, (J, checks)
-    assert gave_up == 2 * len(GIVE_UP), gave_up
+            assert len(checks) == linear - first + 1, (J, checks)
+            searches["found"] += 1
+        assert checks == [J.dist(Axis.Y) * j + 1 for j in range(first, first + len(checks))], (J, checks)
+    assert searches == {"found": 322, "reached D_P": 64, "gave up": 2 * len(GIVE_UP)}, searches
 
 
 def test_the_kernel_hands_on_the_staircase_of_its_power(monkeypatch):

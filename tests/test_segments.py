@@ -578,12 +578,10 @@ def test_glued_cut_clamps_a_middle_that_starts_left_of_its_step():
     assert glued.middles[0].gens == ((0, 2), (3, 0))
 
 
-def test_pairs_covered_matches_containment(monkeypatch):
+def test_pairs_covered_matches_containment():
     # (E*) on level arrays against the divisibility check of every generator,
     # on the corpus seeds 0-199 with |P| >= 3 at I^1 .. I^6; shifting J
-    # changes nothing.  Both verdicts occur on both routes.
-    by_level, real = [], segments._covered_by_level
-    monkeypatch.setattr(segments, "_covered_by_level", lambda *args: by_level.append(args) or real(*args))
+    # changes nothing.  Both verdicts occur.
     verdicts = Counter()
     for seed in range(200):
         I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
@@ -592,14 +590,12 @@ def test_pairs_covered_matches_containment(monkeypatch):
             continue
         covered, J = segments._pairs_covered(gs), I
         for m in range(1, 7):
-            before = len(by_level)
             got = covered(brute.staircase(J))
-            route = "level" if len(by_level) > before else "generator"
             shifted = covered(brute.staircase(J.shift((3, 1))))
             assert got == brute.pairs_covered(gs, J) == shifted, (seed, m)
-            verdicts[route, got] += 1
+            verdicts[got] += 1
             J = J * I
-    assert verdicts == {("generator", True): 455, ("generator", False): 121, ("level", True): 88, ("level", False): 26}
+    assert verdicts == {True: 543, False: 147}
 
 
 @st.composite
@@ -632,31 +628,21 @@ def chain_and_staircase(draw):
     return tuple(gs), J.shift((draw(st.integers(0, 30)), draw(st.integers(0, 5))))
 
 
-def covered_by_level(gs, staircase):
-    """The by-level route of (E*) on its own, planned as ``_pairs_covered``
-    plans it, whichever route the predicate would take."""
-    products, widths = segments._cover_products(len(gs))
-    dx, dy = [g[0] - gs[0][0] for g in gs], [g[1] - gs[-1][1] for g in gs]
-    low, lift = [dy[p] + dy[q] for p, q in products], [dx[p] + dx[q] for p, q in products]
-    return segments._covered_by_level(staircase, len(staircase) + 2 * dy[0], low, lift, widths)
-
-
 @given(chain_and_staircase())
 @example((((0, 4), (2, 2), (5, 0)), FIG3_J))
 @example((((0, 9), (1, 5), (3, 3), (6, 2), (10, 1), (15, 0)), SMALL.shift((4, 2))))
 @example((((0, 4), (1, 1), (2**62, 0)), SMALL))  # g_last^2 J at x = 2^63 + 3: no certificate
 @example((((0, 4), (1, 1), (2**62 - 1, 0)), MonomialIdeal(((0, 1), (2, 0)))))  # at 2^63 exactly
-# Certified by level only with the g_p g_b J and the g_a g_q J each in their
-# own sum, with both halves in each U, and with F constant above its top.
+# Certified only with the g_p g_b J and the g_a g_q J each in their own
+# sum, with both halves in each U, and with F constant above its top.
 @example((((0, 10), (6, 6), (9, 4), (15, 0)), MonomialIdeal(((0, 10), (6, 6), (9, 4), (15, 0)))))
 @example(((FIVE := ((0, 11), (3, 7), (5, 5), (10, 1), (16, 0))), level_power(MonomialIdeal(FIVE), 2)))
 @example(((SIX := ((0, 12), (1, 10), (2, 8), (7, 2), (12, 1), (18, 0))), MonomialIdeal(SIX)))
 @example(((STEEP := ((0, 17), (1, 13), (4, 7), (8, 2), (12, 0))), MonomialIdeal(STEEP)))
 def test_pairs_covered_matches_the_level_loop(case):
-    # The planned predicate, and its by-level route on every draw, against
-    # the loop over every level of one padded shift per pair, and, inside
-    # int64, against divisibility of every generator; past int64 neither
-    # certifies.
+    # The planned predicate against the loop over every level of one padded
+    # shift per pair, and, inside int64, against divisibility of every
+    # generator; past int64 neither certifies.
     gs, J = case
     staircase = brute.staircase(J)
     got = segments._pairs_covered(gs)(staircase)
@@ -665,21 +651,16 @@ def test_pairs_covered_matches_the_level_loop(case):
     if 2 * dx + int(J.xy[0, -1]) >= 2**63:
         assert got == (len(gs) < 3)  # vacuous for one pair
         return
-    if len(gs) > 2:
-        assert covered_by_level(gs, staircase) == got
     if dx < 2**62 - 24:
         assert got == brute.pairs_covered(gs, J)
 
 
-def test_pairs_covered_plans_no_rows_for_a_long_chain():
-    # Thirty-one generators on a convex chain over their own ideal: the rows
-    # by generator would number 90,770, so the predicate decides by level
-    # and never builds them.
+def test_pairs_covered_on_a_long_chain():
+    # Thirty-one generators on a convex chain over their own ideal: 496
+    # products, decided level by level.
     gs = tuple((i * (i + 1) // 2, (30 - i) * (31 - i) // 2) for i in range(31))
     staircase = brute.staircase(MonomialIdeal(gs))
-    segments._cover_rows.cache_clear()
     assert segments._pairs_covered(gs)(staircase) == brute.pairs_covered_on_levels(gs, staircase)
-    assert segments._cover_rows.cache_info().currsize == 0
 
 
 def test_pairs_covered_is_vacuous_for_one_pair():
