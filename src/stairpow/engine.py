@@ -96,9 +96,9 @@ class StableDecomposition(GluedComponents):
 
     @cached_property
     def emission_templates(self) -> LinkTemplates:
-        """The link templates of :func:`_emit`, in the ideal's own orientation:
-        on axis X those of the transposed parts in reverse order, since the
-        transpose of a y-link is the y-link of the transposed parts reversed."""
+        """The link templates of :func:`_emit`, built once, in the ideal's own
+        orientation: on axis X those of the transposed parts in reverse order, since
+        the transpose of a y-link is the y-link of the transposed parts reversed."""
         parts = (self.components, self.middles)
         if self.axis is Axis.X:
             parts = (tuple(p.transpose() for p in reversed(ps)) for ps in parts)
@@ -213,8 +213,8 @@ def _emit(dec: StableDecomposition, ell: int) -> tuple[MonomialIdeal, int]:
     One link of the decomposition's :class:`LinkTemplates`, times ``gcd^(s+ell)`` in
     Python ints (the kernel range-checks it): one ``np.empty``, then at most ``2k
     + 1 + sum_i (ceil(log2 q_i) + 1)`` writes of two 1-D adds for ``q_i = ell //
-    c_i``, prefixes included, once the templates have grown.  The first emission
-    links plain copies and leaves the templates behind, cut from its output.
+    c_i``, prefixes included.  The templates are built once, at the first
+    emission, and no emission changes them.
     """
     (gx, gy), n = dec.gcd_shift, dec.s + ell
     return dec.emission_templates.link(ell, (gx * n, gy * n))

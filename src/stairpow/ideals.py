@@ -465,5 +465,7 @@ def pair_power(g: Monomial, h: Monomial, n: int) -> MonomialIdeal:
     # g now has the smaller x-exponent (larger y); walk from h^n up to g^n.
     _check_exponents(h[0] * n, g[1] * n)
     _check_exponents(g[0] * n, h[1] * n)
+    if n + 1 > _MAX_COLUMNS:  # before numpy's ValueError
+        raise MemoryError(f"{n + 1} generators, over the {_MAX_COLUMNS} one array holds")
     j = np.arange(n, -1, -1)
     return MonomialIdeal._canonical(np.multiply.outer(g, j) + np.multiply.outer(h, j[::-1]))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ideals import Axis, Monomial, MonomialIdeal, _check_exponents, _count, _MAX_COLUMNS, _monomial
+from .ideals import EXP_LIMIT, Axis, Monomial, MonomialIdeal, _check_exponents, _count, _MAX_COLUMNS, _monomial
 
 
 def _run(part: MonomialIdeal, reps: int) -> tuple[np.ndarray, int, int, int, int, int]:
@@ -71,32 +71,38 @@ def _link_counted(runs: Sequence[tuple], origin: Monomial) -> tuple[MonomialIdea
 _TEMPLATE_GENS = 1024
 
 
+def _template(middle: MonomialIdeal) -> tuple[np.ndarray, int, int, int, int]:
+    """The record of a middle H's template (see :class:`LinkTemplates`): the
+    c-fold self-link's generators after its first, c, and H's mu - 1 and spans."""
+    h, dx, dy = middle.mu - 1, middle.dist(Axis.X), middle.dist(Axis.Y)
+    c = 1 << (max(1, min(_TEMPLATE_GENS // h, (EXP_LIMIT - 1) // max(dx, dy))).bit_length() - 1)
+    template = _link_counted([_run(middle, c)], (0, 0))[0] if c > 1 else middle
+    return template.xy[:, 1:], c, h, dx, dy
+
+
 @dataclass(frozen=True)
 class LinkTemplates:
     """The link of ``C_0 . H_1^ell . C_1 ... H_k^ell . C_k`` for any ell.
 
     ``components`` and ``middles`` are the anchored parts in link order.  The
-    template of a middle H is its c-fold self-link, as :func:`_link_counted`
-    writes it, for a power of two c with ``c (mu(H) - 1) <= 1024``, so at
-    most 16 KB; before H has one, H itself serves with ``c = 1``.  A run
-    ``H^ell`` is q copies of the template and, if r > 0, H's r-fold link
-    (``ell = q c + r``): a view of the template's first ``r (mu(H) - 1) +
-    1`` generators, written with the template's top, so lowered by ``(c -
-    r) dist_y(H)``.  After each link a run whose ell reaches a larger such
-    power of two leaves that many of its first copies, less their gcd, as
-    H's new template in ``built``: one subtraction, no link of its own, so
-    a first emission pays only that.  Unanchored parts and one-generator
-    middles are refused once, when the templates are built (a ValueError),
-    and every part's spans are read there as Python ints; a link reads ell
-    and the origin once, at its entry, and the kernel spends ``ceil(log2 q)
-    + 2`` writes or fewer on a run, not ``ceil(log2 ell) + 1``.
+    template of a middle H is its c-fold self-link, built once, with the
+    templates, for the largest power of two c with ``c (mu(H) - 1) <= 1024``
+    and ``c max(dist_x H, dist_y H) < 2^63``, so at most 16 KB; where c = 1,
+    H itself serves.  A run ``H^ell`` is q copies of the template and, if
+    r > 0, H's r-fold link (``ell = q c + r``): a view of the template's
+    first ``r (mu(H) - 1) + 1`` generators, written with the template's top,
+    so lowered by ``(c - r) dist_y(H)``.  Nothing changes after that, so a
+    link is a function of its arguments alone.  Unanchored parts and
+    one-generator middles are refused once, when the templates are built (a
+    ValueError), and every part's spans are read there as Python ints; a
+    link reads ell and the origin once, at its entry, and the kernel spends
+    ``ceil(log2 q) + 2`` writes or fewer on a run, not ``ceil(log2 ell) + 1``.
     """
 
     components: tuple[MonomialIdeal, ...]
     middles: tuple[MonomialIdeal, ...]
-    built: dict[int, tuple[MonomialIdeal, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _ends: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
-    _steps: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    _templates: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(part.gcd() != (0, 0) for part in (*self.components, *self.middles)):
@@ -104,30 +110,20 @@ class LinkTemplates:
         if any(middle.mu < 2 for middle in self.middles):
             raise ValueError("a link template's middle needs two generators or more")
         object.__setattr__(self, "_ends", tuple(_run(part, 1) for part in self.components))
-        object.__setattr__(self, "_steps", tuple((m.mu - 1, m.dist(Axis.X), m.dist(Axis.Y)) for m in self.middles))
+        object.__setattr__(self, "_templates", tuple(map(_template, self.middles)))
 
     def link(self, ell: int, origin: Monomial = (0, 0)) -> tuple[MonomialIdeal, int]:
         """The link for this ``ell`` times ``origin``, and the number of generators its
         writes filled (see :func:`_link_counted`); both are read once, here, for the kernel."""
         ell, origin = _count(ell, 0, "ell must be non-negative"), _monomial(origin)
-        runs, due = [self._ends[0]], {}
-        for i, ((h, dx, dy), end) in enumerate(zip(self._steps, self._ends[1:])):
-            template, c = self.built.get(i, (self.middles[i], 1))
-            want = 1 << max(0, min(ell, _TEMPLATE_GENS // h).bit_length() - 1)
-            if want > c:  # the run's first generator and its first `want` copies
-                start = sum(run[1] * run[5] for run in runs)
-                due[i] = (slice(start, start + want * h + 1), want)
+        runs = [self._ends[0]]
+        for (rest, c, h, dx, dy), end in zip(self._templates, self._ends[1:]):
             q, r = divmod(ell, c)
-            rest = template.xy[:, 1:]
             runs.append((rest, c * h, c * dy, c * dx, c * dy, q))
             if r:
                 runs.append((rest[:, : r * h], r * h, c * dy, r * dx, r * dy, 1))
             runs.append(end)
-        ideal, written = _link_counted(runs, origin)
-        for i, (run, c) in due.items():
-            copies = ideal.xy[:, run]
-            self.built[i] = (MonomialIdeal._canonical(copies - ((copies[0, 0],), (copies[1, -1],))), c)
-        return ideal, written
+        return _link_counted(runs, origin)
 
 
 def link_point(left: MonomialIdeal, right: MonomialIdeal) -> Monomial:

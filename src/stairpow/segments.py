@@ -19,7 +19,7 @@ import numpy as np
 
 from .ideals import (
     _BUCKET_SPAN_FACTOR, _NO_POINT, EXP_LIMIT, Axis, Monomial, MonomialIdeal, _check_exponents, _count,
-    _level_staircase, ideal_sum, mon_divides, pair_power,
+    _MAX_COLUMNS, _level_staircase, ideal_sum, mon_divides, pair_power,
 )
 # ``link_many`` is unused here but stays importable as ``segments.link_many``:
 # the benchmark's span tracer patches that name.
@@ -125,6 +125,8 @@ def _pair_levels(
     rows = n + 1 + top
     if rows * v > _BUCKET_SPAN_FACTOR * (n + 1) * j_ideal.mu or rows * u + x1 - x0 >= EXP_LIMIT:
         return None
+    if rows * v > _MAX_COLUMNS:  # before numpy's ValueError
+        raise MemoryError(f"up to {rows * v} generators, over the {_MAX_COLUMNS} one array holds")
     # Pad w rows in front and cut blocks of w + 1 rows: the head window
     # [p - w, p] is a block suffix from row p plus a block prefix up to p + w.
     w = min(n, top)
@@ -251,12 +253,24 @@ def _pairs_covered(gs: Sequence[Monomial]) -> Callable[[np.ndarray], bool]:
     ``sum_l g_l sum g_p g_q I^j = sum g_p g_q (P) I^j = sum g_p g_q
     I^(j+1)`` over the allowed (p, q).
 
-    Each call decides (E*) by level (see :func:`_covered_by_level`), from
-    the products' offsets planned here, in ``products * top`` int64 entries:
-    ``top = (j + 2) dist_y(I) + 1`` for ``J = I^j``, as P holds I's extreme
-    generators, and the level kernel asks only on spans within
-    ``_BUCKET_SPAN_FACTOR * mu(I)``.  Nothing is certified where ``g_last^2
-    J`` would leave int64 in x, or where twice the y-span of ``gs`` would.
+    Each call decides (E*) at every level below ``top``, from the products
+    ``g_p g_q`` planned here, which lie ``low`` above ``g_last^2`` and
+    ``lift`` right of ``g_first^2``, width by width.  Write ``U(i, j)`` for
+    the sum of the ``g_p g_q J``, ``i <= p <= q <= j``.  Keeping ``(a, a)``,
+    the allowed sum is ``U(a, b - 1)`` plus the ``g_p g_b J``, ``a < p <
+    b``; keeping ``(b, b)``, it is ``U(a + 1, b)`` plus the ``g_a g_q J``,
+    ``a < q < b``.  One add writes each product's staircase; then, width by
+    width, each partial sum is the last one plus one product, and
+    containment is ``>=`` at each level.  A width that fails ends the call;
+    one that holds puts each ``g_a g_b J`` in one of its allowed sums, both
+    within ``U(a, b - 1) + U(a + 1, b)``, which is then ``U(a, b)``: one
+    minimum per staircase.
+
+    A call takes ``products * top`` int64 entries: ``top = (j + 2) dist_y(I)
+    + 1`` for ``J = I^j``, as P holds I's extreme generators, and the level
+    kernel asks only on spans within ``_BUCKET_SPAN_FACTOR * mu(I)``.
+    Nothing is certified where ``g_last^2 J`` would leave int64 in x, or
+    where twice the y-span of ``gs`` would.
     """
     k = len(gs)
     if k < 3:
@@ -272,45 +286,27 @@ def _pairs_covered(gs: Sequence[Monomial]) -> Callable[[np.ndarray], bool]:
     def covered(staircase: np.ndarray) -> bool:
         if 2 * dx[-1] + staircase.item(0) >= EXP_LIMIT:
             return False  # beyond int64: not certified
-        # From its top on, every g_p g_q J's staircase is constant.
-        return _covered_by_level(staircase, len(staircase) + 2 * dy[0], low, lift, widths)
+        top = len(staircase) + 2 * dy[0]  # from here on, every g_p g_q J's staircase is constant
+        extended = np.empty(top, dtype=np.int64)  # F, constant above its top
+        extended[: len(staircase)], extended[len(staircase) :] = staircase, staircase[-1]
+        shifted = np.empty((len(low), top), dtype=np.int64)
+        shifted.fill(_NO_POINT)  # empty below its lowest level
+        for row, y, x in zip(shifted, low, lift):
+            np.add(extended[: top - y], x, out=row[y:])
+        square, step, *wider = (shifted[widths[w] : widths[w + 1]] for w in range(len(widths) - 1))
+        union = np.minimum(np.minimum(square[:-1], square[1:]), step)  # U(a, a + 1)
+        with_b, with_a = step[1:], step[:-1]  # the g_p g_b J and the g_a g_q J of width 2
+        for target in wider:
+            kept = np.logical_and.reduce(target >= np.minimum(union[:-1], with_b), axis=1)
+            kept |= np.logical_and.reduce(target >= np.minimum(union[1:], with_a), axis=1)
+            if not np.logical_and.reduce(kept):
+                return False
+            if len(target) > 1:
+                union = np.minimum(union[:-1], union[1:])
+                with_b, with_a = np.minimum(with_b[1:], target[1:]), np.minimum(with_a[:-1], target[:-1])
+        return True
 
     return covered
-
-
-def _covered_by_level(staircase: np.ndarray, top: int, low: list[int], lift: list[int], widths: list[int]) -> bool:
-    """(E*) of :func:`_pairs_covered` at every level below ``top``, for the
-    products ``g_p g_q`` of :func:`_pairs_covered`, which lie ``low`` above
-    ``g_last^2`` and ``lift`` right of ``g_first^2``, width by width.
-
-    Write ``U(i, j)`` for the sum of the ``g_p g_q J``, ``i <= p <= q <=
-    j``.  Keeping ``(a, a)``, the allowed sum is ``U(a, b - 1)`` plus the
-    ``g_p g_b J``, ``a < p < b``; keeping ``(b, b)``, it is ``U(a + 1, b)``
-    plus the ``g_a g_q J``, ``a < q < b``.  One add writes each product's
-    staircase; then, width by width, each partial sum is the last one plus
-    one product, and containment is ``>=`` at each level.  A width that
-    fails ends the call; one that holds puts each ``g_a g_b J`` in one of
-    its allowed sums, both within ``U(a, b - 1) + U(a + 1, b)``, which is
-    then ``U(a, b)``: one minimum per staircase.
-    """
-    extended = np.empty(top, dtype=np.int64)  # F, constant above its top
-    extended[: len(staircase)], extended[len(staircase) :] = staircase, staircase[-1]
-    shifted = np.empty((len(low), top), dtype=np.int64)
-    shifted.fill(_NO_POINT)  # empty below its lowest level
-    for row, y, x in zip(shifted, low, lift):
-        np.add(extended[: top - y], x, out=row[y:])
-    square, step, *wider = (shifted[widths[w] : widths[w + 1]] for w in range(len(widths) - 1))
-    union = np.minimum(np.minimum(square[:-1], square[1:]), step)  # U(a, a + 1)
-    with_b, with_a = step[1:], step[:-1]  # the g_p g_b J and the g_a g_q J of width 2
-    for target in wider:
-        kept = np.logical_and.reduce(target >= np.minimum(union[:-1], with_b), axis=1)
-        kept |= np.logical_and.reduce(target >= np.minimum(union[1:], with_a), axis=1)
-        if not np.logical_and.reduce(kept):
-            return False
-        if len(target) > 1:
-            union = np.minimum(union[:-1], union[1:])
-            with_b, with_a = np.minimum(with_b[1:], target[1:]), np.minimum(with_a[:-1], target[:-1])
-    return True
 
 
 def glued_power(glued: GluedComponents, ell: int) -> MonomialIdeal:

@@ -19,6 +19,7 @@ from stairpow.ideals import (
     PrincipalIdealError,
     level_power,
     naive_power,
+    pair_power,
 )
 from stairpow.engine import (
     assemble_power,
@@ -28,7 +29,7 @@ from stairpow.engine import (
     power,
     stable_decomposition,
 )
-from stairpow.segments import glued_components
+from stairpow.segments import glued_components, staircase_times
 from stairpow.geometry import (
     persistence_profile,
     persistent_generators,
@@ -38,6 +39,7 @@ from stairpow.geometry import (
 from stairpow.oracle import RandomIdealSpec, random_ideal, shift_generators
 from stairpow.textio import parse_ideal
 from test_ideals import fixed_ideals, ideals
+from test_links import check_templates, template_copies
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCES = ROOT / "stairbench" / "references.json"
@@ -138,7 +140,8 @@ def test_assemble_overflow_checked():
 def test_outputs_past_one_array_raise_memory_error():
     # An output that no (2, size) int64 array can hold is refused in Python
     # ints, naming its generator count, before numpy's own ValueError; the
-    # limit is numpy's, and nothing near it is allocated.
+    # limit is numpy's, and nothing near it is allocated.  A pair's window
+    # table names its levels, (n + 1 + floor(dist_y(J) / v)) v of them.
     limit = ideals_module._MAX_COLUMNS
     with pytest.raises(ValueError):
         np.empty((2, limit + 1), dtype=np.int64)
@@ -148,6 +151,10 @@ def test_outputs_past_one_array_raise_memory_error():
         (lambda: power(I, 2**59), f"{2**59 + 1} generators"),
         (lambda: level_power(I, 2**60), f"up to {2**60 + 1} generators"),
         (lambda: assemble_power(dec, 2**61), f"{2**62 + 1} generators"),
+        (lambda: decomposed_power(I, persistence_profile(I), 2**61), f"up to {2**61 + 1} generators"),
+        (lambda: glued_components(((0, 2), (3, 0)), I, 2**61), f"up to {(2**61 + 2) * 2} generators"),
+        (lambda: staircase_times((0, 1), (1, 0), 2**61, I), f"up to {2**61 + 2} generators"),
+        (lambda: pair_power((0, 1), (1, 0), 2**61), f"{2**61 + 1} generators"),
     ):
         with pytest.raises(MemoryError, match=f"^{size}, over the {limit} one array holds$"):
             call()
@@ -1100,14 +1107,6 @@ def _template_free_blocks(glued, ell):
     return blocks
 
 
-def _template_copies(middle, longest=10**9):
-    """The largest power of two c with ``c (mu - 1) <= 1024`` and ``c <= longest``, or 1."""
-    c = 1
-    while 2 * c * (middle.mu - 1) <= 1024 and 2 * c <= longest:
-        c *= 2
-    return c
-
-
 def _template_cases():
     fixed = fixed_ideals()
     cases = [(label, fixed[label]) for label in ("I1", "I2", "I3", "I4")]
@@ -1127,10 +1126,10 @@ def test_emission_at_template_boundaries(ideal):
     # ell = q c + r around the edges of q and r for each middle's largest
     # template of c copies, against the per-generator link of ell plain
     # copies in the working orientation, which emission transposes on axis X
-    # and shifts.  Rising ells meet growing templates, falling ones the
-    # largest, with q = 0 below c.
+    # and shifts.  Rising and falling ells meet the same templates, with
+    # q = 0 below c.
     dec = engine.cached_plan(ideal).decomposition
-    counts = {_template_copies(middle) for middle in dec.middles}
+    counts = {template_copies(middle) for middle in dec.middles}
     ells = sorted({ell for c in counts for ell in (0, 1, c - 1, c, c + 1, 2 * c - 1, 2 * c, 5 * c + 3)})
     for ell in ells + ells[::-1]:
         gens = brute.link_blocks(_template_free_blocks(dec, ell))
@@ -1161,15 +1160,17 @@ def _filled_columns(monkeypatch):
 
 @pytest.mark.parametrize("label", ["I1", "I2", "I3"])
 def test_the_written_count_is_what_the_writes_filled(monkeypatch, label):
-    # At ell = c - 1, c, c + 1, 2c - 1, 2c and 2c + 1 for every template size
-    # c that a middle of the decomposition grows through, rising, each link's
-    # 1-D adds fill every column but the first once in the x row and once in
-    # the y row, its written count is the y row's filled columns plus that
-    # first one, and its output is the per-generator link of ell copies.
+    # At ell = c - 1, c, c + 1, 2c - 1, 2c and 2c + 1 for every power of two
+    # c up to the largest template's copies, each link's 1-D adds fill every
+    # column but the first once in the x row and once in the y row, its
+    # written count is the y row's filled columns plus that first one, and
+    # its output is the per-generator link of ell copies.  The templates are
+    # built before the adds are recorded.
     dec = engine.cached_plan(fixed_ideals()[label]).decomposition
-    templates, filled = links.LinkTemplates(dec.components, dec.middles), _filled_columns(monkeypatch)
-    sizes = {c for middle in dec.middles for c in (1 << i for i in range(11)) if c <= _template_copies(middle)}
-    assert max(sizes) == max(_template_copies(middle) for middle in dec.middles) >= 64
+    templates = links.LinkTemplates(dec.components, dec.middles)
+    copies, filled = check_templates(templates), _filled_columns(monkeypatch)
+    sizes = {c for c in (1 << i for i in range(11)) if c <= max(copies)}
+    assert max(sizes) == max(copies) >= 64
     for ell in sorted({ell for c in sizes for ell in (c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1)}):
         filled.clear()
         ideal, written = templates.link(ell)
@@ -1180,9 +1181,6 @@ def test_the_written_count_is_what_the_writes_filled(monkeypatch, label):
                 counts[start:stop] += 1
             assert counts[0] == 0 and (counts[1:] == 1).all(), (ell, row)
         assert written == 1 + sum(b - a for r, a, b in filled if r == 1) == ideal.mu, ell
-    assert {i: c for i, (_, c) in templates.built.items()} == {
-        i: _template_copies(middle) for i, middle in enumerate(dec.middles) if _template_copies(middle) > 1
-    }
 
 
 def _assert_fresh_array(ideal, label):
@@ -1212,46 +1210,62 @@ def test_every_route_returns_a_read_only_c_contiguous_array(label, form):
 
 
 @pytest.mark.parametrize("ideal", [BIG, BIG.transpose().shift((2, 1))])
-def test_templates_grow_with_the_runs_they_serve(monkeypatch, ideal):
-    # Every emission is one link call.  After it, a middle's template holds
-    # the largest power of two of copies within 1024 generators past its
-    # first and within the longest run emitted so far, if that is 2 or more.
-    # It is cut from an emission's output and replaced only by a longer one.
-    # BIG's middles have 3, 4 and 3 generators, so at most 512, 256 and 512.
+def test_templates_are_built_once(monkeypatch, ideal):
+    # A decomposition's templates are built at its first emission, one link
+    # per middle whose template holds 2 copies or more, and every emission
+    # is one link more.  No emission changes them: each middle keeps the
+    # largest power of two of copies within 1024 generators past its first.
+    # BIG's middles have 3, 4 and 3 generators, so 512, 256 and 512.
     calls, real = [], links._link_counted
     monkeypatch.setattr(links, "_link_counted", lambda blocks, origin: calls.append(blocks) or real(blocks, origin))
     dec = stable_decomposition(ideal)
     assert dec.axis is (Axis.Y if ideal == BIG else Axis.X)
-    templates, kept, longest = dec.emission_templates, {}, 0
-    assert sorted(_template_copies(middle) for middle in templates.middles) == [256, 512, 512]
-    for ell in (0, 1, 0, 3, 2, 255, 1, 256, 300, 511, 512, 10**4, 0, 512, 5000):
+    assert "emission_templates" not in vars(dec)
+    assemble_power(dec, dec.s)
+    assert len(calls) == 3 + 1
+    templates = dec.emission_templates
+    record = templates._templates
+    assert sorted(check_templates(templates)) == [256, 512, 512]
+    for ell in (1, 0, 3, 2, 255, 1, 256, 300, 511, 512, 10**4, 0, 512, 5000):
         calls.clear()
         assemble_power(dec, dec.s + ell)
-        assert len(calls) == 1, ell
-        longest = max(longest, ell)
-        for i, middle in enumerate(templates.middles):
-            c = _template_copies(middle, longest)
-            if c == 1:
-                assert i not in templates.built, ell
-                continue
-            template, copies = templates.built[i]
-            assert copies == c, ell
-            if i in kept and kept[i][1] == c:
-                assert template is kept[i][0], ell
-            else:
-                assert template.gens == brute.link_blocks([(middle, c)]), ell
-            kept[i] = template, c
-    assert sorted(c for _, c in kept.values()) == [256, 512, 512]
+        assert len(calls) == 1 and dec.emission_templates._templates is record, ell
+
+
+@pytest.mark.parametrize("label", ["I1", "I2", "I3", "seed 3"])
+def test_emission_does_not_depend_on_earlier_emissions(monkeypatch, label):
+    # Emitted in ascending, descending and shuffled order, each order on a
+    # fresh decomposition, every ell gives the same ideal, the same written
+    # count and the same runs handed to the link kernel.
+    ideal = random_ideal(RandomIdealSpec(8, 20, seed=3)) if label == "seed 3" else fixed_ideals()[label]
+    ells = [0, 1, 3, 100, 511, 512, 513, 10**4]
+    calls, real = [], links._link_counted
+    monkeypatch.setattr(links, "_link_counted", lambda runs, origin: calls.append(runs) or real(runs, origin))
+    emitted = []
+    for order in (ells, ells[::-1], [511, 3, 10**4, 0, 513, 1, 512, 100]):
+        dec = stable_decomposition(ideal)
+        dec.emission_templates  # built before any run is recorded
+        by_ell = {}
+        for ell in order:
+            calls.clear()
+            result, written = assemble_power_counted(dec, dec.s + ell)
+            (runs,) = calls
+            by_ell[ell] = result.xy.tobytes(), written, [(rest.tobytes(), *counts) for rest, *counts in runs]
+        emitted.append(by_ell)
+    assert emitted[0] == emitted[1] == emitted[2]
 
 
 @pytest.mark.parametrize("gens", [((0, 1), (2**57, 0)), ((0, 3), (2, 1), (2**57, 0)), ((0, 2**57), (1, 1), (3, 0))])
 def test_emission_with_a_middle_near_the_exponent_limit(gens):
-    # A middle spanning about 2**57 would need about 2**67 for its template
-    # of 1024 copies; runs of fewer copies fit and link plain ones, and an
-    # emission out of range raises whichever path it takes.
+    # A middle spanning about 2**57 would need about 2**67 for a template of
+    # 1024 copies, so its template holds only as many as int64 spans, and
+    # ell = 1..5 are prefixes of it; an emission out of range raises
+    # whichever path it takes.
     ideal = MonomialIdeal(gens)
     dec = stable_decomposition(ideal)
-    assert any(_template_copies(h) * max(h.dist(Axis.X), h.dist(Axis.Y)) >= 2**63 for h in dec.middles)
+    templates = dec.emission_templates
+    copies = check_templates(templates)
+    assert any(2 * c * (h.mu - 1) <= 1024 for h, c in zip(templates.middles, copies))  # capped by the span
     for ell in range(1, 6):
         expected = naive_power(ideal, dec.s + ell)
         assert assemble_power(dec, dec.s + ell) == expected == power(ideal, dec.s + ell), ell

@@ -142,6 +142,27 @@ def _blocks(components, middles, ell):
     return blocks
 
 
+def template_copies(middle):
+    """The largest power of two c with ``c (mu - 1) <= 1024`` and ``c max(dist_x, dist_y) < 2^63``, or 1."""
+    c = 1
+    while 2 * c * (middle.mu - 1) <= 1024 and 2 * c * max(middle.dist(Axis.X), middle.dist(Axis.Y)) < 2**63:
+        c *= 2
+    return c
+
+
+def check_templates(templates):
+    """Each middle's template, read from the record the templates keep: the
+    per-generator link of ``template_copies`` copies of the middle, in a
+    read-only array.  Returns the copies."""
+    copies = [template_copies(middle) for middle in templates.middles]
+    for (rest, c, h, dx, dy), middle, want in zip(templates._templates, templates.middles, copies, strict=True):
+        gens = ((0, c * dy), *zip(rest[0].tolist(), rest[1].tolist()))
+        assert (gens, c) == (brute.link_blocks([(middle, want)]), want)
+        assert (h, dx, dy) == (middle.mu - 1, middle.dist(Axis.X), middle.dist(Axis.Y))
+        assert not rest.flags.writeable
+    return copies
+
+
 @given(chains, st.integers(0, 40), origins)
 @example(([UNIT, FIG_J, FIG_I], [FIG_J, FIG_I]), 0, (7, 4))  # no copies, a unit first part
 @example(([UNIT, FIG_J], [FIG_J]), 4, (0, 0))
@@ -153,12 +174,17 @@ def _blocks(components, middles, ell):
 @example(([FIG_I, FIG_J, FIG_I], [FIG_I, FIG_J]), 16, (5, 5))
 @example(([FIG_I, FIG_J, FIG_I], [FIG_I, FIG_J]), 17, (5, 5))
 def test_link_blocks_matches_per_generator_loop(chain, ell, origin):
-    # Fresh templates are the middles themselves, so one link writes ell
-    # plain copies of each by doubling, and fills each generator once.
+    # The kernel writes ell plain copies of each middle by doubling and
+    # fills each generator once; the templates' link, q copies of each
+    # template and a prefix of it, is the same ideal and count.
     components, middles = chain
-    ideal, written = LinkTemplates(tuple(components), tuple(middles)).link(ell, origin)
-    assert ideal.gens == brute.link_blocks(_blocks(components, middles, ell), origin)
+    blocks = _blocks(components, middles, ell)
+    ideal, written = links._link_counted([links._run(part, reps) for part, reps in blocks], origin)
+    assert ideal.gens == brute.link_blocks(blocks, origin)
     assert written == ideal.mu
+    templates = LinkTemplates(tuple(components), tuple(middles))
+    check_templates(templates)
+    assert templates.link(ell, origin) == (ideal, written)
 
 
 def test_link_blocks_without_copies_is_the_origin():

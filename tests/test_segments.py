@@ -27,6 +27,7 @@ from stairpow.segments import (
     staircase_sum,
     staircase_times,
 )
+from test_links import check_templates
 
 SMALL = MonomialIdeal(((0, 2), (2, 1), (3, 0)))
 FIG3_J = MonomialIdeal.of((0, 10), (2, 7), (3, 5), (5, 4), (7, 2), (9, 0))
@@ -426,17 +427,15 @@ def test_glued_power_vs_sum_oracle():
 def test_glued_power_at_the_template_budget(d, copies):
     # J = (x, y)^d gives a middle of d + 1 generators, so its template is
     # the largest power of two of copies within 1024 generators past the
-    # first and within the longest run, 5; a middle with no room for two
-    # copies gets none.
+    # first; a middle with no room for two copies is its own template.
     J = MonomialIdeal(tuple((t, d - t) for t in range(d + 1)))
     gl = glued_components(((0, d), (d, 0)), J, 1)
     templates = LinkTemplates(gl.components, gl.middles)
     assert gl.middles[0].mu == d + 1
+    assert check_templates(templates) == [copies]
     for ell in (0, 1, 2, 3, 5):
         blocks = [(gl.components[0], 1), (gl.middles[0], ell), (gl.components[1], 1)]
         assert glued_power(gl, ell).gens == templates.link(ell)[0].gens == brute.link_blocks(blocks), ell
-    expected = [(brute.link_blocks([(gl.middles[0], copies)]), copies)] if copies > 1 else []
-    assert [(template.gens, c) for template, c in templates.built.values()] == expected
 
 
 @st.composite
@@ -464,12 +463,12 @@ _LINE = MonomialIdeal(((0, 1), (1, 0)))  # h = 1: templates of up to 1024 copies
 @example(([UNIT, SMALL], [_LINE]), (3, 1), [1, 2, 3, 7, 64, 1023, 1024, 1025, 2047, 1100, 511, 0])
 @example(([SMALL, UNIT, FIG3_J], [SMALL, _LINE]), (0, 7), [300, 2, 255, 256, 257, 1030, 513, 1])
 def test_link_templates_match_plain_copies(chain, origin, ells):
-    # Every link, as its templates grow and as ell falls again below them,
-    # equals the per-generator link of ell plain copies of each middle, and
-    # its writes fill each generator once.  Every template is the c-fold
-    # self-link of its middle.
+    # Every template is the c-fold self-link of its middle, and every link,
+    # in any order of ells, equals the per-generator link of ell plain
+    # copies of each middle, and its writes fill each generator once.
     components, middles = chain
     templates = LinkTemplates(tuple(components), tuple(middles))
+    check_templates(templates)
     for ell in ells:
         blocks = [(components[0], 1)]
         for middle, component in zip(middles, components[1:]):
@@ -477,15 +476,14 @@ def test_link_templates_match_plain_copies(chain, origin, ells):
         ideal, written = templates.link(ell, origin)
         assert ideal.gens == brute.link_blocks(blocks, origin), ell
         assert written == ideal.mu, ell
-    for i, (template, c) in templates.built.items():
-        assert template.gens == brute.link_blocks([(middles[i], c)]), i
 
 
 def test_glued_power_with_a_middle_near_the_exponent_limit():
-    # The middle spans 2**57, so its template of 1024 copies would span
-    # 2**67; runs of fewer copies link plain ones and stay in range.
+    # The middle spans 2**57, so a template of 1024 copies would span 2**67;
+    # its template holds 32, which span 2**62, and ell = 1..5 are prefixes.
     gl = glued_components(((0, 1), (2**57, 0)), MonomialIdeal(((0, 1), (1, 0))), 1)
     assert [(h.mu, h.dist(Axis.X)) for h in gl.middles] == [(2, 2**57)]
+    assert check_templates(LinkTemplates(gl.components, gl.middles)) == [32]
     for ell in range(1, 6):
         blocks = [(gl.components[0], 1), (gl.middles[0], ell), (gl.components[1], 1)]
         assert glued_power(gl, ell).gens == brute.link_blocks(blocks), ell
