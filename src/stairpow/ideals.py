@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,10 +44,6 @@ _NO_POINT = np.iinfo(np.int64).max
 
 #: The most columns of a ``(2, size)`` int64 array; numpy refuses more.
 _MAX_COLUMNS = np.iinfo(np.intp).max // 16
-
-#: How many levels above the reduction number the level kernel tries (E*)
-#: at: on the corpus seeds 0-199 every certificate is within 6, none in 7-40.
-_ONSET_TRIES = 10
 
 
 class ExponentOverflowError(OverflowError):
@@ -358,7 +354,30 @@ def naive_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
 
 
 def level_power(ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial] = ()) -> MonomialIdeal:
-    """``I^n`` on one dense array of x values per y level.
+    """``I^n``: the last level of :func:`_levels`, else :func:`naive_power`.
+    ``reduction`` is a set P of generators of I holding both extreme ones
+    (else ValueError), such as its corners: a reduction of I (Northcott and Rees 1954)."""
+    n = _count(n, 0, "power must be non-negative")
+    chosen, gens = set(map(tuple, reduction)), ideal.gens
+    if chosen and not {gens[0], gens[-1]} <= chosen <= set(gens):
+        raise ValueError(f"the reduction {tuple(reduction)} of {ideal} is not in G(I) or lacks an extreme generator")
+    levels = None
+    for _, levels, _ in _levels(ideal, n, reduction):
+        pass
+    return naive_power(ideal, n) if levels is None else _level_ideal(levels, n * gens[-1][1])
+
+
+def _level_ideal(levels: np.ndarray, y0: int) -> MonomialIdeal:
+    """The ideal of a level array of :func:`_levels` from level ``y0`` up, one sweep, keeping a copy as staircase."""
+    return MonomialIdeal._canonical(_level_staircase(levels, y0), levels.copy())
+
+
+def _levels(ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial]) -> Iterator[tuple]:
+    """The level kernel: ``(j, staircase of I^j, certified)`` for j = 1 to n,
+    but none below 2, for a principal ideal or a y-span past ``_BUCKET_SPAN_FACTOR * mu(I)``.
+    ``certified`` is the least step so far, for ``j < n`` the step to I^(j+1)
+    included, with ``I^(i+1) = (P) I^i``: 0 when P is empty or all of G(I).
+    A staircase is a view of the kernel's buffers, valid until the next step.
 
     Entry t for ``I^j`` is the least x of ``I^j`` at most t above its lowest
     generator: the staircase of ``I^j``, for ``j = 1`` the ideal's cached
@@ -369,44 +388,20 @@ def level_power(ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial] = ()
     come as far left, so the result is again the staircase, equal arrays
     are equal ideals, and one final sweep yields the minimal generators.
 
-    ``reduction`` is a set P of generators of I holding both extreme ones
-    (else ValueError), such as its corners, which generate a reduction of I
-    (Northcott and Rees 1954).  Until a step certifies ``I^(j+1) =
-    (P) I^j``, each step takes the slices of P, which give the staircase of
-    ``(P) I^j``, and then those of the other generators: if none of them
-    lowers that staircase, the step certifies.  By induction
-    ``I^(i+1) = (P) I^i`` for every ``i >= j``, so every later step takes
-    the slices of P alone.  With no ``reduction`` every step takes the
-    slices of every generator.
-
-    Below ``n = 2``, for a principal ideal or for a y-span beyond
-    ``_BUCKET_SPAN_FACTOR * mu(I)``, :func:`naive_power` runs instead.
+    Until a step certifies ``I^(j+1) = (P) I^j``, each step takes the slices
+    of P, which give the staircase of ``(P) I^j``, and then those of the
+    other generators: if none lowers that staircase, the step certifies, and
+    by induction every later step takes the slices of P alone.
     """
-    return _certified_level_power(ideal, _count(n, 0, "power must be non-negative"), reduction)[1]
-
-
-def _certified_level_power(
-    ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial], onset: Callable | None = None
-) -> tuple[int, MonomialIdeal | None, int | None]:
-    """``(n, I^n, m)``: :func:`level_power` and the least ``m`` with ``I^(m+1)
-    = (P) I^m``, 0 when P is all of G(I), None when no step below n certifies.
-
-    With ``onset`` the kernel asks ``onset(levels)`` with the staircase of
-    ``I^j`` at each level ``j >= 1`` from m to ``m + _ONSET_TRIES``: at the
-    first true answer it returns ``(j, I^j, m)``, the least such j, and past
-    the last of them, if below ``n - 1``, ``(n, None, m)`` without taking the
-    next step.  I^n is also None on a sparse span; an I^j keeps its staircase."""
     gens = ideal.gens  # Python ints, cached on the ideal once a profile has read them
     y0 = gens[-1][1]
     span = gens[0][1] - y0
+    if n < 2 or not 0 < span <= _BUCKET_SPAN_FACTOR * ideal.mu:  # span 0: principal
+        return
     # The lowest generator's slice starts at level 0; the others follow it.
     lowest, steps = gens[-1][0], [(a, b - y0) for a, b in gens[:-1]]
-    chosen = dict(reduction)  # generators of I differ in x
-    if chosen and (lowest not in chosen or gens[0][0] not in chosen):
-        raise ValueError(f"the reduction {tuple(reduction)} misses an extreme generator of {ideal}")
+    chosen = {a for a, _ in reduction}  # generators of I differ in x
     certified = 0 if len(chosen) in (0, ideal.mu) else None  # 0: P is G(I)
-    if n < 2 or not 0 < span <= _BUCKET_SPAN_FACTOR * ideal.mu:  # span 0: principal
-        return n, None if onset and n >= 2 else naive_power(ideal, n), certified
     # The largest exponents of I^n, checked before any int64 add.
     _check_exponents(n * lowest, n * gens[0][1])
     # I's staircase, read only: level 0 holds a generator, so no _NO_POINT
@@ -414,9 +409,8 @@ def _certified_level_power(
     # highest generator, both in P, cover every level, so none comes back.
     levels = ideal.staircase
     # P's steps reduce every step, the others until a step certifies.
-    reducing, others = [], []
-    for step in steps:
-        (reducing if certified is not None or step[0] in chosen else others).append(step)
+    reducing = [step for step in steps if certified is not None or step[0] in chosen]
+    others = [step for step in steps if certified is None and step[0] not in chosen]
     # Two level arrays of the final length take turns, and one buffer takes
     # the shifted copies: no allocation per step.
     size = n * span + 1
@@ -440,13 +434,9 @@ def _certified_level_power(
             np.minimum(window, shifted, out=window)
         if certifies and others:
             certified, others = j, []
-        if onset and certified is not None:  # levels is still I^j
-            if onset(levels):
-                return j, MonomialIdeal._canonical(_level_staircase(levels, j * y0), levels.copy()), certified
-            if j == certified + _ONSET_TRIES < n - 1:  # give up before the next step
-                return n, None, certified
+        yield j, levels, certified  # levels is still I^j
         levels = stepped
-    return n, MonomialIdeal._canonical(_level_staircase(levels, n * y0), levels.copy()), certified
+    yield n, levels, certified
 
 
 def pair_power(g: Monomial, h: Monomial, n: int) -> MonomialIdeal:

@@ -4,11 +4,15 @@
 They form every candidate product and sort it, emit one generator at a
 time, or test every pair of generators, with no shortcut that the
 library's kernels share, so the property tests compare against them.
+:func:`mu_onset` alone walks the library's level kernel, below a level the
+library proves its mu polynomial from; its test checks the walk's ends
+against :func:`stairpow.ideals.level_power`.
 """
 
 import numpy as np
 
-from stairpow.ideals import _NO_POINT, EXP_LIMIT, Axis, Monomial, MonomialIdeal, mon_divides, pair_power
+from stairpow.engine import cached_plan
+from stairpow.ideals import _NO_POINT, EXP_LIMIT, Axis, Monomial, MonomialIdeal, _levels, mon_divides, pair_power
 from stairpow.links import unlink
 
 
@@ -243,3 +247,20 @@ def ord(ideal: MonomialIdeal) -> int:
     ``a + b`` over the generators of ``I′``."""
     gx, gy = min(a for a, _ in ideal.gens), min(b for _, b in ideal.gens)
     return min(a - gx + b - gy for a, b in ideal.gens)
+
+
+def mu_onset(ideal: MonomialIdeal) -> tuple[int, dict[int, int]]:
+    """``(n1, mus)``: n1 is the least n from which ``mu(I^n)`` equals the mu
+    polynomial of ``cached_plan(I)``, which is proven from its s = S on, and
+    ``mus`` is ``mu(I^n)`` at each level ``n < S`` of one run of the level
+    kernel to S - 1 with the plan's P: 1 plus the strict drops of its
+    staircase.  The walk goes down from S - 1 and stops at the first miss."""
+    plan = cached_plan(ideal)
+    poly, gs = plan.polynomial, plan.profile.chosen
+    mus = {j: 1 + int((levels[1:] < levels[:-1]).sum()) for j, levels, _ in _levels(ideal, poly.s - 1, gs)}
+    if len(mus) != poly.s - 1:
+        raise ValueError(f"the level kernel yields no level below S = {poly.s} for {ideal}")
+    n1 = poly.s
+    while n1 > 1 and mus[n1 - 1] == poly.intercept + (n1 - 1 - poly.s) * poly.slope:
+        n1 -= 1
+    return n1, mus

@@ -526,7 +526,7 @@ def test_plan_builds_each_stage_once(monkeypatch, ideal):
     expected = {n: naive_power(ideal, n) for n in (1, 6, 7, profile.D_P - 1, profile.D_P, 100)}
     expected[profile.s + 5] = decomposed_power(ideal, profile, profile.s + 5)
     profiles = _count_calls(monkeypatch, engine, "persistence_profile")
-    kernels = _count_calls(monkeypatch, engine, "_certified_level_power")
+    kernels = _count_calls(monkeypatch, engine, "_levels")
     decompositions = _count_calls(monkeypatch, engine.Plan, "cut")
     for _ in range(2):
         for n, ideal_n in expected.items():
@@ -668,7 +668,7 @@ def test_uncertified_plan_stops_its_search(monkeypatch):
     I = random_ideal(RandomIdealSpec(8, 20, seed=23))
     profile = persistence_profile(I)
     expected = {n: decomposed_power(I, profile, n) for n in (100, 324, 330)}
-    kernels = _count_calls(monkeypatch, engine, "_certified_level_power")
+    kernels = _count_calls(monkeypatch, engine, "_levels")
     levels = _count_calls(monkeypatch, engine, "level_power")
     assert power(I, 13) == naive_power(I, 13)
     assert power(I, 67) == naive_power(I, 67)
@@ -710,19 +710,19 @@ def test_onset_gives_up_past_its_tries(monkeypatch):
     # the search finds that onset, with 3 it gives up at 5 and the plan keeps
     # D_P = 53, built afresh by level_power.
     I = random_ideal(RandomIdealSpec(8, 20, seed=11))
-    monkeypatch.setattr(ideals_module, "_ONSET_TRIES", 4)
+    monkeypatch.setattr(engine, "_ONSET_TRIES", 4)
     plan = engine.Plan(I)
     assert _onset(plan) == (5, naive_power(I, 5), 1) and plan.s == 39
-    monkeypatch.setattr(ideals_module, "_ONSET_TRIES", 3)
+    monkeypatch.setattr(engine, "_ONSET_TRIES", 3)
     plan = engine.Plan(I)
     assert _onset(plan) == (53, None, 1) and plan.s == 399
     assert plan.base == naive_power(I, 53)
 
 
 def test_onset_search_sweeps_no_power_it_gives_up(monkeypatch):
-    # Seed 23 gives up at level 12 (D_P = 68): the kernel returns without
-    # sweeping an I^12 that the plan would discard.  BIG certifies at m = 1
-    # and sweeps that one I^1.  The onset is read by name, not as a triple.
+    # Seed 23 gives up at level 12 (D_P = 68): the search leaves the run
+    # without sweeping an I^12 that the plan would discard.  BIG certifies at
+    # m = 1 and sweeps that one I^1.  The onset is read by name, not as a triple.
     seed23 = random_ideal(RandomIdealSpec(8, 20, seed=23))
     sweeps = _count_calls(monkeypatch, ideals_module, "_level_staircase")
     for ideal, onset, s, swept in ((seed23, (68, None, 2), 324, 0), (BIG, (1, BIG, 1), 7, 1)):
@@ -753,11 +753,11 @@ def test_onset_search_checks_few_levels(monkeypatch):
             assert not checks
             continue
         covered, first, d = real(plan.profile.chosen), max(plan.reduction_number, 1), plan.profile.D_P
-        tried = range(first, min(plan.reduction_number + ideals_module._ONSET_TRIES, d - 1) + 1)
+        tried = range(first, min(plan.reduction_number + engine._ONSET_TRIES, d - 1) + 1)
         linear = next((j for j in tried if covered(level_power(J, j).staircase)), None)
         if linear is None:  # a give-up, unless the run reached D_P first
             assert (plan.m, plan.searched) == (d, None if tried and d - 1 > tried[-1] else level_power(J, d)), J
-            assert len(checks) == len(tried) <= ideals_module._ONSET_TRIES + 1, (J, checks)
+            assert len(checks) == len(tried) <= engine._ONSET_TRIES + 1, (J, checks)
             searches["gave up" if plan.searched is None else "reached D_P"] += 1
         else:
             assert (plan.m, plan.searched) == (linear, level_power(J, linear)), J
@@ -941,8 +941,8 @@ def test_stable_decomposition_runs_the_kernel_once(monkeypatch):
     # BIG certifies its onset at 1: the one search stops there and builds no
     # other power.  Seed 23 certifies none: its search gives up at 12, and
     # I^D_P = I^68 is one level_power call with P.  (x^2, y^3) has D_P = 0:
-    # the kernel hands back I^0 itself and no level_power call follows.
-    kernels = _count_calls(monkeypatch, engine, "_certified_level_power")
+    # the kernel yields no level, the plan keeps I^0 and no level_power call follows.
+    kernels = _count_calls(monkeypatch, engine, "_levels")
     levels = _count_calls(monkeypatch, engine, "level_power")
     seed23 = random_ideal(RandomIdealSpec(8, 20, seed=23))
     cases = [(BIG, []), (seed23, [(seed23, 68, persistence_profile(seed23).chosen)])]
@@ -992,7 +992,7 @@ def test_mu_polynomial_from_the_onset(monkeypatch):
     # At the paper's s it gives the count of stable_decomposition's I^s.
     expected = {"I1": (5, 21, 4), "I2": (7, 50, 7), "I3": (14, 127, 9), "I4": (28, 446, 16)}
     paper = {"I1": (61, 245), "I2": (241, 1688), "I3": (989, 8902), "I4": (2377, 38030)}
-    kernels = _count_calls(monkeypatch, engine, "_certified_level_power")
+    kernels = _count_calls(monkeypatch, engine, "_levels")
     levels = _count_calls(monkeypatch, engine.Plan, "cut")
     polys = {label: mu_polynomial(ideal) for label, ideal in fixed_ideals().items()}
     assert {label: (poly.s, poly.intercept, poly.slope) for label, poly in polys.items()} == expected
@@ -1036,6 +1036,49 @@ def test_mu_polynomial_against_the_order():
                 assert slope == order, seed
                 assert [power(J, n).mu for n in range(1, 13)] == [n * order + 1 for n in range(1, 13)], seed
     assert (equal, contracted) == (84, 21)
+
+
+def _mu_onset_cases():
+    """I1-I4 and the seeds 0-199 of RandomIdealSpec(8, 20) with D_P > 0,
+    but seed 133, whose walk from S = 1225 is the slowest by far."""
+    cases = list(fixed_ideals().values())
+    for seed in range(200):
+        I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+        if seed != 133 and persistence_profile(I).D_P > 0:
+            cases.append(I)
+    return cases
+
+
+def test_mu_becomes_linear_by_the_plans_s():
+    # n1, the least n from which mu(I^n) is the mu polynomial (the
+    # postulation number of the fiber cone's Hilbert function), walked down
+    # in one kernel run from the plan's s = S, where the polynomial is
+    # proven: n1 <= S, level_power agrees with it at n1 and not at n1 - 1.
+    # Every level walked keeps mu(I^n) <= n·ord(I′) + 1, and so does the
+    # polynomial at S + 10^k.
+    cases, sum_s, sum_n1, largest = _mu_onset_cases(), 0, 0, 0
+    for I in cases:
+        poly, order = mu_polynomial(I), brute.ord(I)
+        n1, mus = brute.mu_onset(I)
+        assert 1 <= n1 <= poly.s and sorted(mus) == list(range(1, poly.s)), I
+        assert level_power(I, n1).mu == poly.intercept + (n1 - poly.s) * poly.slope, I
+        assert n1 == 1 or level_power(I, n1 - 1).mu != poly.intercept + (n1 - 1 - poly.s) * poly.slope, I
+        assert all(mu <= n * order + 1 for n, mu in mus.items()), I
+        assert all(poly(poly.s + 10**k) <= (poly.s + 10**k) * order + 1 for k in range(16)), I
+        sum_s, sum_n1, largest = sum_s + poly.s, sum_n1 + n1, max(largest, n1)
+    assert (len(cases), sum_s, sum_n1, largest) == (171, 4084, 409, 11)
+
+
+def test_mu_is_linear_from_the_first_power_on_contracted_ideals():
+    # mu(I′) = ord(I′) + 1 makes every power contracted, with mu(I^n) =
+    # n·ord(I′) + 1 from n = 1 (test_mu_polynomial_against_the_order): the
+    # walk down from the plan's s finds n1 = 1 on each of the 21 images.
+    onsets = []
+    for seed in range(200):
+        I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+        if I.mu == brute.ord(I) + 1:
+            onsets += [brute.mu_onset(J)[0] for J in (I, I.transpose(), I.shift((2, 5)))]
+    assert onsets == [1] * 21
 
 
 @pytest.mark.parametrize("seed", [0, 8, 23, 41])

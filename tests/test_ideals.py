@@ -417,11 +417,20 @@ def test_level_power_matches_naive(seed):
 
 
 def _checked_steps(ideal, n):
-    """The last step at which ``level_power(ideal, n, P)`` checks for a
+    """The last step at which a run of the level kernel to ``n`` checks for a
     certificate: every step of the kernel, where it runs."""
     if n < 2 or ideal.dist(Axis.Y) > ideals_module._BUCKET_SPAN_FACTOR * ideal.mu:
         return 0
     return n - 1
+
+
+def _certified(ideal, n, chosen):
+    """The ``certified`` of the last level of a kernel run to ``n`` with P,
+    as the plan reads it: 0 when P is all of G(I) and the run yields none."""
+    certified = 0 if len(chosen) == ideal.mu else None
+    for _, _, certified in ideals_module._levels(ideal, n, chosen):
+        pass
+    return certified
 
 
 @given(ideals(), st.integers(0, 30), st.booleans())
@@ -431,9 +440,8 @@ def test_level_power_with_a_reduction(ideal, n, weakly):
     # least m with I^(m+1) = (P) I^m among the steps that were checked.
     boundary = weakly_persistent_generators if weakly else persistent_generators
     chosen = ideal.gens if ideal.is_principal else boundary(ideal)
-    _, power, m = ideals_module._certified_level_power(ideal, n, chosen)
-    assert power == naive_power(ideal, n)
-    assert m == brute.reduction_number(ideal, chosen, _checked_steps(ideal, n))
+    assert level_power(ideal, n, chosen) == naive_power(ideal, n)
+    assert _certified(ideal, n, chosen) == brute.reduction_number(ideal, chosen, _checked_steps(ideal, n))
 
 
 def test_level_power_refuses_a_reduction_without_both_extremes():
@@ -444,6 +452,17 @@ def test_level_power_refuses_a_reduction_without_both_extremes():
         for n in (1, 30):
             with pytest.raises(ValueError, match="extreme generator"):
                 level_power(I, n, P)
+
+
+def test_level_power_refuses_a_reduction_outside_the_generators():
+    # P is matched to G(I) as pairs, not by x alone: a member off G(I) is
+    # refused, as are ends that share an x with a generator but no y.
+    I = MonomialIdeal(((0, 4), (1, 2), (3, 1), (5, 0)))
+    for P in (((0, 99), (5, 0)), ((0, 4), (2, 7), (5, 0)), [[0, 4], [3, 2], [5, 0]]):
+        for n in (1, 6):
+            with pytest.raises(ValueError, match="is not in G"):
+                level_power(I, n, P)
+    assert level_power(I, 6, [[0, 4], [3, 1], [5, 0]]) == naive_power(I, 6)
 
 
 #: I4 of ``benchmarks/ideals.txt``.
@@ -467,9 +486,8 @@ def test_level_power_certifies_late_reductions(ideal, boundary, m):
     # Certificates from m >= 3 on: I^D_P from the steps of P alone equals
     # the all-generator kernel's, and m is the least with I^(m+1) = (P) I^m.
     chosen, d = boundary(ideal), persistence_profile(ideal).D_P
-    _, power, certified = ideals_module._certified_level_power(ideal, d, chosen)
-    assert certified == m == brute.reduction_number(ideal, chosen, m)
-    assert power == level_power(ideal, d)
+    assert _certified(ideal, d, chosen) == m == brute.reduction_number(ideal, chosen, m)
+    assert level_power(ideal, d, chosen) == level_power(ideal, d)
     # At least four steps of P alone follow the certificate at step m.
     n = m + 5
     assert level_power(ideal, n, chosen) == naive_power(ideal, n)

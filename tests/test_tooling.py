@@ -106,6 +106,24 @@ def test_no_private_link_names_outside_links():
     assert not found, f"private links names used outside links: {found}"
 
 
+def test_onset_policy_lives_in_engine():
+    # The level kernel only steps levels: how many levels the onset search
+    # tries, the (E*) predicate it asks and its give-up are engine's loop
+    # alone.  ``segments`` defines ``_pairs_covered``; only ``engine`` reads
+    # it or ``_ONSET_TRIES``, which only ``engine`` assigns.
+    policy, assigned, read = {"_ONSET_TRIES", "_pairs_covered"}, [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                read += [(path.stem, alias.name) for alias in node.names if alias.name in policy]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                if name in policy:
+                    (assigned if isinstance(node.ctx, ast.Store) else read).append((path.stem, name))
+    assert assigned == [("engine", "_ONSET_TRIES")], assigned
+    assert set(read) == {("engine", "_ONSET_TRIES"), ("engine", "_pairs_covered")}, read
+
+
 def _index_calls(tree):
     """The lines of the ``operator.index(...)`` calls under an AST node."""
     return {
