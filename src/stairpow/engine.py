@@ -9,7 +9,8 @@ I^s into its stable components, and from then on assemble any I^(s+l) by
 pure exponent shifting in time proportional to its own generator count,
 ``mu(I^s) + l * slope``.  A :class:`Plan` holds these constants:
 :func:`stable_decomposition` is its cut at the paper's ``s = D + r + 1``;
-:func:`power` and :func:`mu_polynomial` use its cut at the onset's.
+:func:`power` and :func:`mu_polynomial` use its cut at the onset's, and
+:func:`power` below that s its parts peeled to the block form's onset.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Sequence
 # and ``staircase_times`` are unused here but stay importable from ``engine``:
 # the benchmark's span tracer patches those names.
 from .ideals import (
-    UNIT, Axis, ExponentOverflowError, Monomial, MonomialIdeal, _count, _level_ideal, _levels, ideal_sum,
-    level_power, mon_pow, naive_power,
+    UNIT, Axis, ExponentOverflowError, Monomial, MonomialIdeal, _count, _level_ideal, _level_staircase, _levels,
+    ideal_sum, level_power, mon_pow, naive_power,
 )
 from .geometry import PersistenceProfile, persistence_profile, stabilization_radius
 from .links import LinkTemplates, boundary_points
@@ -141,7 +142,10 @@ class Plan:
     run below 2), None after a give-up, on a sparse span or past int64.  Built
     on first use: ``base``, I^m; ``radius = profile.radius(m)``, read once for
     ``s = m + r(m) + 1`` (before the paper's, as ``m + r(m)`` grows with m)
-    and the ``decomposition`` cut at m; and its mu ``polynomial``.
+    and the ``decomposition`` cut at m; its mu ``polynomial``; and, for
+    :func:`power` alone, the block ``form``: the decomposition's parts peeled
+    down to the least level n0 from which each power below s is their link,
+    found by one more kernel run, to s - 1, where the plan holds its own I^m.
     """
 
     def __init__(self, ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None) -> None:
@@ -156,8 +160,8 @@ class Plan:
                     break
                 if certified is not None and j == certified + _ONSET_TRIES < d - 1:  # give up before the next step
                     break
-        except ExponentOverflowError:  # I^D_P leaves int64: the powers below D_P need no onset
-            certified = None
+        except ExponentOverflowError:  # I^D_P leaves int64, refused before any level: no onset, and
+            pass  # the reduction number stays unknown, but 0 where P is all of G(I)
         self.m, self.searched, self.reduction_number = m, searched, certified
 
     @cached_property
@@ -176,6 +180,44 @@ class Plan:
     @cached_property
     def decomposition(self) -> StableDecomposition:
         return self.cut(self.m)
+
+    @cached_property
+    def form(self) -> tuple[int, LinkTemplates | None]:
+        """``(n0, templates)``: from n0 to s - 1, G(I^n) is the link of ``templates`` at
+        ``n - n0`` times ``gcd^n``, with n0 = s and no templates where that is not shown.
+
+        The parts are those of the decomposition's ``emission_templates`` (the ideal's
+        own orientation), each middle H_i peeled by ``s - n0`` copies off the ends of
+        C_(i-1) and C_i (:func:`_peel`).  Read a part as its step word, the differences
+        of its consecutive generators: a y-link concatenates step words, so G(I^(s+l))
+        reads ``w(C_0) w(H_1)^l w(C_1) ... w(H_k)^l w(C_k)``.  Where C_(i-1) ends in a_i
+        copies of w(H_i) and C_i begins with b_i, any d <= a_i + b_i of them come off
+        either side as one word, and the peeled link at l reads as the form at
+        ``l - d``: G(I^(s-d+l)) for every l >= d, with no new lemma.  Below s, n0 is the
+        least level from which every level up to s - 1 equals the peeled link, each
+        compared once, on one run of the level kernel to s - 1.  Rotations of a middle
+        are not tried, so n0 bounds the block form's own onset from above; every
+        emission is exact.  Built only where the plan holds its own I^m: after a
+        give-up that run would take seconds to minutes (s near 10^4 and more).
+        """
+        s = self.s
+        if self.searched is None:
+            return s, None
+        try:
+            dec = self.decomposition
+            parts, (gx, gy) = dec.emission_templates, dec.gcd_shift
+            copies = _copies(parts)
+            low = s - min(s - 1, *(a + b for a, b in copies))  # the lowest level the peel reaches
+            if low == s:
+                return s, None
+            form, onset = _peel(parts, copies, s - low), s
+            for j, staircase, _ in _levels(self.ideal, s - 1, self.profile.chosen):
+                if j >= low:  # both absolute; tobytes compares in C, without np.array_equal's Python frame
+                    xy, linked = _level_staircase(staircase, j * gy), form.link(j - low, (gx * j, gy * j))[0].xy
+                    onset = s if xy.shape != linked.shape or xy.tobytes() != linked.tobytes() else min(onset, j)
+        except ExponentOverflowError:  # I^s leaves int64: the powers below it take the staircase sum
+            return s, None
+        return (s, None) if onset == s else (onset, form if onset == low else _peel(parts, copies, s - onset))
 
     @cached_property
     def polynomial(self) -> MuPolynomial:
@@ -211,29 +253,65 @@ class Plan:
         )
 
 
+def _steps(part: MonomialIdeal) -> list[tuple[int, int]]:
+    """The step word of a part, in Python ints: ``(dx, dy)`` from each generator to the next."""
+    x, y = part.xy.tolist()
+    return list(zip([b - a for a, b in zip(x, x[1:])], [a - b for a, b in zip(y, y[1:])]))
+
+
+def _copies(parts: LinkTemplates) -> list[tuple[int, int]]:
+    """``(a_i, b_i)`` per middle H_i: the copies of its step word that end C_(i-1),
+    and that begin C_i.  Each C_i gives its copies of w(H_i) first and then, from
+    what is left, those of w(H_(i+1)), so no step is given twice."""
+    steps, copies, head = [_steps(part) for part in parts.components], [], 0
+    for middle, left, right in zip(parts.middles, steps, steps[1:]):
+        word, tail = _steps(middle), len(left)
+        while tail - len(word) >= head and left[tail - len(word) : tail] == word:
+            tail -= len(word)
+        head = 0
+        while right[head : head + len(word)] == word:
+            head += len(word)
+        copies.append(((len(left) - tail) // len(word), head // len(word)))
+    return copies
+
+
+def _peel(parts: LinkTemplates, copies: list[tuple[int, int]], d: int) -> LinkTemplates:
+    """The templates of ``parts`` with d copies of each middle peeled off the
+    components beside it (see :meth:`Plan.form`), those that end C_(i-1) first."""
+    cuts = [0]  # the steps each component gives from its start, then from its end
+    for (a, _), middle in zip(copies, parts.middles):
+        cuts += (min(d, a) * (middle.mu - 1), (d - min(d, a)) * (middle.mu - 1))
+    components = []
+    for part, start, end in zip(parts.components, cuts[::2], [*cuts[1::2], 0]):
+        xy = part.xy[:, start : part.mu - end]  # a run of a canonical part, anchored again: canonical
+        components.append(MonomialIdeal._canonical(xy - ((xy.item(0, 0),), (xy.item(1, -1),))))
+    return LinkTemplates(tuple(components), parts.middles)
+
+
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def cached_plan(ideal: MonomialIdeal) -> Plan:
     """The plan :func:`power`, :func:`mu_polynomial` and ``stairpow mu`` share for equal ideals."""
     return Plan(ideal)
 
 
-def _emit(dec: StableDecomposition, ell: int) -> tuple[MonomialIdeal, int]:
-    """Emit G(I^(s+ell)) in original coordinates; returns (ideal, generators written).
+def _emit(templates: LinkTemplates, gcd: Monomial, n: int, ell: int) -> tuple[MonomialIdeal, int]:
+    """Emit G(I^n) in original coordinates from ``templates`` in the ideal's own
+    orientation, whose link at ell is the anchored G(I^n): a decomposition's or the
+    plan's form; returns (ideal, generators written).
 
-    One link of the decomposition's :class:`LinkTemplates`, times ``gcd^(s+ell)`` in
-    Python ints (the kernel range-checks it): one ``np.empty``, then at most ``2k
-    + 1 + sum_i (ceil(log2 q_i) + 1)`` writes of two 1-D adds for ``q_i = ell //
-    c_i``, prefixes included.  The templates are built once, at the first
-    emission, and no emission changes them.
+    One link of the :class:`LinkTemplates`, times ``gcd^n`` in Python ints (the
+    kernel range-checks it): one ``np.empty``, then at most ``2k + 1 + sum_i
+    (ceil(log2 q_i) + 1)`` writes of two 1-D adds for ``q_i = ell // c_i``, prefixes
+    included.  The templates are built once, and no emission changes them.
     """
-    (gx, gy), n = dec.gcd_shift, dec.s + ell
-    return dec.emission_templates.link(ell, (gx * n, gy * n))
+    return templates.link(ell, (gcd[0] * n, gcd[1] * n))
 
 
 def assemble_power_counted(dec: StableDecomposition, n: int) -> tuple[MonomialIdeal, int]:
     """Like :func:`assemble_power` but also reports the number of generators
     the link kernel wrote, which the mu polynomial predicts."""
-    return _emit(dec, _count(n, dec.s, f"assembled power needs n >= s = {dec.s}") - dec.s)
+    n = _count(n, dec.s, f"assembled power needs n >= s = {dec.s}")
+    return _emit(dec.emission_templates, dec.gcd_shift, n, n - dec.s)
 
 
 def assemble_power(dec: StableDecomposition, n: int) -> MonomialIdeal:
@@ -245,14 +323,19 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """``I^n`` through the cheapest applicable route.
 
     Principal ideals short-circuit to the single-generator power.  Below
-    the onset m (D_P unless certified earlier) :func:`level_power` runs;
-    from m the staircase expansion ``Q_(n-m) I^m`` (see :func:`staircase_sum`),
-    by slices of I^m's cached staircase for small ``n - m`` and by window
-    tables taking their head rows from it above; from its ``s = m + r + 1``
-    the stable-component assembly, the only route that builds a
-    decomposition.  The profile, onset and decomposition of the last 16
-    ideals are kept for later calls, shared by equal ideals; ``G(I^n)``
-    itself is emitted afresh by every call.
+    the onset m (D_P unless certified earlier) :func:`level_power` runs, and
+    at m the plan's I^m is returned.  Above m and below ``s = m + r + 1``,
+    from the plan's n0 on, the link of the block form (:meth:`Plan.form`,
+    built at the first such call, with the decomposition it is peeled
+    from); below n0, or where the plan gave up its onset search, the
+    staircase expansion ``Q_(n-m) I^m`` (see :func:`staircase_sum`), by
+    slices of I^m's cached staircase for small ``n - m`` and by window
+    tables taking their head rows from it above.  From s on, the
+    stable-component assembly.  Both links are exact: the form's by one
+    comparison at every level below s, the assembly's by the paper.  The
+    profile, onset, decomposition and form of the last 16 ideals are kept
+    for later calls, shared by equal ideals; ``G(I^n)`` itself is emitted
+    afresh by every call.
     """
     n = _count(n, 1, "power must be >= 1")
     if ideal.is_principal:
@@ -260,9 +343,15 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     plan = cached_plan(ideal)
     if n < plan.m:
         return level_power(ideal, n)
-    if n < plan.s:  # I^n = staircase_sum(P, n - m, I^m): by (A) and (E*), or the paper at D_P
-        return staircase_sum(plan.profile.chosen, n - plan.m, plan.base) if n > plan.m else plan.base
-    return _emit(plan.decomposition, n - plan.s)[0]
+    if n == plan.m:
+        return plan.base
+    if n < plan.s:  # the form's link from n0, else staircase_sum(P, n - m, I^m): by (A) and (E*), or the paper at D_P
+        onset, form = plan.form
+        if n >= onset:
+            return _emit(form, plan.decomposition.gcd_shift, n, n - onset)[0]
+        return staircase_sum(plan.profile.chosen, n - plan.m, plan.base)
+    dec = plan.decomposition
+    return _emit(dec.emission_templates, dec.gcd_shift, n, n - dec.s)[0]
 
 
 @dataclass(frozen=True)

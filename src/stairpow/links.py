@@ -66,6 +66,26 @@ def _link_counted(runs: Sequence[tuple], origin: Monomial) -> tuple[MonomialIdea
     return MonomialIdeal._canonical(xy), written
 
 
+def _check_parts(components: Sequence[MonomialIdeal], middles: Sequence[MonomialIdeal]) -> None:
+    """Refuse unanchored parts and one-generator middles, whose copies span nothing (a ValueError)."""
+    if any(part.gcd() != (0, 0) for part in (*components, *middles)):
+        raise ValueError("a link needs anchored parts")
+    if any(middle.mu < 2 for middle in middles):
+        raise ValueError("a linked middle needs two generators or more")
+
+
+def link_runs(components: Sequence[MonomialIdeal], middles: Sequence[MonomialIdeal], ell: int) -> MonomialIdeal:
+    """The link of ``C_0 . H_1^ell . C_1 ... H_k^ell . C_k`` as plain runs, with no
+    templates: one kernel call, ``ceil(log2 ell) + 1`` writes per middle.  The parts
+    are checked as :class:`LinkTemplates` checks them, and ell read, before anything is allocated."""
+    ell = _count(ell, 0, "ell must be non-negative")
+    _check_parts(components, middles)
+    runs = [_run(components[0], 1)]
+    for middle, end in zip(middles, components[1:]):
+        runs += (_run(middle, ell), _run(end, 1))
+    return _link_counted(runs, (0, 0))[0]
+
+
 #: The most generators a link template adds to its middle's first one:
 #: with that one, 1025 int64 pairs, about 16 KB per middle.
 _TEMPLATE_GENS = 1024
@@ -93,8 +113,8 @@ class LinkTemplates:
     first ``r (mu(H) - 1) + 1`` generators, written with the template's top,
     so lowered by ``(c - r) dist_y(H)``.  Nothing changes after that, so a
     link is a function of its arguments alone.  Unanchored parts and
-    one-generator middles are refused once, when the templates are built (a
-    ValueError), and every part's spans are read there as Python ints; a
+    one-generator middles are refused once, when the templates are built
+    (:func:`_check_parts`), and every part's spans are read there as Python ints; a
     link reads ell and the origin once, at its entry, and the kernel spends
     ``ceil(log2 q) + 2`` writes or fewer on a run, not ``ceil(log2 ell) + 1``.
     """
@@ -105,10 +125,7 @@ class LinkTemplates:
     _templates: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if any(part.gcd() != (0, 0) for part in (*self.components, *self.middles)):
-            raise ValueError("link templates need anchored parts")
-        if any(middle.mu < 2 for middle in self.middles):
-            raise ValueError("a link template's middle needs two generators or more")
+        _check_parts(self.components, self.middles)
         object.__setattr__(self, "_ends", tuple(_run(part, 1) for part in self.components))
         object.__setattr__(self, "_templates", tuple(map(_template, self.middles)))
 

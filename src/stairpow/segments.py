@@ -23,7 +23,7 @@ from .ideals import (
 )
 # ``link_many`` is unused here but stays importable as ``segments.link_many``:
 # the benchmark's span tracer patches that name.
-from .links import LinkTemplates, link_many
+from .links import link_many, link_runs
 
 #: The numpy calls that build and merge one pair's window table in
 #: :func:`_pair_levels`, slicing aside: five allocations, eleven ufunc
@@ -310,5 +310,5 @@ def _pairs_covered(gs: Sequence[Monomial]) -> Callable[[np.ndarray], bool]:
 
 
 def glued_power(glued: GluedComponents, ell: int) -> MonomialIdeal:
-    """``sum_i (g_i, g_{i+1})^(r+1+ell) J`` assembled by linking."""
-    return LinkTemplates(glued.components, glued.middles).link(ell)[0]
+    """``sum_i (g_i, g_{i+1})^(r+1+ell) J`` assembled by linking, as plain runs."""
+    return link_runs(glued.components, glued.middles, ell)

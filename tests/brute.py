@@ -6,13 +6,17 @@ time, or test every pair of generators, with no shortcut that the
 library's kernels share, so the property tests compare against them.
 :func:`mu_onset` alone walks the library's level kernel, below a level the
 library proves its mu polynomial from; its test checks the walk's ends
-against :func:`stairpow.ideals.level_power`.
+against :func:`stairpow.ideals.level_power`.  :func:`form_onset` walks down
+from the same level with ``level_power`` at every level, on step words in
+Python ints, and shares no code with the plan's own walk.
 """
 
 import numpy as np
 
 from stairpow.engine import cached_plan
-from stairpow.ideals import _NO_POINT, EXP_LIMIT, Axis, Monomial, MonomialIdeal, _levels, mon_divides, pair_power
+from stairpow.ideals import (
+    _NO_POINT, EXP_LIMIT, Axis, Monomial, MonomialIdeal, _levels, level_power, mon_divides, pair_power,
+)
 from stairpow.links import unlink
 
 
@@ -264,3 +268,45 @@ def mu_onset(ideal: MonomialIdeal) -> tuple[int, dict[int, int]]:
     while n1 > 1 and mus[n1 - 1] == poly.intercept + (n1 - 1 - poly.s) * poly.slope:
         n1 -= 1
     return n1, mus
+
+
+def _word(ideal: MonomialIdeal) -> list[tuple[int, int]]:
+    """The step word of an ideal: ``(dx, dy)`` from each generator to the next."""
+    gens = ideal.gens
+    return [(c - a, b - d) for (a, b), (c, d) in zip(gens, gens[1:])]
+
+
+def form_onset(ideal: MonomialIdeal) -> int:
+    """n0, the least n from which ``G(I^n)`` has the block form of the plan's
+    decomposition, which is proven from its s = S on: ``G(I′^(S+l))`` reads
+    ``X_0 w_1^l X_1 ... w_k^l X_k`` with X_i and w_i the step words of the parts
+    C_i and the middles H_i.  Around each middle the letters that follow the
+    period of w_i, back into X_(i-1) and on into X_i, form one run; taking d·|w_i|
+    consecutive letters out of it anywhere takes d copies of a rotation of w_i
+    and leaves one word.  So the form holds at S - d iff, with the letters taken
+    from the left end of each run as far as the run and the letters the middle
+    before took allow, every run has room for the rest and the words left make
+    ``G(I′^(S-d))``, by ``level_power``.  The walk goes down from S - 1 and stops
+    at the first miss."""
+    dec = cached_plan(ideal).decomposition
+    parts, words = [_word(c) for c in dec.components], [_word(h) for h in dec.middles]
+    runs = []  # per middle: how far its run reaches back into X_(i-1), and on into X_i
+    for left, right, word in zip(parts, parts[1:], words):
+        h = len(word)
+        back = next((t for t in range(len(left)) if left[-1 - t] != word[-1 - t % h]), len(left))
+        on = next((t for t in range(len(right)) if right[t] != word[t % h]), len(right))
+        runs.append((back, on))
+    n = dec.s
+    while n > 1:
+        d, heads, tails = dec.s - n + 1, [0], []  # the letters each X_i gives from its start, and from its end
+        for (back, on), word, left in zip(runs, words, parts):
+            tails.append(min(back, d * len(word), len(left) - heads[-1]))
+            heads.append(d * len(word) - tails[-1])
+            if heads[-1] > on:
+                return n
+        tails.append(0)
+        word = [step for part, head, tail in zip(parts, heads, tails) for step in part[head : len(part) - tail]]
+        if word != _word(dec.oriented(level_power(ideal, n - 1), n - 1)):
+            return n
+        n -= 1
+    return n

@@ -137,17 +137,21 @@ def test_analyze_weakly_persistent(capsys, text):
 
 
 def test_power_decomposed_builds_no_decomposition(capsys, monkeypatch):
-    # Below the s power() serves from, no decomposition is built: BIG
-    # certifies the onset m = 1 with s = 7; seed 23 certifies none, so below
-    # D_P = 68 the level kernel runs and up to s = 324 the staircase sum.
-    def refuse(*args, **kwargs):
-        raise AssertionError("decomposition built")
-
-    monkeypatch.setattr(engine.Plan, "cut", refuse)
+    # Where power() sums staircases below its s, no decomposition is built:
+    # seed 23 certifies no onset, so below D_P = 68 the level kernel runs and
+    # up to s = 324 the staircase sum.  BIG certifies the onset m = 1 with
+    # s = 7: at m it is the plan's I^m, and at 5 and 6 the block form, peeled
+    # once from the one decomposition the plan keeps, cut at m.
+    cuts = []
+    real = engine.Plan.cut
+    monkeypatch.setattr(engine.Plan, "cut", lambda plan, level: cuts.append(level) or real(plan, level))
     shifted, uncertified = BIG.shift((2, 3)), random_ideal(RandomIdealSpec(8, 20, seed=23))
-    for ideal, n in ((shifted, 1), (shifted, 5), (shifted, 6), (uncertified, 67), (uncertified, 200)):
+    for ideal, n, levels in (
+        (shifted, 1, []), (shifted, 5, [1]), (shifted, 6, [1]), (uncertified, 67, [1]), (uncertified, 200, [1])
+    ):
         code, out, err = run(capsys, "power", str(ideal), str(n))
         assert (code, out) == (0, str(naive_power(ideal, n)) + "\n"), err
+        assert cuts == levels, (n, cuts)
 
 
 def test_power_n1_echo(capsys):
@@ -418,12 +422,14 @@ def test_bench_cells_ignore_the_plan_memo(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, decompositions", [(["5"], 0), (["300"], 1), ([], 1), (["100"], 1), (["6"], 0), (["7"], 1)]
+    "argv, decompositions", [(["5"], 1), (["300"], 1), ([], 1), (["100"], 1), (["6"], 1), (["7"], 1), (["1"], 0)]
 )
 def test_mu_builds_one_profile(capsys, monkeypatch, argv, decompositions):
     # s, the count below it and the polynomial from s on share one plan.
-    # Below the onset's s = 7 the count needs no decomposition; from it on,
-    # below the paper's s = 241 too, the count is the polynomial's.
+    # Below the onset's s = 7 the count is power's: at the onset m = 1 it
+    # needs no decomposition, and at 5 and 6 the block form peels the one
+    # cut at m; from s on, below the paper's s = 241 too, the count is the
+    # polynomial's.
     calls = {"persistence_profile": [], "cut": []}
     for owner, name in ((engine, "persistence_profile"), (cli, "persistence_profile"), (engine.Plan, "cut")):
         real, seen = getattr(owner, name), calls[name]

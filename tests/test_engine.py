@@ -290,14 +290,17 @@ def test_power_below_s_never_anchors(monkeypatch):
 @pytest.mark.parametrize("ideal", [SMALL, BIG, random_ideal(RandomIdealSpec(8, 20, seed=23))])
 def test_power_decomposes_only_from_s(monkeypatch, ideal):
     # Below the plan's s -- from the certified onset (BIG: m = 1, s = 7) or
-    # else from D_P (SMALL, and seed 23: D_P = 68, s = 324) -- power builds
-    # no decomposition; at s it builds the one it keeps.
+    # else from D_P (SMALL: D_P = 1, s = 3, and seed 23: D_P = 68, s = 324)
+    # -- power at m builds no decomposition.  Above m, where the plan holds
+    # its own I^m (BIG and SMALL), the block form is peeled from the one it
+    # keeps, cut at m; after seed 23's give-up, none.  At s it builds no other.
     plan = engine.cached_plan(ideal)
     level, s = plan.m, plan.s
     calls = _count_calls(monkeypatch, engine.Plan, "cut")
-    for n in sorted({level, s - 1} - {0}):
-        assert power(ideal, n) == naive_power(ideal, n), n
-        assert calls == []
+    assert power(ideal, level) == naive_power(ideal, level)
+    assert calls == []
+    assert power(ideal, s - 1) == naive_power(ideal, s - 1)
+    assert calls == ([] if plan.searched is None else [(plan, level)])
     assert power(ideal, s) == naive_power(ideal, s)
     assert len(calls) == 1
 
@@ -520,8 +523,9 @@ def _count_calls(monkeypatch, owner, name, keep=lambda *a: True):
 @pytest.mark.parametrize("ideal", [BIG, BIG.shift((2, 3)).transpose()])
 def test_plan_builds_each_stage_once(monkeypatch, ideal):
     # Every route of power() and mu_polynomial(), each called twice, share
-    # one profile, one run of the level kernel (to the onset m = 1) and one
-    # decomposition (at the onset's s = 7).
+    # one profile, two runs of the level kernel (to the onset m = 1, and the
+    # block form's walk to s - 1 = 6, for power at 6) and one decomposition
+    # (at the onset's s = 7).
     profile = persistence_profile(ideal)
     expected = {n: naive_power(ideal, n) for n in (1, 6, 7, profile.D_P - 1, profile.D_P, 100)}
     expected[profile.s + 5] = decomposed_power(ideal, profile, profile.s + 5)
@@ -533,7 +537,7 @@ def test_plan_builds_each_stage_once(monkeypatch, ideal):
             assert power(ideal, n) == ideal_n, n
         poly = mu_polynomial(ideal)
         assert poly(profile.s + 5) == expected[profile.s + 5].mu
-    assert (len(profiles), len(kernels), len(decompositions)) == (1, 1, 1)
+    assert (len(profiles), len(kernels), len(decompositions)) == (1, 2, 1)
     assert engine.cached_plan(ideal).m == 1 and engine.cached_plan(ideal).s == 7
     assert engine.cached_plan.cache_info().currsize == 1
 
@@ -1069,6 +1073,55 @@ def test_mu_becomes_linear_by_the_plans_s():
     assert (len(cases), sum_s, sum_n1, largest) == (171, 4084, 409, 11)
 
 
+def _form_cases():
+    """I1-I4 and the seeds 0-199 of RandomIdealSpec(8, 20) with D_P > 0 whose
+    plan holds its own I^m (the block form's condition), each as given,
+    transposed and shifted by x^2 y^5."""
+    cases = list(fixed_ideals().values())
+    for seed in range(200):
+        I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
+        if persistence_profile(I).D_P > 0 and engine.cached_plan(I).searched is not None:
+            cases.append(I)
+    return [J for I in cases for J in (I, I.transpose(), I.shift((2, 5)))]
+
+
+def test_the_block_form_starts_by_the_plans_n0():
+    # n0, the least n from which G(I^n) has the block form, walked down from
+    # the plan's s = S by brute.form_onset (level_power at every level, any
+    # rotation of each middle) lies between the mu onset n1 and the plan's
+    # n0, which tries no rotation; from the plan's n0 on, power equals
+    # level_power, the last level of one kernel run, up to S + 20.
+    cases, sums, rotated = _form_cases(), [0, 0, 0, 0], 0
+    for I in cases:
+        plan = engine.cached_plan(I)
+        n1, n0, onset, s = brute.mu_onset(I)[0], brute.form_onset(I), plan.form[0], plan.s
+        assert plan.searched is not None and n1 <= n0 <= onset <= s, (I, n1, n0, onset, s)
+        gy, checked = I.gens[-1][1], []
+        for n, staircase, _ in ideals_module._levels(I, s + 20, ()):
+            if n >= onset:
+                assert power(I, n) == ideals_module._level_ideal(staircase, n * gy), (I, n)
+                checked.append(n)
+        assert checked == list(range(onset, s + 21)), I
+        sums = [total + value for total, value in zip(sums, (n1, n0, onset, s))]
+        rotated += n0 < onset
+    assert (len(cases), sums, rotated) == (495, [1176, 1242, 1278, 8508], 30)
+
+
+def test_decompose_and_emit_never_build_the_block_form(monkeypatch):
+    # stable_decomposition, mu_polynomial and assemble_power, which the
+    # decompose and emit workloads run, never walk the levels below s, nor
+    # does power below m, at m or from s on.
+    monkeypatch.setattr(engine.Plan, "form", property(lambda plan: pytest.fail("block form built")))
+    engine.cached_plan.cache_clear()
+    for I in [*fixed_ideals().values(), BIG, *(random_ideal(RandomIdealSpec(8, 20, seed=seed)) for seed in range(8))]:
+        dec = stable_decomposition(I)
+        assert assemble_power(dec, dec.s + 3) == level_power(I, dec.s + 3)
+        plan, poly = engine.cached_plan(I), mu_polynomial(I)
+        for n in sorted({1, plan.m, plan.s, plan.s + 9} - {0}):
+            assert power(I, n) == level_power(I, n), n
+        assert assemble_power(plan.decomposition, plan.s + 9).mu == poly(plan.s + 9)
+
+
 def test_mu_is_linear_from_the_first_power_on_contracted_ideals():
     # mu(I′) = ord(I′) + 1 makes every power contracted, with mu(I^n) =
     # n·ord(I′) + 1 from n = 1 (test_mu_polynomial_against_the_order): the
@@ -1129,14 +1182,28 @@ def test_decomposition_reads_each_radius_once(monkeypatch):
 )
 def test_powers_below_an_overflowing_d(ideal):
     # I^D_P leaves int64 (D_P = 16 and 8), so no onset is searched: the powers
-    # below D_P are served as before, and from D_P on power and mu raise.
+    # below D_P are served as before, and from D_P on power and mu raise.  P
+    # is all of G(I) on both, so the reduction number is still 0.
     d = persistence_profile(ideal).D_P
+    assert engine.Plan(ideal).reduction_number == 0
     for n in range(1, d):
         assert power(ideal, n) == naive_power(ideal, n), n
     with pytest.raises(ExponentOverflowError):
         power(ideal, d)
     with pytest.raises(ExponentOverflowError):
         mu_polynomial(ideal)
+
+
+def test_powers_below_an_overflowing_s():
+    # I^m fits in int64 but I^s does not (m = 1, s = 5): the block form is not
+    # built, and the powers below s take the staircase sum as before.
+    ideal = MonomialIdeal(((0, 3), (1, 1), (2**61, 0)))
+    plan = engine.cached_plan(ideal)
+    assert (plan.m, plan.s, plan.searched is None, plan.form) == (1, 5, False, (5, None))
+    for n in range(1, 4):
+        assert power(ideal, n) == naive_power(ideal, n), n
+    with pytest.raises(ExponentOverflowError):
+        power(ideal, 4)
 
 
 # -- link templates --------------------------------------------------------

@@ -510,10 +510,25 @@ def test_glued_validation():
         glued_components(((1, 2), (3, 0)), SMALL, 1)
 
 
+def test_glued_power_builds_no_template(monkeypatch):
+    # glued_power links its parts as plain runs, one kernel call, so a call
+    # at any ell builds no template; its output is the templates' link.
+    I = random_ideal(RandomIdealSpec(6, 10, seed=4000)).anchor()[0]
+    gs = persistence_profile(I).chosen
+    J = naive_power(I, 2)
+    gl = glued_components(gs, J, max(-(-J.dist(Axis.Y) // (g[1] - h[1])) for g, h in zip(gs, gs[1:])))
+    templates = LinkTemplates(gl.components, gl.middles)
+    assert max(check_templates(templates)) > 1
+    expected = {ell: templates.link(ell)[0] for ell in (0, 1, 7, 1000, 5000)}
+    monkeypatch.setattr(links, "_template", lambda *a: pytest.fail("template built"))
+    for ell, ideal in expected.items():
+        assert glued_power(gl, ell) == ideal, ell
+
+
 def test_unanchored_parts_are_refused_where_they_enter(monkeypatch):
     # Once, before anything is allocated: by LinkTemplates when it is built,
-    # so glued_power on a hand-built GluedComponents raises too; the link
-    # kernel itself trusts its callers.
+    # and by glued_power on a hand-built GluedComponents, which checks its
+    # parts as the templates do; the link kernel itself trusts its callers.
     gl = glued_components(((0, 2), (3, 0)), SMALL, 1)
     shifted = SMALL.shift((0, 1))
     monkeypatch.setattr(links.np, "empty", lambda *a, **k: pytest.fail("allocated before the check"))
@@ -528,7 +543,7 @@ def test_a_one_generator_middle_is_refused_where_it_enters(monkeypatch):
     # A middle of one generator spans nothing, so no copy of it lengthens a
     # run: LinkTemplates refuses it when it is built, a ValueError and not a
     # division by its mu - 1 = 0 in a link, and so does glued_power on a
-    # hand-built GluedComponents.  glued_components never makes one.
+    # hand-built GluedComponents, at every ell.  glued_components never makes one.
     gl = glued_components(((0, 2), (3, 0)), SMALL, 1)
     monkeypatch.setattr(links.np, "empty", lambda *a, **k: pytest.fail("allocated before the check"))
     for components, middles in (((UNIT, UNIT), (UNIT,)), (gl.components, (UNIT,)), ((UNIT,) * 3, (SMALL, UNIT))):
