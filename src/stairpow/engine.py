@@ -144,8 +144,8 @@ class Plan:
     ``s = m + r(m) + 1`` (before the paper's, as ``m + r(m)`` grows with m)
     and the ``decomposition`` cut at m; its mu ``polynomial``; and, for
     :func:`power` alone, the block ``form``: the decomposition's parts peeled
-    down to the least level n0 from which each power below s is their link,
-    found by one more kernel run, to s - 1, where the plan holds its own I^m.
+    as far as they go, and the least level n0 from which each power below s
+    is their link, by one more kernel run to s - 1, where the plan holds its own I^m.
     """
 
     def __init__(self, ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None) -> None:
@@ -182,42 +182,42 @@ class Plan:
         return self.cut(self.m)
 
     @cached_property
-    def form(self) -> tuple[int, LinkTemplates | None]:
-        """``(n0, templates)``: from n0 to s - 1, G(I^n) is the link of ``templates`` at
-        ``n - n0`` times ``gcd^n``, with n0 = s and no templates where that is not shown.
+    def form(self) -> tuple[int, int, LinkTemplates | None]:
+        """``(n0, low, templates)``: from n0 to s - 1, G(I^n) is the link of ``templates``
+        at ``n - low`` times ``gcd^n``; ``(s, s, None)`` where that is not shown.
 
         The parts are those of the decomposition's ``emission_templates`` (the ideal's
-        own orientation), each middle H_i peeled by ``s - n0`` copies off the ends of
-        C_(i-1) and C_i (:func:`_peel`).  Read a part as its step word, the differences
-        of its consecutive generators: a y-link concatenates step words, so G(I^(s+l))
-        reads ``w(C_0) w(H_1)^l w(C_1) ... w(H_k)^l w(C_k)``.  Where C_(i-1) ends in a_i
-        copies of w(H_i) and C_i begins with b_i, any d <= a_i + b_i of them come off
-        either side as one word, and the peeled link at l reads as the form at
-        ``l - d``: G(I^(s-d+l)) for every l >= d, with no new lemma.  Below s, n0 is the
-        least level from which every level up to s - 1 equals the peeled link, each
-        compared once, on one run of the level kernel to s - 1.  Rotations of a middle
-        are not tried, so n0 bounds the block form's own onset from above; every
-        emission is exact.  Built only where the plan holds its own I^m: after a
-        give-up that run would take seconds to minutes (s near 10^4 and more).
+        own orientation), each middle H_i peeled by ``s - low`` copies, as many as all
+        allow, off the ends of C_(i-1) and C_i (:func:`_peel`).  Read a part as its
+        step word, the differences of its consecutive generators: a y-link concatenates
+        step words, so G(I^(s+l)) reads ``w(C_0) w(H_1)^l w(C_1) ... w(H_k)^l w(C_k)``.
+        Where C_(i-1) ends in a_i copies of w(H_i) and C_i begins with b_i, any d <=
+        a_i + b_i of them come off either side as one word, and the peeled link at l
+        reads as the form at ``l - d``: G(I^(s-d+l)) for every l >= d, with no new
+        lemma.  Below s, n0 is the least level from which every level up to s - 1
+        equals the peeled link, each compared once on one kernel run to s - 1.
+        Rotations of a middle are not tried, so n0 bounds the block form's own onset
+        from above; every emission is exact.  Built only where the plan holds its own
+        I^m: after a give-up that run would take seconds to minutes (s near 10^4).
         """
         s = self.s
         if self.searched is None:
-            return s, None
+            return s, s, None
         try:
             dec = self.decomposition
             parts, (gx, gy) = dec.emission_templates, dec.gcd_shift
             copies = _copies(parts)
             low = s - min(s - 1, *(a + b for a, b in copies))  # the lowest level the peel reaches
             if low == s:
-                return s, None
+                return s, s, None
             form, onset = _peel(parts, copies, s - low), s
             for j, staircase, _ in _levels(self.ideal, s - 1, self.profile.chosen):
                 if j >= low:  # both absolute; tobytes compares in C, without np.array_equal's Python frame
                     xy, linked = _level_staircase(staircase, j * gy), form.link(j - low, (gx * j, gy * j))[0].xy
                     onset = s if xy.shape != linked.shape or xy.tobytes() != linked.tobytes() else min(onset, j)
         except ExponentOverflowError:  # I^s leaves int64: the powers below it take the staircase sum
-            return s, None
-        return (s, None) if onset == s else (onset, form if onset == low else _peel(parts, copies, s - onset))
+            return s, s, None
+        return (s, s, None) if onset == s else (onset, low, form)
 
     @cached_property
     def polynomial(self) -> MuPolynomial:
@@ -327,15 +327,13 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     at m the plan's I^m is returned.  Above m and below ``s = m + r + 1``,
     from the plan's n0 on, the link of the block form (:meth:`Plan.form`,
     built at the first such call, with the decomposition it is peeled
-    from); below n0, or where the plan gave up its onset search, the
-    staircase expansion ``Q_(n-m) I^m`` (see :func:`staircase_sum`), by
-    slices of I^m's cached staircase for small ``n - m`` and by window
-    tables taking their head rows from it above.  From s on, the
-    stable-component assembly.  Both links are exact: the form's by one
-    comparison at every level below s, the assembly's by the paper.  The
-    profile, onset, decomposition and form of the last 16 ideals are kept
-    for later calls, shared by equal ideals; ``G(I^n)`` itself is emitted
-    afresh by every call.
+    from), at ``n - low``; below n0, or where the plan gave up its onset
+    search, the staircase expansion ``Q_(n-m) I^m`` on I^m's cached staircase
+    (see :func:`staircase_sum`).  From s on, the stable-component assembly.
+    Both links are exact: the form's by one comparison at every level below
+    s, the assembly's by the paper.  The profile, onset, decomposition and
+    form of the last 16 ideals are kept for later calls, shared by equal
+    ideals; ``G(I^n)`` itself is emitted afresh by every call.
     """
     n = _count(n, 1, "power must be >= 1")
     if ideal.is_principal:
@@ -346,9 +344,9 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     if n == plan.m:
         return plan.base
     if n < plan.s:  # the form's link from n0, else staircase_sum(P, n - m, I^m): by (A) and (E*), or the paper at D_P
-        onset, form = plan.form
+        onset, low, form = plan.form
         if n >= onset:
-            return _emit(form, plan.decomposition.gcd_shift, n, n - onset)[0]
+            return _emit(form, plan.decomposition.gcd_shift, n, n - low)[0]
         return staircase_sum(plan.profile.chosen, n - plan.m, plan.base)
     dec = plan.decomposition
     return _emit(dec.emission_templates, dec.gcd_shift, n, n - dec.s)[0]

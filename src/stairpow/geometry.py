@@ -10,8 +10,9 @@ bound the power from which the generator pattern of ``I^n`` stabilizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .ideals import Axis, Monomial, MonomialIdeal, PrincipalIdealError
+from .ideals import Axis, Monomial, MonomialIdeal, PrincipalIdealError, _monomial
 
 
 def _boundary(ideal: MonomialIdeal) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]]:
@@ -92,23 +93,27 @@ def _smaller(r_x: int, r_y: int) -> tuple[int, Axis]:
 
 
 def persistence_profile(
-    ideal: MonomialIdeal, chosen: tuple[Monomial, ...] | None = None
+    ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None
 ) -> PersistenceProfile:
     """Compute the profile of ``ideal`` for the given (or default) choice of P.
 
     ``chosen`` may be any subsequence of the generators sandwiched between
     the persistent and the weakly persistent set, in descending y-order;
     the default is the persistent set itself.  Both sets come from one walk.
+    Each entry is read as a monomial is; the profile keeps the ideal's own generators.
     """
     persistent, weakly = _boundary(ideal)
     if chosen is None:
         chosen = persistent
     else:
-        chosen = tuple(chosen)
-        members = set(chosen)
+        given = tuple(map(_monomial, chosen))
+        members = set(given)
+        if len(members) != len(given):
+            raise ValueError("chosen P must not repeat a generator")
         if not set(persistent) <= members <= set(weakly):
             raise ValueError("chosen P must satisfy P(I) <= P <= P*(I)")
-        if list(chosen) != [g for g in ideal.gens if g in members]:
+        chosen = tuple(g for g in ideal.gens if g in members)
+        if given != chosen:
             raise ValueError("chosen P must be ordered by descending y-degree")
 
     delta = max(min(h[0] - g[0], g[1] - h[1]) for g, h in zip(chosen, chosen[1:])) - 1

@@ -39,25 +39,22 @@ def staircase_times(pair_g: Monomial, pair_h: Monomial, n: int, j_ideal: Monomia
 
 def staircase_sum(gs: Sequence[Monomial], n: int, j_ideal: MonomialIdeal) -> MonomialIdeal:
     """``sum_i (g_i, g_(i+1))^n * J`` over consecutive pairs of ``gs``, each
-    pair in either order, on one level array swept once.
+    pair in either order, as the minimum of pieces on one level array swept
+    once.  A piece is the least x per level from its own bottom level on,
+    exact at every generator's level and nowhere below the staircase.
 
     With F the cached staircase of J, its least x per level from its lowest
     generator up, each of the ``k n + 1`` generators q of ``Q_n`` (k pairs,
     each shared end power ``g_i^n`` once) is one slice ``F + q_x`` from level
-    ``q_y`` on: two numpy calls, against ``_TABLE_CALLS`` for a pair's window
-    table, so slices run while they are the fewer calls.  Each slice value is a point
-    of ``q J``, and each minimal generator ``q j`` lies in its own q's slice
-    at j's level, so the array is exact at every generator's level and
-    nowhere below the staircase, and one sweep gives the generators.
-
-    Else every pair's window table (see :func:`_pair_levels`: O(top * v)
-    window work, ``top = floor(dist_y(J) / v)``, and one write per level)
-    is min-ed into one level array spanning the union of their levels, a
-    lone pair's table being that array; tables whose union spans more than
-    ``_BUCKET_SPAN_FACTOR`` times their length are swept one by one.
-    Slices beyond that many levels per candidate fall back to the tables,
-    and a pair beyond it, or beyond int64, is the product of its ``(n+1) *
-    mu(J)`` candidates, which one :func:`ideal_sum` joins to the sweeps.
+    ``q_y`` on, made as it is min-ed in; slices are the pieces while they take
+    fewer numpy calls than the tables (``_TABLE_CALLS``).  Each slice value is
+    a point of ``q J``, and each minimal generator ``q j`` lies in its own q's
+    slice at j's level.  Else the pieces are the pairs' window tables
+    (:func:`_pair_levels`), a lone pair's table being the array; tables whose
+    union spans more than ``_BUCKET_SPAN_FACTOR`` times their length are
+    swept one by one.  Slices beyond that many levels per candidate fall back
+    to the tables, and a pair beyond it, or beyond int64, is the product of
+    its ``(n+1) * mu(J)`` candidates, which one :func:`ideal_sum` joins to the sweeps.
     """
     n = _count(n, 0, "power must be non-negative")
     pairs = list(zip(gs, gs[1:]))
@@ -65,33 +62,32 @@ def staircase_sum(gs: Sequence[Monomial], n: int, j_ideal: MonomialIdeal) -> Mon
         if mon_divides(g, h) or mon_divides(h, g):
             raise ValueError(f"{g} and {h} are comparable; staircase power undefined")
     x1, y0, y1 = j_ideal.xy.item(0, -1), j_ideal.xy.item(1, -1), j_ideal.xy.item(1, 0)
-    low, high = n * min(g[1] for g in gs), n * max(g[1] for g in gs)
+    low, high = n * min(g[1] for g in gs) + y0, n * max(g[1] for g in gs) + y1  # the sum's lowest and highest levels
     # The largest product exponents, checked in Python ints before any int64 add.
-    _check_exponents(n * max(g[0] for g in gs) + x1, high + y1)
-    slices, size = len(pairs) * n + 1, high - low + y1 - y0 + 1
-    if 2 * slices < _TABLE_CALLS * len(pairs) and size <= _BUCKET_SPAN_FACTOR * slices * j_ideal.mu:
-        staircase = j_ideal.staircase
+    _check_exponents(n * max(g[0] for g in gs) + x1, high)
+    slices, size = len(pairs) * n + 1, high - low + 1
+    merged = 2 * slices < _TABLE_CALLS * len(pairs) and size <= _BUCKET_SPAN_FACTOR * slices * j_ideal.mu
+    if merged:
+        ideals, staircase = [], j_ideal.staircase
+        pieces = (  # q = a^(n-t) b^t; a^n was the last pair's b^n
+            (staircase + ((n - t) * a[0] + t * b[0]), (n - t) * a[1] + t * b[1] + y0)
+            for i, (a, b) in enumerate(pairs) for t in range(i > 0, n + 1)
+        )
+    else:
+        tables = [_pair_levels(g, h, n, j_ideal) for g, h in pairs]
+        ideals = [pair_power(g, h, n) * j_ideal for (g, h), table in zip(pairs, tables) if table is None]
+        pieces = [table for table in tables if table is not None]
+        low = min((bottom for _, bottom in pieces), default=0)
+        size = max((bottom + len(t) for t, bottom in pieces), default=0) - low
+        merged = len(pieces) > 1 and size <= _BUCKET_SPAN_FACTOR * sum(len(t) for t, _ in pieces)
+    if merged:
         levels = np.empty(size, dtype=np.int64)
         levels.fill(_NO_POINT)
-        for i, (a, b) in enumerate(pairs):
-            for t in range(i > 0, n + 1):  # q = a^(n-t) b^t; a^n was the last pair's b^n
-                start = (n - t) * a[1] + t * b[1] - low
-                view = levels[start : start + y1 - y0 + 1]
-                np.minimum(view, staircase + ((n - t) * a[0] + t * b[0]), out=view)
-        return MonomialIdeal._canonical(_level_staircase(levels, low + y0))
-    tables = [_pair_levels(g, h, n, j_ideal) for g, h in pairs]
-    ideals = [pair_power(g, h, n) * j_ideal for (g, h), table in zip(pairs, tables) if table is None]
-    tables = [table for table in tables if table is not None]
-    low = min((bottom for _, bottom in tables), default=0)
-    size = max((bottom + len(t) for t, bottom in tables), default=0) - low
-    if len(tables) > 1 and size <= _BUCKET_SPAN_FACTOR * sum(len(t) for t, _ in tables):
-        levels = np.empty(size, dtype=np.int64)
-        levels.fill(_NO_POINT)
-        for table, bottom in tables:
-            view = levels[bottom - low : bottom - low + len(table)]
-            np.minimum(view, table, out=view)
-        tables = [(levels, low)]
-    ideals += [MonomialIdeal._canonical(_level_staircase(levels, low)) for levels, low in tables]
+        for piece, bottom in pieces:
+            view = levels[bottom - low : bottom - low + len(piece)]
+            np.minimum(view, piece, out=view)
+        pieces = [(levels, low)]
+    ideals += [MonomialIdeal._canonical(_level_staircase(levels, low)) for levels, low in pieces]
     return ideal_sum(ideals)
 
 

@@ -42,7 +42,8 @@ def _validated_canonical():
     against the one the ideal builds itself.  It raises rather than asserts,
     so it also holds under ``python -O``.  Tests that run the package in a
     child process (the CLI and ``-O`` runs) go without it; their outputs are
-    compared with ``naive_power`` or ``check`` instead."""
+    compared with ``naive_power`` or ``check`` instead.  A test that asks for
+    this fixture gets the unchecked constructor itself."""
     trusted = MonomialIdeal.__dict__["_canonical"]
 
     def checked(cls, xy, staircase=None):
@@ -53,7 +54,7 @@ def _validated_canonical():
         return trusted.__func__(cls, xy, staircase)
 
     MonomialIdeal._canonical = classmethod(checked)
-    yield
+    yield trusted.__get__(None, MonomialIdeal)
     MonomialIdeal._canonical = trusted
 
 

@@ -100,6 +100,9 @@ def test_two_generator_pipeline():
     I = MonomialIdeal(((0, 4), (3, 0)))
     dec = stable_decomposition(I)
     assert (dec.D, dec.r, dec.s) == (0, 0, 1)
+    # m = 0 and s = 1: no level lies below s for the block form to start at.
+    plan = engine.Plan(I)
+    assert (plan.m, plan.s, plan.form) == (0, 1, (1, 1, None))
     assert dec.middles[0].gens == I.gens
     for n in range(1, 6):
         assert assemble_power(dec, n).gens == naive_power(I, n).gens
@@ -1199,7 +1202,7 @@ def test_powers_below_an_overflowing_s():
     # built, and the powers below s take the staircase sum as before.
     ideal = MonomialIdeal(((0, 3), (1, 1), (2**61, 0)))
     plan = engine.cached_plan(ideal)
-    assert (plan.m, plan.s, plan.searched is None, plan.form) == (1, 5, False, (5, None))
+    assert (plan.m, plan.s, plan.searched is None, plan.form) == (1, 5, False, (5, 5, None))
     for n in range(1, 4):
         assert power(ideal, n) == naive_power(ideal, n), n
     with pytest.raises(ExponentOverflowError):

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 import brute
+from stairpow.engine import Plan, stable_decomposition
 from stairpow.ideals import Axis, MonomialIdeal, PrincipalIdealError, mon_pow, naive_power
 from stairpow.geometry import (
     persistence_profile,
@@ -125,6 +127,31 @@ def test_profile_chosen_validation():
         persistence_profile(SMALL, chosen=((0, 2), (2, 1), (3, 0)))
     with pytest.raises(ValueError, match="ordered by descending y-degree"):
         persistence_profile(SMALL, chosen=((3, 0), (0, 2)))
+
+
+def test_profile_reads_each_entry_of_p_exactly():
+    # P given as numpy int64 pairs, an (n, 2) array or a list of lists is read
+    # as the ideal's own generators in Python ints.  Kept as int64, the radii
+    # wrapped here: s = -3298534883333 and r_y = -12 on axis X, not axis Y.
+    huge = MonomialIdeal(((0, 2**40), (1, 2**39), (2**40, 0)))
+    default = persistence_profile(huge)
+    assert (default.s, default.axis, default.chosen) == (9895604649967, Axis.Y, huge.gens)
+    given = np.array(default.chosen, dtype=np.int64)
+    for chosen in (list(map(tuple, given)), given, given.tolist()):
+        profile = persistence_profile(huge, chosen)
+        assert profile == default and {type(e) for g in profile.chosen for e in g} == {int}
+        assert Plan(huge, chosen).s == Plan(huge).s == default.s
+    # A float or a bool is no exponent, and a repeated generator is refused by name.
+    for entry in ((1.0, 2**39), (np.float64(1), 2**39), (True, 2**39)):
+        with pytest.raises(TypeError):
+            persistence_profile(huge, ((0, 2**40), entry, (2**40, 0)))
+    with pytest.raises(ValueError, match="must not repeat a generator"):
+        persistence_profile(huge, ((0, 2**40), (1, 2**39), (1, 2**39), (2**40, 0)))
+    # The profile's P is what the decomposition reads: the same parts as the default's.
+    for ideal in (SMALL, BIG, BIG.transpose()):
+        given = np.array(persistence_profile(ideal).chosen, dtype=np.int64)
+        for chosen in (given, given.tolist()):
+            assert stable_decomposition(ideal, chosen) == stable_decomposition(ideal)
 
 
 def test_stabilization_radius():

@@ -101,13 +101,18 @@ def test_constructor_rejects_other_arrays():
         MonomialIdeal(np.array([[0, 2], [1, 1], [2, 0]], dtype=np.int64))
 
 
-def test_canonical_is_fully_checked_under_the_suite():
+def test_canonical_is_fully_checked_under_the_suite(_validated_canonical):
     # The suite's fixture validates every array handed to the unchecked
     # constructor; without it these would pass as ideals.
     with pytest.raises(ValueError, match="canonical antichain order"):
         MonomialIdeal._canonical(np.array([[2, 0], [0, 2]], dtype=np.int64))
     with pytest.raises(ExponentOverflowError, match="negative exponent"):
         MonomialIdeal._canonical(np.array([[0, 2], [3, -1]], dtype=np.int64))
+    # The unchecked constructor itself checks the dtype alone.
+    unchecked = _validated_canonical
+    with pytest.raises(ValueError, match="int64 array, not float64"):
+        unchecked(np.array([[0.0, 1.5], [2.0, 0.0]]))
+    assert unchecked(np.array([[2, 0], [0, 2]], dtype=np.int64)).gens == ((2, 0), (0, 2))
 
 
 def test_multiply_small_example_square():
