@@ -8,9 +8,9 @@ staircase-pair powers ``(g_i, g_(i+1))^j I^m`` (see
 I^s into its stable components, and from then on assemble any I^(s+l) by
 pure exponent shifting in time proportional to its own generator count,
 ``mu(I^s) + l * slope``.  A :class:`Plan` holds these constants:
-:func:`stable_decomposition` is its cut at the paper's ``s = D + r + 1``;
-:func:`power` and :func:`mu_polynomial` use its cut at the onset's, and
-:func:`power` below that s its parts peeled to the block form's onset.
+:func:`stable_decomposition` is its cut at the paper's ``s = D + r + 1``,
+:func:`mu_polynomial` its cut at the onset's, and :func:`power` emits from
+the level t where the block form reads off ``G(I^t)`` and ``G(I^(t+1))``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .segments import (
 #: How many ideals' plans :func:`power` and :func:`mu_polynomial` keep.
 _PLAN_CACHE_SIZE = 16
 
-#: How many levels above the reduction number the onset search tries (E*)
-#: at: on the corpus seeds 0-199 every certificate is within 6, none in 7-40.
+#: How many levels from the reduction number on the onset search tries (E*) and the
+#: read its form: on the corpus seeds 0-199 every certificate is within 6, every read 7.
 _ONSET_TRIES = 10
 
 
@@ -143,9 +143,7 @@ class Plan:
     on first use: ``base``, I^m; ``radius = profile.radius(m)``, read once for
     ``s = m + r(m) + 1`` (before the paper's, as ``m + r(m)`` grows with m)
     and the ``decomposition`` cut at m; its mu ``polynomial``; and, for
-    :func:`power` alone, the block ``form``: the decomposition's parts peeled
-    as far as they go, and the least level n0 from which each power below s
-    is their link, by one more kernel run to s - 1, where the plan holds its own I^m.
+    :func:`power` alone, the block form's ``read``, by one more kernel run.
     """
 
     def __init__(self, ideal: MonomialIdeal, chosen: Sequence[Monomial] | None = None) -> None:
@@ -182,42 +180,59 @@ class Plan:
         return self.cut(self.m)
 
     @cached_property
-    def form(self) -> tuple[int, int, LinkTemplates | None]:
-        """``(n0, low, templates)``: from n0 to s - 1, G(I^n) is the link of ``templates``
-        at ``n - low`` times ``gcd^n``; ``(s, s, None)`` where that is not shown.
+    def read(self) -> tuple[int, LinkTemplates] | None:
+        """``(t, templates)``: from t on, G(I^n) is the link of ``templates`` at ``n - t`` times ``gcd^n``,
+        t the least level from ``max(certified, 1)``, the kernel's own, to ``last`` (``_ONSET_TRIES - 1``
+        past the reduction number, else D_P, and below s) whose read (:func:`_split`) holds; else None.
+        Built only by :func:`power`.  One kernel run with P to ``last + W + 1`` compares the link at l
+        with level t + l by ``tobytes`` for l = 0..W+1, ``W = ceil(2Y / min_i dy_i) + 1``; then:
 
-        The parts are those of the decomposition's ``emission_templates`` (the ideal's
-        own orientation), each middle H_i peeled by ``s - low`` copies, as many as all
-        allow, off the ends of C_(i-1) and C_i (:func:`_peel`).  Read a part as its
-        step word, the differences of its consecutive generators: a y-link concatenates
-        step words, so G(I^(s+l)) reads ``w(C_0) w(H_1)^l w(C_1) ... w(H_k)^l w(C_k)``.
-        Where C_(i-1) ends in a_i copies of w(H_i) and C_i begins with b_i, any d <=
-        a_i + b_i of them come off either side as one word, and the peeled link at l
-        reads as the form at ``l - d``: G(I^(s-d+l)) for every l >= d, with no new
-        lemma.  Below s, n0 is the least level from which every level up to s - 1
-        equals the peeled link, each compared once on one kernel run to s - 1.
-        Rotations of a middle are not tried, so n0 bounds the block form's own onset
-        from above; every emission is exact.  Built only where the plan holds its own
-        I^m: after a give-up that run would take seconds to minutes (s near 10^4).
+        Lemma.  If X(l) = G(I'^(t+l)) for l <= W + 1 and (A) ``I^(n+1) = (P) I^n`` from t
+        on, then for every l.  Anchored, ``P' = (p_0, .., p_k)``, ``p_a = (x_a, y_a)``, ``Y =
+        y_0``, X(l) is the link ``C_0 H_1^l C_1 .. H_k^l C_k``, H_i spans ``(dx_i, dy_i) =
+        (x_i - x_(i-1), y_(i-1) - y_i)``, and f_l(y) is the least x of X(l) at level <= y
+        (infinite below 0), as the kernel keeps it.  By (A) and induction it suffices that
+        E(l), ``X(l+1) = G(P' X(l))``, for every l; the comparisons give it for l <= W.
+          1. G(P' X(l)) has the level function ``y -> min_a x_a + f_l(y - y_a)``.
+          2. C_a sits at ``l p_a`` plus a constant: for l >= 1, X(l+1) is X(l) with C_a
+             moved by p_a, and its run of H_i is that of X(l) moved by p_(i-1) and by p_i.
+             So each level z of X(l) has natives p_b (b = a on C_a, i - 1 and i on a run of
+             H_i) with ``f_(l+1)(z + y_b) = x_b + f_l(z)``, and by 1 E(l) iff ``x_a - x_b +
+             f_l(z + y_b - y_a) >= f_l(z)`` for all a and such (b, z): a test of b and of
+             ``f_l - f_l(z)`` on [z - Y, z + Y].
+          3. For l >= W, ``l dy_i >= 2Y + dy_i``.  On a run of H_i f_l is periodic with step
+             dy_i, and its ``l dy_i - 2Y + 1`` windows take every phase, as in X(l+1).  A
+             window meeting C_a meets no other, the runs being longer than 2Y, nor a far
+             end of a run: it recurs in X(l+1) moved by p_a, and back; C_0 moves by (0, Y)
+             and C_k by (x_k, 0), so f's top (0) and bottom (infinite) move with them.  So
+             E(l) and E(l+1) make the same tests: E(l) iff E(l+1), and E(l) for every l.
         """
-        s = self.s
-        if self.searched is None:
-            return s, s, None
+        rn, (gx, gy) = self.reduction_number, self.ideal.gcd()
+        last = min(max(self.profile.D_P if rn is None else rn, 1) + _ONSET_TRIES - 1, self.s - 1)
+        chosen = [(a - gx, b - gy) for a, b in self.profile.chosen]
+        w = -(-2 * chosen[0][1] // min(b - d for (_, b), (_, d) in zip(chosen, chosen[1:]))) + 1
+        def links(read: LinkTemplates, t: int, j: int, current: MonomialIdeal) -> bool:  # compared in C
+            linked, xy = read.link(j - t, (gx * j, gy * j))[0].xy, current.xy
+            return linked.shape == xy.shape and linked.tobytes() == xy.tobytes()
+        reads, below = [], None  # the reads not yet refused, least t first; (t, G(I^t)) of the level below
         try:
-            dec = self.decomposition
-            parts, (gx, gy) = dec.emission_templates, dec.gcd_shift
-            copies = _copies(parts)
-            low = s - min(s - 1, *(a + b for a, b in copies))  # the lowest level the peel reaches
-            if low == s:
-                return s, s, None
-            form, onset = _peel(parts, copies, s - low), s
-            for j, staircase, _ in _levels(self.ideal, s - 1, self.profile.chosen):
-                if j >= low:  # both absolute; tobytes compares in C, without np.array_equal's Python frame
-                    xy, linked = _level_staircase(staircase, j * gy), form.link(j - low, (gx * j, gy * j))[0].xy
-                    onset = s if xy.shape != linked.shape or xy.tobytes() != linked.tobytes() else min(onset, j)
-        except ExponentOverflowError:  # I^s leaves int64: the powers below it take the staircase sum
-            return s, s, None
-        return (s, s, None) if onset == s else (onset, low, form)
+            for j, staircase, certified in _levels(self.ideal, last + w + 1, self.profile.chosen):
+                if certified is None or j < max(certified, 1):  # (A) holds from max(certified, 1) on
+                    continue
+                current = MonomialIdeal._canonical(_level_staircase(staircase, j * gy))
+                if below is not None and below[0] <= last:
+                    read = _split(below[1], current, chosen)
+                    if read is not None and links(read, below[0], *below):
+                        reads.append((below[0], read))
+                reads = [(t, read) for t, read in reads if links(read, t, j, current)]
+                if reads and j - reads[0][0] == w + 1:
+                    return reads[0]
+                if not reads and j > last:
+                    return None
+                below = (j, current)
+        except ExponentOverflowError:  # a level the read needs leaves int64: no read
+            pass
+        return None
 
     @cached_property
     def polynomial(self) -> MuPolynomial:
@@ -253,39 +268,28 @@ class Plan:
         )
 
 
-def _steps(part: MonomialIdeal) -> list[tuple[int, int]]:
-    """The step word of a part, in Python ints: ``(dx, dy)`` from each generator to the next."""
-    x, y = part.xy.tolist()
-    return list(zip([b - a for a, b in zip(x, x[1:])], [a - b for a, b in zip(y, y[1:])]))
-
-
-def _copies(parts: LinkTemplates) -> list[tuple[int, int]]:
-    """``(a_i, b_i)`` per middle H_i: the copies of its step word that end C_(i-1),
-    and that begin C_i.  Each C_i gives its copies of w(H_i) first and then, from
-    what is left, those of w(H_(i+1)), so no step is given twice."""
-    steps, copies, head = [_steps(part) for part in parts.components], [], 0
-    for middle, left, right in zip(parts.middles, steps, steps[1:]):
-        word, tail = _steps(middle), len(left)
-        while tail - len(word) >= head and left[tail - len(word) : tail] == word:
-            tail -= len(word)
-        head = 0
-        while right[head : head + len(word)] == word:
-            head += len(word)
-        copies.append(((len(left) - tail) // len(word), head // len(word)))
-    return copies
-
-
-def _peel(parts: LinkTemplates, copies: list[tuple[int, int]], d: int) -> LinkTemplates:
-    """The templates of ``parts`` with d copies of each middle peeled off the
-    components beside it (see :meth:`Plan.form`), those that end C_(i-1) first."""
-    cuts = [0]  # the steps each component gives from its start, then from its end
-    for (a, _), middle in zip(copies, parts.middles):
-        cuts += (min(d, a) * (middle.mu - 1), (d - min(d, a)) * (middle.mu - 1))
-    components = []
-    for part, start, end in zip(parts.components, cuts[::2], [*cuts[1::2], 0]):
-        xy = part.xy[:, start : part.mu - end]  # a run of a canonical part, anchored again: canonical
-        components.append(MonomialIdeal._canonical(xy - ((xy.item(0, 0),), (xy.item(1, -1),))))
-    return LinkTemplates(tuple(components), parts.middles)
+def _split(low: MonomialIdeal, high: MonomialIdeal, chosen: Sequence[Monomial]) -> LinkTemplates | None:
+    """The block form read off G(I^t) and G(I^(t+1)), or None: walking both
+    step words in Python ints, at each mismatch the factor of the longer word whose steps
+    sum to the next pair step of P' ``chosen`` (unique, as each dx > 0) is the middle H_i,
+    and the runs of G(I^t) between are the components, anchored again."""
+    lo, hi = ([(c - a, b - d) for (a, b), (c, d) in zip(part.gens, part.gens[1:])] for part in (low, high))
+    i = j = 0
+    cuts, middles = [0], []
+    for (a, b), (c, d) in zip(chosen, chosen[1:]):
+        while i < len(lo) and j < len(hi) and lo[i] == hi[j]:
+            i, j = i + 1, j + 1
+        k, dx, dy = j, 0, 0
+        while dx < c - a and k < len(hi):
+            dx, dy, k = dx + hi[k][0], dy + hi[k][1], k + 1
+        if (dx, dy) != (c - a, b - d):
+            return None
+        cuts.append(i)
+        middles.append(high.xy[:, j : k + 1])
+        j = k
+    anchored = lambda xy: MonomialIdeal._canonical(xy - ((xy.item(0, 0),), (xy.item(1, -1),)))  # runs: canonical
+    components = [low.xy[:, p : q + 1] for p, q in zip(cuts, [*cuts[1:], len(lo)])]
+    return LinkTemplates(tuple(map(anchored, components)), tuple(map(anchored, middles)))
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -297,7 +301,7 @@ def cached_plan(ideal: MonomialIdeal) -> Plan:
 def _emit(templates: LinkTemplates, gcd: Monomial, n: int, ell: int) -> tuple[MonomialIdeal, int]:
     """Emit G(I^n) in original coordinates from ``templates`` in the ideal's own
     orientation, whose link at ell is the anchored G(I^n): a decomposition's or the
-    plan's form; returns (ideal, generators written).
+    plan's read; returns (ideal, generators written).
 
     One link of the :class:`LinkTemplates`, times ``gcd^n`` in Python ints (the
     kernel range-checks it): one ``np.empty``, then at most ``2k + 1 + sum_i
@@ -322,31 +326,26 @@ def assemble_power(dec: StableDecomposition, n: int) -> MonomialIdeal:
 def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """``I^n`` through the cheapest applicable route.
 
-    Principal ideals short-circuit to the single-generator power.  Below
-    the onset m (D_P unless certified earlier) :func:`level_power` runs, and
-    at m the plan's I^m is returned.  Above m and below ``s = m + r + 1``,
-    from the plan's n0 on, the link of the block form (:meth:`Plan.form`,
-    built at the first such call, with the decomposition it is peeled
-    from), at ``n - low``; below n0, or where the plan gave up its onset
-    search, the staircase expansion ``Q_(n-m) I^m`` on I^m's cached staircase
-    (see :func:`staircase_sum`).  From s on, the stable-component assembly.
-    Both links are exact: the form's by one comparison at every level below
-    s, the assembly's by the paper.  The profile, onset, decomposition and
-    form of the last 16 ideals are kept for later calls, shared by equal
-    ideals; ``G(I^n)`` itself is emitted afresh by every call.
+    Principal ideals short-circuit to the single-generator power.  From the
+    plan's read t on (:meth:`Plan.read`, built at the first call), the read's
+    link at ``n - t``.  Below t, or with no read: :func:`level_power` below the
+    onset m, the plan's I^m at m, ``staircase_sum(P, n - m, I^m)`` below ``s =
+    m + r + 1``, and from s on the stable-component assembly.  The plans of
+    the last 16 ideals are kept, shared by equal ideals; ``G(I^n)`` itself is
+    emitted afresh by every call.
     """
     n = _count(n, 1, "power must be >= 1")
     if ideal.is_principal:
         return MonomialIdeal((mon_pow(ideal.gcd(), n),))
     plan = cached_plan(ideal)
+    read = plan.read
+    if read is not None and n >= read[0]:
+        return _emit(read[1], ideal.gcd(), n, n - read[0])[0]
     if n < plan.m:
         return level_power(ideal, n)
     if n == plan.m:
         return plan.base
-    if n < plan.s:  # the form's link from n0, else staircase_sum(P, n - m, I^m): by (A) and (E*), or the paper at D_P
-        onset, low, form = plan.form
-        if n >= onset:
-            return _emit(form, plan.decomposition.gcd_shift, n, n - low)[0]
+    if n < plan.s:  # staircase_sum(P, n - m, I^m): by (A) and (E*), or the paper at D_P
         return staircase_sum(plan.profile.chosen, n - plan.m, plan.base)
     dec = plan.decomposition
     return _emit(dec.emission_templates, dec.gcd_shift, n, n - dec.s)[0]

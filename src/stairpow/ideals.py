@@ -75,8 +75,9 @@ def _count(n: int, least: int, message: str) -> int:
 
 
 def _monomial(m: Monomial) -> Monomial:
-    """A monomial argument read by :func:`_count`, down to the most negative shift ``anchor`` makes."""
-    return _count(m[0], 1 - EXP_LIMIT, "exponent out of range"), _count(m[1], 1 - EXP_LIMIT, "exponent out of range")
+    """A monomial argument, exactly two exponents, each read by :func:`_count` down to ``anchor``'s shifts."""
+    a, b = m
+    return _count(a, 1 - EXP_LIMIT, "exponent out of range"), _count(b, 1 - EXP_LIMIT, "exponent out of range")
 
 
 def mon_pow(m: Monomial, n: int) -> Monomial:
@@ -355,10 +356,10 @@ def naive_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
 
 def level_power(ideal: MonomialIdeal, n: int, reduction: Sequence[Monomial] = ()) -> MonomialIdeal:
     """``I^n``: the last level of :func:`_levels`, else :func:`naive_power`.
-    ``reduction`` is a set P of generators of I holding both extreme ones
-    (else ValueError), such as its corners: a reduction of I (Northcott and Rees 1954)."""
+    ``reduction`` is a set P of generators of I, read by :func:`_monomial`, holding both
+    extreme ones (else ValueError), such as its corners: a reduction of I (Northcott and Rees 1954)."""
     n = _count(n, 0, "power must be non-negative")
-    chosen, gens = set(map(tuple, reduction)), ideal.gens
+    chosen, gens = set(map(_monomial, reduction)), ideal.gens
     if chosen and not {gens[0], gens[-1]} <= chosen <= set(gens):
         raise ValueError(f"the reduction {tuple(reduction)} of {ideal} is not in G(I) or lacks an extreme generator")
     levels = None

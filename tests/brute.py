@@ -8,7 +8,8 @@ library's kernels share, so the property tests compare against them.
 library proves its mu polynomial from; its test checks the walk's ends
 against :func:`stairpow.ideals.level_power`.  :func:`form_onset` walks down
 from the same level with ``level_power`` at every level, on step words in
-Python ints, and shares no code with the plan's own walk.
+Python ints; :func:`read_form` reads the block form off two such powers and
+:func:`expand` concatenates its words, with no library link code.
 """
 
 import numpy as np
@@ -274,6 +275,51 @@ def _word(ideal: MonomialIdeal) -> list[tuple[int, int]]:
     """The step word of an ideal: ``(dx, dy)`` from each generator to the next."""
     gens = ideal.gens
     return [(c - a, b - d) for (a, b), (c, d) in zip(gens, gens[1:])]
+
+
+def read_form(ideal: MonomialIdeal, t: int):
+    """``(components, middles)`` of the block form read off ``G(I^t)`` and
+    ``G(I^(t+1))``, each part as its anchored generators, or None.
+
+    Both step words come from ``level_power(...).gens``, in the ideal's own
+    orientation.  Past their common prefix, the word of ``G(I^(t+1))`` holds
+    the next middle: its shortest factor there whose steps sum to the next pair
+    step of the plan's P, and the words go on together after it.  The parts of
+    ``G(I^t)`` between the middles are the components."""
+    gs = cached_plan(ideal).profile.chosen
+    low, high = _word(level_power(ideal, t)), _word(level_power(ideal, t + 1))
+    components, middles, at, skip = [], [], 0, 0  # at: into low; skip: letters of high taken as middles
+    for (a, b), (c, d) in zip(gs, gs[1:]):
+        start = at
+        while at < len(low) and at + skip < len(high) and low[at] == high[at + skip]:
+            at += 1
+        sums = [tuple(map(sum, zip(*high[at + skip : at + skip + n]))) for n in range(1, len(high) - at - skip + 1)]
+        if (c - a, b - d) not in sums:
+            return None
+        n = sums.index((c - a, b - d)) + 1
+        components.append(low[start:at])
+        middles.append(high[at + skip : at + skip + n])
+        skip += n
+    components.append(low[at:])
+    return tuple(map(_gens, components)), tuple(map(_gens, middles))
+
+
+def _gens(word) -> tuple[Monomial, ...]:
+    """The anchored generators whose step word is ``word``."""
+    gens = [(0, sum(dy for _, dy in word))]
+    for dx, dy in word:
+        gens.append((gens[-1][0] + dx, gens[-1][1] - dy))
+    return tuple(gens)
+
+
+def expand(parts, ell: int, origin: Monomial = (0, 0)) -> np.ndarray:
+    """The ``(2, N)`` columns of ``C_0 H_1^ell C_1 .. H_k^ell C_k`` times ``origin``, by
+    concatenating the parts' step words, ``ell`` copies of each middle's, and
+    summing the steps down from the top generator."""
+    components, middles = ([np.array(_word(MonomialIdeal(p)), dtype=np.int64).reshape(-1, 2) for p in ps] for ps in parts)
+    word = np.concatenate([components[0], *(w for h, c in zip(middles, components[1:]) for w in (np.tile(h, (ell, 1)), c))])
+    top = np.array([[0, int(word[:, 1].sum())]], dtype=np.int64)
+    return (np.concatenate([top, top + np.cumsum(word * (1, -1), axis=0)]) + origin).T
 
 
 def form_onset(ideal: MonomialIdeal) -> int:

@@ -102,7 +102,7 @@ def test_two_generator_pipeline():
     assert (dec.D, dec.r, dec.s) == (0, 0, 1)
     # m = 0 and s = 1: no level lies below s for the block form to start at.
     plan = engine.Plan(I)
-    assert (plan.m, plan.s, plan.form) == (0, 1, (1, 1, None))
+    assert (plan.m, plan.s, plan.read) == (0, 1, None)
     assert dec.middles[0].gens == I.gens
     for n in range(1, 6):
         assert assemble_power(dec, n).gens == naive_power(I, n).gens
@@ -290,22 +290,20 @@ def test_power_below_s_never_anchors(monkeypatch):
                 assert decomposed_power(J, profile, n) == expected, (seed, n)
 
 
-@pytest.mark.parametrize("ideal", [SMALL, BIG, random_ideal(RandomIdealSpec(8, 20, seed=23))])
+@pytest.mark.parametrize(
+    "ideal", [SMALL, BIG, random_ideal(RandomIdealSpec(8, 20, seed=23)), random_ideal(RandomIdealSpec(8, 20, seed=14))]
+)
 def test_power_decomposes_only_from_s(monkeypatch, ideal):
-    # Below the plan's s -- from the certified onset (BIG: m = 1, s = 7) or
-    # else from D_P (SMALL: D_P = 1, s = 3, and seed 23: D_P = 68, s = 324)
-    # -- power at m builds no decomposition.  Above m, where the plan holds
-    # its own I^m (BIG and SMALL), the block form is peeled from the one it
-    # keeps, cut at m; after seed 23's give-up, none.  At s it builds no other.
+    # Where the plan reads the block form (SMALL: m = 1, s = 3, t = 1; BIG:
+    # m = 1, s = 7, t = 1; seed 23 after its give-up: m = 68, s = 324, t =
+    # 4), power emits from t and builds no decomposition, below s or from it.
+    # Seed 14 (m = 0, s = 1) has no level below s to read at: power cuts at
+    # m once, at s, and builds no other.
     plan = engine.cached_plan(ideal)
-    level, s = plan.m, plan.s
     calls = _count_calls(monkeypatch, engine.Plan, "cut")
-    assert power(ideal, level) == naive_power(ideal, level)
-    assert calls == []
-    assert power(ideal, s - 1) == naive_power(ideal, s - 1)
-    assert calls == ([] if plan.searched is None else [(plan, level)])
-    assert power(ideal, s) == naive_power(ideal, s)
-    assert len(calls) == 1
+    for n in sorted({plan.m, plan.s - 1, plan.s, plan.s + 9} - {0}):
+        assert power(ideal, n) == naive_power(ideal, n), n
+    assert (plan.read is None, calls) == ((False, []) if plan.s > 1 else (True, [(plan, plan.m)]))
 
 
 @pytest.mark.parametrize("ideal", [SMALL, BIG])
@@ -671,7 +669,10 @@ def test_uncertified_seeds_keep_the_paper_route(seed):
 def test_uncertified_plan_stops_its_search(monkeypatch):
     # Seed 23 certifies (A) at 2 but (E*) at none of the levels 2-12, so its
     # search stops at 12, after its last check; I^D_P = I^68 is one
-    # level_power call with P, made only once a power from D_P on needs it.
+    # level_power call with P, made only once a power from D_P on needs it:
+    # here with no read, which test_read_runs_the_kernel_to_its_last_level covers.
+    monkeypatch.setattr(engine.Plan, "read", None)
+    engine.cached_plan.cache_clear()
     I = random_ideal(RandomIdealSpec(8, 20, seed=23))
     profile = persistence_profile(I)
     expected = {n: decomposed_power(I, profile, n) for n in (100, 324, 330)}
@@ -685,6 +686,62 @@ def test_uncertified_plan_stops_its_search(monkeypatch):
     for n, ideal_n in expected.items():
         assert power(I, n) == ideal_n, n
     assert _kernel_runs(kernels) == [68] and levels == [(I, 13), (I, 67), (I, 68, profile.chosen)]
+
+
+def test_read_runs_the_kernel_to_its_last_level(monkeypatch):
+    # Seed 23 gives up its onset search (m = D_P = 68, s = 324) with the
+    # reduction number 2: the read tries levels 2-11, one kernel run to 11 +
+    # W + 1, W = ceil(2Y / min dy_i) + 1, not to s, and reads at t = 4.
+    # Every power from t on is its link: none builds I^D_P or a decomposition.
+    I = random_ideal(RandomIdealSpec(8, 20, seed=23))
+    gs = persistence_profile(I).chosen
+    w = -(-2 * (gs[0][1] - gs[-1][1]) // min(b - d for (_, b), (_, d) in zip(gs, gs[1:]))) + 1
+    kernels = _count_calls(monkeypatch, engine, "_levels")
+    levels = _count_calls(monkeypatch, engine, "level_power")
+    cuts = _count_calls(monkeypatch, engine.Plan, "cut")
+    for n in (4, 13, 67, 68, 100, 330):
+        assert power(I, n) == naive_power(I, n), n
+    plan = engine.cached_plan(I)
+    assert (plan.m, plan.s, plan.reduction_number, plan.read[0]) == (68, 324, 2, 4)
+    assert _kernel_runs(kernels) == [68, 11 + w + 1] and levels == cuts == []
+    assert power(I, 3) == naive_power(I, 3) and levels == [(I, 3)]
+
+
+def test_a_moved_step_or_a_rotated_middle_is_refused(monkeypatch):
+    # The read is accepted by its links alone: one step of a component
+    # moved, or a middle rotated by one step (both still span what they
+    # spanned), makes every read refused, so power takes the routes below.
+    real = engine._split
+
+    def moved(part):
+        word = list(brute._word(part))
+        at = next(i for i in range(len(word) - 1) if word[i] != word[i + 1])
+        word[at], word[at + 1] = word[at + 1], word[at]
+        return MonomialIdeal(brute._gens(word))
+
+    def rotated(part):
+        word = list(brute._word(part))
+        return MonomialIdeal(brute._gens(word[1:] + word[:1]))
+
+    I = fixed_ideals()["I1"]
+    assert engine.Plan(I).read is not None
+    for tamper in ("component", "middle"):
+        def split(*args, tamper=tamper):
+            read = real(*args)
+            if read is None:
+                return None
+            parts = [list(read.components), list(read.middles)]
+            which = parts[tamper == "middle"]
+            i = next(i for i, p in enumerate(which) if len(set(brute._word(p))) > 1)
+            which[i] = (moved if tamper == "component" else rotated)(which[i])
+            return links.LinkTemplates(*map(tuple, parts))
+
+        monkeypatch.setattr(engine, "_split", split)
+        plan = engine.Plan(I)
+        assert plan.read is None, tamper
+        engine.cached_plan.cache_clear()
+        assert power(I, plan.s - 1) == level_power(I, plan.s - 1), tamper
+    engine.cached_plan.cache_clear()
 
 
 def test_sparse_ideal_below_d_builds_no_i_d(monkeypatch):
@@ -925,6 +982,8 @@ def test_powers_below_the_onset_s_on_both_sum_routes(monkeypatch, seed, transpos
     # s, so power sums I^n by slices for small n - m and by window tables
     # above; I^n is checked against repeated multiplication up to n = 30 and
     # against decomposed_power past it (seed 115, D_P = 28, s = 55).
+    monkeypatch.setattr(engine.Plan, "read", None)  # the sum serves every power below s where there is no read
+    engine.cached_plan.cache_clear()
     I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
     I = I.transpose() if transposed else I
     plan = engine.cached_plan(I)
@@ -1078,8 +1137,8 @@ def test_mu_becomes_linear_by_the_plans_s():
 
 def _form_cases():
     """I1-I4 and the seeds 0-199 of RandomIdealSpec(8, 20) with D_P > 0 whose
-    plan holds its own I^m (the block form's condition), each as given,
-    transposed and shifted by x^2 y^5."""
+    plan holds its own I^m, so that brute.form_onset's walk down from its s is
+    short, each as given, transposed and shifted by x^2 y^5."""
     cases = list(fixed_ideals().values())
     for seed in range(200):
         I = random_ideal(RandomIdealSpec(8, 20, seed=seed))
@@ -1088,40 +1147,68 @@ def _form_cases():
     return [J for I in cases for J in (I, I.transpose(), I.shift((2, 5)))]
 
 
-def test_the_block_form_starts_by_the_plans_n0():
+def test_the_read_starts_at_or_above_the_block_forms_onset():
     # n0, the least n from which G(I^n) has the block form, walked down from
-    # the plan's s = S by brute.form_onset (level_power at every level, any
-    # rotation of each middle) lies between the mu onset n1 and the plan's
-    # n0, which tries no rotation; from the plan's n0 on, power equals
-    # level_power, the last level of one kernel run, up to S + 20.
-    cases, sums, rotated = _form_cases(), [0, 0, 0, 0], 0
+    # the plan's s = S by brute.form_onset, is at most the read's t; from t on,
+    # power equals level_power, the last level of one kernel run, up to S + 20.
+    # Every other case keeps the test near 3 s.
+    cases, sums = _form_cases()[::2], [0, 0]
     for I in cases:
         plan = engine.cached_plan(I)
-        n1, n0, onset, s = brute.mu_onset(I)[0], brute.form_onset(I), plan.form[0], plan.s
-        assert plan.searched is not None and n1 <= n0 <= onset <= s, (I, n1, n0, onset, s)
+        n0, (t, _), s = brute.form_onset(I), plan.read, plan.s
+        assert n0 <= t < s, (I, n0, t, s)
         gy, checked = I.gens[-1][1], []
         for n, staircase, _ in ideals_module._levels(I, s + 20, ()):
-            if n >= onset:
+            if n >= t:
                 assert power(I, n) == ideals_module._level_ideal(staircase, n * gy), (I, n)
                 checked.append(n)
-        assert checked == list(range(onset, s + 21)), I
-        sums = [total + value for total, value in zip(sums, (n1, n0, onset, s))]
-        rotated += n0 < onset
-    assert (len(cases), sums, rotated) == (495, [1176, 1242, 1278, 8508], 30)
+        assert checked == list(range(t, s + 21)), I
+        sums = [sums[0] + n0, sums[1] + t]
+    assert (len(cases), sums) == (248, [637, 747])
 
 
-def test_decompose_and_emit_never_build_the_block_form(monkeypatch):
+def _read_cases():
+    """I1-I4 and the seeds 0-199 of RandomIdealSpec(8, 20), each as given,
+    transposed and shifted by x^2 y^5."""
+    cases = [*fixed_ideals().values(), *(random_ideal(RandomIdealSpec(8, 20, seed=seed)) for seed in range(200))]
+    return [J for I in cases for J in (I, I.transpose(), I.shift((2, 5)))]
+
+
+def test_the_read_is_the_brute_read_and_links_every_power():
+    # Wherever a level lies below s, the plan reads the block form at t, at
+    # most 7 levels past max(reduction number, 1), and its parts are those of
+    # brute.read_form at t.  Their words, concatenated, give level_power at t
+    # to t + 30 (one kernel run) and power at s + 10^k for k <= 4.
+    cases, reads, sum_t, first = _read_cases(), 0, 0, 0
+    for I in cases:
+        plan = engine.cached_plan(I)
+        if plan.read is None:
+            assert plan.s == 1, I
+            continue
+        (t, read), (gx, gy) = plan.read, I.gcd()
+        rn = plan.reduction_number
+        assert 0 <= t - max(plan.profile.D_P if rn is None else rn, 1) <= 7, I
+        parts = brute.read_form(I, t)
+        assert parts == (tuple(c.gens for c in read.components), tuple(h.gens for h in read.middles)), I
+        for n, staircase, _ in ideals_module._levels(I, t + 30, ()):
+            if n >= t:
+                assert np.array_equal(brute.expand(parts, n - t, (gx * n, gy * n)), ideals_module._level_staircase(staircase, n * gy)), (I, n)
+        for n in (plan.s + 10**k for k in range(5)):
+            assert np.array_equal(brute.expand(parts, n - t, (gx * n, gy * n)), power(I, n).xy), (I, n)
+        reads, sum_t, first = reads + 1, sum_t + t, first + (t == max(plan.profile.D_P if rn is None else rn, 1))
+    assert (len(cases), reads, sum_t, first) == (612, 516, 1545, 438)
+
+
+def test_decompose_and_emit_never_build_the_read(monkeypatch):
     # stable_decomposition, mu_polynomial and assemble_power, which the
-    # decompose and emit workloads run, never walk the levels below s, nor
-    # does power below m, at m or from s on.
-    monkeypatch.setattr(engine.Plan, "form", property(lambda plan: pytest.fail("block form built")))
+    # decompose and emit workloads run, never read the block form: only
+    # power does.
+    monkeypatch.setattr(engine.Plan, "read", property(lambda plan: pytest.fail("read built")))
     engine.cached_plan.cache_clear()
     for I in [*fixed_ideals().values(), BIG, *(random_ideal(RandomIdealSpec(8, 20, seed=seed)) for seed in range(8))]:
         dec = stable_decomposition(I)
         assert assemble_power(dec, dec.s + 3) == level_power(I, dec.s + 3)
         plan, poly = engine.cached_plan(I), mu_polynomial(I)
-        for n in sorted({1, plan.m, plan.s, plan.s + 9} - {0}):
-            assert power(I, n) == level_power(I, n), n
         assert assemble_power(plan.decomposition, plan.s + 9).mu == poly(plan.s + 9)
 
 
@@ -1198,11 +1285,12 @@ def test_powers_below_an_overflowing_d(ideal):
 
 
 def test_powers_below_an_overflowing_s():
-    # I^m fits in int64 but I^s does not (m = 1, s = 5): the block form is not
-    # built, and the powers below s take the staircase sum as before.
+    # I^m fits in int64 but I^s does not (m = 1, s = 5): the read's levels
+    # leave int64, so there is no read, and the powers below s take the
+    # staircase sum as before.
     ideal = MonomialIdeal(((0, 3), (1, 1), (2**61, 0)))
     plan = engine.cached_plan(ideal)
-    assert (plan.m, plan.s, plan.searched is None, plan.form) == (1, 5, False, (5, 5, None))
+    assert (plan.m, plan.s, plan.searched is None, plan.read) == (1, 5, False, None)
     for n in range(1, 4):
         assert power(ideal, n) == naive_power(ideal, n), n
     with pytest.raises(ExponentOverflowError):

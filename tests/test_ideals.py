@@ -459,6 +459,29 @@ def test_level_power_refuses_a_reduction_without_both_extremes():
                 level_power(I, n, P)
 
 
+def test_level_power_reads_each_reduction_entry_as_a_monomial():
+    # P is read entry by entry as monomials are: float exponents are refused
+    # with TypeError, as persistence_profile refuses them, not matched by value.
+    I = MonomialIdeal(((0, 4), (1, 2), (3, 1), (4, 0)))
+    for P in ([(0.0, 4.0), (4.0, 0.0)], [(0, 4.0), (4, 0)]):
+        with pytest.raises(TypeError):
+            level_power(I, 3, P)
+        with pytest.raises(TypeError):
+            persistence_profile(I, P)
+    assert level_power(I, 3, [(np.int64(0), 4), (4, np.int64(0))]) == naive_power(I, 3)
+
+
+@pytest.mark.parametrize("m", [(1, 2, 3), (2, 2, "junk"), (1,), ()])
+def test_a_monomial_has_exactly_two_exponents(m):
+    # shift, contains, mon_pow and a link's origin read a monomial whole:
+    # a third entry is refused, not dropped.
+    I = MonomialIdeal(((0, 2), (1, 1), (3, 0)))
+    for call in (lambda: I.shift(m), lambda: I.contains(m), lambda: ideals_module.mon_pow(m, 2)):
+        with pytest.raises(ValueError):
+            call()
+    assert I.shift((1, 2)).gens == ((1, 4), (2, 3), (4, 2)) and I.contains((2, 2))
+
+
 def test_level_power_refuses_a_reduction_outside_the_generators():
     # P is matched to G(I) as pairs, not by x alone: a member off G(I) is
     # refused, as are ends that share an x with a generator but no y.

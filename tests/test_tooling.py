@@ -127,7 +127,7 @@ def test_onset_policy_lives_in_engine():
 
 def test_only_engine_and_level_power_iterate_the_level_kernel():
     # The level kernel only steps levels: each loop over it in src/ is a
-    # policy of engine's (the onset search, the block form's walk) or
+    # policy of engine's (the onset search, the block form's read) or
     # level_power's last level, and nothing else reads or imports it.
     loops, reads, imports = [], [], []
     for path in sorted(SRC.glob("*.py")):
@@ -143,7 +143,7 @@ def test_only_engine_and_level_power_iterate_the_level_kernel():
                 reads.append(path.stem)
             elif isinstance(node, ast.ImportFrom):
                 imports += [path.stem for alias in node.names if alias.name == "_levels"]
-    assert sorted(loops) == [("engine", "__init__"), ("engine", "form"), ("ideals", "level_power")], loops
+    assert sorted(loops) == [("engine", "__init__"), ("engine", "read"), ("ideals", "level_power")], loops
     assert len(reads) == len(loops) and imports == ["engine"], (reads, imports)
 
 
