@@ -324,17 +324,17 @@ def assemble_power(dec: StableDecomposition, n: int) -> MonomialIdeal:
 
 
 def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
-    """``I^n`` through the cheapest applicable route.
-
-    Principal ideals short-circuit to the single-generator power.  From the
-    plan's read t on (:meth:`Plan.read`, built at the first call), the read's
-    link at ``n - t``.  Below t, or with no read: :func:`level_power` below the
-    onset m, the plan's I^m at m, ``staircase_sum(P, n - m, I^m)`` below ``s =
-    m + r + 1``, and from s on the stable-component assembly.  The plans of
-    the last 16 ideals are kept, shared by equal ideals; ``G(I^n)`` itself is
-    emitted afresh by every call.
+    """``I^n`` through the cheapest applicable route: I^1 is the ideal itself,
+    with no plan, and a principal ideal's power one generator.  From the plan's
+    read t on (:meth:`Plan.read`, built at the first call), the read's link at
+    ``n - t``.  Below t, or with no read: :func:`level_power` below the onset m,
+    the plan's I^m at m, ``staircase_sum(P, n - m, I^m)`` below ``s = m + r +
+    1``, and from s on the stable-component assembly.  The plans of the last 16
+    ideals are kept, shared by equal ideals.
     """
     n = _count(n, 1, "power must be >= 1")
+    if n == 1:
+        return ideal
     if ideal.is_principal:
         return MonomialIdeal((mon_pow(ideal.gcd(), n),))
     plan = cached_plan(ideal)

@@ -419,20 +419,23 @@ def test_bench_cells_ignore_the_plan_memo(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, decompositions", [(["5"], 0), (["300"], 1), ([], 1), (["100"], 1), (["6"], 0), (["7"], 1), (["1"], 0)]
+    "argv, forms", [(["5"], 1), (["300"], 1), ([], 1), (["100"], 1), (["6"], 1), (["7"], 1), (["1"], 0)]
 )
-def test_mu_builds_one_profile(capsys, monkeypatch, argv, decompositions):
-    # s, the count below it and the polynomial from s on share one plan.
-    # Below the onset's s = 7 the count is power's, the link of the read at
-    # t = 1, which needs no decomposition; from s on, below the paper's s =
-    # 241 too, the count is the polynomial's, from the one cut at m.
-    calls = {"persistence_profile": [], "cut": []}
+def test_mu_builds_one_profile(capsys, monkeypatch, argv, forms):
+    # s, the count below it and the polynomial from s on share one plan, which
+    # builds one block form.  Below the onset's s = 7 the count is power's, the
+    # link of the read at t = 1; from s on, below the paper's s = 241 too, the
+    # count is the polynomial's, from the one cut at m.  I^1 needs neither.
+    calls = {"persistence_profile": [], "cut": [], "read": []}
     for owner, name in ((engine, "persistence_profile"), (cli, "persistence_profile"), (engine.Plan, "cut")):
         real, seen = getattr(owner, name), calls[name]
         monkeypatch.setattr(owner, name, lambda *a, seen=seen, real=real: seen.append(a) or real(*a))
+    read = engine.Plan.read.func
+    monkeypatch.setattr(engine.Plan, "read", property(lambda plan: calls["read"].append(plan) or read(plan)))
     code, out, err = run(capsys, "mu", str(BIG), *argv)
     assert code == 0, err
-    assert (len(calls["persistence_profile"]), len(calls["cut"])) == (1, decompositions)
+    assert len(calls["persistence_profile"]) == 1
+    assert (len(calls["read"]), len(calls["cut"])) == ((forms, 0) if argv and int(argv[0]) < 7 else (0, forms))
 
 
 def test_check_suite(capsys):
